@@ -36,6 +36,36 @@ MIN_RATIO = 3.0
 MIN_BATCHED_MSGS_PER_SEC = 100_000.0
 
 
+def batched_vs_asyncio(rows):
+    asyncio_rate = rows["asyncio"]["msgs_per_sec"]
+    batched_rate = rows["batched"]["msgs_per_sec"]
+    return batched_rate / asyncio_rate if asyncio_rate else float("inf")
+
+
+def render(rows):
+    """The published table, as a pure function of the published JSON (a
+    tier-1 test holds the committed ``packet_path.txt`` to it)."""
+    shape = next(iter(rows.values()))
+    return (
+        "PACKET PATH THROUGHPUT — loopback echo, "
+        f"{shape['payload_size']}B payloads, window={shape['window']}, "
+        f"best of {shape['reps']}x{shape['duration']:.1f}s\n"
+        + "\n".join(
+            "  {label:8s} {rate:>10,.0f} msgs/s  unreturned={loss}  "
+            "send_batch={sb:.1f}  recv_batch={rb:.1f}  mmsg={mmsg}".format(
+                label=backend,
+                rate=row["msgs_per_sec"],
+                loss=row["loss"],
+                sb=row["avg_send_batch"],
+                rb=row["avg_recv_batch"],
+                mmsg="yes" if row["uses_mmsg"] else "no",
+            )
+            for backend, row in rows.items()
+        )
+        + f"\n  batched vs asyncio: {batched_vs_asyncio(rows):.2f}x"
+    )
+
+
 @pytest.mark.benchmark(group="transport")
 def test_packet_path_throughput(benchmark):
     backends = ["asyncio", "batched"]
@@ -57,7 +87,7 @@ def test_packet_path_throughput(benchmark):
 
     asyncio_rate = rows["asyncio"]["msgs_per_sec"]
     batched_rate = rows["batched"]["msgs_per_sec"]
-    ratio = batched_rate / asyncio_rate if asyncio_rate else float("inf")
+    ratio = batched_vs_asyncio(rows)
     assert asyncio_rate > 0 and batched_rate > 0
 
     if mmsg_available():
@@ -73,22 +103,4 @@ def test_packet_path_throughput(benchmark):
         assert rows["batched"]["avg_send_batch"] > 1.0
         assert rows["batched"]["avg_recv_batch"] > 1.0
 
-    rendered = (
-        "PACKET PATH THROUGHPUT — loopback echo, "
-        f"{PAYLOAD_SIZE}B payloads, window={WINDOW}, "
-        f"best of {REPS}x{DURATION:.1f}s\n"
-        + "\n".join(
-            "  {label:8s} {rate:>10,.0f} msgs/s  unreturned={loss}  "
-            "send_batch={sb:.1f}  recv_batch={rb:.1f}  mmsg={mmsg}".format(
-                label=backend,
-                rate=row["msgs_per_sec"],
-                loss=row["loss"],
-                sb=row["avg_send_batch"],
-                rb=row["avg_recv_batch"],
-                mmsg="yes" if row["uses_mmsg"] else "no",
-            )
-            for backend, row in rows.items()
-        )
-        + f"\n  batched vs asyncio: {ratio:.2f}x"
-    )
-    publish("packet_path", rendered, raw=rows)
+    publish("packet_path", render(rows), raw=rows)

@@ -104,29 +104,12 @@ class SimCluster:
             fixed = config
             config_for = lambda _name: fixed  # noqa: E731
 
+        self._meta_for = meta_for
+        self._on_user_event = on_user_event
         self.nodes: Dict[str, SwimNode] = {}
         self._transports: Dict[str, SimTransport] = {}
         for index, name in enumerate(self.names):
-            transport = SimTransport(name, self.network)
-            node = SwimNode(
-                name,
-                config_for(name),
-                clock=self.clock,
-                scheduler=self.scheduler,
-                transport=transport,
-                rng=random.Random(seed * 1_000_003 + index * 7919 + 17),
-                listener=self.event_log,
-                meta=meta_for(name) if meta_for is not None else b"",
-                on_user_event=(
-                    (lambda event, name=name: on_user_event(name, event))
-                    if on_user_event is not None
-                    else None
-                ),
-            )
-            transport.bind(node.handle_packet)
-            transport.on_reliable_failure = node.note_reliable_send_failure
-            self.nodes[name] = node
-            self._transports[name] = transport
+            self._add_node(name, config_for(name), index)
 
         self._bootstrap = bootstrap
         self._started = False
@@ -139,6 +122,33 @@ class SimCluster:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
+    def _add_node(self, name: str, config: SwimConfig, index: int) -> SwimNode:
+        """Build member number ``index`` on the cluster's fabric, with
+        the cluster's seeding scheme, metadata and user-event hook."""
+        meta_for = self._meta_for
+        on_user_event = self._on_user_event
+        transport = SimTransport(name, self.network)
+        node = SwimNode(
+            name,
+            config,
+            clock=self.clock,
+            scheduler=self.scheduler,
+            transport=transport,
+            rng=random.Random(self.seed * 1_000_003 + index * 7919 + 17),
+            listener=self.event_log,
+            meta=meta_for(name) if meta_for is not None else b"",
+            on_user_event=(
+                (lambda event: on_user_event(name, event))
+                if on_user_event is not None
+                else None
+            ),
+        )
+        transport.bind(node.handle_packet)
+        transport.on_reliable_failure = node.note_reliable_send_failure
+        self.nodes[name] = node
+        self._transports[name] = transport
+        return node
+
     def start(self) -> None:
         """Bootstrap membership and start every node's protocol loops."""
         if self._started:
@@ -146,15 +156,14 @@ class SimCluster:
         self._started = True
         if self._bootstrap == "preseed":
             now = self.clock.now
+            # One (name, address, meta, zone) roster shared by every
+            # member map; each map skips its own entry.
+            roster = [
+                (name, name, node.meta, node.members.local.zone)
+                for name, node in self.nodes.items()
+            ]
             for node in self.nodes.values():
-                for other in self.names:
-                    if other == node.name:
-                        continue
-                    node.members.add(
-                        other, other, 1, MemberState.ALIVE, now,
-                        meta=self.nodes[other].meta,
-                        zone=self.nodes[other].members.local.zone,
-                    )
+                node.members.add_many(roster, 1, MemberState.ALIVE, now)
             for node in self.nodes.values():
                 node.start()
         else:
@@ -194,22 +203,8 @@ class SimCluster:
         if config is None:
             first = self.nodes[self.names[0]]
             config = first.config
-        index = len(self.names)
-        transport = SimTransport(name, self.network)
-        node = SwimNode(
-            name,
-            config,
-            clock=self.clock,
-            scheduler=self.scheduler,
-            transport=transport,
-            rng=random.Random(self.seed * 1_000_003 + index * 7919 + 17),
-            listener=self.event_log,
-        )
-        transport.bind(node.handle_packet)
-        transport.on_reliable_failure = node.note_reliable_send_failure
+        node = self._add_node(name, config, len(self.names))
         self.names.append(name)
-        self.nodes[name] = node
-        self._transports[name] = transport
         node.start()
         if join_via is not None:
             node.join([join_via])

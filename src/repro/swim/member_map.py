@@ -396,8 +396,39 @@ class MemberMap:
         self._version += 1
         self._actives = None
         if name != self._local_name:
-            self._scheduler.on_member_added(name)
+            self._scheduler.on_members_added((name,))
         return member
+
+    def add_many(
+        self,
+        roster: Iterable[Tuple[str, str, bytes, str]],
+        incarnation: int,
+        state: MemberState,
+        now: float,
+    ) -> None:
+        """Insert a whole roster in one pass (preseed bootstrap).
+
+        ``roster`` yields ``(name, address, meta, zone)``; one roster is
+        shared by every map of a cluster, so the entry naming this map's
+        own local member is skipped. Equivalent to calling :meth:`add`
+        per entry in roster order — same table order, same probe-order
+        draws — except that an already-known or repeated name raises
+        before anything is inserted.
+        """
+        members = self._members
+        local_name = self._local_name
+        fresh: Dict[str, Member] = {}
+        for name, address, meta, zone in roster:
+            if name == local_name:
+                continue
+            if name in members or name in fresh:
+                raise ValueError(f"member {name!r} already known")
+            fresh[name] = Member(name, address, incarnation, state, now, meta, zone)
+        members.update(fresh)
+        self._state_counts[state] += len(fresh)
+        self._version += 1
+        self._actives = None
+        self._scheduler.on_members_added(fresh)
 
     def apply_claim(
         self, name: str, state: MemberState, incarnation: int, now: float

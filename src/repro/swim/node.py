@@ -480,22 +480,24 @@ class SwimNode:
         # A restarted node may remember SUSPECT members from before the
         # stop: stop() cancels and drops the suspicion timers but keeps
         # the member map. Re-arm a fresh suspicion for each so every
-        # SUSPECT state has a timer that can expire or be refuted.
-        for member in self._members.members():
-            if (
-                member.name == self.name
-                or not member.is_suspect
-                or member.name in self._suspicions
-            ):
-                continue
-            minimum, maximum, k = self._suspicion_parameters()
-            suspicion = Suspicion(self.name, now, minimum, maximum, k)
-            entry = _SuspicionEntry(suspicion, None)
-            self._suspicions[member.name] = entry
-            entry.timer = self._scheduler.call_at(
-                suspicion.deadline(),
-                lambda name=member.name: self._suspicion_expired(name),
-            )
+        # SUSPECT state has a timer that can expire or be refuted. The
+        # O(1) count keeps a preseeded start from walking all n-1 members.
+        if self._members.num_in_state(MemberState.SUSPECT) > 0:
+            for member in self._members.members():
+                if (
+                    member.name == self.name
+                    or not member.is_suspect
+                    or member.name in self._suspicions
+                ):
+                    continue
+                minimum, maximum, k = self._suspicion_parameters()
+                suspicion = Suspicion(self.name, now, minimum, maximum, k)
+                entry = _SuspicionEntry(suspicion, None)
+                self._suspicions[member.name] = entry
+                entry.timer = self._scheduler.call_at(
+                    suspicion.deadline(),
+                    lambda name=member.name: self._suspicion_expired(name),
+                )
 
     def set_paused(self, paused: bool) -> None:
         """Suspend or resume the periodic protocol loops.

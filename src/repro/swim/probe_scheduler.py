@@ -14,7 +14,7 @@ detection latency for the same probe budget, and Lifeguard's own signals
 :meth:`MemberMap.next_probe_target
 <repro.swim.member_map.MemberMap.next_probe_target>`; the member map owns
 the membership table and feeds the scheduler lifecycle hooks
-(``on_member_added`` / ``on_members_removed``), while the node feeds it
+(``on_members_added`` / ``on_members_removed``), while the node feeds it
 liveness signals (``note_ack`` for clean direct-UDP RTT samples,
 ``note_confirmation`` for any completed probe). Three implementations
 ship, selected by :attr:`SwimConfig.probe_scheduler
@@ -76,8 +76,8 @@ class ProbeScheduler:
 
     # -- lifecycle hooks (driven by MemberMap) ------------------------- #
 
-    def on_member_added(self, name: str) -> None:
-        """A new (non-local) member entered the table."""
+    def on_members_added(self, names: Iterable[str]) -> None:
+        """New (non-local) members entered the table, in this order."""
 
     def on_members_removed(self, names: Iterable[str]) -> None:
         """Members were reclaimed from the table."""
@@ -130,11 +130,28 @@ class RoundRobinScheduler(ProbeScheduler):
         #: reshuffle happens to put it back at the front.
         self._last: Optional[str] = None
 
-    def on_member_added(self, name: str) -> None:
-        offset = self._rng.randint(0, len(self._order))
-        self._order.insert(offset, name)
-        if offset < self._index:
-            self._index += 1
+    def on_members_added(self, names: Iterable[str]) -> None:
+        # One ``rng.randint(0, len(order))`` per name, spelled out as the
+        # ``getrandbits`` rejection loop CPython's ``_randbelow`` runs, so
+        # a whole-roster bootstrap pays one Python frame instead of four
+        # per member while consuming the identical RNG stream (the
+        # reference-model test pins ``_order``, ``_index`` and the RNG
+        # state against ``randint`` + ``insert``).
+        order = self._order
+        insert = order.insert
+        getrandbits = self._rng.getrandbits
+        index = self._index
+        size = len(order)
+        for name in names:
+            size += 1
+            bits = size.bit_length()
+            offset = getrandbits(bits)
+            while offset >= size:
+                offset = getrandbits(bits)
+            insert(offset, name)
+            if offset < index:
+                index += 1
+        self._index = index
 
     def on_members_removed(self, names: Iterable[str]) -> None:
         gone = set(names)

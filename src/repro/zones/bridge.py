@@ -35,10 +35,10 @@ directory (a zone partition must not fabricate member deaths — exactly
 the false-positive class Lifeguard exists to suppress) and clears the
 moment digests resume.
 
-Determinism: the bridge never draws from its node's RNG — its directory
-uses a private stream derived from the zone seed — and its digest tick
-runs at fixed phases ``k * cross_zone_interval``, so attaching bridges
-perturbs no zone-local schedule.
+Determinism: the bridge draws no random numbers at all — its directory
+is a lookup table with no probe order — and its digest tick runs at
+fixed phases ``k * cross_zone_interval``, so attaching bridges perturbs
+no zone-local schedule.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.config import SwimConfig
 from repro.sim.scheduler import EventScheduler
@@ -59,6 +59,7 @@ from repro.swim.member_map import (
 )
 from repro.swim.messages import Message, ZoneClaim, ZoneDigest
 from repro.swim.node import SwimNode
+from repro.swim.probe_scheduler import ProbeScheduler
 from repro.swim.state import MemberState
 from repro.zones.topology import Zone, ZoneLayout
 
@@ -108,7 +109,7 @@ class ZoneBridge:
         config: SwimConfig,
         scheduler: EventScheduler,
         send: SendFn,
-        rng_seed: int = 0,
+        roster: Mapping[str, str],
     ) -> None:
         self.node = node
         self.zone = zone
@@ -116,20 +117,29 @@ class ZoneBridge:
         self.interval = config.cross_zone_interval
         self._scheduler = scheduler
         self._send = send
-        self._roster = layout.roster()
+        #: ``layout.roster()`` (member name -> zone name). Read-only here,
+        #: so every bridge of a shard shares the one mapping.
+        self._roster = roster
         self._peers: List[Tuple[str, str]] = layout.bridge_peers(zone.name)
         self.stats = BridgeStats()
 
-        # The global directory. Private RNG: MemberMap draws on insert
-        # (probe-list placement), and the bridge must not consume its
-        # node's stream.
+        # The global directory is only ever looked up and merged into,
+        # never probed or sampled: the hook-less base scheduler keeps no
+        # probe order (``next_probe_target`` raises), so neither it nor
+        # the RNG the map requires ever draws.
         self.directory = MemberMap(
-            node.name, node.name, random.Random(rng_seed), zone=zone.name
+            node.name,
+            node.name,
+            random.Random(0),
+            probe_scheduler=ProbeScheduler(),
+            zone=zone.name,
         )
-        for name, zone_name in self._roster.items():
-            if name == node.name:
-                continue
-            self.directory.add(name, name, 1, MemberState.ALIVE, 0.0, zone=zone_name)
+        self.directory.add_many(
+            ((name, name, b"", zone_name) for name, zone_name in roster.items()),
+            1,
+            MemberState.ALIVE,
+            0.0,
+        )
 
         #: Remote zones currently flagged unreachable (soft verdicts).
         self.unreachable: Set[str] = set()

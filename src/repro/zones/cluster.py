@@ -138,6 +138,9 @@ class ZoneShard:
         self._frame: Optional[FrameBuffer] = (
             FrameBuffer() if bridge_table is not None else None
         )
+        #: ``member name -> zone name``, built once and shared read-only
+        #: with every bridge.
+        self.roster: Dict[str, str] = layout.roster()
         for zi in self.zone_indices:
             zone = layout.zones[zi]
             zcfg = config.replace(zone=zone.name, zone_count=layout.zone_count)
@@ -152,7 +155,7 @@ class ZoneShard:
             self._seq[zi] = 0
             send = self._sender_for(zi)
             bridges: List[ZoneBridge] = []
-            for b_index, b_name in enumerate(zone.bridges):
+            for b_name in zone.bridges:
                 bridge = ZoneBridge(
                     node=cluster.nodes[b_name],
                     zone=zone,
@@ -160,7 +163,7 @@ class ZoneShard:
                     config=zcfg,
                     scheduler=cluster.scheduler,
                     send=send,
-                    rng_seed=zone_seed(seed, zi) * 31 + b_index + 1,
+                    roster=self.roster,
                 )
                 bridges.append(bridge)
                 self._bridge_by_name[b_name] = bridge
@@ -306,7 +309,7 @@ class ZonedCluster:
         self.shard = ZoneShard(
             self.layout, range(zone_count), config, seed, loss_rate=loss_rate
         )
-        self._roster = self.layout.roster()
+        self._roster = self.shard.roster
         self._now = 0.0
         self._next_barrier = self.epoch
         self._started = False

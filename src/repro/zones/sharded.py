@@ -95,6 +95,9 @@ class ZonedRunResult:
     executed: int
     shards: int
     wall_s: float
+    #: The part of ``wall_s`` spent before the first epoch: construction
+    #: plus ``start()`` (sharded: until every worker reported ready).
+    setup_s: float = 0.0
     #: Barrier exchanges crossed during the run.
     barriers: int = 0
     #: Wall seconds the driver spent routing barrier exchanges (decode,
@@ -320,6 +323,7 @@ def _run_single(
     start = time.perf_counter()
     cluster = ZonedCluster(n_members, config, seed=seed, zone_count=zone_count)
     cluster.start()
+    setup_s = time.perf_counter() - start
     if stress_windows:
         _apply_stress_windows(cluster.shard, cluster.layout, stress_windows)
     cluster.run_until(duration)
@@ -340,6 +344,7 @@ def _run_single(
         executed=executed,
         shards=1,
         wall_s=time.perf_counter() - start,
+        setup_s=setup_s,
         barriers=cluster.barriers,
         barrier_exchange_s=cluster.barrier_exchange_s,
         barrier_bytes=cluster.barrier_bytes,
@@ -442,6 +447,7 @@ def run_zoned(
                     f"shard {index} bridge-table handshake mismatch: "
                     f"{message!r} (master digest {table.digest})"
                 )
+        setup_s = time.perf_counter() - start
 
         dest_shard = {
             zi: index
@@ -544,6 +550,7 @@ def run_zoned(
         executed=executed,
         shards=len(slices),
         wall_s=time.perf_counter() - start,
+        setup_s=setup_s,
         barriers=barriers,
         barrier_exchange_s=exchange_s,
         barrier_bytes=barrier_bytes,

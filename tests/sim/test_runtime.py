@@ -79,6 +79,29 @@ class TestLifecycle:
         cluster.run_for(15.0)  # m000 gets declared dead
         assert not cluster.run_until_converged(cluster.now + 5.0)
 
+    def test_spawned_member_gets_cluster_meta_and_user_events(self):
+        """Regression: ``spawn_member`` dropped the cluster's ``meta_for``
+        and ``on_user_event``, so a member spawned mid-run advertised
+        empty metadata and never delivered user events."""
+        received = []
+        cluster = SimCluster(
+            n_members=4,
+            config=small_config(),
+            meta_for=lambda name: f"service={name}".encode(),
+            on_user_event=lambda receiver, event: received.append(
+                (receiver, event.payload)
+            ),
+        )
+        cluster.start()
+        node = cluster.spawn_member("late", join_via="m000")
+        assert node.meta == b"service=late"
+        cluster.run_for(10.0)
+        assert cluster.nodes["m003"].members.get("late").meta == b"service=late"
+        cluster.nodes["m001"].broadcast_event(b"deploy")
+        cluster.run_for(10.0)
+        assert ("late", b"deploy") in received
+        assert sorted(r for r, _ in received) == sorted(cluster.names)
+
 
 class TestObservation:
     def test_view(self):

@@ -37,6 +37,39 @@ class TestBasics:
         with pytest.raises(ValueError):
             mm.add("m0", "x", 1, MemberState.ALIVE, 0.0)
 
+    @pytest.mark.parametrize(
+        "roster",
+        [
+            [("new", "a", b"", ""), ("m0", "x", b"", "")],  # m0 already known
+            [("new", "a", b"", ""), ("new", "b", b"", "")],  # repeated name
+        ],
+    )
+    def test_add_many_rejects_before_mutating(self, roster):
+        rng = random.Random(1)
+        mm = MemberMap("self", "self-addr", rng)
+        mm.add("m0", "addr0", 1, MemberState.ALIVE, 0.0)
+        before = (mm.names(), mm.snapshot(), mm.num_alive(), rng.getstate())
+        order = list(mm.probe_scheduler._order)
+        with pytest.raises(ValueError, match="already known"):
+            mm.add_many(roster, 1, MemberState.ALIVE, 0.0)
+        assert (mm.names(), mm.snapshot(), mm.num_alive(), rng.getstate()) == before
+        assert mm.probe_scheduler._order == order
+
+    def test_add_many_skips_local_entry(self):
+        mm = make_map(0)
+        mm.add_many(
+            [("self", "other-addr", b"x", "z"), ("m0", "addr0", b"meta", "z1")],
+            2, MemberState.ALIVE, 4.0,
+        )
+        assert mm.names() == ["self", "m0"]
+        assert mm.local.address == "self-addr"
+        member = mm.get("m0")
+        assert (member.address, member.incarnation, member.meta, member.zone) == (
+            "addr0", 2, b"meta", "z1",
+        )
+        assert member.state_changed_at == 4.0
+        assert mm.next_probe_target().name == "m0"
+
     def test_names_and_members(self):
         mm = make_map(2)
         assert set(mm.names()) == {"self", "m0", "m1"}

@@ -227,6 +227,23 @@ class TestDeterminism:
         assert run(42) == run(42)
         assert run(42) != run(43)  # and the seed actually matters
 
+    @pytest.mark.parametrize("name", ["likelihood", "lhm-rtt"])
+    def test_weighted_strategies_draw_nothing_on_insert(self, name):
+        """Only the round-robin order needs a random position per new
+        member; the weighted strategies select from the table itself."""
+        rng = random.Random(7)
+        state = rng.getstate()
+        mm = MemberMap(
+            "local", "local:7946", rng, probe_scheduler=make_probe_scheduler(name)
+        )
+        mm.add_many(
+            [(f"m{i}", f"m{i}:7946", b"", "") for i in range(50)],
+            1, MemberState.ALIVE, 0.0,
+        )
+        mm.add("late", "late:7946", 1, MemberState.ALIVE, 0.0)
+        assert rng.getstate() == state
+        assert mm.next_probe_target(1.0) is not None
+
 
 class TestBaseInterface:
     def test_base_next_target_is_abstract(self):

@@ -394,3 +394,109 @@ def test_round_robin_schedule_matches_reference(ops, seed):
         scheduler = mm.probe_scheduler
         assert scheduler._order == ref.order
         assert scheduler._index == ref.index
+
+
+# --------------------------------------------------------------------- #
+# Bulk insertion vs one insert per name
+# --------------------------------------------------------------------- #
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32),
+    # Batches large enough to cross the 2**k list sizes where the
+    # rejection loop changes its bit width (.., 128, 256).
+    batches=st.lists(
+        st.tuples(
+            st.integers(0, 140),  # names inserted in one call
+            st.integers(0, 9),  # probes after it (moves the index mid-round)
+            st.integers(0, 6),  # members then killed and reclaimed
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_bulk_insert_draws_match_per_name_reference(seed, batches):
+    """``on_members_added`` must consume the RNG exactly as one
+    ``rng.randint`` + ``list.insert`` per name would: same probe order,
+    same index, same generator state — for any batch split, with probes
+    and removals in between so inserts land mid-round."""
+    rng = random.Random(seed)
+    reference_rng = random.Random(seed)
+    mm = MemberMap(_LOCAL, f"{_LOCAL}:7946", rng)
+    scheduler = mm.probe_scheduler
+    ref = _NaiveRoundRobin()
+    inserted = 0
+    now = 0.0
+    for size, probes, kills in batches:
+        now += 1.0
+        names = [f"b{inserted + i:04d}" for i in range(size)]
+        inserted += size
+        mm.add_many([(n, n, b"", "") for n in names], 1, MemberState.ALIVE, now)
+        for name in names:
+            ref.add(reference_rng, name)
+        assert scheduler._order == ref.order
+        assert scheduler._index == ref.index
+        assert rng.getstate() == reference_rng.getstate()
+
+        for _ in range(probes):
+            actual = mm.next_probe_target(now)
+            expected = ref.next(reference_rng, mm)
+            assert (actual.name if actual is not None else None) == expected
+        victims = [m.name for m in mm.alive_members()][:kills]
+        for name in victims:
+            mm.apply_claim(name, MemberState.DEAD, 1, now)
+        ref.reclaim(mm.reclaim_dead(now + 1.0, 0.0))
+        assert scheduler._order == ref.order
+        assert scheduler._index == ref.index
+        assert rng.getstate() == reference_rng.getstate()
+
+
+_roster_entry = st.tuples(
+    st.integers(0, 40), st.binary(max_size=4), st.sampled_from(["", "z000", "z001"])
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**16),
+    entries=st.lists(_roster_entry, max_size=40, unique_by=lambda e: e[0]),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    state=st.sampled_from([MemberState.ALIVE, MemberState.SUSPECT, MemberState.DEAD]),
+    sample=st.integers(0, 8),
+)
+def test_add_many_matches_sequence_of_adds(seed, entries, cuts, state, sample):
+    """``add_many`` over any batch split ≡ ``add`` per entry in roster
+    order; the roster may name the local member, which is skipped."""
+    # Index 0 is the local member itself.
+    roster = [
+        (_LOCAL if i == 0 else f"r{i:02d}", f"addr{i}", meta, zone)
+        for i, meta, zone in entries
+    ]
+    one_by_one = MemberMap(_LOCAL, f"{_LOCAL}:7946", random.Random(seed))
+    bulk = MemberMap(_LOCAL, f"{_LOCAL}:7946", random.Random(seed))
+    for name, address, meta, zone in roster:
+        if name != _LOCAL:
+            one_by_one.add(name, address, 3, state, 2.0, meta, zone)
+    bounds = [0] + sorted(min(c, len(roster)) for c in cuts) + [len(roster)]
+    for start, end in zip(bounds, bounds[1:]):
+        bulk.add_many(roster[start:end], 3, state, 2.0)
+
+    assert bulk.names() == one_by_one.names()
+    assert bulk._state_counts == one_by_one._state_counts
+    assert len(bulk) == len(one_by_one)
+    assert bulk.num_probeable() == one_by_one.num_probeable()
+    assert bulk.snapshot(5.0) == one_by_one.snapshot(5.0)
+    assert [m.zone for m in bulk.members()] == [m.zone for m in one_by_one.members()]
+    assert [m.name for m in bulk.alive_members(True)] == [
+        m.name for m in one_by_one.alive_members(True)
+    ]
+    assert bulk.probe_scheduler._order == one_by_one.probe_scheduler._order
+    assert bulk.probe_scheduler._index == one_by_one.probe_scheduler._index
+    # Same RNG state going in, same candidate order: identical draws.
+    assert [m.name for m in bulk.random_members(sample)] == [
+        m.name for m in one_by_one.random_members(sample)
+    ]
+    target = bulk.next_probe_target(5.0)
+    expected = one_by_one.next_probe_target(5.0)
+    assert (target and target.name) == (expected and expected.name)

@@ -1,0 +1,14 @@
+"""Committed benchmark result files must be what the committed code
+renders (ROADMAP aim 3: results match code)."""
+
+import json
+from pathlib import Path
+
+from benchmarks.bench_packet_path import render
+
+RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
+
+
+def test_packet_path_text_is_rendered_from_its_json():
+    rows = json.loads((RESULTS / "packet_path.json").read_text())
+    assert (RESULTS / "packet_path.txt").read_text() == render(rows) + "\n"

@@ -1,7 +1,10 @@
 """Bridge-layer behavior through small end-to-end zoned clusters."""
 
+import pytest
+
 from repro.config import SwimConfig
 from repro.swim.messages import ZoneClaim
+from repro.swim.probe_scheduler import ProbeScheduler
 from repro.swim.state import MemberState
 from repro.zones.cluster import ZonedCluster
 
@@ -30,6 +33,22 @@ class TestDirectory:
             assert member is not None, name
             assert member.zone == zone_name
             assert member.state is MemberState.ALIVE
+
+    def test_directory_keeps_no_probe_order(self):
+        """The directory is looked up and merged into, never probed: no
+        scheduler state per member, and asking it for a probe target is
+        an error rather than a silently working schedule."""
+        cluster = make_cluster()
+        for bridge in cluster.bridges:
+            assert type(bridge.directory.probe_scheduler) is ProbeScheduler
+            assert len(bridge.directory) == 24
+            with pytest.raises(NotImplementedError):
+                bridge.directory.next_probe_target()
+
+    def test_bridges_share_one_roster(self):
+        cluster = make_cluster()
+        assert cluster.shard.roster == cluster.layout.roster()
+        assert all(b._roster is cluster.shard.roster for b in cluster.bridges)
 
     def test_rng_isolated_from_node(self):
         cluster = make_cluster()
