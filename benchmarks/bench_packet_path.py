@@ -16,16 +16,13 @@ per backend plus the ``batched_vs_asyncio`` ratio — see regression.py).
 Where mmsg syscalls are unavailable the batched backend runs its
 portable per-datagram fallback and only the directional comparison is
 reported, not asserted.
-
-A ``uvloop`` column appears automatically when the optional package is
-installed; it is informational and never gates.
 """
 
 import pytest
 
 from benchmarks.conftest import publish
 from repro.harness.packetbench import run_packet_bench_suite
-from repro.transport.fastudp import mmsg_available, uvloop_available
+from repro.transport.fastudp import mmsg_available
 
 DURATION = 0.5
 REPS = 3
@@ -69,8 +66,6 @@ def render(rows):
 @pytest.mark.benchmark(group="transport")
 def test_packet_path_throughput(benchmark):
     backends = ["asyncio", "batched"]
-    if uvloop_available():
-        backends.append("uvloop")
 
     rows = benchmark.pedantic(
         lambda: run_packet_bench_suite(

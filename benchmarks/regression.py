@@ -147,7 +147,7 @@ def collect_metrics(results_dir: Path = RESULTS_DIR) -> dict:
 
     packet = _load_result("packet_path", results_dir)
     if packet is not None:
-        for backend in ("asyncio", "batched", "uvloop"):
+        for backend in ("asyncio", "batched"):
             row = packet.get(backend)
             if row is None:
                 continue

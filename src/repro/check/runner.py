@@ -1,8 +1,10 @@
 """Scenario execution, seed sweeps and counterexample shrinking.
 
 ``run_scenario`` replays one :class:`~repro.check.scenarios.ScenarioSpec`
-against a fresh :class:`~repro.sim.runtime.SimCluster` with the full
-oracle suite attached to the event tap; ``run_sweep`` drives N generated
+against a fresh :class:`~repro.sim.runtime.SimCluster` (a
+:class:`~repro.zones.cluster.ZonedCluster` for zoned specs) — faults
+applied by :class:`~repro.sim.faults.SimFaultExecutor`, the full oracle
+suite attached to the event tap; ``run_sweep`` drives N generated
 scenarios and, for every failing seed, greedily shrinks the schedule to
 a minimal spec that still violates the same invariants, then packages a
 replayable JSON artifact (``repro check --replay file.json``).
@@ -17,16 +19,13 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from random import Random
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -38,15 +37,15 @@ from repro.check.invariants import (
     default_oracles,
 )
 from repro.check.scenarios import (
-    FaultEntry,
     GeneratorParams,
     ScenarioSpec,
     generate_scenario,
     shrink_candidates,
 )
+from repro.faults import FaultSchedule
 from repro.harness.configurations import make_config
+from repro.sim.faults import SimFaultExecutor
 from repro.sim.runtime import SimCluster, default_member_names
-from repro.swim.state import MemberState
 
 if TYPE_CHECKING:  # pragma: no cover - kept lazy at runtime
     from repro.zones.cluster import ZonedCluster
@@ -56,465 +55,10 @@ ARTIFACT_SCHEMA = "repro-check/v1"
 #: Virtual-time chunk between early-abort checks while running a scenario.
 _CHUNK = 5.0
 
-#: How often an isolated joiner retries its join (virtual seconds).
-_JOIN_RETRY = 5.0
-
 #: Bridges per zone in zoned fuzz runs: two, so a single bridge crash or
 #: flap never leaves a zone without a live claim forwarder (the scenario
 #: generator additionally keeps each zone's first bridge out of churn).
 ZONED_BRIDGES = 2
-
-
-class _FaultDriver:
-    """Schedules a spec's faults onto a cluster and tracks expected
-    liveness for the convergence oracle."""
-
-    def __init__(self, cluster: SimCluster, spec: ScenarioSpec) -> None:
-        self.cluster = cluster
-        self.spec = spec
-        self.expected_gone: Set[str] = set()
-        self._base_names = list(cluster.names)
-        self._partitions: List[FaultEntry] = []
-        self._loss_rates: List[float] = []
-        self._link_loss: List[FaultEntry] = []
-
-    # -- composition helpers ------------------------------------------- #
-
-    def _apply_partitions(self) -> None:
-        network = self.cluster.network
-        if not self._partitions:
-            network.heal_partition()
-            return
-        entry = self._partitions[-1]
-        group = [n for n in entry.members if n in self.cluster.nodes]
-        rest = [n for n in self.cluster.names if n not in entry.members]
-        network.partition(group, rest)
-
-    def _apply_loss(self) -> None:
-        rates = self._loss_rates + [self.spec.loss_rate]
-        self.cluster.network.loss_rate = max(rates)
-
-    def _apply_link_loss(self) -> None:
-        network = self.cluster.network
-        network.clear_link_loss()
-        rates: Dict[Tuple[str, str], float] = {}
-        for entry in self._link_loss:
-            pair = (entry.members[0], entry.members[1])
-            rates[pair] = max(rates.get(pair, 0.0), entry.rate)
-        for (src, dst), rate in rates.items():
-            network.set_link_loss(src, dst, rate)
-
-    # -- per-fault scheduling ------------------------------------------ #
-
-    def schedule(self) -> None:
-        scheduler = self.cluster.scheduler
-        for index, entry in enumerate(self.spec.faults):
-            if entry.kind == "block":
-                for member in entry.members:
-                    self.cluster.anomalies.block_window(
-                        member, entry.start, entry.end
-                    )
-            elif entry.kind == "cpu_stress":
-                stress_rng = Random(self.spec.seed * 31_337 + index * 101 + 7)
-                self.cluster.anomalies.cpu_stress(
-                    entry.members[0], entry.start, entry.duration, rng=stress_rng
-                )
-            elif entry.kind == "partition":
-                scheduler.call_at(
-                    entry.start, lambda e=entry: self._begin_partition(e)
-                )
-                scheduler.call_at(
-                    entry.end, lambda e=entry: self._end_partition(e)
-                )
-            elif entry.kind == "loss":
-                scheduler.call_at(
-                    entry.start, lambda r=entry.rate: self._begin_loss(r)
-                )
-                scheduler.call_at(
-                    entry.end, lambda r=entry.rate: self._end_loss(r)
-                )
-            elif entry.kind == "link_loss":
-                scheduler.call_at(
-                    entry.start, lambda e=entry: self._begin_link_loss(e)
-                )
-                scheduler.call_at(
-                    entry.end, lambda e=entry: self._end_link_loss(e)
-                )
-            elif entry.kind == "flap":
-                member = entry.members[0]
-                scheduler.call_at(entry.start, lambda m=member: self._stop(m))
-                scheduler.call_at(entry.end, lambda m=member: self._restart(m))
-            elif entry.kind == "crash":
-                member = entry.members[0]
-                self.expected_gone.add(member)
-                scheduler.call_at(entry.start, lambda m=member: self._stop(m))
-            elif entry.kind == "leave":
-                member = entry.members[0]
-                self.expected_gone.add(member)
-                scheduler.call_at(entry.start, lambda m=member: self._leave(m))
-            elif entry.kind == "join":
-                member = entry.members[0]
-                scheduler.call_at(entry.start, lambda m=member: self._join(m))
-
-    def _begin_partition(self, entry: FaultEntry) -> None:
-        self._partitions.append(entry)
-        self._apply_partitions()
-
-    def _end_partition(self, entry: FaultEntry) -> None:
-        if entry in self._partitions:
-            self._partitions.remove(entry)
-        self._apply_partitions()
-
-    def _begin_loss(self, rate: float) -> None:
-        self._loss_rates.append(rate)
-        self._apply_loss()
-
-    def _end_loss(self, rate: float) -> None:
-        if rate in self._loss_rates:
-            self._loss_rates.remove(rate)
-        self._apply_loss()
-
-    def _begin_link_loss(self, entry: FaultEntry) -> None:
-        self._link_loss.append(entry)
-        self._apply_link_loss()
-
-    def _end_link_loss(self, entry: FaultEntry) -> None:
-        if entry in self._link_loss:
-            self._link_loss.remove(entry)
-        self._apply_link_loss()
-
-    def _stop(self, member: str) -> None:
-        node = self.cluster.nodes.get(member)
-        if node is not None and node.running:
-            node.stop()
-
-    def _restart(self, member: str) -> None:
-        node = self.cluster.nodes.get(member)
-        if node is not None and not node.running:
-            node.start()
-            # A restarted process rejoins the group: its peers wrote it
-            # off as DEAD and will never probe or gossip to it again, so
-            # the only protocol paths back in are the join handshake and
-            # (when enabled) periodic reconnect sync — and the sweep also
-            # runs sync-off clusters.
-            self._schedule_rejoin(member, first_delay=0.0)
-
-    def _leave(self, member: str) -> None:
-        node = self.cluster.nodes.get(member)
-        if node is not None and node.running:
-            node.leave()
-
-    def _join(self, member: str) -> None:
-        if member in self.cluster.nodes:
-            return
-        anchor = self._pick_anchor()
-        if anchor is None:
-            self.expected_gone.add(member)
-            return
-        self.cluster.spawn_member(member, join_via=anchor)
-        self._schedule_rejoin(member)
-
-    def _pick_anchor(self, exclude: Optional[str] = None) -> Optional[str]:
-        for name in self._base_names:
-            if name == exclude:
-                continue
-            node = self.cluster.nodes.get(name)
-            if node is not None and node.running and name not in self.expected_gone:
-                return name
-        return None
-
-    def _reintegrated(self, member: str) -> bool:
-        """Whether every running peer currently sees ``member`` as alive.
-
-        Gossip's transmit budget is finite: with periodic sync disabled,
-        a peer that was blocked while the (re)join refutation circulated
-        can stay convinced the member is DEAD forever. A fresh sync offer
-        directly repairs such a straggler, so the rejoin loop keeps going
-        until no straggler remains.
-        """
-        peers = 0
-        for name, node in self.cluster.nodes.items():
-            if name == member or not node.running:
-                continue
-            view = node.members.get(member)
-            if view is None or not view.is_alive:
-                return False
-            peers += 1
-        return peers > 0
-
-    def _schedule_rejoin(self, member: str, first_delay: float = _JOIN_RETRY) -> None:
-        # A restarted (or newly joined) process keeps offering sync to its
-        # last-known peer list until the whole group sees it alive — the
-        # serf snapshot-rejoin behaviour. A member that knows nobody yet
-        # falls back to the driver's anchor.
-        def attempt() -> None:
-            node = self.cluster.nodes.get(member)
-            if node is None or not node.running:
-                return
-            if self._reintegrated(member):
-                return
-            peers = [
-                m.name
-                for m in node.members.members()
-                if m.name != member and m.state is not MemberState.LEFT
-            ]
-            if not peers:
-                anchor = self._pick_anchor(exclude=member)
-                peers = [anchor] if anchor is not None else []
-            if peers:
-                node.join(peers)
-            self.cluster.scheduler.call_later(_JOIN_RETRY, attempt)
-
-        self.cluster.scheduler.call_later(first_delay, attempt)
-
-    # -- final bookkeeping --------------------------------------------- #
-
-    def expected_live(self) -> Set[str]:
-        return {
-            name
-            for name in self.cluster.names
-            if name not in self.expected_gone
-        }
-
-
-class _ZoneFaultDriver:
-    """Zoned counterpart of :class:`_FaultDriver`.
-
-    Zone-local faults (``block``, ``flap``, ``crash``, ``leave``) land on
-    the affected member's own zone scheduler; ambient ``loss`` applies to
-    every zone's network fabric independently (each zone owns one); and
-    ``zone_partition`` windows are registered with the
-    :class:`~repro.zones.cluster.ZonedCluster` up front, where they drop
-    cross-zone traffic at epoch barriers.
-    """
-
-    def __init__(self, cluster: "ZonedCluster", spec: ScenarioSpec) -> None:
-        self.cluster = cluster
-        self.spec = spec
-        self.expected_gone: Set[str] = set()
-        # Per-zone ambient-loss stacks (zones have independent fabrics).
-        self._loss: Dict[str, List[float]] = {
-            name: [] for name in cluster.clusters
-        }
-
-    def schedule(self) -> None:
-        for entry in self.spec.faults:
-            if entry.kind == "block":
-                for member in entry.members:
-                    self.cluster.cluster_of(member).anomalies.block_window(
-                        member, entry.start, entry.end
-                    )
-            elif entry.kind == "loss":
-                for zone_name, zone_cluster in self.cluster.clusters.items():
-                    zone_cluster.scheduler.call_at(
-                        entry.start,
-                        lambda z=zone_name, r=entry.rate: self._begin_loss(z, r),
-                    )
-                    zone_cluster.scheduler.call_at(
-                        entry.end,
-                        lambda z=zone_name, r=entry.rate: self._end_loss(z, r),
-                    )
-            elif entry.kind == "flap":
-                member = entry.members[0]
-                scheduler = self.cluster.scheduler_for(member)
-                scheduler.call_at(entry.start, lambda m=member: self._stop(m))
-                scheduler.call_at(entry.end, lambda m=member: self._restart(m))
-            elif entry.kind == "crash":
-                member = entry.members[0]
-                self.expected_gone.add(member)
-                self.cluster.scheduler_for(member).call_at(
-                    entry.start, lambda m=member: self._stop(m)
-                )
-            elif entry.kind == "leave":
-                member = entry.members[0]
-                self.expected_gone.add(member)
-                self.cluster.scheduler_for(member).call_at(
-                    entry.start, lambda m=member: self._leave(m)
-                )
-            elif entry.kind == "zone_partition":
-                self.cluster.add_zone_partition(
-                    entry.members, entry.start, entry.end
-                )
-
-    def _apply_loss(self, zone_name: str) -> None:
-        rates = self._loss[zone_name] + [self.spec.loss_rate]
-        self.cluster.clusters[zone_name].network.loss_rate = max(rates)
-
-    def _begin_loss(self, zone_name: str, rate: float) -> None:
-        self._loss[zone_name].append(rate)
-        self._apply_loss(zone_name)
-
-    def _end_loss(self, zone_name: str, rate: float) -> None:
-        if rate in self._loss[zone_name]:
-            self._loss[zone_name].remove(rate)
-        self._apply_loss(zone_name)
-
-    def _stop(self, member: str) -> None:
-        node = self.cluster.node(member)
-        if node.running:
-            node.stop()
-
-    def _restart(self, member: str) -> None:
-        node = self.cluster.node(member)
-        if not node.running:
-            node.start()
-            self._schedule_rejoin(member, first_delay=0.0)
-
-    def _leave(self, member: str) -> None:
-        node = self.cluster.node(member)
-        if node.running:
-            node.leave()
-
-    def _pick_anchor(self, member: str) -> Optional[str]:
-        zone_cluster = self.cluster.cluster_of(member)
-        for name in zone_cluster.names:
-            if name == member or name in self.expected_gone:
-                continue
-            node = zone_cluster.nodes.get(name)
-            if node is not None and node.running:
-                return name
-        return None
-
-    def _reintegrated(self, member: str) -> bool:
-        """Every running *zone* peer sees ``member`` alive again.
-
-        Rejoin is a zone-local affair: remote zones learn about the
-        member only through bridge claims, which the restart's RESTORED
-        event triggers on its own.
-        """
-        peers = 0
-        for name, node in self.cluster.cluster_of(member).nodes.items():
-            if name == member or not node.running:
-                continue
-            view = node.members.get(member)
-            if view is None or not view.is_alive:
-                return False
-            peers += 1
-        return peers > 0
-
-    def _schedule_rejoin(self, member: str, first_delay: float = _JOIN_RETRY) -> None:
-        scheduler = self.cluster.scheduler_for(member)
-
-        def attempt() -> None:
-            node = self.cluster.node(member)
-            if not node.running:
-                return
-            if self._reintegrated(member):
-                return
-            peers = [
-                m.name
-                for m in node.members.members()
-                if m.name != member and m.state is not MemberState.LEFT
-            ]
-            if not peers:
-                anchor = self._pick_anchor(member)
-                peers = [anchor] if anchor is not None else []
-            if peers:
-                node.join(peers)
-            scheduler.call_later(_JOIN_RETRY, attempt)
-
-        scheduler.call_later(first_delay, attempt)
-
-    def expected_live(self) -> Set[str]:
-        return {
-            name
-            for name in self.cluster.names
-            if name not in self.expected_gone
-        }
-
-
-def _run_zoned_scenario(
-    spec: ScenarioSpec,
-    stride: int,
-    oracles: Optional[Callable[[], List[Oracle]]],
-    fail_fast: bool,
-    max_violations: int,
-) -> "CheckResult":
-    """Zoned arm of :func:`run_scenario`.
-
-    One oracle suite per zone watches that zone's event tap with the
-    zone-scoped slices of the expected live/gone sets; the cross-zone
-    obligations (:class:`ZoneConvergenceOracle`) run once, at the end,
-    against the zoned cluster itself with the global sets.
-    """
-    from repro.zones.cluster import ZonedCluster
-
-    started = time.monotonic()
-    config = make_config(
-        spec.configuration,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        probe_scheduler=spec.scheduler,
-    )
-    if not spec.sync:
-        config = config.replace(push_pull_interval=0.0, reconnect_interval=0.0)
-    config = config.replace(bridges_per_zone=ZONED_BRIDGES)
-    cluster = ZonedCluster(
-        spec.n_members,
-        config,
-        seed=spec.seed,
-        zone_count=spec.zones,
-        loss_rate=spec.loss_rate,
-    )
-    factory = oracles if oracles is not None else default_oracles
-    suites: Dict[str, OracleSuite] = {}
-    for zone_name, zone_cluster in cluster.clusters.items():
-        suite = OracleSuite(oracles=factory())
-        suite.attach(zone_cluster, stride=stride)
-        suites[zone_name] = suite
-    driver = _ZoneFaultDriver(cluster, spec)
-    driver.schedule()
-    cluster.start()
-
-    def total_violations() -> int:
-        return sum(len(suite.violations) for suite in suites.values())
-
-    now = 0.0
-    aborted = False
-    while now < spec.total_time:
-        step_to = min(now + _CHUNK, spec.total_time)
-        cluster.run_until(step_to)
-        now = step_to
-        if fail_fast and total_violations() >= 1:
-            aborted = True
-            break
-        if total_violations() >= max_violations:
-            aborted = True
-            break
-
-    expected_live = driver.expected_live()
-    expected_gone = driver.expected_gone
-    cross: List[Violation] = []
-    if not aborted:
-        for zone_name, suite in suites.items():
-            members = set(cluster.clusters[zone_name].names)
-            suite.run_final_checks(
-                cluster.clusters[zone_name],
-                cluster.now,
-                expected_live & members,
-                expected_gone & members,
-            )
-        for oracle in factory():
-            if isinstance(oracle, ZoneConvergenceOracle):
-                cross.extend(
-                    oracle.check_final(
-                        cluster, cluster.now, expected_live, expected_gone
-                    )
-                )
-    cluster.set_event_tap(None)
-    cluster.stop()
-    violations = [
-        violation for suite in suites.values() for violation in suite.violations
-    ]
-    violations.extend(cross)
-    return CheckResult(
-        spec=spec,
-        violations=violations[:max_violations],
-        events=cluster.total_events(),
-        sim_time=cluster.now,
-        wall_time=time.monotonic() - started,
-        checks_run=sum(suite.checks_run for suite in suites.values()),
-    )
 
 
 @dataclass
@@ -523,6 +67,7 @@ class CheckResult:
 
     spec: ScenarioSpec
     violations: List[Violation]
+    #: Scheduler events executed (summed over zones for zoned specs).
     events: int
     sim_time: float
     wall_time: float
@@ -559,14 +104,6 @@ def run_scenario(
     used by tests to check a single invariant in isolation.
     """
     spec.validate()
-    if spec.zones:
-        return _run_zoned_scenario(
-            spec,
-            stride=stride,
-            oracles=oracles,
-            fail_fast=fail_fast,
-            max_violations=max_violations,
-        )
     started = time.monotonic()
     config = make_config(
         spec.configuration,
@@ -577,16 +114,37 @@ def run_scenario(
     if not spec.sync:
         # Gossip-only regime: no push-pull rounds, no reconnect offers.
         config = config.replace(push_pull_interval=0.0, reconnect_interval=0.0)
-    cluster = SimCluster(
-        names=default_member_names(spec.n_members),
-        config=config,
-        seed=spec.seed,
-        loss_rate=spec.loss_rate,
-    )
-    suite = OracleSuite(oracles=oracles() if oracles is not None else default_oracles())
-    suite.attach(cluster, stride=stride)
-    driver = _FaultDriver(cluster, spec)
-    driver.schedule()
+    cluster: "SimCluster | ZonedCluster"
+    if spec.zones:
+        from repro.zones.cluster import ZonedCluster
+
+        cluster = ZonedCluster(
+            spec.n_members,
+            config.replace(bridges_per_zone=ZONED_BRIDGES),
+            seed=spec.seed,
+            zone_count=spec.zones,
+            loss_rate=spec.loss_rate,
+        )
+        fabrics = list(cluster.clusters.values())
+    else:
+        cluster = SimCluster(
+            names=default_member_names(spec.n_members),
+            config=config,
+            seed=spec.seed,
+            loss_rate=spec.loss_rate,
+        )
+        fabrics = [cluster]
+    # One suite per fabric (a flat cluster is its own; a zoned one has a
+    # fabric per zone) watches that fabric's event tap with its slice of
+    # the expected live/gone sets. Cluster-wide obligations
+    # (ZoneConvergenceOracle, inert on flat clusters) run once, at the
+    # end, against the whole cluster with the global sets.
+    factory = oracles if oracles is not None else default_oracles
+    suites = [OracleSuite(oracles=factory()) for _ in fabrics]
+    for suite, fabric in zip(suites, fabrics):
+        suite.attach(fabric, stride=stride)
+    faults = SimFaultExecutor(cluster, FaultSchedule(spec.faults), seed=spec.seed)
+    faults.schedule()
     cluster.start()
 
     events = 0
@@ -596,26 +154,37 @@ def run_scenario(
         step_to = min(now + _CHUNK, spec.total_time)
         events += cluster.run_until(step_to)
         now = step_to
-        if fail_fast and len(suite.violations) >= 1:
-            aborted = True
-            break
-        if len(suite.violations) >= max_violations:
+        found = sum(len(suite.violations) for suite in suites)
+        if (fail_fast and found >= 1) or found >= max_violations:
             aborted = True
             break
 
+    cross: List[Violation] = []
     if not aborted:
-        suite.run_final_checks(
-            cluster, cluster.now, driver.expected_live(), driver.expected_gone
-        )
+        expected_live = faults.expected_live()
+        expected_gone = faults.expected_gone
+        for suite, fabric in zip(suites, fabrics):
+            members = set(fabric.names)
+            suite.run_final_checks(
+                fabric, cluster.now, expected_live & members, expected_gone & members
+            )
+        for oracle in factory():
+            if isinstance(oracle, ZoneConvergenceOracle):
+                cross.extend(
+                    oracle.check_final(
+                        cluster, cluster.now, expected_live, expected_gone
+                    )
+                )
     cluster.set_event_tap(None)
     cluster.stop()
+    violations = [v for suite in suites for v in suite.violations] + cross
     return CheckResult(
         spec=spec,
-        violations=list(suite.violations[:max_violations]),
+        violations=violations[:max_violations],
         events=events,
         sim_time=cluster.now,
         wall_time=time.monotonic() - started,
-        checks_run=suite.checks_run,
+        checks_run=sum(suite.checks_run for suite in suites),
     )
 
 
@@ -783,22 +352,25 @@ _SeedOutcome = Tuple[int, CheckResult, Optional["ShrinkOutcome"]]
 
 
 def _sweep_seed_worker(
-    job: Tuple[int, GeneratorParams, int, bool, int]
+    job: Tuple[
+        int, GeneratorParams, int, bool, int,
+        Optional[Callable[[], List[Oracle]]],
+    ]
 ) -> _SeedOutcome:
     """Process one sweep seed end to end (run + shrink on failure).
 
-    Module-level and fed only picklable values so it can cross a
-    ``ProcessPoolExecutor`` boundary. Everything is a pure function of
-    the seed, so a worker pool produces byte-identical outcomes to the
-    sequential loop.
+    Module-level and, with the default oracle factory (``None``), fed
+    only picklable values so it can cross a ``ProcessPoolExecutor``
+    boundary. Everything is a pure function of the seed, so a worker
+    pool produces byte-identical outcomes to the sequential loop.
     """
-    seed, params, stride, shrink, max_shrink_runs = job
+    seed, params, stride, shrink, max_shrink_runs, oracles = job
     spec = generate_scenario(seed, params)
-    result = run_scenario(spec, stride=stride)
+    result = run_scenario(spec, stride=stride, oracles=oracles)
     shrunk: Optional[ShrinkOutcome] = None
     if not result.ok and shrink:
         shrunk = shrink_failure(
-            spec, result, stride=stride, max_runs=max_shrink_runs
+            spec, result, stride=stride, max_runs=max_shrink_runs, oracles=oracles
         )
     return seed, result, shrunk
 
@@ -845,7 +417,11 @@ def run_sweep(
         else list(range(start_seed, start_seed + seeds))
     )
 
+    sweep_jobs = [
+        (seed, params, stride, shrink, max_shrink_runs, oracles) for seed in plan
+    ]
     executor: Optional[ProcessPoolExecutor] = None
+    outcomes: Iterator[_SeedOutcome]
     if jobs > 1 and len(plan) > 1:
         if oracles is not None:
             raise ValueError(
@@ -853,29 +429,9 @@ def run_sweep(
                 "boundary; use jobs=1"
             )
         executor = ProcessPoolExecutor(max_workers=min(jobs, len(plan)))
-        outcomes: Iterator[_SeedOutcome] = executor.map(
-            _sweep_seed_worker,
-            [(seed, params, stride, shrink, max_shrink_runs) for seed in plan],
-            chunksize=1,
-        )
+        outcomes = executor.map(_sweep_seed_worker, sweep_jobs, chunksize=1)
     else:
-
-        def _sequential() -> Iterator[_SeedOutcome]:
-            for seed in plan:
-                spec = generate_scenario(seed, params)
-                result = run_scenario(spec, stride=stride, oracles=oracles)
-                shrunk: Optional[ShrinkOutcome] = None
-                if not result.ok and shrink:
-                    shrunk = shrink_failure(
-                        spec,
-                        result,
-                        stride=stride,
-                        max_runs=max_shrink_runs,
-                        oracles=oracles,
-                    )
-                yield seed, result, shrunk
-
-        outcomes = _sequential()
+        outcomes = map(_sweep_seed_worker, sweep_jobs)
 
     try:
         for seed, result, shrunk in outcomes:

@@ -1,12 +1,13 @@
-"""Fault scenarios: a serializable schedule language and a seeded generator.
+"""Fault scenarios: a serializable spec and a seeded generator.
 
-A scenario is a small cluster plus a timed schedule of faults drawn from
-the failure modes the paper studies (Section V): process freezes
-(``block``), oversubscribed CPU (``cpu_stress``), network partitions,
-symmetric and asymmetric packet loss, crash/restart flapping, graceful
-departure and mid-run joins. The schedule is plain data — it round-trips
-through JSON, which is what makes counterexamples replayable and
-shrinkable (:mod:`repro.check.runner`).
+A scenario is a small cluster plus a timed schedule of
+:class:`~repro.faults.FaultEntry` faults drawn from the failure modes
+the paper studies (Section V): process freezes (``block``),
+oversubscribed CPU (``cpu_stress``), network partitions, symmetric and
+asymmetric packet loss, crash/restart flapping, graceful departure and
+mid-run joins. The schedule is plain data — it round-trips through JSON,
+which is what makes counterexamples replayable and shrinkable
+(:mod:`repro.check.runner`).
 
 Determinism contract: ``generate_scenario(seed, params)`` is a pure
 function of its arguments, and replaying a :class:`ScenarioSpec` drives
@@ -22,30 +23,10 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import PROBE_SCHEDULER_NAMES
+from repro.faults import FAULT_KINDS, FaultEntry
 from repro.sim.runtime import default_member_names
 
 SCENARIO_SCHEMA = "repro-check-scenario/v1"
-
-#: Fault kinds understood by the runner. Windowed kinds occupy
-#: ``[start, start + duration)``; point kinds ignore ``duration``
-#: except where noted.
-FAULT_KINDS = (
-    "block",       # windowed: members' protocol I/O frozen
-    "cpu_stress",  # windowed: heavy-tailed scheduler stalls on one member
-    "partition",   # windowed: members split from the rest of the group
-    "loss",        # windowed: symmetric datagram loss at `rate`
-    "link_loss",   # windowed: asymmetric loss members[0] -> members[1]
-    "flap",        # crash at start, restart at start + duration
-    "crash",       # point: permanent ungraceful stop
-    "leave",       # point: graceful departure
-    "join",        # point: a brand-new member joins via a seed member
-    "zone_partition",  # windowed: named *zones* cut off at epoch barriers
-)
-
-_WINDOWED = frozenset(
-    {"block", "cpu_stress", "partition", "loss", "link_loss", "flap",
-     "zone_partition"}
-)
 
 #: Fault kinds the zoned runner supports. Zone-local faults plus the
 #: zone-level partition; ``partition``/``link_loss`` address the flat
@@ -54,64 +35,6 @@ _WINDOWED = frozenset(
 ZONED_FAULT_KINDS = frozenset(
     {"block", "loss", "flap", "crash", "leave", "zone_partition"}
 )
-
-
-@dataclass(frozen=True)
-class FaultEntry:
-    """One scheduled fault."""
-
-    kind: str
-    start: float
-    duration: float = 0.0
-    members: Tuple[str, ...] = ()
-    rate: float = 0.0
-
-    def validate(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.start < 0:
-            raise ValueError("fault start must be >= 0")
-        if self.duration < 0:
-            raise ValueError("fault duration must be >= 0")
-        if self.kind in _WINDOWED and self.duration <= 0:
-            raise ValueError(f"{self.kind} fault needs a positive duration")
-        if self.kind == "loss":
-            if not 0.0 <= self.rate < 1.0:
-                raise ValueError("loss rate must be in [0, 1)")
-        elif self.kind == "link_loss":
-            if not 0.0 < self.rate <= 1.0:
-                raise ValueError("link_loss rate must be in (0, 1]")
-            if len(self.members) != 2 or self.members[0] == self.members[1]:
-                raise ValueError("link_loss needs two distinct members (src, dst)")
-        if self.kind in ("block", "cpu_stress", "partition", "flap", "crash",
-                         "leave", "join", "zone_partition") and not self.members:
-            raise ValueError(f"{self.kind} fault needs at least one member")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def as_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "start": self.start}
-        if self.duration:
-            out["duration"] = self.duration
-        if self.members:
-            out["members"] = list(self.members)
-        if self.rate:
-            out["rate"] = self.rate
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEntry":
-        entry = cls(
-            kind=data["kind"],
-            start=float(data["start"]),
-            duration=float(data.get("duration", 0.0)),
-            members=tuple(data.get("members", ())),
-            rate=float(data.get("rate", 0.0)),
-        )
-        entry.validate()
-        return entry
 
 
 @dataclass(frozen=True)

@@ -214,10 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     member = sub.add_parser(
         "member",
         help="run one real UDP member process (spawned by repro soak)",
-        add_help=False,
     )
-    member.add_argument("member_args", nargs=argparse.REMAINDER,
-                        help="flags for repro.soak.member_main")
+    from repro.soak.member_main import add_arguments as add_member_arguments
+
+    add_member_arguments(member)
 
     soak = sub.add_parser(
         "soak",
@@ -227,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("-n", "--members", type=int, default=12,
                       help="member processes to launch (default: 12)")
     soak.add_argument("--schedule", required=True, metavar="FILE",
-                      help="chaos schedule JSON (repro-soak-schedule/v1)")
+                      help="fault schedule JSON (repro-fault-schedule/v1; "
+                           "crash/block/loss/partition)")
     soak.add_argument("--duration", type=float, default=60.0,
                       help="soak seconds after the chaos epoch "
                            "(default: 60)")
@@ -623,7 +624,7 @@ def _cmd_packetbench(args: argparse.Namespace) -> int:
             reps=args.reps,
             isolate=not args.in_process,
         )
-    except RuntimeError as exc:  # e.g. uvloop not installed
+    except RuntimeError as exc:  # e.g. an isolated rep's subprocess failed
         print(f"packetbench: {exc}", file=sys.stderr)
         return 1
     if args.json:
@@ -645,17 +646,17 @@ def _cmd_packetbench(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    from repro.soak.member_main import main as member_main
+    from repro.soak.member_main import run
 
-    return member_main(args.member_args)
+    return run(args)
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.soak.runner import SoakParams, run_soak
-    from repro.soak.schedule import ChaosSchedule
+    from repro.faults import FaultSchedule
 
     try:
-        schedule = ChaosSchedule.load(args.schedule)
+        schedule = FaultSchedule.load(args.schedule)
     except (OSError, ValueError, KeyError) as exc:
         print(f"soak: cannot load schedule {args.schedule}: {exc}",
               file=sys.stderr)
@@ -729,13 +730,6 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["member"]:
-        # Dispatched before argparse: REMAINDER cannot capture leading
-        # optionals (``repro member --name ...``), and the member process
-        # owns its full flag set (repro.soak.member_main).
-        from repro.soak.member_main import main as member_main
-
-        return member_main(argv[1:])
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     profile_out = getattr(args, "profile", None)

@@ -40,9 +40,8 @@ PROBE_SCHEDULER_NAMES = ("round-robin", "likelihood", "lhm-rtt")
 #: :mod:`repro.transport.fastudp` and docs/PERFORMANCE.md).
 #: ``"asyncio"`` is the stock per-datagram path and the default;
 #: ``"batched"`` moves N datagrams per syscall via recvmmsg/sendmmsg
-#: (portable fallback where unavailable); ``"uvloop"`` is the stock
-#: path on a libuv loop (requires the optional uvloop package).
-TRANSPORT_BACKEND_NAMES = ("asyncio", "batched", "uvloop")
+#: (portable fallback where unavailable).
+TRANSPORT_BACKEND_NAMES = ("asyncio", "batched")
 
 
 @dataclass(frozen=True)

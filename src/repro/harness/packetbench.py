@@ -38,20 +38,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.config import TRANSPORT_BACKEND_NAMES, SwimConfig
-from repro.transport.fastudp import create_udp_transport, uvloop_available
-
-
-def _new_loop(backend: str) -> asyncio.AbstractEventLoop:
-    if backend == "uvloop":
-        if not uvloop_available():
-            raise RuntimeError(
-                "backend 'uvloop' requires the optional uvloop package, "
-                "which is not installed"
-            )
-        import uvloop
-
-        return uvloop.new_event_loop()
-    return asyncio.new_event_loop()
+from repro.transport.fastudp import create_udp_transport
 
 
 async def _echo_round(
@@ -193,8 +180,8 @@ def run_packet_bench(
 ) -> Dict[str, object]:
     """Run the loopback echo benchmark; best-of-``reps`` throughput.
 
-    Creates its own event loop (a uvloop one for ``backend="uvloop"``),
-    so it must be called from synchronous code. With ``isolate=True``
+    Creates its own event loop, so it must be called from synchronous
+    code. With ``isolate=True``
     each rep runs in a fresh interpreter subprocess instead (see the
     module docstring for why the host process's heap history would
     otherwise skew the stock-asyncio baseline).
@@ -202,9 +189,6 @@ def run_packet_bench(
     if backend not in TRANSPORT_BACKEND_NAMES:
         known = ", ".join(TRANSPORT_BACKEND_NAMES)
         raise ValueError(f"backend must be one of: {known}")
-    if backend == "uvloop" and not uvloop_available():
-        # Fail here, not in the subprocess, for the clear error message.
-        _new_loop(backend)
     best: Optional[Dict[str, object]] = None
     for _ in range(max(1, reps)):
         if isolate:
@@ -212,7 +196,7 @@ def run_packet_bench(
                 backend, duration, payload_size, batch_size, window
             )
         else:
-            loop = _new_loop(backend)
+            loop = asyncio.new_event_loop()
             try:
                 result = loop.run_until_complete(
                     _echo_round(

@@ -294,6 +294,14 @@ class SimCluster:
     def node(self, name: str) -> SwimNode:
         return self.nodes[name]
 
+    def cluster_of(self, member: str) -> "SimCluster":
+        """The fabric hosting ``member``: a flat cluster is its own
+        (the accessor :class:`~repro.zones.cluster.ZonedCluster` shares)."""
+        return self
+
+    def scheduler_for(self, member: str) -> EventScheduler:
+        return self.scheduler
+
     @property
     def now(self) -> float:
         return self.clock.now

@@ -3,10 +3,11 @@
 The simulator reproduces the paper's numbers in virtual time; this
 package checks them against *reality*: it launches N genuine
 :class:`~repro.transport.udp.UdpMember` processes on one host
-(:mod:`~repro.soak.launcher`), executes a declarative JSON chaos
-schedule against them (:mod:`~repro.soak.schedule`,
-:mod:`~repro.soak.chaos` — kill/SIGSTOP at the process level,
-loss/partition at the transport's fault-plan boundary), scrapes every
+(:mod:`~repro.soak.launcher`), executes a declarative JSON
+:class:`~repro.faults.FaultSchedule` against them
+(:mod:`~repro.soak.schedule`, :mod:`~repro.soak.chaos` — SIGKILL/SIGSTOP
+at the process level, loss/partition at the transport's fault-plan
+boundary), scrapes every
 member's live ``/metrics`` and ``/events`` admin endpoints into one
 merged wall-clock time-series (:mod:`~repro.soak.scraper`), and distils
 a JSON+markdown soak report with per-phase detection latency, false
@@ -23,20 +24,17 @@ from repro.soak.launcher import MemberRecord, SoakLauncher
 from repro.soak.report import SoakAnalysis, analyze, render_markdown
 from repro.soak.runner import SoakParams, SoakResult, run_soak
 from repro.soak.schedule import (
-    PHASE_KINDS,
-    ChaosPhase,
-    ChaosSchedule,
+    REAL_FAULT_KINDS,
     member_fault_plan,
+    validate_real_schedule,
 )
 from repro.soak.scraper import SoakScraper
 from repro.soak.sim_compare import run_sim_comparison
 
 __all__ = [
     "ChaosDriver",
-    "ChaosPhase",
-    "ChaosSchedule",
     "MemberRecord",
-    "PHASE_KINDS",
+    "REAL_FAULT_KINDS",
     "SoakAnalysis",
     "SoakLauncher",
     "SoakParams",
@@ -47,4 +45,5 @@ __all__ = [
     "render_markdown",
     "run_sim_comparison",
     "run_soak",
+    "validate_real_schedule",
 ]

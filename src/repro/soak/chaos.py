@@ -1,11 +1,11 @@
-"""Executes the process-level half of a chaos schedule in wall time.
+"""Executes the process-level half of a fault schedule in wall time.
 
-The transport-level phases (loss, partition) are enforced *inside* each
+The transport-level faults (loss, partition) are enforced *inside* each
 member by its :class:`~repro.faults.FaultPlan` — nothing to do here at
-runtime. The process-level phases need an external hand on the signal:
+runtime. The process-level faults need an external hand on the signal:
 
-* ``kill``  -> SIGKILL at ``epoch + start`` (crash, no goodbye);
-* ``pause`` -> SIGSTOP at ``epoch + start``, SIGCONT at ``epoch + end``
+* ``crash`` -> SIGKILL at ``epoch + start`` (no goodbye);
+* ``block`` -> SIGSTOP at ``epoch + start``, SIGCONT at ``epoch + end``
   (the paper's unresponsive-but-alive incident shape).
 
 The driver turns the schedule into a sorted action list and sleeps
@@ -21,15 +21,16 @@ import threading
 import time
 from typing import List, Optional
 
+from repro.faults import FaultSchedule
 from repro.soak.launcher import SoakLauncher
-from repro.soak.schedule import ChaosSchedule
+from repro.soak.schedule import validate_real_schedule
 
 #: Maximum sleep slice between actions (keeps stop requests responsive).
 _TICK = 0.1
 
 
 class ChaosDriver:
-    """Runs the kill/pause phases of ``schedule`` against ``launcher``.
+    """Runs the crash/block faults of ``schedule`` against ``launcher``.
 
     Either call :meth:`run` inline (blocks until the last action) or
     :meth:`start`/:meth:`join` to drive from a background thread while
@@ -37,10 +38,10 @@ class ChaosDriver:
     """
 
     def __init__(
-        self, launcher: SoakLauncher, schedule: ChaosSchedule, epoch: float
+        self, launcher: SoakLauncher, schedule: FaultSchedule, epoch: float
     ) -> None:
         self.launcher = launcher
-        self.schedule = schedule
+        self.schedule = validate_real_schedule(schedule)
         self.epoch = epoch
         #: Executed actions: ``{"t", "planned_t", "action", "index",
         #: "phase", "ok"}`` (wall-clock unix seconds).
@@ -50,21 +51,22 @@ class ChaosDriver:
         self._thread: Optional[threading.Thread] = None
 
     def _build_actions(self) -> List[tuple]:
+        index_of = {record.name: record.index for record in self.launcher.members}
         actions = []
-        for phase in self.schedule.phases:
-            if phase.kind == "kill":
-                for target in phase.targets:
-                    actions.append((phase.start, "kill", target, phase.label))
-            elif phase.kind == "pause":
-                for target in phase.targets:
-                    actions.append((phase.start, "pause", target, phase.label))
-                    actions.append((phase.end, "resume", target, phase.label))
+        for entry in self.schedule.entries:
+            for member in entry.members:
+                index = index_of[member]
+                if entry.kind == "crash":
+                    actions.append((entry.start, "kill", index, entry.label))
+                elif entry.kind == "block":
+                    actions.append((entry.start, "pause", index, entry.label))
+                    actions.append((entry.end, "resume", index, entry.label))
         actions.sort(key=lambda item: item[0])
         return actions
 
     @property
     def actions(self) -> List[tuple]:
-        """The planned ``(offset, verb, index, phase_label)`` list."""
+        """The planned ``(offset, verb, index, label)`` list."""
         return list(self._actions)
 
     # ------------------------------------------------------------------ #

@@ -4,8 +4,8 @@ The launcher is the harness's process layer: it forks ``repro member``
 subprocesses (ephemeral UDP + admin ports, so no port planning), learns
 each member's actual addresses from the single JSON *ready line* the
 member prints on stdout, staggers joins through member 0, and executes
-the process-level chaos verbs — SIGKILL for ``kill`` phases, SIGSTOP /
-SIGCONT for ``pause`` — on behalf of the
+the process-level chaos verbs — SIGKILL for ``crash`` faults, SIGSTOP /
+SIGCONT for ``block`` — on behalf of the
 :class:`~repro.soak.chaos.ChaosDriver`.
 
 Orphan protection is belt-and-braces: the launcher registers atexit and
@@ -14,7 +14,7 @@ child watches ``--parent-pid`` and exits by itself if the launcher
 vanishes without running them (SIGKILL'd, OOM'd).
 
 Fault plans are delivered as files: :meth:`SoakLauncher.write_fault_plans`
-translates a :class:`~repro.soak.schedule.ChaosSchedule` into per-member
+compiles a :class:`~repro.faults.FaultSchedule` into per-member
 :class:`~repro.faults.FaultPlan` JSON (via
 :func:`~repro.soak.schedule.member_fault_plans`, using the real bound
 addresses) and writes each atomically next to the member's log; the
@@ -37,7 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.soak.schedule import ChaosSchedule, member_fault_plans
+from repro.faults import FaultSchedule
+from repro.soak.schedule import member_fault_plans
 
 
 @dataclass
@@ -227,7 +228,7 @@ class SoakLauncher:
     # ------------------------------------------------------------------ #
 
     def addresses(self) -> List[str]:
-        """Transport addresses in spawn (= schedule index) order."""
+        """Transport addresses in spawn order."""
         return [record.address for record in self.members]
 
     def record(self, index: int) -> MemberRecord:
@@ -255,20 +256,25 @@ class SoakLauncher:
     # ------------------------------------------------------------------ #
 
     def write_fault_plans(
-        self, schedule: ChaosSchedule, epoch: float
+        self, schedule: FaultSchedule, epoch: float
     ) -> Dict[int, str]:
         """Write each member's fault-plan file (atomic rename so the
         member-side watcher never parses a partial write)."""
         plans = member_fault_plans(
-            schedule, self.addresses(), epoch, seed=self.seed
+            schedule,
+            {record.name: record.address for record in self.members},
+            epoch,
+            seed=self.seed,
         )
         written: Dict[int, str] = {}
-        for index, plan in plans.items():
-            record = self.members[index]
+        for record in self.members:
+            plan = plans.get(record.name)
+            if plan is None:
+                continue
             tmp = record.plan_path + ".tmp"
             plan.dump(tmp)
             os.replace(tmp, record.plan_path)
-            written[index] = record.plan_path
+            written[record.index] = record.plan_path
         return written
 
     def kill(self, index: int) -> bool:

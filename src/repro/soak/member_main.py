@@ -33,8 +33,6 @@ import asyncio
 import json
 import os
 import signal
-import sys
-from typing import List, Optional
 
 from repro.config import SwimConfig
 from repro.faults import FaultPlan
@@ -61,8 +59,8 @@ def build_config(args: argparse.Namespace) -> SwimConfig:
     )
 
 
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(prog="repro member")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The member process's flag set (the ``repro member`` sub-parser)."""
     parser.add_argument("--name", required=True, help="member name")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind interface (default: 127.0.0.1)")
@@ -91,7 +89,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--parent-pid", type=int, default=0,
                         help="exit when this process is no longer the "
                              "parent (orphan protection)")
-    return parser.parse_args(argv)
 
 
 async def _watch_plan(path: str, transport, applied_mtime: float) -> None:
@@ -184,14 +181,9 @@ async def _amain(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def run(args: argparse.Namespace) -> int:
     """``repro member`` entry point; returns a process exit code."""
-    args = _parse_args(argv)
     try:
         return asyncio.run(_amain(args))
     except KeyboardInterrupt:  # pragma: no cover - signal race on teardown
         return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    sys.exit(main())

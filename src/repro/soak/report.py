@@ -7,7 +7,7 @@ The analysis mirrors the paper's evaluation metrics, but measured on a
   victim by any survivor after the kill, and full dissemination (last
   survivor's first FAILED event), both relative to the kill instant;
 * **false positives** — FAILED events about members that were alive at
-  the time. Those inside a chaos window touching the subject (pause,
+  the time. Those inside a chaos window touching the subject (block,
   partition, loss, plus a grace tail for in-flight suspicions) are
   *excused*: expected detector behaviour under injected faults. The rest
   are **healthy-phase false positives**, the number the paper drives to
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.soak.schedule import ChaosSchedule
+from repro.faults import FaultSchedule
 
 #: Median helper tolerant of empty/None-bearing samples.
 def _median(values: Sequence[float]) -> Optional[float]:
@@ -99,21 +99,21 @@ class SoakAnalysis:
 
 
 def _excuse_windows(
-    schedule: ChaosSchedule, epoch: float, index: int, grace: float
+    schedule: FaultSchedule, epoch: float, subject: str, grace: float
 ) -> List[tuple]:
-    """Wall-clock windows during which a FAILED event about member
-    ``index`` is expected detector behaviour, not a healthy-phase FP."""
+    """Wall-clock windows during which a FAILED event about ``subject``
+    is expected detector behaviour, not a healthy-phase FP."""
     windows = []
-    for phase in schedule.phases:
-        if phase.kind == "kill":
+    for entry in schedule.entries:
+        if entry.kind == "crash":
             continue
         tail = grace
-        touches = index in phase.targets
-        if phase.kind == "loss":
+        touches = subject in entry.members
+        if entry.kind == "loss":
             # Heavy loss anywhere destabilises probes cluster-wide: the
             # prober's packets are as lossy as the victim's.
             touches = True
-        if phase.kind == "partition":
+        if entry.kind == "partition":
             # Both sides of the cut legitimately declare the other side
             # failed, so every member is excused for the window — and
             # after the heal, stale suspect/dead claims from the far
@@ -123,12 +123,12 @@ def _excuse_windows(
             touches = True
             tail = 2 * grace
         if touches:
-            windows.append((epoch + phase.start, epoch + phase.end + tail))
+            windows.append((epoch + entry.start, epoch + entry.end + tail))
     return windows
 
 
 def analyze(
-    schedule: ChaosSchedule,
+    schedule: FaultSchedule,
     epoch: float,
     events: List[dict],
     member_names: Sequence[str],
@@ -138,32 +138,29 @@ def analyze(
 ) -> SoakAnalysis:
     """Classify ``events`` (merged, wall-stamped, see
     :class:`~repro.soak.scraper.SoakScraper`) against the schedule."""
-    n = len(member_names)
-    index_of: Dict[str, int] = {name: i for i, name in enumerate(member_names)}
     kill_wall: Dict[str, float] = {}
-    for phase in schedule.of_kind("kill"):
-        for target in phase.targets:
-            name = member_names[target]
-            kill_wall.setdefault(name, epoch + phase.start)
+    for entry in schedule.of_kind("crash"):
+        for name in entry.members:
+            kill_wall.setdefault(name, epoch + entry.start)
     killed = set(kill_wall)
     survivors = [name for name in member_names if name not in killed]
 
     analysis = SoakAnalysis(
-        members=n,
+        members=len(member_names),
         epoch=epoch,
         duration=duration,
         convergence_time=convergence_time,
         events_total=len(events),
         phases=[
             {
-                "label": phase.label,
-                "kind": phase.kind,
-                "start": phase.start,
-                "end": phase.end,
-                "targets": list(phase.targets),
-                "rate": phase.rate,
+                "label": entry.label,
+                "kind": entry.kind,
+                "start": entry.start,
+                "end": entry.end,
+                "members": list(entry.members),
+                "rate": entry.rate,
             }
-            for phase in schedule.phases
+            for entry in schedule.entries
         ],
     )
 
@@ -185,15 +182,10 @@ def analyze(
                 per_observer[observer] = wall_t
             continue
         # Subject's process was alive: a false positive.
-        subject_index = index_of.get(subject)
-        excused = False
-        if subject_index is not None:
-            for start, end in _excuse_windows(
-                schedule, epoch, subject_index, grace
-            ):
-                if start <= wall_t <= end:
-                    excused = True
-                    break
+        excused = subject in member_names and any(
+            start <= wall_t <= end
+            for start, end in _excuse_windows(schedule, epoch, subject, grace)
+        )
         analysis.false_positives.append(
             {
                 "t": wall_t - epoch,
@@ -267,24 +259,20 @@ def render_markdown(
         "",
         "## Chaos phases",
         "",
-        "| phase | kind | window | targets | rate |",
+        "| phase | kind | window | members | rate |",
         "|---|---|---|---|---|",
     ]
     for phase in analysis.phases:
-        targets = (
-            ", ".join(str(t) for t in phase["targets"])
-            if phase["targets"]
-            else "all"
-        )
+        members = ", ".join(phase["members"]) or "all"
         rate = f"{phase['rate']:g}" if phase["kind"] == "loss" else "-"
         window = (
             f"{phase['start']:g}s"
-            if phase["kind"] == "kill"
+            if phase["kind"] == "crash"
             else f"{phase['start']:g}-{phase['end']:g}s"
         )
         lines.append(
             f"| {phase['label']} | {phase['kind']} | {window} "
-            f"| {targets} | {rate} |"
+            f"| {members} | {rate} |"
         )
     lines += [
         "",
@@ -302,7 +290,7 @@ def render_markdown(
             f"| {kill['detected_by']}/{kill['survivors']} |"
         )
     if not analysis.kills:
-        lines.append("| _no kill phases_ | | | | |")
+        lines.append("| _no crash faults_ | | | | |")
     lines += [
         "",
         f"- first-detection median: {_fmt(analysis.detection_median())}",

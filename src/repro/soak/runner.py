@@ -8,7 +8,7 @@ One :func:`run_soak` call is one soak run:
    the cluster cannot even form;
 3. pick the chaos **epoch** a short margin in the future, deliver the
    per-member fault plans (transport-level loss/partition) and start the
-   :class:`~repro.soak.chaos.ChaosDriver` (process-level kill/pause);
+   :class:`~repro.soak.chaos.ChaosDriver` (process-level crash/block);
 4. soak for ``duration`` wall seconds past the epoch, scraping all the
    while;
 5. tear the cluster down, classify the merged event record
@@ -30,11 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.faults import FaultSchedule
 from repro.ops.registry import MetricsRegistry
 from repro.soak.chaos import ChaosDriver
 from repro.soak.launcher import SoakLauncher
 from repro.soak.report import SoakAnalysis, analyze, render_markdown
-from repro.soak.schedule import ChaosSchedule
+from repro.soak.schedule import validate_real_schedule
 from repro.soak.scraper import SoakScraper
 from repro.soak.sim_compare import run_sim_comparison
 
@@ -44,7 +45,7 @@ class SoakParams:
     """Knobs for one soak run."""
 
     members: int
-    schedule: ChaosSchedule
+    schedule: FaultSchedule
     #: Wall seconds to soak *after* the chaos epoch. Must cover the
     #: schedule plus detection slack.
     duration: float
@@ -72,16 +73,21 @@ class SoakParams:
     def __post_init__(self) -> None:
         if self.members < 2:
             raise ValueError("a soak needs at least 2 members")
+        validate_real_schedule(self.schedule)
         if self.duration <= self.schedule.end:
             raise ValueError(
                 f"duration ({self.duration:g}s) must exceed the schedule's "
                 f"last window ({self.schedule.end:g}s) to leave detection "
                 f"slack"
             )
-        if self.schedule.max_target() >= self.members:
+        launched = {
+            SoakLauncher.member_name(i, self.members) for i in range(self.members)
+        }
+        unknown = sorted(self.schedule.members() - launched)
+        if unknown:
             raise ValueError(
-                f"schedule targets member {self.schedule.max_target()} but "
-                f"only {self.members} members are launched"
+                f"schedule names member(s) {unknown} but the {self.members} "
+                f"launched members are {min(launched)}..{max(launched)}"
             )
 
     def grace(self) -> float:

@@ -1,302 +1,145 @@
-"""The declarative chaos schedule: what breaks, when, for how long.
+"""The real-cluster half of the fault language: what it accepts and how
+a schedule compiles to each member's transport plan.
 
-A :class:`ChaosSchedule` is an ordered set of :class:`ChaosPhase`
-entries, each a timed fault against a subset of the cluster. Phase
-``start`` offsets are relative to the soak *epoch* — the wall-clock
-instant the launcher arms the run, after the cluster has converged — so
-one schedule file drives both the real cluster and the paired simulator
-run (:mod:`repro.soak.sim_compare`) on identical timelines.
-
-Four phase kinds, split by enforcement plane:
+A soak run is driven by the same :class:`~repro.faults.FaultSchedule`
+the simulator executes (kind table: ``docs/FAULT_INJECTION.md``), with
+offsets relative to the soak *epoch* — the wall-clock instant the
+launcher arms the run, after the cluster has converged. Real processes
+can realise four of the kinds, split by enforcement plane:
 
 =============  =========================================================
-``kill``       SIGKILL the target processes at ``start`` (permanent;
-               the paper's crash failure). Executed by the
-               :class:`~repro.soak.chaos.ChaosDriver`.
-``pause``      SIGSTOP at ``start``, SIGCONT at ``start + duration`` —
+``crash``      SIGKILL the members at ``start`` (permanent). Executed by
+               the :class:`~repro.soak.chaos.ChaosDriver`.
+``block``      SIGSTOP at ``start``, SIGCONT at ``start + duration`` —
                the paper's unresponsive-but-alive incident shape.
                Executed by the chaos driver.
-``loss``       Independent datagram loss at ``rate`` for the window,
-               at the targets (default: everyone). Enforced inside each
-               member's transport via its :class:`~repro.faults.
-               FaultPlan` — no iptables, no root.
-``partition``  The target members are cut off from the rest (UDP
-               dropped both ways, reliable sends fail). Also enforced
-               via per-member fault plans.
+``loss``       Independent datagram loss at ``rate`` for the window, at
+               the named members (default: everyone). Enforced inside
+               each member's transport via its
+               :class:`~repro.faults.FaultPlan` — no iptables, no root.
+``partition``  The named members are cut off from the rest (UDP dropped
+               both ways, reliable sends fail). Also enforced via
+               per-member fault plans.
 =============  =========================================================
 
-Targets are member *indices* (0-based, matching the launcher's spawn
-order and the simulator's ``m000...`` naming), so schedules are
-independent of port assignment.
-
-Validation rejects schedules whose phases cannot compose: two process
-phases (kill/pause) overlapping on one member, anything targeting a
-member after its kill, duplicate loss/partition windows overlapping on
-the same scope. JSON round-trip is exact (``repro-soak-schedule/v1``).
+:func:`validate_real_schedule` rejects, before anything is spawned,
+every other kind and every schedule whose windows cannot compose on
+real processes: two signal faults (crash/block) overlapping on one
+member, anything naming a member after its crash, two loss or two
+partition windows overlapping on the same members.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
-from repro.faults import FaultPlan, FaultWindow
+from repro.faults import FaultEntry, FaultPlan, FaultSchedule, FaultWindow
 
-SCHEDULE_SCHEMA = "repro-soak-schedule/v1"
+#: Fault kinds the real-cluster executor can run.
+REAL_FAULT_KINDS = ("crash", "block", "loss", "partition")
 
-#: Executable phase kinds, in the order documented above.
-PHASE_KINDS = ("kill", "pause", "loss", "partition")
-
-#: Phase kinds executed by signalling the member process.
-PROCESS_KINDS = frozenset({"kill", "pause"})
-
-#: Phase kinds enforced inside the members' transports.
-TRANSPORT_KINDS = frozenset({"loss", "partition"})
+#: Kinds executed by signalling the member process.
+_SIGNAL_KINDS = frozenset({"crash", "block"})
 
 
-@dataclass(frozen=True)
-class ChaosPhase:
-    """One timed fault. ``duration`` is ignored for ``kill`` (permanent).
-
-    ``targets`` is a tuple of member indices. For ``loss`` an empty
-    tuple means cluster-wide; every other kind requires explicit
-    targets. ``name`` labels the phase in reports (autogenerated when
-    empty).
-    """
-
-    kind: str
-    start: float
-    duration: float = 0.0
-    targets: Tuple[int, ...] = ()
-    rate: float = 0.0
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in PHASE_KINDS:
-            known = ", ".join(PHASE_KINDS)
-            raise ValueError(f"phase kind must be one of: {known}")
-        if self.start < 0:
-            raise ValueError("phase start must be >= 0")
-        if self.kind == "kill":
-            if self.duration != 0.0:
-                raise ValueError("kill phases are permanent; duration must be 0")
-        elif self.duration <= 0:
-            raise ValueError(f"{self.kind} phases need a positive duration")
-        if self.kind == "loss":
-            if not 0.0 < self.rate <= 1.0:
-                raise ValueError("loss rate must be in (0, 1]")
-        elif self.rate:
-            raise ValueError("rate is only meaningful on loss phases")
-        if self.kind != "loss" and not self.targets:
-            raise ValueError(f"{self.kind} phases need at least one target")
-        if any(t < 0 for t in self.targets):
-            raise ValueError("targets are 0-based member indices")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("duplicate targets in one phase")
-
-    @property
-    def end(self) -> float:
-        """Window end (``start`` itself for the permanent ``kill``)."""
-        return self.start if self.kind == "kill" else self.start + self.duration
-
-    @property
-    def label(self) -> str:
-        if self.name:
-            return self.name
-        return f"{self.kind}@{self.start:g}s"
-
-    def overlaps(self, other: "ChaosPhase") -> bool:
-        """Window overlap; a kill's window is ``[start, +inf)``."""
-        self_end = float("inf") if self.kind == "kill" else self.end
-        other_end = float("inf") if other.kind == "kill" else other.end
-        return self.start < other_end and other.start < self_end
-
-    def as_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "start": self.start}
-        if self.kind != "kill":
-            out["duration"] = self.duration
-        if self.targets:
-            out["targets"] = list(self.targets)
-        if self.kind == "loss":
-            out["rate"] = self.rate
-        if self.name:
-            out["name"] = self.name
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosPhase":
-        return cls(
-            kind=str(data["kind"]),
-            start=float(data["start"]),
-            duration=float(data.get("duration", 0.0)),
-            targets=tuple(int(t) for t in data.get("targets", ())),
-            rate=float(data.get("rate", 0.0)),
-            name=str(data.get("name", "")),
-        )
+def _overlap(a: FaultEntry, b: FaultEntry) -> bool:
+    """Window overlap; a crash's window is ``[start, +inf)``."""
+    a_end = float("inf") if a.kind == "crash" else a.end
+    b_end = float("inf") if b.kind == "crash" else b.end
+    return a.start < b_end and b.start < a_end
 
 
-@dataclass(frozen=True)
-class ChaosSchedule:
-    """An immutable, validated sequence of chaos phases."""
-
-    phases: Tuple[ChaosPhase, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.phases, tuple):
-            object.__setattr__(self, "phases", tuple(self.phases))
-        self.validate()
-
-    # -- validation ----------------------------------------------------- #
-
-    def validate(self) -> None:
-        ordered = sorted(self.phases, key=lambda p: (p.start, p.kind))
-        for i, phase in enumerate(ordered):
-            for other in ordered[i + 1:]:
-                self._check_pair(phase, other)
-
-    @staticmethod
-    def _check_pair(a: ChaosPhase, b: ChaosPhase) -> None:
-        if not a.overlaps(b):
-            return
-        shared = set(a.targets) & set(b.targets)
-        # A killed member cannot be the target of any later phase.
-        for killed, late in ((a, b), (b, a)):
-            if killed.kind == "kill" and late is not killed:
-                if late.kind == "loss" and not late.targets:
-                    continue  # cluster-wide loss tolerates dead members
-                if set(killed.targets) & set(late.targets):
-                    raise ValueError(
-                        f"phase {late.label!r} targets member(s) "
-                        f"{sorted(set(killed.targets) & set(late.targets))} "
-                        f"after their kill in {killed.label!r}"
-                    )
-        if a.kind in PROCESS_KINDS and b.kind in PROCESS_KINDS and shared:
+def _check_pair(a: FaultEntry, b: FaultEntry) -> None:
+    if not _overlap(a, b):
+        return
+    shared = sorted(set(a.members) & set(b.members))
+    for crashed, late in ((a, b), (b, a)):
+        # Cluster-wide loss tolerates dead members; nothing else may
+        # name a member once it has been crashed.
+        if crashed.kind == "crash" and shared:
             raise ValueError(
-                f"overlapping process phases {a.label!r} and {b.label!r} "
-                f"share target(s) {sorted(shared)}"
+                f"fault {late.label!r} names member(s) {shared} after "
+                f"their crash in {crashed.label!r}"
             )
-        if a.kind == b.kind and a.kind in TRANSPORT_KINDS:
-            same_scope = (
-                shared
-                or (a.kind == "loss" and not a.targets)
-                or (b.kind == "loss" and not b.targets)
-            )
-            if same_scope:
-                raise ValueError(
-                    f"overlapping {a.kind} phases {a.label!r} and "
-                    f"{b.label!r} cover the same members; merge them "
-                    f"into one window"
-                )
-
-    # -- introspection --------------------------------------------------- #
-
-    @property
-    def end(self) -> float:
-        """Offset of the last window's end (kill counts as its start)."""
-        return max((p.end for p in self.phases), default=0.0)
-
-    def max_target(self) -> int:
-        """Highest member index referenced (-1 when none)."""
-        return max((t for p in self.phases for t in p.targets), default=-1)
-
-    def killed_indices(self) -> Tuple[int, ...]:
-        out: List[int] = []
-        for phase in self.phases:
-            if phase.kind == "kill":
-                out.extend(phase.targets)
-        return tuple(sorted(set(out)))
-
-    def of_kind(self, kind: str) -> Tuple[ChaosPhase, ...]:
-        return tuple(p for p in self.phases if p.kind == kind)
-
-    # -- serialization --------------------------------------------------- #
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": SCHEDULE_SCHEMA,
-            "phases": [p.as_dict() for p in self.phases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosSchedule":
-        schema = data.get("schema", SCHEDULE_SCHEMA)
-        if schema != SCHEDULE_SCHEMA:
-            raise ValueError(f"unknown schedule schema: {schema!r}")
-        return cls(
-            phases=tuple(ChaosPhase.from_dict(p) for p in data.get("phases", ()))
+    if a.kind in _SIGNAL_KINDS and b.kind in _SIGNAL_KINDS and shared:
+        raise ValueError(
+            f"overlapping signal faults {a.label!r} and {b.label!r} "
+            f"share member(s) {shared}"
         )
+    if a.kind == b.kind and a.kind in ("loss", "partition"):
+        cluster_wide = a.kind == "loss" and not (a.members and b.members)
+        if shared or cluster_wide:
+            raise ValueError(
+                f"overlapping {a.kind} faults {a.label!r} and {b.label!r} "
+                f"cover the same members; merge them into one window"
+            )
 
-    def dumps(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
-    @classmethod
-    def loads(cls, text: str) -> "ChaosSchedule":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: str) -> "ChaosSchedule":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps() + "\n")
+def validate_real_schedule(schedule: FaultSchedule) -> FaultSchedule:
+    """Raise ``ValueError`` unless real processes can run ``schedule``;
+    returns it so loaders can chain."""
+    schedule.validate(REAL_FAULT_KINDS)
+    ordered = sorted(schedule.entries, key=lambda e: (e.start, e.kind))
+    for i, entry in enumerate(ordered):
+        for other in ordered[i + 1:]:
+            _check_pair(entry, other)
+    return schedule
 
 
 def member_fault_plan(
-    schedule: ChaosSchedule,
-    index: int,
-    addresses: Sequence[str],
+    schedule: FaultSchedule,
+    name: str,
+    addresses: Dict[str, str],
     epoch: float,
     seed: int = 0,
 ) -> FaultPlan:
-    """Translate the cluster-level schedule into member ``index``'s own
+    """Compile the cluster-level schedule into member ``name``'s own
     transport :class:`~repro.faults.FaultPlan`.
 
-    ``addresses`` maps member index to ``host:port`` (the launcher knows
-    them all before spawning). Loss windows land on every targeted
-    member symmetrically; a partition window becomes, at each member, a
-    window cutting off every address on the *other* side, so both sides
-    drop without runtime coordination.
+    ``addresses`` maps member name to ``host:port`` in spawn order (the
+    launcher knows them all before arming). Loss windows land on every
+    named member symmetrically; a partition window becomes, at each
+    member, a window cutting off every address on the *other* side, so
+    both sides drop without runtime coordination.
     """
     windows: List[FaultWindow] = []
-    for phase in schedule.phases:
-        if phase.kind == "loss":
-            if phase.targets and index not in phase.targets:
+    for entry in schedule.entries:
+        if entry.kind == "loss":
+            if entry.members and name not in entry.members:
                 continue
             windows.append(
-                FaultWindow("loss", phase.start, phase.end, rate=phase.rate)
+                FaultWindow("loss", entry.start, entry.end, rate=entry.rate)
             )
-        elif phase.kind == "partition":
-            inside = index in phase.targets
-            far_side = [
-                addresses[i]
-                for i in range(len(addresses))
-                if (i in phase.targets) != inside and i != index
-            ]
-            if not far_side:
-                continue
-            windows.append(
-                FaultWindow(
-                    "partition", phase.start, phase.end, peers=tuple(far_side)
+        elif entry.kind == "partition":
+            inside = name in entry.members
+            far_side = tuple(
+                address
+                for other, address in addresses.items()
+                if (other in entry.members) != inside
+            )
+            if far_side:
+                windows.append(
+                    FaultWindow(
+                        "partition", entry.start, entry.end, peers=far_side
+                    )
                 )
-            )
+    index = list(addresses).index(name)
     return FaultPlan(
         windows=tuple(windows), epoch=epoch, seed=seed * 7919 + index
     )
 
 
 def member_fault_plans(
-    schedule: ChaosSchedule,
-    addresses: Sequence[str],
+    schedule: FaultSchedule,
+    addresses: Dict[str, str],
     epoch: float,
     seed: int = 0,
-) -> Dict[int, FaultPlan]:
-    """Per-index plans for the whole cluster (only non-empty ones)."""
-    plans: Dict[int, FaultPlan] = {}
-    for index in range(len(addresses)):
-        plan = member_fault_plan(schedule, index, addresses, epoch, seed)
+) -> Dict[str, FaultPlan]:
+    """Per-member plans for the whole cluster (only non-empty ones)."""
+    validate_real_schedule(schedule)
+    plans: Dict[str, FaultPlan] = {}
+    for name in addresses:
+        plan = member_fault_plan(schedule, name, addresses, epoch, seed)
         if plan.windows:
-            plans[index] = plan
+            plans[name] = plan
     return plans

@@ -1,22 +1,12 @@
-"""Replays a chaos schedule on the deterministic simulator.
+"""Replays a soak's fault schedule on the deterministic simulator.
 
 The soak report pairs every real-cluster run with a simulator run of the
-*same* schedule at the same protocol tuning, so a surprising wall-clock
-number can immediately be triaged: if the simulator agrees, the
-behaviour is protocol-inherent; if it disagrees, the delta came from
-real-world physics (scheduling jitter, socket buffers, slow host).
-
-Phase mapping onto the virtual fabric:
-
-* ``kill``      -> stop the node and unregister its transport endpoint
-  (packets to it vanish; a crash, not a leave);
-* ``pause``     -> an :class:`~repro.sim.anomaly.AnomalyController`
-  block window (the paper's unresponsive-member shape);
-* ``loss``      -> the global fabric loss rate for cluster-wide phases,
-  per-link loss for targeted ones (UDP only — matching the real
-  transport, where TCP retransmits through loss);
-* ``partition`` -> a fabric partition of the target group vs the rest,
-  healed at the window's end.
+*same* :class:`~repro.faults.FaultSchedule` at the same protocol tuning,
+so a surprising wall-clock number can immediately be triaged: if the
+simulator agrees, the behaviour is protocol-inherent; if it disagrees,
+the delta came from real-world physics (scheduling jitter, socket
+buffers, slow host). The schedule is applied by the simulator's one
+fault executor (:mod:`repro.sim.faults`).
 
 The cluster bootstraps pre-seeded (the converged state the real run is
 in when its chaos epoch is chosen) and runs a short warm-up before the
@@ -26,10 +16,10 @@ virtual epoch. Results use the same per-kill metrics as
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import SwimConfig
-from repro.soak.schedule import ChaosSchedule
+from repro.faults import FaultSchedule
 
 #: Virtual seconds of pre-epoch warm-up (lets initial probes settle).
 _WARMUP = 2.0
@@ -46,7 +36,7 @@ def _median(values: Sequence[float]) -> Optional[float]:
 
 
 def run_sim_comparison(
-    schedule: ChaosSchedule,
+    schedule: FaultSchedule,
     n_members: int,
     probe_interval: float = 0.5,
     alpha: float = 5.0,
@@ -56,6 +46,7 @@ def run_sim_comparison(
 ) -> dict:
     """Run ``schedule`` on a fresh :class:`~repro.sim.runtime.SimCluster`
     and return the comparison metrics as a JSON-safe dict."""
+    from repro.sim.faults import SimFaultExecutor
     from repro.sim.runtime import SimCluster
 
     config = SwimConfig.lifeguard(
@@ -69,74 +60,18 @@ def run_sim_comparison(
     cluster.run_for(_WARMUP)
     epoch = cluster.now
     names = cluster.names
-
-    killed: List[str] = [names[i] for i in schedule.killed_indices()]
-
-    def kill(name: str) -> None:
-        node = cluster.nodes[name]
-        if node.running:
-            node.stop()
-        cluster.network.unregister(name)
-
-    for phase in schedule.phases:
-        start = epoch + phase.start
-        end = epoch + phase.end
-        if phase.kind == "kill":
-            for target in phase.targets:
-                cluster.scheduler.call_at(
-                    start, lambda name=names[target]: kill(name)
-                )
-        elif phase.kind == "pause":
-            for target in phase.targets:
-                cluster.anomalies.block_window(names[target], start, end)
-        elif phase.kind == "loss":
-            if phase.targets:
-                links = [
-                    (names[t], other)
-                    for t in phase.targets
-                    for other in names
-                    if other != names[t]
-                ]
-
-                def set_links(rate: float, links=links) -> None:
-                    for src, dst in links:
-                        cluster.network.set_link_loss(src, dst, rate)
-                        cluster.network.set_link_loss(dst, src, rate)
-
-                cluster.scheduler.call_at(
-                    start, lambda rate=phase.rate, f=set_links: f(rate)
-                )
-                cluster.scheduler.call_at(end, lambda f=set_links: f(0.0))
-            else:
-                cluster.scheduler.call_at(
-                    start,
-                    lambda rate=phase.rate: setattr(
-                        cluster.network, "loss_rate", rate
-                    ),
-                )
-                cluster.scheduler.call_at(
-                    end, lambda: setattr(cluster.network, "loss_rate", 0.0)
-                )
-        elif phase.kind == "partition":
-            inside = [names[t] for t in phase.targets]
-            outside = [name for name in names if name not in inside]
-            cluster.scheduler.call_at(
-                start,
-                lambda a=inside, b=outside: cluster.network.partition(a, b),
-            )
-            cluster.scheduler.call_at(
-                end, lambda: cluster.network.heal_partition()
-            )
+    SimFaultExecutor(cluster, schedule, seed=seed, epoch=epoch).schedule()
 
     run_for = duration if duration is not None else schedule.end + 30.0
     cluster.run_until(epoch + run_for)
     cluster.stop()
 
-    survivors = [name for name in names if name not in killed]
     kill_time = {}
-    for phase in schedule.of_kind("kill"):
-        for target in phase.targets:
-            kill_time.setdefault(names[target], epoch + phase.start)
+    for entry in schedule.of_kind("crash"):
+        for name in entry.members:
+            kill_time.setdefault(name, epoch + entry.start)
+    killed = set(kill_time)
+    survivors = [name for name in names if name not in killed]
 
     kills = []
     undetected = []

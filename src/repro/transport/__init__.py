@@ -15,10 +15,8 @@
 from repro.transport.fastudp import (
     BatchedUdpTransport,
     PacketPump,
-    UvloopUdpTransport,
     create_udp_transport,
     mmsg_available,
-    uvloop_available,
 )
 from repro.transport.inmem import InMemoryFabric, InMemoryTransport
 from repro.transport.sim import SimTransport
@@ -33,8 +31,6 @@ __all__ = [
     "SimTransport",
     "UdpMember",
     "UdpTransport",
-    "UvloopUdpTransport",
     "create_udp_transport",
     "mmsg_available",
-    "uvloop_available",
 ]

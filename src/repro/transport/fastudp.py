@@ -23,10 +23,6 @@ is protocol fidelity, not just throughput. This module provides:
   :meth:`BatchedUdpTransport.send_encoded` reuses a per-transport
   scratch buffer via :func:`repro.swim.codec.encode_into` so
   steady-state probe/ack traffic allocates near-zero.
-* :class:`UvloopUdpTransport` + :func:`install_uvloop` — opt-in uvloop
-  integration: the stock asyncio datagram path running on uvloop's
-  libuv loop. Cleanly gated: selecting it without uvloop installed
-  raises a :class:`RuntimeError` that says so.
 * :func:`create_udp_transport` — the factory keyed by
   :attr:`SwimConfig.transport_backend` that
   :class:`~repro.transport.udp.UdpMember` uses.
@@ -693,74 +689,6 @@ class BatchedUdpTransport(UdpTransport):
         await super().close()
 
 
-# ---------------------------------------------------------------------------
-# uvloop integration (opt-in, cleanly gated when not installed).
-# ---------------------------------------------------------------------------
-
-
-def uvloop_available() -> bool:
-    """Whether the optional :mod:`uvloop` package is importable."""
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def install_uvloop() -> None:
-    """Make uvloop the event-loop policy for subsequent ``asyncio.run``.
-
-    Raises :class:`RuntimeError` with an actionable message when uvloop
-    is not installed — the ``"uvloop"`` backend is strictly opt-in and
-    never silently degrades to the stock loop.
-    """
-    try:
-        import uvloop
-    except ImportError as exc:
-        raise RuntimeError(
-            "transport_backend='uvloop' requires the optional uvloop "
-            "package, which is not installed; install it or use the "
-            "'batched' or 'asyncio' backend"
-        ) from exc
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-
-
-class UvloopUdpTransport(UdpTransport):
-    """``transport_backend="uvloop"``: stock datagram path, libuv loop.
-
-    uvloop accelerates the whole event loop (including the asyncio
-    datagram protocol this inherits), so the transport itself is the
-    parent unchanged — :meth:`create` just refuses to run on a
-    non-uvloop loop, because silently delivering stock-loop performance
-    under the "uvloop" label would be a lie in the benchmarks.
-    """
-
-    backend = "uvloop"
-
-    @classmethod
-    async def create(
-        cls,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[SwimConfig] = None,
-    ) -> "UvloopUdpTransport":
-        loop = asyncio.get_running_loop()
-        if "uvloop" not in type(loop).__module__:
-            if not uvloop_available():
-                raise RuntimeError(
-                    "transport_backend='uvloop' requires the optional "
-                    "uvloop package, which is not installed; install it "
-                    "or use the 'batched' or 'asyncio' backend"
-                )
-            raise RuntimeError(
-                "transport_backend='uvloop' must run inside a uvloop "
-                "event loop; call repro.transport.fastudp.install_uvloop() "
-                "before asyncio.run()"
-            )
-        transport = await super().create(host, port, config=config)
-        return transport  # type: ignore[return-value]
-
-
 async def create_udp_transport(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -769,14 +697,10 @@ async def create_udp_transport(
     """Create the UDP transport selected by ``config.transport_backend``.
 
     ``"asyncio"`` (the default) preserves the pre-backend behaviour
-    exactly; ``"batched"`` returns a :class:`BatchedUdpTransport`;
-    ``"uvloop"`` returns a :class:`UvloopUdpTransport` (raising
-    :class:`RuntimeError` when uvloop is absent or not running).
+    exactly; ``"batched"`` returns a :class:`BatchedUdpTransport`.
     """
     config = config if config is not None else SwimConfig()
     backend = config.transport_backend
     if backend == "batched":
         return await BatchedUdpTransport.create(host, port, config=config)
-    if backend == "uvloop":
-        return await UvloopUdpTransport.create(host, port, config=config)
     return await UdpTransport.create(host, port, config=config)

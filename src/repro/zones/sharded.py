@@ -176,13 +176,6 @@ def shard_slices(zone_count: int, shards: int) -> List[Tuple[int, ...]]:
     return slices
 
 
-def _count_exchanges(duration: float, epoch: float) -> int:
-    """Number of barrier exchanges a run of ``duration`` performs — the
-    barrier count of the shared :func:`barrier_schedule`, which master,
-    workers and the in-process driver all replay."""
-    return sum(1 for _, is_barrier in barrier_schedule(duration, epoch) if is_barrier)
-
-
 def _recv_checked(
     conn: Connection,
     proc: Any,
@@ -456,9 +449,15 @@ def run_zoned(
         }
         encoders = [FrameBuffer() for _ in slices]
         records: List[Tuple[int, int, int, int, memoryview]] = []
-        for barrier in range(
-            _count_exchanges(duration, config.cross_zone_interval)
-        ):
+        # The barrier count of the shared schedule, which the workers
+        # and the in-process driver replay step for step.
+        exchanges = sum(
+            is_barrier
+            for _, is_barrier in barrier_schedule(
+                duration, config.cross_zone_interval
+            )
+        )
+        for barrier in range(exchanges):
             for index, conn in enumerate(conns):
                 message = _recv_checked(
                     conn, procs[index], index, slices[index]

@@ -59,6 +59,24 @@ class TestSuspicionTimeoutFormula:
     def test_beyond_k_stays_at_min(self):
         assert suspicion_timeout(10.0, 60.0, 7, 3) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize(
+        "confirmations, elapsed, remaining",
+        [(0, 0, 30), (1, 2, 14), (2, 3, 4.810524989903811), (3, 4, -2)],
+    )
+    def test_memberlist_reference_vector(self, confirmations, elapsed, remaining):
+        """An independent reference, not re-derived from our formula:
+        hashicorp/memberlist's ``TestSuspicion_remainingSuspicionTime``
+        vector (k=3, min=2 s, max=30 s) as transcribed by the aioc port
+        in SNIPPETS.md (``jettify/aioc/tests/test_suspicion.py``). It
+        reports the time *remaining* at ``elapsed`` seconds after each
+        confirmation: 30, 14, 4.8105..., -2 — i.e. total timeouts of
+        30 / 16 / 7.8105... / 2."""
+        timeout = suspicion_timeout(2, 30, confirmations, 3)
+        assert timeout - elapsed == pytest.approx(remaining, abs=1e-12)
+        assert timeout == pytest.approx(
+            [30, 16, 7.810524989903811, 2][confirmations], abs=1e-12
+        )
+
     def test_paper_formula_midway(self):
         minimum, maximum, k, c = 10.0, 60.0, 3, 1
         expected = maximum - (maximum - minimum) * math.log(c + 1) / math.log(k + 1)

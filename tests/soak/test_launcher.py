@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.soak.launcher import SoakLauncher
-from repro.soak.schedule import ChaosPhase, ChaosSchedule
+from repro.faults import FaultEntry, FaultSchedule
 
 
 @pytest.fixture
@@ -67,8 +67,8 @@ def test_pause_and_resume(launcher):
 
 def test_fault_plan_delivery_arms_live_transport(launcher):
     launcher.spawn_all(2)
-    schedule = ChaosSchedule((
-        ChaosPhase("loss", 0.0, 5.0, rate=0.5, targets=(1,)),
+    schedule = FaultSchedule((
+        FaultEntry("loss", 0.0, 5.0, rate=0.5, members=("m001",)),
     ))
     written = launcher.write_fault_plans(schedule, epoch=time.time())
     assert set(written) == {1}

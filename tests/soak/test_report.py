@@ -1,7 +1,7 @@
 """Soak analysis: detection metrics, FP classification, the gate."""
 
 from repro.soak.report import analyze, render_markdown
-from repro.soak.schedule import ChaosPhase, ChaosSchedule
+from repro.faults import FaultEntry, FaultSchedule
 
 NAMES = ["m000", "m001", "m002", "m003"]
 EPOCH = 1000.0
@@ -17,7 +17,7 @@ def failed(observer, subject, wall_t):
 
 
 class TestKillDetection:
-    SCHEDULE = ChaosSchedule((ChaosPhase("kill", 10.0, targets=(1,)),))
+    SCHEDULE = FaultSchedule((FaultEntry("crash", 10.0, members=("m001",)),))
 
     def test_full_detection(self):
         events = [
@@ -64,8 +64,8 @@ class TestKillDetection:
 
 class TestFalsePositiveClassification:
     def test_excused_inside_window_plus_grace(self):
-        schedule = ChaosSchedule((
-            ChaosPhase("pause", 10.0, 5.0, targets=(2,)),
+        schedule = FaultSchedule((
+            FaultEntry("block", 10.0, 5.0, members=("m002",)),
         ))
         events = [
             failed("m000", "m002", EPOCH + 12.0),   # during the pause
@@ -81,9 +81,9 @@ class TestFalsePositiveClassification:
         assert analysis.fp_healthy == 2
 
     def test_loss_and_partition_excuse_everyone(self):
-        schedule = ChaosSchedule((
-            ChaosPhase("loss", 5.0, 5.0, rate=0.3, targets=(0,)),
-            ChaosPhase("partition", 20.0, 5.0, targets=(3,)),
+        schedule = FaultSchedule((
+            FaultEntry("loss", 5.0, 5.0, rate=0.3, members=("m000",)),
+            FaultEntry("partition", 20.0, 5.0, members=("m003",)),
         ))
         events = [
             failed("m000", "m001", EPOCH + 7.0),    # during loss
@@ -100,7 +100,7 @@ class TestFalsePositiveClassification:
 
     def test_restored_events_counted(self):
         analysis = analyze(
-            ChaosSchedule(()),
+            FaultSchedule(()),
             EPOCH,
             [{"kind": "restored", "observer": "m000", "subject": "m001",
               "wall_t": EPOCH + 1.0}],
@@ -113,7 +113,7 @@ class TestFalsePositiveClassification:
 
 class TestRendering:
     def test_markdown_contains_gate_and_sim_sections(self):
-        schedule = ChaosSchedule((ChaosPhase("kill", 5.0, targets=(0,)),))
+        schedule = FaultSchedule((FaultEntry("crash", 5.0, members=("m000",)),))
         events = [
             failed(name, "m000", EPOCH + 7.0) for name in NAMES[1:]
         ]
@@ -140,6 +140,6 @@ class TestRendering:
         import json
 
         analysis = analyze(
-            ChaosSchedule(()), EPOCH, [], NAMES, duration=10.0
+            FaultSchedule(()), EPOCH, [], NAMES, duration=10.0
         )
         json.dumps(analysis.as_dict())

@@ -168,16 +168,6 @@ class TestPacketbenchCommand:
         with pytest.raises(SystemExit):
             main(["packetbench", "--backend", "turbo"])
 
-    def test_uvloop_exits_one_when_unavailable(self, capsys):
-        from repro.transport.fastudp import uvloop_available
-
-        if uvloop_available():  # pragma: no cover - env dependent
-            pytest.skip("uvloop installed; gating path not reachable")
-        code = main(["packetbench", "--backend", "uvloop", *self.FAST])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "uvloop" in captured.err
-
 
 class TestJsonOutput:
     """--json emits the shared ops-plane envelope on every subcommand."""

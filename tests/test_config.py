@@ -106,6 +106,7 @@ class TestSwimConfigValidation:
             dict(reliable_failure_window=0.0),
             dict(reliable_failure_peer_threshold=0),
             dict(transport_backend="bogus"),
+            dict(transport_backend="uvloop"),  # retired backend name
             dict(transport_backend=""),
             dict(transport_batch_size=0),
             dict(transport_batch_size=-4),
@@ -123,7 +124,7 @@ class TestSwimConfigValidation:
     def test_beta_one_allowed(self):
         assert SwimConfig(suspicion_beta=1.0).suspicion_beta == 1.0
 
-    @pytest.mark.parametrize("backend", ["asyncio", "batched", "uvloop"])
+    @pytest.mark.parametrize("backend", ["asyncio", "batched"])
     def test_known_transport_backends_accepted(self, backend):
         config = SwimConfig(transport_backend=backend)
         assert config.transport_backend == backend

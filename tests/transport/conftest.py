@@ -7,8 +7,6 @@ asyncio path. The ``"batched"`` backend needs no skip: where
 ``recvmmsg``/``sendmmsg`` are unavailable it degrades to a portable
 per-datagram drain with identical semantics — only tests asserting
 *actual* multi-datagram syscalls skip on ``mmsg_available()``.
-The ``"uvloop"`` backend is not in the matrix because the package is
-optional and absent here; its gating is covered in test_fastudp.py.
 """
 
 import pytest

@@ -4,8 +4,8 @@ The parity matrix in test_udp.py / test_udp_faults.py proves the
 batched backend behaves like the asyncio one; these tests cover what
 is *specific* to the fast path: actual multi-datagram syscall batches
 (skipped with a reason where recvmmsg/sendmmsg are unavailable), the
-portable fallback, the zero-allocation ``send_encoded`` path, backend
-selection, and the uvloop gating.
+portable fallback, the zero-allocation ``send_encoded`` path, and
+backend selection.
 """
 
 import asyncio
@@ -18,10 +18,8 @@ from repro.swim.messages import Ack, Ping
 from repro.transport import fastudp
 from repro.transport.fastudp import (
     BatchedUdpTransport,
-    UvloopUdpTransport,
     create_udp_transport,
     mmsg_available,
-    uvloop_available,
 )
 from repro.transport.udp import UdpTransport
 
@@ -214,35 +212,3 @@ class TestSendEncoded:
     def test_node_scratch_path_only_on_buffer_send_transports(self):
         assert BatchedUdpTransport.supports_buffer_send is True
         assert not getattr(UdpTransport, "supports_buffer_send", False)
-
-
-class TestUvloopGating:
-    def test_uvloop_backend_raises_clear_error_when_unavailable(self):
-        if uvloop_available():
-            pytest.skip("uvloop installed here; gating path not reachable")
-
-        async def scenario():
-            with pytest.raises(RuntimeError, match="uvloop"):
-                await create_udp_transport(
-                    config=SwimConfig(transport_backend="uvloop")
-                )
-
-        asyncio.run(scenario())
-
-    def test_install_uvloop_raises_when_unavailable(self):
-        if uvloop_available():
-            pytest.skip("uvloop installed here; gating path not reachable")
-        with pytest.raises(RuntimeError, match="uvloop"):
-            fastudp.install_uvloop()
-
-    def test_uvloop_transport_refuses_stock_loop(self):
-        if not uvloop_available():
-            # Without the package the unavailability error fires first;
-            # covered above.
-            return
-
-        async def scenario():  # pragma: no cover - needs uvloop installed
-            with pytest.raises(RuntimeError, match="uvloop event loop"):
-                await UvloopUdpTransport.create()
-
-        asyncio.run(scenario())

@@ -8,7 +8,7 @@ reaches). These tests pin the two ways the generator is consumed to
 each other over awkward float durations:
 
 * one pass — ``barrier_schedule(duration, epoch)`` as the workers and
-  the master's ``_count_exchanges`` use it;
+  the master (which only counts its barrier steps) use it;
 * chunked resume — repeated calls with ``now``/``next_barrier`` carried
   across arbitrary intermediate deadlines, as ``ZonedCluster.run_until``
   replays it.
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.zones.cluster import barrier_schedule
-from repro.zones.sharded import _count_exchanges
 
 _epochs = st.one_of(
     st.sampled_from([0.1, 0.3, 1.0, 2.5, 1 / 3]),
@@ -100,8 +99,10 @@ def test_schedule_invariants(duration, epoch):
 @given(duration=_durations, epoch=_epochs)
 @settings(max_examples=200, deadline=None)
 def test_count_exchanges_matches_schedule(duration, epoch):
-    want = sum(1 for _, b in _one_pass(duration, epoch) if b)
-    assert _count_exchanges(duration, epoch) == want
-    # Sanity: within one of the closed-form count (float error aside).
+    # The master's exchange count is the schedule's barrier steps:
+    # within one of the closed-form count (float error aside).
+    count = sum(is_barrier for _, is_barrier in _one_pass(duration, epoch))
     if duration > 0:
-        assert abs(want - math.floor(duration / epoch)) <= 1
+        assert abs(count - math.floor(duration / epoch)) <= 1
+    else:
+        assert count == 0
