@@ -31,9 +31,14 @@ reps — a cheap tripwire for accidental nondeterminism in the core.
 Scale control: ``REPRO_SCALE_SIZES=256,1024`` restricts the size grid
 (CI uses this to keep the gate fast), ``REPRO_REPS`` sets the rep count,
 ``REPRO_SCALE_TIME`` scales the virtual duration budget. The 65536 rung
-is opt-in (name it in ``REPRO_SCALE_SIZES``): it needs tens of GB of
-RSS (the 2048 bridge directories each hold the full roster) and north
-of ten minutes of wall clock per rep on one core.
+is opt-in (name it in ``REPRO_SCALE_SIZES``): measured on the 2-core
+reference box with the struct-of-arrays member tables it needs 2.9 GB of
+RSS at its 0.5-virtual-second budget (the 1,024 bridge directories are
+29-byte-a-row state columns over one interned roster, 1.9 GB of it;
+another ~1.6 GB once the bridges have ticked and hold their gathered
+claims columns) and 35 s of set-up plus 5 s of drive per rep — about
+two thirds of the set-up is constructing 65,536 ``SwimNode`` objects,
+not their tables. It stays opt-in until it is gated (ROADMAP).
 """
 
 from __future__ import annotations

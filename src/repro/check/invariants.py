@@ -287,13 +287,11 @@ class MembershipOracle(Oracle):
             prev = self._seen.get(name)
             current: Dict[str, Tuple[int, int]] = {}
             suspects_in_map: List[str] = []
-            for member in node.members.members():
-                state = member.state
-                incarnation = member.incarnation
-                if state is MemberState.SUSPECT and member.name != name:
-                    suspects_in_map.append(member.name)
+            for subject, state, incarnation in node.members.claims():
+                if state is MemberState.SUSPECT and subject != name:
+                    suspects_in_map.append(subject)
                 if prev is not None:
-                    old = prev.get(member.name)
+                    old = prev.get(subject)
                     if old is not None:
                         old_state, old_inc = old
                         if incarnation < old_inc:
@@ -302,7 +300,7 @@ class MembershipOracle(Oracle):
                                     self.name, now, name,
                                     f"incarnation decreased {old_inc} -> "
                                     f"{incarnation}",
-                                    subject=member.name,
+                                    subject=subject,
                                 )
                             )
                         if (
@@ -317,10 +315,10 @@ class MembershipOracle(Oracle):
                                     f"{MemberState(old_state).name} at "
                                     f"incarnation {old_inc} without a higher "
                                     f"incarnation ({incarnation})",
-                                    subject=member.name,
+                                    subject=subject,
                                 )
                             )
-                current[member.name] = (int(state), incarnation)
+                current[subject] = (int(state), incarnation)
             self._seen[name] = current
             if node.running:
                 with_entries = set(node.suspicion_subjects())
@@ -570,14 +568,12 @@ class ResurrectionOracle(Oracle):
         out: List[Violation] = []
         for name, node in cluster.nodes.items():
             retention = node.config.dead_member_reclaim
-            for member in node.members.members():
-                key = (name, member.name)
+            for subject, state, current in node.members.claims():
+                key = (name, subject)
                 record = self._terminal.get(key)
-                if member.state in _TERMINAL:
-                    if record is None or member.incarnation >= record[1]:
-                        self._terminal[key] = (
-                            int(member.state), member.incarnation, now,
-                        )
+                if state in _TERMINAL:
+                    if record is None or current >= record[1]:
+                        self._terminal[key] = (int(state), current, now)
                     continue
                 if record is None:
                     continue
@@ -585,17 +581,17 @@ class ResurrectionOracle(Oracle):
                 if now - seen_at >= retention:
                     del self._terminal[key]
                     continue
-                if member.incarnation <= incarnation:
+                if current <= incarnation:
                     out.append(
                         Violation(
                             self.name, now, name,
-                            f"seen {member.state.name} at incarnation "
-                            f"{member.incarnation} only "
+                            f"seen {state.name} at incarnation "
+                            f"{current} only "
                             f"{now - seen_at:.3f}s after a "
                             f"{MemberState(state_value).name} sighting at "
                             f"incarnation {incarnation} (retention "
                             f"{retention:g}s)",
-                            subject=member.name,
+                            subject=subject,
                         )
                     )
                 else:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.swim.state import MemberState
+
 #: Version tag carried in every envelope.
 SCHEMA_VERSION = "lifeguard-repro/v1"
 
@@ -45,10 +47,11 @@ def node_info(node) -> Dict[str, object]:
     members = node.members
     lhm = node.local_health
     config = node.config
-    state_counts = {}
-    for member in members.members():
-        key = member.state.name.lower()
-        state_counts[key] = state_counts.get(key, 0) + 1
+    state_counts = {
+        state.name.lower(): members.num_in_state(state)
+        for state in MemberState
+        if members.num_in_state(state)
+    }
     telemetry = node.telemetry
     return envelope(
         "node-info",

@@ -298,9 +298,9 @@ class SimFaultExecutor:
             if self._reintegrated(member):
                 return
             peers = [
-                m.name
-                for m in node.members.members()
-                if m.name != member and m.state is not MemberState.LEFT
+                name
+                for name, state, _ in node.members.claims()
+                if name != member and state is not MemberState.LEFT
             ]
             if not peers:
                 anchor = self._pick_anchor(member)

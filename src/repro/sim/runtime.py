@@ -20,6 +20,7 @@ from repro.metrics.telemetry import Telemetry
 from repro.sim.anomaly import AnomalyController
 from repro.sim.network import LatencyModel, SimNetwork
 from repro.sim.scheduler import EventScheduler
+from repro.swim.member_map import Roster
 from repro.swim.node import SwimNode
 from repro.swim.state import MemberState
 from repro.transport.sim import SimTransport
@@ -106,6 +107,10 @@ class SimCluster:
 
         self._meta_for = meta_for
         self._on_user_event = on_user_event
+        #: One name-interning roster for every member table of the
+        #: cluster; each node interns (and announces) itself as it is
+        #: built, so ids follow ``names`` order.
+        self.roster = Roster()
         self.nodes: Dict[str, SwimNode] = {}
         self._transports: Dict[str, SimTransport] = {}
         for index, name in enumerate(self.names):
@@ -142,6 +147,7 @@ class SimCluster:
                 if on_user_event is not None
                 else None
             ),
+            roster=self.roster,
         )
         transport.bind(node.handle_packet)
         transport.on_reliable_failure = node.note_reliable_send_failure
@@ -156,14 +162,11 @@ class SimCluster:
         self._started = True
         if self._bootstrap == "preseed":
             now = self.clock.now
-            # One (name, address, meta, zone) roster shared by every
-            # member map; each map skips its own entry.
-            roster = [
-                (name, name, node.meta, node.members.local.zone)
-                for name, node in self.nodes.items()
-            ]
+            # Every table takes the whole shared roster; each map skips
+            # its own id.
+            everyone = range(len(self.roster))
             for node in self.nodes.values():
-                node.members.add_many(roster, 1, MemberState.ALIVE, now)
+                node.members.add_many(everyone, 1, MemberState.ALIVE, now)
             for node in self.nodes.values():
                 node.start()
         else:

@@ -17,7 +17,7 @@ transport, so the identical code runs under the discrete-event simulator
 (:mod:`repro.sim`) and under asyncio UDP (:mod:`repro.transport.udp`).
 """
 
-from repro.swim.member_map import Member, MemberMap
+from repro.swim.member_map import Member, MemberMap, Roster
 from repro.swim.messages import (
     Ack,
     Alive,
@@ -44,6 +44,7 @@ __all__ = [
     "Ping",
     "PingReq",
     "PushPull",
+    "Roster",
     "Suspect",
     "SwimNode",
 ]

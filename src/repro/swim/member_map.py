@@ -14,31 +14,54 @@ Dead members are retained for a configurable period so that anti-entropy
 sync can convey their state (a memberlist extension, Section III-B), then
 reclaimed lazily.
 
+Storage is struct-of-arrays, because at n members a cluster holds n
+tables of n entries and a Python object per (observer, subject) pair is
+what made that quadratic in constructor calls, in GC work and in RSS:
+
+* a :class:`Roster` interns every subject name to a dense id once. The
+  maps of one simulated cluster (and the bridge directories of one zone
+  shard) share a roster; a lone real-network member gets a private one.
+  There is no other difference between the two — one code path;
+* per observer, a :class:`MemberMap` keeps only columns indexed by that
+  id: a ``bytearray`` of states, an ``array('Q')`` of incarnations, an
+  ``array('d')`` of state-change times, and a list of references to
+  shared immutable ``(address, meta, zone)`` records, replaced
+  copy-on-write when an alive claim changes one. An ``array('I')`` of
+  ids keeps table-insertion order. The record list is the only GC
+  container among them — one object per observer, not one per pair —
+  and a whole-roster preseed (:meth:`MemberMap.add_many`) is four
+  slice fills;
+* :class:`Member` is a read-only *live view* — a ``(map, id)`` handle
+  whose properties read the columns — materialized only for what the
+  public API hands out. Full-table walkers read :meth:`MemberMap.claims`
+  instead of building n views.
+
+Ids are never recycled: a roster grows with the number of distinct names
+it has ever seen (~200 bytes each), not with the live group size.
+
 Hot-path structure (multi-thousand-member clusters probe, gossip and sync
 every tick, so the table cannot afford per-call full scans):
 
 * per-state counts are maintained incrementally, so ``num_alive`` /
   ``num_in_state`` / the ``reclaim_dead`` nothing-to-do fast path are O(1);
-* an *actives index* (non-local ALIVE/SUSPECT members in table-insertion
-  order) backs ``alive_members`` and ``random_members``, rebuilt lazily
-  after membership or state changes. Insertion order is preserved exactly
-  — the candidate list feeds ``rng.sample``, so any reordering would
-  change seeded runs;
-* ``snapshot()`` is cached under a version counter while no dead members
-  are retained. State-entry ages are only ever *consumed* by receivers
-  for DEAD/LEFT entries (to backdate retention windows), so serving a
-  stale age on an ALIVE/SUSPECT entry is behavior-neutral and
-  byte-identical on the wire (ages are fixed-width u32).
+* an *actives index* (ids of non-local ALIVE/SUSPECT members in
+  table-insertion order) backs ``alive_members`` and ``random_members``,
+  rebuilt lazily after membership or state changes. Insertion order is
+  preserved exactly — the candidate list feeds ``rng.sample``, so any
+  reordering would change seeded runs. Sampling runs over ids; only the
+  members chosen are materialized;
+* ``snapshot()`` rebuilds its entry tuple from the columns on every call;
+  there is no cached copy to invalidate (or to pin ~120 KB per member at
+  n=1024).
 
-Every mutation — including direct ``Member`` field writes by the owning
-node, which must route through :meth:`MemberMap.set_local_meta` /
-:meth:`MemberMap.bump_local_incarnation` — bumps the version counter that
-invalidates these caches.
+Every mutation goes through a :class:`MemberMap` method — views cannot be
+written through.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.swim.probe_scheduler import ProbeScheduler, RoundRobinScheduler
@@ -48,11 +71,22 @@ from repro.swim.state import MemberState, claim_supersedes
 #: (u32 milliseconds on the wire, ~49 days).
 MAX_STATE_AGE_MS = 0xFFFFFFFF
 
-#: Member state -> wire value, bypassing the IntEnum __int__ slow path on
-#: the snapshot hot loop.
-_STATE_WIRE = {state: int(state) for state in MemberState}
-#: Wire value -> member state (the reverse map, for the wire-merge path).
+#: Wire value -> member state (for the wire-merge path).
 _STATE_FROM_WIRE = {int(state): state for state in MemberState}
+#: State-column byte of a roster id this map does not hold.
+_ABSENT = len(MemberState)
+#: State-column byte -> member state; the column stores wire values, so
+#: snapshots copy the byte straight out. An absent slot reads ``None``.
+_STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
+_ALIVE = int(MemberState.ALIVE)
+_SUSPECT = int(MemberState.SUSPECT)
+_DEAD = int(MemberState.DEAD)
+
+#: What an alive claim says about a member beyond its liveness:
+#: ``(address, meta, zone)``. Immutable and shared between observers.
+Record = Tuple[str, bytes, str]
+#: One push-pull state entry, as :meth:`MemberMap.snapshot` emits it.
+StateEntry = Tuple[str, str, int, int, bytes, int]
 
 #: ``MergeDecision.action`` values. The claim concerned the local member
 #: (never applied here; the node decides whether to refute).
@@ -138,56 +172,120 @@ class MergeDecision:
         )
 
 
+class Roster:
+    """Subject names interned to dense ids, shared by a cluster's maps.
+
+    ``names[id]`` and ``ids[name]`` are inverse; ``records[id]`` is the
+    ``(address, meta, zone)`` the subject was interned with, or — when
+    the subject's own map shares this roster — what it last announced
+    about itself (:meth:`MemberMap.set_local_meta` publishes here). Maps
+    reference these records rather than copying them, and
+    :meth:`MemberMap.add_many` seeds a table from them.
+    """
+
+    __slots__ = ("names", "ids", "records", "_sequence")
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+        self.ids: Dict[str, int] = {}
+        self.records: List[Record] = []
+        self._sequence = array("I")
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def intern(self, name: str, record: Record) -> int:
+        """The id of ``name``, assigning the next one (and remembering
+        ``record``) the first time the name is seen."""
+        sid = self.ids.get(name)
+        if sid is None:
+            sid = self.ids[name] = len(self.names)
+            self.names.append(name)
+            self.records.append(record)
+        return sid
+
+    def id_array(self, span: range) -> array:
+        """``array('I', span)`` for a span of ids, sliced from one
+        sequence kept per roster: every map of a cluster asks for the
+        same span at bootstrap, and a slice is a memcpy."""
+        sequence = self._sequence
+        if len(sequence) < span.stop:
+            sequence.extend(range(len(sequence), span.stop))
+        return sequence[span.start : span.stop]
+
+    def extend(self, entries: Iterable[Tuple[str, str, bytes, str]]) -> range:
+        """Intern a batch of new ``(name, address, meta, zone)`` subjects;
+        returns their id span. A name already interned (or repeated in
+        the batch) raises, since its id would fall outside the span."""
+        start = len(self.names)
+        for name, address, meta, zone in entries:
+            if name in self.ids:
+                raise ValueError(f"member {name!r} already known")
+            self.intern(name, (address, meta, zone))
+        return range(start, len(self.names))
+
+
 class Member:
-    """One peer's view of one group member."""
+    """One peer's view of one group member: a live, read-only handle.
 
-    __slots__ = (
-        "name",
-        "address",
-        "incarnation",
-        "state",
-        "state_changed_at",
-        "meta",
-        "zone",
-    )
+    Holds no data of its own beyond which row of which table it names;
+    every property reads the owning :class:`MemberMap`'s columns, so a
+    handle taken before a merge shows the merged state afterwards.
+    Mutation goes through the map — the properties have no setters. A
+    handle that outlives its member's reclamation reads ``state`` as
+    ``None`` and is good for nothing else.
+    """
 
-    def __init__(
-        self,
-        name: str,
-        address: str,
-        incarnation: int,
-        state: MemberState,
-        state_changed_at: float,
-        meta: bytes = b"",
-        zone: str = "",
-    ) -> None:
+    __slots__ = ("_map", "_id", "name")
+
+    def __init__(self, members: "MemberMap", sid: int, name: str) -> None:
+        self._map = members
+        self._id = sid
         self.name = name
-        self.address = address
-        self.incarnation = incarnation
-        self.state = state
-        #: Timestamp of the last state transition (for dead-member
-        #: reclamation and gossip-to-the-dead windows).
-        self.state_changed_at = state_changed_at
-        #: Application metadata carried in the member's alive claims
-        #: (roles, tags — Consul/Serf style).
-        self.meta = meta
-        #: Zone tag in hierarchical deployments (:mod:`repro.zones`);
-        #: ``""`` in flat clusters.
-        self.zone = zone
+
+    @property
+    def address(self) -> str:
+        return self._map._records[self._id][0]
+
+    @property
+    def incarnation(self) -> int:
+        return self._map._incarnations[self._id]
+
+    @property
+    def state(self) -> MemberState:
+        return _STATE_OF[self._map._states[self._id]]
+
+    @property
+    def state_changed_at(self) -> float:
+        """Timestamp of the last state transition (for dead-member
+        reclamation and gossip-to-the-dead windows)."""
+        return self._map._changed_at[self._id]
+
+    @property
+    def meta(self) -> bytes:
+        """Application metadata carried in the member's alive claims
+        (roles, tags — Consul/Serf style)."""
+        return self._map._records[self._id][1]
+
+    @property
+    def zone(self) -> str:
+        """Zone tag in hierarchical deployments (:mod:`repro.zones`);
+        ``""`` in flat clusters."""
+        return self._map._records[self._id][2]
 
     @property
     def is_alive(self) -> bool:
-        return self.state is MemberState.ALIVE
+        return self._map._states[self._id] == _ALIVE
 
     @property
     def is_suspect(self) -> bool:
-        return self.state is MemberState.SUSPECT
+        return self._map._states[self._id] == _SUSPECT
 
     @property
     def is_dead(self) -> bool:
-        return self.state in (MemberState.DEAD, MemberState.LEFT)
+        return _DEAD <= self._map._states[self._id] < _ABSENT
 
-    def snapshot(self, now: float = 0.0) -> Tuple[str, str, int, int, bytes, int]:
+    def snapshot(self, now: float = 0.0) -> StateEntry:
         """State entry for a push-pull sync.
 
         The final element is the age of the current state in integer
@@ -207,9 +305,10 @@ class Member:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = self.state
         return (
             f"Member({self.name!r}, inc={self.incarnation}, "
-            f"state={self.state.name})"
+            f"state={'reclaimed' if state is None else state.name})"
         )
 
 
@@ -228,34 +327,36 @@ class MemberMap:
         rng: random.Random,
         probe_scheduler: Optional[ProbeScheduler] = None,
         zone: str = "",
+        roster: Optional[Roster] = None,
     ) -> None:
         self._local_name = local_name
         self._rng = rng
-        self._members: Dict[str, Member] = {}
+        self._roster = roster if roster is not None else Roster()
+        self._ids = self._roster.ids
         self._scheduler = probe_scheduler or RoundRobinScheduler()
         self._scheduler.bind(self, rng)
-        self._members[local_name] = Member(
-            local_name, local_address, 1, MemberState.ALIVE, 0.0, zone=zone
+        # Columns indexed by roster id, covering at least every id this
+        # map holds (see _grow). A slot is free while its state byte is
+        # _ABSENT.
+        self._states = bytearray()
+        self._incarnations = array("Q")
+        self._changed_at = array("d")
+        self._records: List[Optional[Record]] = []
+        #: Ids held, in table-insertion order.
+        self._order = array("I")
+        # Per-state member counts, indexed by state value. Maintained
+        # incrementally: suspicion-timeout scaling consults the alive
+        # count on every new suspicion, gossip candidate selection needs
+        # the dead count, and neither may cost O(n).
+        self._state_counts = [0] * len(MemberState)
+        # Ids of non-local ALIVE/SUSPECT members in table-insertion
+        # order, or None when stale. Backs alive_members/random_members.
+        self._actives: Optional[List[int]] = None
+        # The columns behind claims() as last gathered, or None when stale.
+        self._claims: Optional[Tuple[tuple, tuple, tuple]] = None
+        self._local_id = self._insert(
+            local_name, (local_address, b"", zone), 1, _ALIVE, 0.0
         )
-        # Maintained incrementally: suspicion-timeout scaling consults the
-        # alive count on every new suspicion, gossip candidate selection
-        # needs the dead count, and neither may cost O(n).
-        self._state_counts: Dict[MemberState, int] = {
-            MemberState.ALIVE: 1,
-            MemberState.SUSPECT: 0,
-            MemberState.DEAD: 0,
-            MemberState.LEFT: 0,
-        }
-        # Bumped on every mutation that could change a snapshot or the
-        # candidate index; guards the caches below.
-        self._version = 0
-        # Non-local ALIVE/SUSPECT members in table-insertion order, or
-        # None when stale. Backs alive_members/random_members.
-        self._actives: Optional[List[Member]] = None
-        self._snapshot_cache: Optional[
-            Tuple[Tuple[str, str, int, int, bytes, int], ...]
-        ] = None
-        self._snapshot_version = -1
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -267,27 +368,85 @@ class MemberMap:
 
     @property
     def local(self) -> Member:
-        return self._members[self._local_name]
+        return Member(self, self._local_id, self._local_name)
+
+    @property
+    def roster(self) -> Roster:
+        """The name-interning roster this map's columns are indexed by."""
+        return self._roster
+
+    def _find(self, name: str) -> Optional[int]:
+        """Roster id of ``name`` if this map holds it."""
+        sid = self._ids.get(name)
+        states = self._states
+        if sid is None or sid >= len(states) or states[sid] == _ABSENT:
+            return None
+        return sid
 
     def __contains__(self, name: str) -> bool:
-        return name in self._members
+        return self._find(name) is not None
 
     def __len__(self) -> int:
         """Known group size, including the local member and dead members
         still retained (this is ``n`` for gossip/suspicion scaling)."""
-        return len(self._members)
+        return len(self._order)
 
     def get(self, name: str) -> Optional[Member]:
-        return self._members.get(name)
+        sid = self._ids.get(name)
+        states = self._states
+        if sid is None or sid >= len(states) or states[sid] == _ABSENT:
+            return None
+        return Member(self, sid, name)
+
+    def known_incarnation(self, name: str) -> int:
+        """The incarnation held for ``name``, or ``-1`` when it is not in
+        the table — so ``claimed <= known_incarnation(name)`` reads "this
+        alive claim is nothing new" without materializing a view (the
+        duplicate-gossip fast path runs per piggybacked claim)."""
+        sid = self._ids.get(name)
+        states = self._states
+        if sid is None or sid >= len(states) or states[sid] == _ABSENT:
+            return -1
+        return self._incarnations[sid]
 
     def members(self) -> Iterator[Member]:
-        return iter(self._members.values())
+        names = self._roster.names
+        return (Member(self, sid, names[sid]) for sid in self._order)
+
+    def claims(self) -> Iterator[Tuple[str, MemberState, int]]:
+        """``(name, state, incarnation)`` per member in table order, read
+        off the columns — what full-table walkers (oracles, digests,
+        anti-entropy scans, reconnect candidates) iterate instead of n
+        views.
+
+        The three columns are gathered into table order on first use and
+        kept until the next mutation: the invariant taps walk every table
+        after every simulated event, a bridge walks its whole directory
+        every tick, and hardly any of those intervals changes the table.
+        Three flat tuples (24 bytes a row, nothing for the GC to
+        traverse), zipped per call; a table nobody walks never builds
+        them.
+        """
+        columns = self._claims
+        if columns is None:
+            order = self._order
+            names = self._roster.names
+            states = self._states
+            incarnations = self._incarnations
+            state_of = _STATE_OF
+            columns = self._claims = (
+                tuple([names[sid] for sid in order]),
+                tuple([state_of[states[sid]] for sid in order]),
+                tuple([incarnations[sid] for sid in order]),
+            )
+        return zip(*columns)
 
     def names(self) -> List[str]:
-        return list(self._members.keys())
+        names = self._roster.names
+        return [names[sid] for sid in self._order]
 
     def num_alive(self) -> int:
-        return self._state_counts[MemberState.ALIVE]
+        return self._state_counts[_ALIVE]
 
     def num_in_state(self, state: MemberState) -> int:
         return self._state_counts[state]
@@ -296,82 +455,108 @@ class MemberMap:
         counts = self._state_counts
         return counts[MemberState.DEAD] + counts[MemberState.LEFT]
 
-    def _active_index(self) -> List[Member]:
-        """Non-local ALIVE/SUSPECT members, in table-insertion order.
+    def _active_index(self) -> List[int]:
+        """Ids of non-local ALIVE/SUSPECT members, in table-insertion
+        order.
 
         Lazily rebuilt after membership or state changes. Order matters:
         callers feed slices of this into ``rng.sample``, so it must match
-        what a fresh scan of ``self._members.values()`` would produce.
+        what a fresh scan of the table would produce.
         """
         actives = self._actives
         if actives is None:
-            local_name = self._local_name
+            states = self._states
+            local_id = self._local_id
             actives = self._actives = [
-                m
-                for m in self._members.values()
-                if m.name != local_name
-                and (m.state is MemberState.ALIVE or m.state is MemberState.SUSPECT)
+                sid
+                for sid in self._order
+                if states[sid] <= _SUSPECT and sid != local_id
             ]
         return actives
 
+    def _views(self, sids: Iterable[int]) -> List[Member]:
+        names = self._roster.names
+        return [Member(self, sid, names[sid]) for sid in sids]
+
     def alive_members(self, include_local: bool = False) -> List[Member]:
-        result = [m for m in self._active_index() if m.state is MemberState.ALIVE]
-        local = self.local
-        if include_local and local.is_alive:
+        states = self._states
+        alive = [sid for sid in self._active_index() if states[sid] == _ALIVE]
+        if include_local and states[self._local_id] == _ALIVE:
             # The local member is inserted first and never removed, so a
             # full scan would have yielded it at position 0.
-            result.insert(0, local)
-        return result
+            alive.insert(0, self._local_id)
+        return self._views(alive)
 
-    def snapshot(
-        self, now: float = 0.0
-    ) -> Tuple[Tuple[str, str, int, int, bytes, int], ...]:
-        """Full state for a push-pull sync.
+    def snapshot(self, now: float = 0.0) -> Tuple[StateEntry, ...]:
+        """Full state for a push-pull sync, rebuilt from the columns per
+        call (cheaper than the 1-in-5 hit rate of a cached tuple was
+        worth: docs/PERFORMANCE.md).
 
-        Cached under the table version while no dead members are
-        retained: receivers only consume the age field of DEAD/LEFT
-        entries (to backdate retention windows), so re-serving stale ages
-        on ALIVE/SUSPECT entries changes neither behavior nor wire size
-        (ages are fixed-width u32). With dead members present, ages are
-        live data and the snapshot is rebuilt per call.
+        The last element of an entry is the age of its state in integer
+        milliseconds; see :meth:`Member.snapshot`.
         """
-        if self._num_dead() == 0:
-            if (
-                self._snapshot_cache is not None
-                and self._snapshot_version == self._version
-            ):
-                return self._snapshot_cache
-            snap = self._build_snapshot(now)
-            self._snapshot_cache = snap
-            self._snapshot_version = self._version
-            return snap
-        return self._build_snapshot(now)
-
-    def _build_snapshot(
-        self, now: float
-    ) -> Tuple[Tuple[str, str, int, int, bytes, int], ...]:
-        # Inlined Member.snapshot: entry construction dominates sync-heavy
-        # profiles, and the method-call + IntEnum.__int__ overhead per
-        # member is measurable at n=4096.
-        wire = _STATE_WIRE
+        # Entry construction dominates sync-heavy profiles. The state
+        # column already holds wire values, and a preseeded table shares
+        # a handful of transition times, so ages are computed once per
+        # distinct time.
+        names = self._roster.names
+        records = self._records
+        incarnations = self._incarnations
+        states = self._states
+        changed_at = self._changed_at
         max_age = MAX_STATE_AGE_MS
-        return tuple(
-            (
-                m.name,
-                m.address,
-                m.incarnation,
-                wire[m.state],
-                m.meta,
-                min(int((now - m.state_changed_at) * 1000.0), max_age)
-                if now > m.state_changed_at
-                else 0,
+        ages: Dict[float, int] = {}
+        entries = []
+        append = entries.append
+        for sid in self._order:
+            record = records[sid]
+            changed = changed_at[sid]
+            age = ages.get(changed)
+            if age is None:
+                age = ages[changed] = (
+                    min(int((now - changed) * 1000.0), max_age)
+                    if now > changed
+                    else 0
+                )
+            append(
+                (names[sid], record[0], incarnations[sid], states[sid], record[1], age)
             )
-            for m in self._members.values()
-        )
+        return tuple(entries)
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
+
+    def _grow(self) -> None:
+        """Extend the columns to cover every id the roster has handed
+        out — and to at least double, so a private roster learning names
+        one at a time pays amortized O(1) per name."""
+        size = len(self._states)
+        if len(self._roster.names) > size:
+            extra = max(len(self._roster.names), 2 * size) - size
+            self._states.extend(bytes((_ABSENT,)) * extra)
+            self._incarnations.extend(array("Q", (0,)) * extra)
+            self._changed_at.extend(array("d", (0.0,)) * extra)
+            self._records.extend([None] * extra)
+
+    def _insert(
+        self, name: str, record: Record, incarnation: int, state: int, now: float
+    ) -> int:
+        sid = self._roster.intern(name, record)
+        states = self._states
+        if sid >= len(states):
+            self._grow()
+        elif states[sid] != _ABSENT:
+            raise ValueError(f"member {name!r} already known")
+        shared = self._roster.records[sid]
+        self._records[sid] = shared if shared == record else record
+        states[sid] = state
+        self._incarnations[sid] = incarnation
+        self._changed_at[sid] = now
+        self._order.append(sid)
+        self._state_counts[state] += 1
+        self._actives = self._claims = None
+        return sid
 
     def add(
         self,
@@ -382,53 +567,73 @@ class MemberMap:
         now: float,
         meta: bytes = b"",
         zone: str = "",
-    ) -> Member:
+    ) -> None:
         """Insert a newly learned member.
 
         New members enter the probe list at a random position, per SWIM's
         round-robin refinement.
         """
-        if name in self._members:
-            raise ValueError(f"member {name!r} already known")
-        member = Member(name, address, incarnation, state, now, meta, zone)
-        self._members[name] = member
-        self._state_counts[state] += 1
-        self._version += 1
-        self._actives = None
-        if name != self._local_name:
-            self._scheduler.on_members_added((name,))
-        return member
+        self._insert(name, (address, meta, zone), incarnation, state, now)
+        self._scheduler.on_members_added((name,))
 
     def add_many(
-        self,
-        roster: Iterable[Tuple[str, str, bytes, str]],
-        incarnation: int,
-        state: MemberState,
-        now: float,
+        self, span: range, incarnation: int, state: MemberState, now: float
     ) -> None:
-        """Insert a whole roster in one pass (preseed bootstrap).
+        """Insert a contiguous span of roster ids in one pass (preseed
+        bootstrap).
 
-        ``roster`` yields ``(name, address, meta, zone)``; one roster is
-        shared by every map of a cluster, so the entry naming this map's
-        own local member is skipped. Equivalent to calling :meth:`add`
-        per entry in roster order — same table order, same probe-order
-        draws — except that an already-known or repeated name raises
-        before anything is inserted.
+        Every map of a cluster takes the same span — typically the whole
+        shared roster — so the id of this map's own local member is
+        skipped. Equivalent to calling :meth:`add` per id in span order
+        with the roster's record — same table order, same probe-order
+        draws — except that an already-known id raises before anything is
+        inserted. The columns are filled by slice assignment: no
+        per-member Python work besides the scheduler's draws.
         """
-        members = self._members
-        local_name = self._local_name
-        fresh: Dict[str, Member] = {}
-        for name, address, meta, zone in roster:
-            if name == local_name:
-                continue
-            if name in members or name in fresh:
-                raise ValueError(f"member {name!r} already known")
-            fresh[name] = Member(name, address, incarnation, state, now, meta, zone)
-        members.update(fresh)
+        roster = self._roster
+        start, stop = span.start, span.stop
+        if span.step != 1 or not 0 <= start <= stop <= len(roster):
+            raise ValueError(f"{span!r} is not a span of roster ids")
+        self._grow()
+        states = self._states
+        local_id = self._local_id
+        holds_local = start <= local_id < stop
+        if states.count(_ABSENT, start, stop) != stop - start - holds_local:
+            known = next(
+                sid
+                for sid in span
+                if sid != local_id and states[sid] != _ABSENT
+            )
+            raise ValueError(f"member {roster.names[known]!r} already known")
+        fresh = roster.id_array(span)
+        names = roster.names[start:stop]
+        pieces = [(start, stop)]
+        if holds_local:
+            del fresh[local_id - start], names[local_id - start]
+            pieces = [(start, local_id), (local_id + 1, stop)]
+        for lo, hi in pieces:
+            states[lo:hi] = bytes((state,)) * (hi - lo)
+            self._incarnations[lo:hi] = array("Q", (incarnation,)) * (hi - lo)
+            self._changed_at[lo:hi] = array("d", (now,)) * (hi - lo)
+            self._records[lo:hi] = roster.records[lo:hi]
+        self._order.extend(fresh)
         self._state_counts[state] += len(fresh)
-        self._version += 1
-        self._actives = None
-        self._scheduler.on_members_added(fresh)
+        self._actives = self._claims = None
+        self._scheduler.on_members_added(names)
+
+    def _apply(self, sid: int, state: int, incarnation: int, now: float) -> None:
+        """Write a claim that :func:`claim_supersedes` already admitted
+        (which implies the state or the incarnation differs)."""
+        states = self._states
+        previous = states[sid]
+        if previous != state:
+            self._changed_at[sid] = now
+            self._state_counts[previous] -= 1
+            self._state_counts[state] += 1
+            self._actives = None
+            states[sid] = state
+        self._incarnations[sid] = incarnation
+        self._claims = None
 
     def apply_claim(
         self, name: str, state: MemberState, incarnation: int, now: float
@@ -439,22 +644,18 @@ class MemberMap:
         Unknown members are not created here (the caller decides, since an
         ``alive`` about an unknown member needs an address).
         """
-        member = self._members.get(name)
-        if member is None:
+        sid = self._find(name)
+        if sid is None:
             raise KeyError(name)
-        if not claim_supersedes(state, incarnation, member.state, member.incarnation):
+        if not claim_supersedes(
+            state,
+            incarnation,
+            _STATE_OF[self._states[sid]],
+            self._incarnations[sid],
+        ):
             return False
-        changed = member.state is not state or member.incarnation != incarnation
-        if member.state is not state:
-            member.state_changed_at = now
-            self._state_counts[member.state] -= 1
-            self._state_counts[state] += 1
-            self._actives = None
-        member.state = state
-        member.incarnation = incarnation
-        if changed:
-            self._version += 1
-        return changed
+        self._apply(sid, state, incarnation, now)
+        return True
 
     def merge_claim(
         self,
@@ -487,32 +688,69 @@ class MemberMap:
             return MergeDecision(
                 name, state, incarnation, MERGE_LOCAL, MemberState.ALIVE
             )
-        member = self._members.get(name)
-        if member is None:
+        # _find, inlined: this is the table's hottest entry point.
+        sid = self._ids.get(name)
+        states = self._states
+        if sid is None or sid >= len(states) or states[sid] == _ABSENT:
             if state is MemberState.ALIVE and address is not None:
                 self.add(name, address, incarnation, state, now, meta or b"", zone)
                 return MergeDecision(name, state, incarnation, MERGE_ADDED)
             return MergeDecision(name, state, incarnation, MERGE_IGNORED)
-        previous = member.state
-        if not claim_supersedes(state, incarnation, member.state, member.incarnation):
+        previous: MemberState = _STATE_OF[states[sid]]
+        if not claim_supersedes(
+            state, incarnation, previous, self._incarnations[sid]
+        ):
             return MergeDecision(name, state, incarnation, MERGE_IGNORED, previous)
-        self.apply_claim(name, state, incarnation, now)
+        self._apply(sid, state, incarnation, now)
         meta_changed = False
         if state is MemberState.ALIVE:
-            if address is not None and member.address != address:
-                member.address = address
-                self._version += 1
-            if meta is not None and member.meta != meta:
-                meta_changed = True
-                member.meta = meta
-                self._version += 1
-            if zone and member.zone != zone:
-                member.zone = zone
-                self._version += 1
-        elif member.is_dead and age > 0.0:
-            member.state_changed_at = min(member.state_changed_at, now - age)
+            record = self._records[sid]
+            assert record is not None
+            claimed = (
+                record[0] if address is None else address,
+                record[1] if meta is None else meta,
+                zone or record[2],
+            )
+            if claimed != record:
+                # Copy-on-write: the old record may be shared with other
+                # observers (and the roster), none of whom saw this claim.
+                meta_changed = claimed[1] != record[1]
+                self._records[sid] = claimed
+        elif state is not MemberState.SUSPECT and age > 0.0:
+            self._changed_at[sid] = min(self._changed_at[sid], now - age)
         return MergeDecision(
             name, state, incarnation, MERGE_APPLIED, previous, meta_changed
+        )
+
+    def _merge_entry(
+        self,
+        name: str,
+        address: str,
+        incarnation: int,
+        state: MemberState,
+        meta: bytes,
+        age: float,
+        now: float,
+    ) -> MergeDecision:
+        """Merge one push-pull state entry.
+
+        ALIVE, DEAD and LEFT claims are applied directly through
+        :meth:`merge_claim`; a SUSPECT claim is returned as a
+        ``MERGE_SUSPECT`` decision (after inserting an unknown member as
+        ALIVE at the claimed incarnation) so the caller can route it
+        through the exact suspicion machinery gossip uses — timers,
+        confirmations and all.
+        """
+        if state is MemberState.SUSPECT and name != self._local_name:
+            sid = self._find(name)
+            if sid is None:
+                self.add(name, address, incarnation, MemberState.ALIVE, now, meta)
+                return MergeDecision(name, state, incarnation, MERGE_SUSPECT)
+            return MergeDecision(
+                name, state, incarnation, MERGE_SUSPECT, _STATE_OF[self._states[sid]]
+            )
+        return self.merge_claim(
+            name, state, incarnation, now, address=address, meta=meta, age=age
         )
 
     def merge_remote_state(
@@ -520,66 +758,19 @@ class MemberMap:
         entries: Iterable[Tuple[str, str, int, MemberState, float, bytes]],
         now: float,
     ) -> List[MergeDecision]:
-        """Merge a full remote state snapshot (anti-entropy push-pull).
+        """Merge a full remote state snapshot, one decision per entry.
 
         ``entries`` is an iterable of ``(name, address, incarnation,
         state, age_seconds, meta)`` as yielded by
-        :meth:`repro.swim.messages.PushPull.iter_entries`. ALIVE, DEAD and
-        LEFT claims are applied directly through :meth:`merge_claim`;
-        SUSPECT claims are returned as ``MERGE_SUSPECT`` decisions (after
-        inserting unknown members as ALIVE at the claimed incarnation) so
-        the caller can route them through the exact suspicion machinery
-        gossip uses — timers, confirmations and all.
+        :meth:`repro.swim.messages.PushPull.iter_entries`. The sync
+        engine merges wire entries through
+        :meth:`merge_remote_wire_state`; this is the same per-entry merge
+        without its elisions.
         """
-        decisions: List[MergeDecision] = []
-        append = decisions.append
-        members = self._members
-        local_name = self._local_name
-        alive = MemberState.ALIVE
-        suspect = MemberState.SUSPECT
-        for name, address, incarnation, state, age, meta in entries:
-            if name != local_name:
-                member = members.get(name)
-                # Fast path for the overwhelmingly common steady-state
-                # entry: an ALIVE claim about a known member at an
-                # incarnation we already have. For ALIVE claims the full
-                # precedence rules reduce to "supersedes iff strictly
-                # newer incarnation", so this is exactly merge_claim's
-                # MERGE_IGNORED outcome without the call chain.
-                if (
-                    state is alive
-                    and member is not None
-                    and incarnation <= member.incarnation
-                ):
-                    append(
-                        MergeDecision(
-                            name, state, incarnation, MERGE_IGNORED, member.state
-                        )
-                    )
-                    continue
-                if state is suspect:
-                    if member is None:
-                        self.add(name, address, incarnation, alive, now, meta)
-                        append(MergeDecision(name, state, incarnation, MERGE_SUSPECT))
-                    else:
-                        append(
-                            MergeDecision(
-                                name, state, incarnation, MERGE_SUSPECT, member.state
-                            )
-                        )
-                    continue
-            append(
-                self.merge_claim(
-                    name,
-                    state,
-                    incarnation,
-                    now,
-                    address=address,
-                    meta=meta,
-                    age=age,
-                )
-            )
-        return decisions
+        return [
+            self._merge_entry(name, address, incarnation, state, meta, age, now)
+            for name, address, incarnation, state, age, meta in entries
+        ]
 
     def merge_remote_wire_state(
         self,
@@ -589,21 +780,26 @@ class MemberMap:
         """Merge raw push-pull wire entries; the sync-engine hot path.
 
         Semantically :meth:`merge_remote_state` applied to
-        ``PushPull.iter_entries()``, with two allocations fused away per
-        entry: the wire tuple is consumed directly (no intermediate
-        rich-entry tuple, no ``age_ms -> seconds`` conversion unless the
-        claim actually reaches :meth:`merge_claim`), and ``MERGE_IGNORED``
-        outcomes — the overwhelming steady-state majority, and a
-        guaranteed no-op for every caller — produce no decision object at
-        all. Returns ``(decisions, total_entries)`` where ``decisions``
-        holds only the non-ignored outcomes.
+        ``PushPull.iter_entries()``, with the steady-state majority fused
+        away: an ALIVE claim about a known member at an incarnation we
+        already have is exactly :meth:`merge_claim`'s ``MERGE_IGNORED``
+        outcome (for ALIVE claims the precedence rules reduce to
+        "supersedes iff strictly newer incarnation"), a guaranteed no-op
+        for every caller, so it is skipped straight off the columns — no
+        call, no ``age_ms -> seconds`` conversion, no decision object.
+        Returns ``(decisions, total_entries)`` where ``decisions`` holds
+        only the non-ignored outcomes.
         """
         decisions: List[MergeDecision] = []
         append = decisions.append
-        members = self._members
+        # Cover every id the roster holds now; ids interned during the
+        # loop come from our own add(), which grows the columns again, so
+        # a known id always indexes them.
+        self._grow()
+        ids_get = self._ids.get
+        held = self._states
+        incarnations = self._incarnations
         local_name = self._local_name
-        alive = MemberState.ALIVE
-        suspect = MemberState.SUSPECT
         from_wire = _STATE_FROM_WIRE
         total = 0
         for entry in states:
@@ -615,37 +811,20 @@ class MemberMap:
                 name, address, incarnation, state_value = entry[:4]
                 meta = entry[4] if len(entry) > 4 else b""
                 age_ms = entry[5] if len(entry) > 5 else 0
+            if state_value == _ALIVE and name != local_name:
+                sid = ids_get(name)
+                if (
+                    sid is not None
+                    and held[sid] != _ABSENT
+                    and incarnation <= incarnations[sid]
+                ):
+                    continue
             state = from_wire.get(state_value)
             if state is None:
                 # Same ValueError iter_entries would have raised.
                 state = MemberState(state_value)
-            if name != local_name:
-                member = members.get(name)
-                if (
-                    state is alive
-                    and member is not None
-                    and incarnation <= member.incarnation
-                ):
-                    continue
-                if state is suspect:
-                    if member is None:
-                        self.add(name, address, incarnation, alive, now, meta)
-                        append(MergeDecision(name, state, incarnation, MERGE_SUSPECT))
-                    else:
-                        append(
-                            MergeDecision(
-                                name, state, incarnation, MERGE_SUSPECT, member.state
-                            )
-                        )
-                    continue
-            decision = self.merge_claim(
-                name,
-                state,
-                incarnation,
-                now,
-                address=address,
-                meta=meta,
-                age=age_ms / 1000.0,
+            decision = self._merge_entry(
+                name, address, incarnation, state, meta, age_ms / 1000.0, now
             )
             if decision.action != MERGE_IGNORED:
                 append(decision)
@@ -653,19 +832,22 @@ class MemberMap:
 
     def bump_local_incarnation(self, at_least: int) -> int:
         """Refutation: raise the local incarnation above ``at_least``."""
-        local = self.local
-        local.incarnation = max(local.incarnation, at_least) + 1
-        self._version += 1
-        return local.incarnation
+        sid = self._local_id
+        bumped = max(self._incarnations[sid], at_least) + 1
+        self._incarnations[sid] = bumped
+        self._claims = None
+        return bumped
 
     def set_local_meta(self, meta: bytes) -> None:
         """Update the local member's application metadata.
 
-        The owning node must route metadata writes through here (not
-        mutate ``local.meta`` directly) so the snapshot cache notices.
+        The local member is the authority on its own record, so the new
+        one is published to the roster as well: a later
+        :meth:`add_many` by the maps sharing it seeds them with it.
         """
-        self.local.meta = meta
-        self._version += 1
+        sid = self._local_id
+        address, _, zone = self._records[sid]
+        self._records[sid] = self._roster.records[sid] = (address, meta, zone)
 
     def reclaim_dead(self, now: float, retention: float) -> List[str]:
         """Remove dead/left members whose retention window has expired.
@@ -676,20 +858,26 @@ class MemberMap:
         """
         if self._num_dead() == 0:
             return []
+        states = self._states
+        changed_at = self._changed_at
         expired = [
-            m.name
-            for m in self._members.values()
-            if m.is_dead and now - m.state_changed_at >= retention
+            sid
+            for sid in self._order
+            if states[sid] >= _DEAD and now - changed_at[sid] >= retention
         ]
         if not expired:
-            return expired
-        for name in expired:
-            member = self._members.pop(name)
-            self._state_counts[member.state] -= 1
-        self._version += 1
-        self._actives = None
-        self._scheduler.on_members_removed(expired)
-        return expired
+            return []
+        for sid in expired:
+            self._state_counts[states[sid]] -= 1
+            states[sid] = _ABSENT
+            self._records[sid] = None
+        gone = set(expired)
+        self._order = array("I", [sid for sid in self._order if sid not in gone])
+        self._actives = self._claims = None
+        names = self._roster.names
+        reclaimed = [names[sid] for sid in expired]
+        self._scheduler.on_members_removed(reclaimed)
+        return reclaimed
 
     # ------------------------------------------------------------------ #
     # Probe scheduling
@@ -702,15 +890,14 @@ class MemberMap:
     def num_probeable(self) -> int:
         """Non-local ALIVE/SUSPECT members — the probe candidate count."""
         counts = self._state_counts
-        total = counts[MemberState.ALIVE] + counts[MemberState.SUSPECT]
-        local_state = self.local.state
-        if local_state is MemberState.ALIVE or local_state is MemberState.SUSPECT:
+        total = counts[_ALIVE] + counts[_SUSPECT]
+        if self._states[self._local_id] <= _SUSPECT:
             total -= 1
         return total
 
     def probeable_members(self) -> List[Member]:
         """Non-local ALIVE/SUSPECT members, in table-insertion order."""
-        return list(self._active_index())
+        return self._views(self._active_index())
 
     def next_probe_target(self, now: float = 0.0) -> Optional[Member]:
         """Next member to probe, per the configured scheduling strategy.
@@ -738,41 +925,41 @@ class MemberMap:
         (memberlist gossips to the dead for a grace period so false
         positives recover faster).
         """
+        states = self._states
+        ids_get = self._ids.get
+        candidates: List[int]
         if gossip_to_dead_within is not None and self._num_dead() > 0:
             # Slow path: recently-dead members are candidates, and their
             # eligibility depends on `now`, so scan the full table.
-            excluded = set(exclude)
-            excluded.add(self._local_name)
+            excluded = {ids_get(name) for name in exclude}
+            excluded.add(self._local_id)
+            changed_at = self._changed_at
             candidates = []
-            for member in self._members.values():
-                if member.name in excluded:
+            for sid in self._order:
+                if sid in excluded:
                     continue
-                if member.is_alive:
-                    candidates.append(member)
-                elif member.is_suspect and include_suspect:
-                    candidates.append(member)
+                state = states[sid]
+                if state == _ALIVE or (state == _SUSPECT and include_suspect):
+                    candidates.append(sid)
                 elif (
-                    member.is_dead
-                    and now - member.state_changed_at <= gossip_to_dead_within
+                    state >= _DEAD
+                    and now - changed_at[sid] <= gossip_to_dead_within
                 ):
-                    candidates.append(member)
+                    candidates.append(sid)
         else:
-            actives = self._active_index()
-            alive = MemberState.ALIVE
+            candidates = self._active_index()
             if exclude:
-                excluded = set(exclude)
+                excluded = {ids_get(name) for name in exclude}
                 if include_suspect:
-                    candidates = [m for m in actives if m.name not in excluded]
+                    candidates = [sid for sid in candidates if sid not in excluded]
                 else:
                     candidates = [
-                        m
-                        for m in actives
-                        if m.state is alive and m.name not in excluded
+                        sid
+                        for sid in candidates
+                        if states[sid] == _ALIVE and sid not in excluded
                     ]
-            elif include_suspect:
-                candidates = list(actives)
-            else:
-                candidates = [m for m in actives if m.state is alive]
-        if count >= len(candidates):
-            return candidates
-        return self._rng.sample(candidates, count)
+            elif not include_suspect:
+                candidates = [sid for sid in candidates if states[sid] == _ALIVE]
+        if count < len(candidates):
+            candidates = self._rng.sample(candidates, count)
+        return self._views(candidates)

@@ -164,8 +164,8 @@ class PushPull:
         """Yield ``(name, address, incarnation, MemberState, age_seconds,
         meta)`` — the full merge input, age converted back to seconds.
 
-        This is the shape :meth:`repro.swim.member_map.MemberMap.
-        merge_remote_state` consumes.
+        The rich form of the wire entries the sync engine merges through
+        :meth:`repro.swim.member_map.MemberMap.merge_remote_wire_state`.
         """
         # Dict lookup instead of the enum constructor: MemberState(v)
         # walks the enum's value map under a lock and shows up in sync

@@ -42,6 +42,7 @@ from repro.swim.member_map import (
     Member,
     MemberMap,
     MergeDecision,
+    Roster,
 )
 from repro.swim.messages import (
     Ack,
@@ -138,6 +139,10 @@ class SwimNode:
     listener:
         Optional callback receiving a :class:`MemberEvent` for every
         membership transition this node observes.
+    roster:
+        The name-interning :class:`~repro.swim.member_map.Roster` the
+        member table is indexed by. A cluster hosting many nodes in one
+        process passes one shared roster; left out, the node gets its own.
     """
 
     def __init__(
@@ -151,6 +156,7 @@ class SwimNode:
         listener: Optional[EventListener] = None,
         meta: bytes = b"",
         on_user_event=None,
+        roster: Optional[Roster] = None,
     ) -> None:
         self.name = name
         self.config = config
@@ -185,6 +191,7 @@ class SwimNode:
             self._rng,
             probe_scheduler=self._probe_scheduler,
             zone=config.zone,
+            roster=roster,
         )
         self._members.set_local_meta(meta)
         # The largest broadcast any packet can carry: the dedicated gossip
@@ -1018,8 +1025,7 @@ class SwimNode:
     def _handle_alive(self, message: Alive) -> None:
         if message.member == self.name:
             return
-        member = self._members.get(message.member)
-        if member is not None and message.incarnation <= member.incarnation:
+        if message.incarnation <= self._members.known_incarnation(message.member):
             # Fast path: an alive claim only ever lands with a strictly
             # newer incarnation, and duplicates dominate gossip traffic.
             return

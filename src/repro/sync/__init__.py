@@ -18,7 +18,7 @@ runs on all of them (PAPER.md / DESIGN.md Section 2):
 
 :class:`repro.sync.engine.SyncEngine` owns the first two; the precedence
 rules themselves live in
-:meth:`repro.swim.member_map.MemberMap.merge_remote_state` and are shared
+:meth:`repro.swim.member_map.MemberMap.merge_claim` and are shared
 with the gossip handlers, so sync and gossip cannot diverge. This package
 is kept ``mypy --strict``-clean (enforced in CI).
 """

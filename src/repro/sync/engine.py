@@ -7,7 +7,7 @@ the merge of inbound snapshots. It is deliberately sans-everything: the
 hosting node injects a clock, an RNG, a send function and a
 decision-reaction callback, and keeps ownership of timers and pause
 semantics. Precedence itself lives in
-:meth:`repro.swim.member_map.MemberMap.merge_remote_state`, the same
+:meth:`repro.swim.member_map.MemberMap.merge_claim`, the same
 spine the gossip handlers use, so the two dissemination paths agree by
 construction.
 """
@@ -95,14 +95,17 @@ class SyncEngine:
         groups. This mirrors serf's reconnect behaviour on top of
         memberlist; members that LEFT gracefully are never contacted.
         """
+        if self._members.num_in_state(MemberState.DEAD) == 0:
+            return None
         candidates = [
-            m
-            for m in self._members.members()
-            if m.state is MemberState.DEAD and m.name != self._name
+            name
+            for name, state, _ in self._members.claims()
+            if state is MemberState.DEAD and name != self._name
         ]
         if not candidates:
             return None
-        target = candidates[self._rng.randrange(len(candidates))]
+        target = self._members.get(candidates[self._rng.randrange(len(candidates))])
+        assert target is not None
         self._telemetry.syncs_initiated += 1
         self._send(target.address, self._snapshot_message(join=False))
         return target.name

@@ -56,6 +56,7 @@ from repro.swim.member_map import (
     MERGE_ADDED,
     MERGE_APPLIED,
     MemberMap,
+    Roster,
 )
 from repro.swim.messages import Message, ZoneClaim, ZoneDigest
 from repro.swim.node import SwimNode
@@ -110,6 +111,7 @@ class ZoneBridge:
         scheduler: EventScheduler,
         send: SendFn,
         roster: Mapping[str, str],
+        directory_roster: Roster,
     ) -> None:
         self.node = node
         self.zone = zone
@@ -126,19 +128,19 @@ class ZoneBridge:
         # The global directory is only ever looked up and merged into,
         # never probed or sampled: the hook-less base scheduler keeps no
         # probe order (``next_probe_target`` raises), so neither it nor
-        # the RNG the map requires ever draws.
+        # the RNG the map requires ever draws. ``directory_roster`` holds
+        # the global roster interned once per shard; every directory is
+        # a set of state columns over it.
         self.directory = MemberMap(
             node.name,
             node.name,
             random.Random(0),
             probe_scheduler=ProbeScheduler(),
             zone=zone.name,
+            roster=directory_roster,
         )
         self.directory.add_many(
-            ((name, name, b"", zone_name) for name, zone_name in roster.items()),
-            1,
-            MemberState.ALIVE,
-            0.0,
+            range(len(directory_roster)), 1, MemberState.ALIVE, 0.0
         )
 
         #: Remote zones currently flagged unreachable (soft verdicts).
@@ -233,11 +235,10 @@ class ZoneBridge:
         members = self.node.members
         max_incarnation = 0
         hasher = hashlib.blake2b(digest_size=8)
-        for member in sorted(members.members(), key=lambda m: m.name):
-            if member.incarnation > max_incarnation:
-                max_incarnation = member.incarnation
-            entry = f"{member.name}\x00{member.incarnation}\x00{int(member.state)};"
-            hasher.update(entry.encode())
+        for name, state, incarnation in sorted(members.claims()):
+            if incarnation > max_incarnation:
+                max_incarnation = incarnation
+            hasher.update(f"{name}\x00{incarnation}\x00{int(state)};".encode())
         return ZoneDigest(
             self.zone.name,
             self.node.name,
@@ -262,19 +263,22 @@ class ZoneBridge:
         """
         own: List[ZoneClaim] = []
         echo: List[ZoneClaim] = []
+        # Transient suspicion is never re-advertised cross-zone.
+        departed = {
+            name: (state, incarnation)
+            for name, state, incarnation in self.directory.claims()
+            if state is not MemberState.SUSPECT
+            and (state is not MemberState.ALIVE or incarnation > 1)
+        }
+        if not departed:
+            return own, echo
         for zone in self.layout.zones:
             for name in zone.members:
-                member = self.directory.get(name)
-                if member is None:
+                entry = departed.get(name)
+                if entry is None:
                     continue
-                if member.state is MemberState.ALIVE and member.incarnation <= 1:
-                    continue
-                if member.is_suspect:
-                    # Never re-advertise transient suspicion cross-zone.
-                    continue
-                claim = ZoneClaim(
-                    zone.name, name, member.incarnation, int(member.state)
-                )
+                state, incarnation = entry
+                claim = ZoneClaim(zone.name, name, incarnation, int(state))
                 if zone.name == self.zone.name:
                     own.append(claim)
                 else:

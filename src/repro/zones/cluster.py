@@ -44,6 +44,7 @@ from typing import (
 from repro.config import SwimConfig
 from repro.sim.runtime import SimCluster
 from repro.sim.scheduler import EventScheduler
+from repro.swim.member_map import Roster
 from repro.swim.node import SwimNode
 from repro.zones.bridge import ZoneBridge
 from repro.zones.frames import RECORD_HEAD, BridgeTable, FrameBuffer, iter_records
@@ -141,6 +142,12 @@ class ZoneShard:
         #: ``member name -> zone name``, built once and shared read-only
         #: with every bridge.
         self.roster: Dict[str, str] = layout.roster()
+        #: The same roster interned once; every bridge directory of the
+        #: shard is a set of state columns indexed by its ids.
+        self.directory_roster = Roster()
+        self.directory_roster.extend(
+            (name, name, b"", zone_name) for name, zone_name in self.roster.items()
+        )
         for zi in self.zone_indices:
             zone = layout.zones[zi]
             zcfg = config.replace(zone=zone.name, zone_count=layout.zone_count)
@@ -164,6 +171,7 @@ class ZoneShard:
                     scheduler=cluster.scheduler,
                     send=send,
                     roster=self.roster,
+                    directory_roster=self.directory_roster,
                 )
                 bridges.append(bridge)
                 self._bridge_by_name[b_name] = bridge

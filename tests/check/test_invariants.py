@@ -42,8 +42,20 @@ class FakeMap:
     def members(self):
         return iter(self._members.values())
 
+    def claims(self):
+        return ((m.name, m.state, m.incarnation) for m in self._members.values())
+
     def get(self, name):
         return self._members.get(name)
+
+    def force(self, name, state, incarnation=None):
+        """Overwrite a row in place — the illegal transitions the oracles
+        exist to catch cannot be produced through a real map's API, and a
+        real ``Member`` handle is read-only."""
+        row = self._members[name]
+        row.state = state
+        if incarnation is not None:
+            row.incarnation = incarnation
 
     def __len__(self):
         return len(self._members)
@@ -383,7 +395,7 @@ class TestResurrectionOracle:
         # The entry flips back to ALIVE at the *same* incarnation well
         # inside the retention window — the exact stale-claim
         # resurrection the veto exists to prevent.
-        node.members.get("b").state = MemberState.ALIVE
+        node.members.force("b", MemberState.ALIVE)
         out = oracle.check(cluster, 20.0)
         assert any(v.subject == "b" and "DEAD sighting" in v.detail for v in out)
 
@@ -407,9 +419,7 @@ class TestResurrectionOracle:
         oracle = ResurrectionOracle()
         oracle.reset(cluster)
         oracle.check(cluster, 10.0)
-        member = node.members.get("b")
-        member.state = MemberState.ALIVE
-        member.incarnation = 6
+        node.members.force("b", MemberState.ALIVE, incarnation=6)
         assert oracle.check(cluster, 20.0) == []
 
     def test_resurrection_past_retention_tolerated(self):
@@ -418,7 +428,7 @@ class TestResurrectionOracle:
         oracle = ResurrectionOracle()
         oracle.reset(cluster)
         oracle.check(cluster, 10.0)
-        node.members.get("b").state = MemberState.ALIVE
+        node.members.force("b", MemberState.ALIVE)
         # 10.0 + 30.0 retention has passed: the observer has legitimately
         # forgotten the terminal sighting.
         assert oracle.check(cluster, 45.0) == []

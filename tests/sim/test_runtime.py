@@ -1,5 +1,7 @@
 """Tests for the simulated cluster runtime."""
 
+import gc
+
 import pytest
 
 from repro.config import SwimConfig
@@ -51,6 +53,37 @@ class TestLifecycle:
         cluster.start()
         assert all(len(node.members) == 5 for node in cluster.nodes.values())
         assert cluster.all_converged_alive()
+
+    def test_preseed_seeds_every_table_with_what_members_announce(self):
+        cluster = SimCluster(
+            n_members=3,
+            config=lambda name: small_config(zone=f"z-{name}"),
+            meta_for=lambda name: f"service={name}".encode(),
+        )
+        # Still before start(): the bootstrap hands out the latest record.
+        cluster.nodes["m002"].set_meta(b"service=changed")
+        cluster.start()
+        seen = cluster.nodes["m001"].members
+        assert [(m.name, m.meta, m.zone) for m in seen.members()] == [
+            ("m001", b"service=m001", "z-m001"),
+            ("m000", b"service=m000", "z-m000"),
+            ("m002", b"service=changed", "z-m002"),
+        ]
+        # One record per subject, referenced by every observer.
+        assert len({id(n.members._records[0]) for n in cluster.nodes.values()}) == 1
+
+    def test_preseed_start_allocates_gc_objects_linearly(self):
+        """The n**2 (observer, subject) pairs live in array columns, not
+        in objects: what ``start()`` leaves for the cyclic GC to walk is
+        a handful of timers and lists per member (8 today; the per-pair
+        ``Member`` objects this guards against were 263 per member at
+        n=256)."""
+        n = 256
+        cluster = SimCluster(n_members=n, config=SwimConfig.lifeguard(), seed=1)
+        gc.collect()
+        before = len(gc.get_objects())
+        cluster.start()
+        assert len(gc.get_objects()) - before <= 16 * n
 
     def test_join_bootstrap_converges(self):
         cluster = SimCluster(

@@ -40,7 +40,7 @@ class TestBasics:
     @pytest.mark.parametrize(
         "roster",
         [
-            [("new", "a", b"", ""), ("m0", "x", b"", "")],  # m0 already known
+            [("new", "a", b"", "")],  # the span then covers m0, already known
             [("new", "a", b"", ""), ("new", "b", b"", "")],  # repeated name
         ],
     )
@@ -51,24 +51,57 @@ class TestBasics:
         before = (mm.names(), mm.snapshot(), mm.num_alive(), rng.getstate())
         order = list(mm.probe_scheduler._order)
         with pytest.raises(ValueError, match="already known"):
-            mm.add_many(roster, 1, MemberState.ALIVE, 0.0)
+            mm.roster.extend(roster)
+            mm.add_many(range(len(mm.roster)), 1, MemberState.ALIVE, 0.0)
         assert (mm.names(), mm.snapshot(), mm.num_alive(), rng.getstate()) == before
         assert mm.probe_scheduler._order == order
 
+    @pytest.mark.parametrize("span", [range(1, 4), range(0, 2, 2), range(2, 1)])
+    def test_add_many_rejects_a_span_outside_the_roster(self, span):
+        mm = make_map(0)
+        mm.roster.extend([("m0", "addr0", b"", "")])
+        with pytest.raises(ValueError, match="span of roster ids"):
+            mm.add_many(span, 1, MemberState.ALIVE, 0.0)
+        assert mm.names() == ["self"]
+
     def test_add_many_skips_local_entry(self):
         mm = make_map(0)
-        mm.add_many(
-            [("self", "other-addr", b"x", "z"), ("m0", "addr0", b"meta", "z1")],
-            2, MemberState.ALIVE, 4.0,
-        )
+        mm.roster.extend([("m0", "addr0", b"meta", "z1")])
+        # The whole roster, the map's own id included.
+        mm.add_many(range(len(mm.roster)), 2, MemberState.ALIVE, 4.0)
         assert mm.names() == ["self", "m0"]
         assert mm.local.address == "self-addr"
+        assert mm.local.incarnation == 1
         member = mm.get("m0")
         assert (member.address, member.incarnation, member.meta, member.zone) == (
             "addr0", 2, b"meta", "z1",
         )
         assert member.state_changed_at == 4.0
         assert mm.next_probe_target().name == "m0"
+
+    def test_member_handle_is_live_and_read_only(self):
+        mm = make_map(1)
+        member = mm.get("m0")
+        mm.merge_claim(
+            "m0", MemberState.ALIVE, 7, 3.0, address="moved", meta=b"m", zone="z"
+        )
+        assert (member.incarnation, member.address, member.meta, member.zone) == (
+            7, "moved", b"m", "z",
+        )
+        mm.apply_claim("m0", MemberState.DEAD, 7, 5.0)
+        assert member.is_dead and member.state_changed_at == 5.0
+        for field, value in [
+            ("state", MemberState.ALIVE),
+            ("incarnation", 9),
+            ("state_changed_at", 0.0),
+            ("address", "x"),
+            ("meta", b"x"),
+            ("zone", "x"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(member, field, value)
+        mm.reclaim_dead(10.0, 1.0)
+        assert member.state is None and not member.is_dead
 
     def test_names_and_members(self):
         mm = make_map(2)

@@ -237,7 +237,7 @@ class TestDeterminism:
             "local", "local:7946", rng, probe_scheduler=make_probe_scheduler(name)
         )
         mm.add_many(
-            [(f"m{i}", f"m{i}:7946", b"", "") for i in range(50)],
+            mm.roster.extend((f"m{i}", f"m{i}:7946", b"", "") for i in range(50)),
             1, MemberState.ALIVE, 0.0,
         )
         mm.add("late", "late:7946", 1, MemberState.ALIVE, 0.0)

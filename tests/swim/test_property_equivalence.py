@@ -3,7 +3,7 @@
 The scale optimizations replaced full scans and full sorts with
 incrementally-maintained structures (transmit-count buckets in
 :class:`~repro.swim.broadcast.BroadcastQueue`, per-state counts, the
-alive-member index and the cached snapshot in
+alive-member index and the shared-roster column storage in
 :class:`~repro.swim.member_map.MemberMap`). Each test here drives the
 optimized structure and a deliberately naive model through the same
 randomly generated operation sequence and asserts they never diverge —
@@ -22,9 +22,18 @@ from hypothesis import strategies as st
 
 from repro.swim import codec
 from repro.swim.broadcast import BroadcastQueue, retransmit_limit
-from repro.swim.member_map import Member, MemberMap
+from repro.swim.member_map import (
+    MAX_STATE_AGE_MS,
+    MERGE_ADDED,
+    MERGE_APPLIED,
+    MERGE_IGNORED,
+    MERGE_LOCAL,
+    Member,
+    MemberMap,
+    Roster,
+)
 from repro.swim.messages import Alive
-from repro.swim.state import MemberState
+from repro.swim.state import MemberState, claim_supersedes
 
 # --------------------------------------------------------------------- #
 # BroadcastQueue vs full-sort reference
@@ -266,18 +275,8 @@ def test_indexed_member_map_matches_full_scan(ops, seed):
                 m.name for m in mm.alive_members(include_local=include_local)
             ] == _naive_alive_members(mm, include_local)
 
-        # Snapshot vs per-member reference. Ages on ALIVE/SUSPECT entries
-        # may be served stale from the cache by design (receivers only
-        # consume ages of DEAD/LEFT entries), so the age column is only
-        # pinned for terminal states.
-        snap = {entry[0]: entry for entry in mm.snapshot(now)}
-        assert set(snap) == {m.name for m in mm.members()}
-        for member in mm.members():
-            reference_entry = member.snapshot(now)
-            entry = snap[member.name]
-            assert entry[:5] == reference_entry[:5]
-            if member.is_dead:
-                assert entry[5] == reference_entry[5]
+        # Snapshot vs per-member reference.
+        assert mm.snapshot(now) == tuple(m.snapshot(now) for m in mm.members())
 
 
 # --------------------------------------------------------------------- #
@@ -432,7 +431,8 @@ def test_bulk_insert_draws_match_per_name_reference(seed, batches):
         now += 1.0
         names = [f"b{inserted + i:04d}" for i in range(size)]
         inserted += size
-        mm.add_many([(n, n, b"", "") for n in names], 1, MemberState.ALIVE, now)
+        span = mm.roster.extend((n, n, b"", "") for n in names)
+        mm.add_many(span, 1, MemberState.ALIVE, now)
         for name in names:
             ref.add(reference_rng, name)
         assert scheduler._order == ref.order
@@ -466,21 +466,24 @@ _roster_entry = st.tuples(
     sample=st.integers(0, 8),
 )
 def test_add_many_matches_sequence_of_adds(seed, entries, cuts, state, sample):
-    """``add_many`` over any batch split ≡ ``add`` per entry in roster
-    order; the roster may name the local member, which is skipped."""
+    """``add_many`` over any split of the roster into id spans ≡ ``add``
+    per entry in roster order; the roster may name the local member
+    (anywhere), which is skipped."""
     # Index 0 is the local member itself.
     roster = [
         (_LOCAL if i == 0 else f"r{i:02d}", f"addr{i}", meta, zone)
         for i, meta, zone in entries
     ]
     one_by_one = MemberMap(_LOCAL, f"{_LOCAL}:7946", random.Random(seed))
-    bulk = MemberMap(_LOCAL, f"{_LOCAL}:7946", random.Random(seed))
+    shared = Roster()
+    shared.extend(roster)
+    bulk = MemberMap(_LOCAL, f"{_LOCAL}:7946", random.Random(seed), roster=shared)
     for name, address, meta, zone in roster:
         if name != _LOCAL:
             one_by_one.add(name, address, 3, state, 2.0, meta, zone)
     bounds = [0] + sorted(min(c, len(roster)) for c in cuts) + [len(roster)]
     for start, end in zip(bounds, bounds[1:]):
-        bulk.add_many(roster[start:end], 3, state, 2.0)
+        bulk.add_many(range(start, end), 3, state, 2.0)
 
     assert bulk.names() == one_by_one.names()
     assert bulk._state_counts == one_by_one._state_counts
@@ -500,3 +503,294 @@ def test_add_many_matches_sequence_of_adds(seed, entries, cuts, state, sample):
     target = bulk.next_probe_target(5.0)
     expected = one_by_one.next_probe_target(5.0)
     assert (target and target.name) == (expected and expected.name)
+
+
+# --------------------------------------------------------------------- #
+# Column storage over a shared roster vs a dict of records per observer
+# --------------------------------------------------------------------- #
+
+
+class _NaiveTable:
+    """One observer's table as an insertion-ordered dict of mutable rows.
+
+    Restates the table semantics with the obvious storage — a record per
+    (observer, subject) that nobody else can see — so whatever the
+    column layout shares between observers (interned names, roster
+    records, ids that outlive a reclaim) has to stay invisible to match
+    it. Draws on ``rng`` exactly where the map and its round-robin
+    scheduler would: one ``randint`` per non-local insert, one ``sample``
+    per over-full candidate list.
+    """
+
+    def __init__(self, local: str, address: str, rng: random.Random) -> None:
+        self.local = local
+        self.rng = rng
+        self.rows: Dict[str, dict] = {}
+        self._put(local, address, b"", "", 1, MemberState.ALIVE, 0.0)
+
+    def _put(self, name, address, meta, zone, incarnation, state, now) -> None:
+        assert name not in self.rows
+        self.rows[name] = dict(
+            address=address, meta=meta, zone=zone,
+            incarnation=incarnation, state=state, changed_at=now,
+        )
+
+    def add(self, name, address, meta, zone, incarnation, state, now) -> None:
+        self.rng.randint(0, len(self.rows) - 1)  # probe-order position
+        self._put(name, address, meta, zone, incarnation, state, now)
+
+    def apply_claim(self, name, state, incarnation, now) -> bool:
+        row = self.rows[name]
+        if not claim_supersedes(state, incarnation, row["state"], row["incarnation"]):
+            return False
+        if row["state"] is not state:
+            row["changed_at"] = now
+        row["state"] = state
+        row["incarnation"] = incarnation
+        return True
+
+    def merge_claim(
+        self, name, state, incarnation, now, address, meta, zone, age
+    ) -> Tuple[str, bool]:
+        if name == self.local:
+            return MERGE_LOCAL, False
+        row = self.rows.get(name)
+        if row is None:
+            if state is MemberState.ALIVE and address is not None:
+                self.add(name, address, meta or b"", zone, incarnation, state, now)
+                return MERGE_ADDED, False
+            return MERGE_IGNORED, False
+        if not self.apply_claim(name, state, incarnation, now):
+            return MERGE_IGNORED, False
+        meta_changed = False
+        if state is MemberState.ALIVE:
+            if address is not None:
+                row["address"] = address
+            if meta is not None and meta != row["meta"]:
+                row["meta"] = meta
+                meta_changed = True
+            if zone:
+                row["zone"] = zone
+        elif state is not MemberState.SUSPECT and age > 0.0:
+            row["changed_at"] = min(row["changed_at"], now - age)
+        return MERGE_APPLIED, meta_changed
+
+    def reclaim(self, now: float, retention: float) -> List[str]:
+        gone = [
+            name
+            for name, row in self.rows.items()
+            if row["state"] in (MemberState.DEAD, MemberState.LEFT)
+            and now - row["changed_at"] >= retention
+        ]
+        for name in gone:
+            del self.rows[name]
+        return gone
+
+    def snapshot(self, now: float) -> tuple:
+        return tuple(
+            (
+                name, row["address"], row["incarnation"], int(row["state"]),
+                row["meta"],
+                min(int(max(0.0, now - row["changed_at"]) * 1000.0), MAX_STATE_AGE_MS),
+            )
+            for name, row in self.rows.items()
+        )
+
+    def random_members(self, count, exclude, include_suspect, dead_within, now):
+        candidates = []
+        for name, row in self.rows.items():
+            if name == self.local or name in exclude:
+                continue
+            state = row["state"]
+            if state is MemberState.ALIVE or (
+                state is MemberState.SUSPECT and include_suspect
+            ):
+                candidates.append(name)
+            elif (
+                dead_within is not None
+                and state in (MemberState.DEAD, MemberState.LEFT)
+                and now - row["changed_at"] <= dead_within
+            ):
+                candidates.append(name)
+        if count >= len(candidates):
+            return candidates
+        return self.rng.sample(candidates, count)
+
+
+_SHARED_NAMES = ["la", "lb", "s0", "s1", "s2", "s3", "s4"]
+_ADDRESSES = ["a:1", "b:2"]
+_METAS = [b"", b"m1", b"m2"]
+_ZONES = ["", "z0", "z1"]
+
+_observer = st.integers(0, 1)
+_shared_op = st.one_of(
+    st.tuples(
+        st.just("add"), _observer, st.sampled_from(_SHARED_NAMES),
+        st.sampled_from(_ADDRESSES), st.sampled_from(_METAS),
+        st.sampled_from(_ZONES), st.sampled_from(_STATES), st.integers(0, 3),
+    ),
+    # A batch of never-seen names, bulk-added by one observer...
+    st.tuples(
+        st.just("bulk"), _observer, st.integers(0, 5),
+        st.sampled_from(_STATES), st.integers(0, 3),
+    ),
+    # ...and the most recent such span (or the whole roster) by either.
+    st.tuples(
+        st.just("rebulk"), _observer, st.booleans(),
+        st.sampled_from(_STATES), st.integers(0, 3),
+    ),
+    st.tuples(
+        st.just("apply"), _observer, st.sampled_from(_SHARED_NAMES),
+        st.sampled_from(_STATES), st.integers(0, 4),
+    ),
+    st.tuples(
+        st.just("merge"), _observer, st.sampled_from(_SHARED_NAMES),
+        st.sampled_from(_STATES), st.integers(0, 4),
+        st.one_of(st.none(), st.sampled_from(_ADDRESSES)),
+        st.one_of(st.none(), st.sampled_from(_METAS)),
+        st.sampled_from(_ZONES), st.floats(0.0, 30.0),
+    ),
+    st.tuples(st.just("reclaim"), _observer, st.floats(0.0, 40.0)),
+    st.tuples(st.just("meta"), _observer, st.sampled_from(_METAS)),
+    st.tuples(st.just("bump"), _observer),
+    st.tuples(
+        st.just("sample"), _observer, st.integers(0, 6), st.integers(0, 3),
+        st.booleans(), st.one_of(st.none(), st.floats(0.0, 40.0)),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    ops=st.lists(_shared_op, max_size=60),
+    seed=st.integers(0, 2**16),
+    preseed=st.booleans(),
+)
+def test_two_maps_on_one_roster_match_private_dict_tables(ops, seed, preseed):
+    """Two observers over one shared roster behave as two private
+    dict-of-records tables: same table order, snapshot, counts, sampling
+    draws and RNG state after every operation — and neither ever sees
+    the other's state, meta, address or zone changes."""
+    roster = Roster()
+    locals_ = ("la", "lb")
+    rngs = [random.Random(seed + i) for i in range(2)]
+    maps = [
+        MemberMap(name, f"{name}:7946", rngs[i], roster=roster)
+        for i, name in enumerate(locals_)
+    ]
+    models = [
+        _NaiveTable(name, f"{name}:7946", random.Random(seed + i))
+        for i, name in enumerate(locals_)
+    ]
+    # What add_many seeds a table with: the record a name was first
+    # interned with, or the one its own map last announced.
+    announced: Dict[str, tuple] = {
+        name: (f"{name}:7946", b"", "") for name in locals_
+    }
+    last_span = range(0)
+    batches = 0
+    now = 0.0
+
+    def bulk(i: int, span: range, state: MemberState, incarnation: int) -> None:
+        names = [n for n in list(announced)[span.start:span.stop] if n != locals_[i]]
+        if any(n in models[i].rows for n in names):
+            before = (maps[i].names(), maps[i].snapshot(now), rngs[i].getstate())
+            try:
+                maps[i].add_many(span, incarnation, state, now)
+            except ValueError:
+                pass
+            else:  # pragma: no cover - the assertion below reports it
+                raise AssertionError("add_many accepted an already-known member")
+            assert before == (
+                maps[i].names(), maps[i].snapshot(now), rngs[i].getstate()
+            )
+            return
+        maps[i].add_many(span, incarnation, state, now)
+        for name in names:
+            models[i].add(name, *announced[name], incarnation, state, now)
+
+    if preseed:
+        roster.extend((n, f"{n}:7946", b"", "") for n in _SHARED_NAMES[2:])
+        for name in _SHARED_NAMES[2:]:
+            announced[name] = (f"{name}:7946", b"", "")
+        for i in range(2):
+            bulk(i, range(len(roster)), MemberState.ALIVE, 1)
+
+    for op in ops:
+        now += 1.0
+        kind, i = op[0], op[1]
+        mm, model = maps[i], models[i]
+        if kind == "add":
+            _, _, name, address, meta, zone, state, incarnation = op
+            if name in model.rows:
+                continue
+            mm.add(name, address, incarnation, state, now, meta, zone)
+            announced.setdefault(name, (address, meta, zone))
+            model.add(name, address, meta, zone, incarnation, state, now)
+        elif kind == "bulk":
+            _, _, size, state, incarnation = op
+            entries = [
+                (f"b{batches + k:03d}", f"b{batches + k}:1", _METAS[k % 3], _ZONES[k % 3])
+                for k in range(size)
+            ]
+            batches += size
+            last_span = roster.extend(entries)
+            announced.update((e[0], e[1:]) for e in entries)
+            bulk(i, last_span, state, incarnation)
+        elif kind == "rebulk":
+            _, _, whole, state, incarnation = op
+            bulk(i, range(len(roster)) if whole else last_span, state, incarnation)
+        elif kind == "apply":
+            _, _, name, state, incarnation = op
+            if name not in model.rows or name == model.local:
+                continue
+            assert mm.apply_claim(name, state, incarnation, now) == model.apply_claim(
+                name, state, incarnation, now
+            )
+        elif kind == "merge":
+            _, _, name, state, incarnation, address, meta, zone, age = op
+            decision = mm.merge_claim(
+                name, state, incarnation, now,
+                address=address, meta=meta, age=age, zone=zone,
+            )
+            if decision.action == MERGE_ADDED:
+                announced.setdefault(name, (address, meta or b"", zone))
+            assert (decision.action, decision.meta_changed) == model.merge_claim(
+                name, state, incarnation, now, address, meta, zone, age
+            )
+        elif kind == "reclaim":
+            assert mm.reclaim_dead(now, op[2]) == model.reclaim(now, op[2])
+        elif kind == "meta":
+            mm.set_local_meta(op[2])
+            row = model.rows[model.local]
+            row["meta"] = op[2]
+            announced[model.local] = (row["address"], op[2], row["zone"])
+        elif kind == "bump":
+            row = model.rows[model.local]
+            row["incarnation"] += 1
+            assert mm.bump_local_incarnation(mm.local.incarnation) == row["incarnation"]
+        else:
+            _, _, count, exclude_len, include_suspect, dead_within = op
+            exclude = tuple(_SHARED_NAMES[2 : 2 + exclude_len])
+            drawn = mm.random_members(
+                count, exclude=exclude, include_suspect=include_suspect,
+                gossip_to_dead_within=dead_within, now=now,
+            )
+            assert [m.name for m in drawn] == model.random_members(
+                count, exclude, include_suspect, dead_within, now
+            )
+
+        # Both observers after every operation: the one that did not act
+        # must be exactly where its own model left it.
+        for mm, model, rng in zip(maps, models, rngs):
+            assert mm.names() == list(model.rows)
+            assert len(mm) == len(model.rows)
+            assert mm.snapshot(now) == model.snapshot(now)
+            assert [m.zone for m in mm.members()] == [
+                row["zone"] for row in model.rows.values()
+            ]
+            for state in _STATES:
+                assert mm.num_in_state(state) == sum(
+                    row["state"] is state for row in model.rows.values()
+                )
+            assert rng.getstate() == model.rng.getstate()

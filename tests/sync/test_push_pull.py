@@ -192,8 +192,12 @@ class TestStateAgeOnTheWire:
         cluster = SimCluster(2, config=SYNC_ONLY, seed=0)
         cluster.start()
         node = cluster.nodes["m000"]
-        member = node.members.get("m001")
-        member.state_changed_at = -(MAX_STATE_AGE_MS / 1000.0) * 2
+        # A death heard of late: the claim's age backdates the transition
+        # to twice the ceiling.
+        node.members.merge_claim(
+            "m001", MemberState.DEAD, 1, cluster.now,
+            age=MAX_STATE_AGE_MS / 1000.0 * 2,
+        )
         snapshot = node.members.snapshot(now=cluster.now)
         entry = next(e for e in snapshot if e[0] == "m001")
         assert entry[5] == MAX_STATE_AGE_MS
