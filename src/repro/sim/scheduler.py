@@ -13,6 +13,11 @@ deadlines, sync rounds) would otherwise grow the heap without bound on
 long runs. Compaction rebuilds the heap from the live entries only;
 because events are strictly totally ordered by ``(when, seq)``, the pop
 order — and therefore seeded-run behavior — is unchanged.
+
+An event is its own heap entry: a ``list`` subclass whose list part is
+``[when, seq]``, so ``heapq`` orders events with ``list``'s C comparison
+and no Python-level ``__lt__`` runs per sift step. ``seq`` is unique,
+which makes the order strict and means two events never compare equal.
 """
 
 from __future__ import annotations
@@ -28,28 +33,23 @@ _COMPACT_MIN_CANCELLED = 512
 _COMPACT_FRACTION = 0.5
 
 
-class _Event:
-    __slots__ = ("when", "seq", "callback", "cancelled", "_sched")
+class _Event(list):
+    """``[when, seq]`` plus the callback: the timer handle and the heap
+    entry in one object (a ``(when, seq, event)`` tuple per entry would
+    order the same way, with a second GC-tracked object per pending
+    event). Built by :meth:`EventScheduler.call_at` only."""
 
-    def __init__(
-        self,
-        when: float,
-        seq: int,
-        callback: Callable[[], None],
-        sched: "EventScheduler",
-    ) -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        # Back-reference for the cancelled-entry count; cleared when the
-        # event leaves the heap so late cancels don't skew the counter.
-        self._sched: Optional["EventScheduler"] = sched
+    __slots__ = ("callback", "cancelled", "_sched")
 
-    def __lt__(self, other: "_Event") -> bool:
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
+    callback: Callable[[], None]
+    cancelled: bool
+    # Back-reference for the cancelled-entry count; cleared when the
+    # event leaves the heap so late cancels don't skew the counter.
+    _sched: Optional["EventScheduler"]
+
+    # list's equality is by content, and no two events share a seq, so
+    # it is identity here and identity hashing agrees with it.
+    __hash__ = object.__hash__  # type: ignore[assignment]
 
     def cancel(self) -> None:
         # Lazy cancellation: the heap entry is skipped when popped.
@@ -133,7 +133,10 @@ class EventScheduler:
         if when < now:
             when = now
         self._seq += 1
-        event = _Event(when, self._seq, callback, self)
+        event = _Event((when, self._seq))
+        event.callback = callback
+        event.cancelled = False
+        event._sched = self
         heapq.heappush(self._heap, event)
         return event
 
@@ -144,7 +147,7 @@ class EventScheduler:
         """Timestamp of the next live event, or ``None`` when drained."""
         while self._heap and self._heap[0].cancelled:
             self._pop()
-        return self._heap[0].when if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Run the single next event. Returns ``False`` when drained."""
@@ -152,7 +155,7 @@ class EventScheduler:
             event = self._pop()
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.when)
+            self.clock.advance_to(event[0])
             self.executed += 1
             event.callback()
             if self.on_event is not None:
@@ -169,10 +172,10 @@ class EventScheduler:
         while heap:
             while heap and heap[0].cancelled:
                 self._pop()
-            if not heap or heap[0].when > deadline:
+            if not heap or heap[0][0] > deadline:
                 break
             event = self._pop()
-            clock.advance_to(event.when)
+            clock.advance_to(event[0])
             self.executed += 1
             event.callback()
             if self.on_event is not None:

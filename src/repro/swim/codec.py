@@ -13,6 +13,22 @@ a few bytes of msgpack for these message shapes:
 * compound: type byte, u16 part count, then each part as
   ``u16 length + encoded part``.
 
+A push-pull carries the sender's whole member table as a u16 count and
+that many state entries, and this module is the only place the entry
+layout is spelled::
+
+    entry := head rest
+    head  := u8 len, name, u8 len, address
+    rest  := u64 incarnation, u8 state, u16 len, meta, u32 age in ms
+
+The head (and the ``u16 len, meta`` run) is a property of the subject,
+not of who is reporting on it, so :func:`pack_entry_head` is called once
+per roster record and every table that holds the record reuses the
+bytes; :meth:`repro.swim.member_map.MemberMap.snapshot` adds the rest
+per entry and hands the result over as :class:`PackedStates`, which
+:func:`encode` appends verbatim. :func:`pack_states` builds the same
+form from entry tuples, so there is one encoder.
+
 Encoding and decoding round-trip exactly; a corrupt or truncated packet
 raises :class:`CodecError` rather than yielding garbage.
 
@@ -37,7 +53,7 @@ of allocating a fresh ``bytes`` per packet.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.swim.messages import (
     Ack,
@@ -49,11 +65,13 @@ from repro.swim.messages import (
     Ping,
     PingReq,
     PushPull,
+    StateEntry,
     Suspect,
     UserEvent,
     ZoneClaim,
     ZoneDigest,
 )
+from repro.swim.state import MemberState
 
 # Wire type tags.
 T_PING = 0x01
@@ -80,43 +98,40 @@ MAX_USER_PAYLOAD = 1024
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
-#: Fused incarnation + state tag of a push-pull state entry.
+#: Incarnation + state tag: a zone claim's body, and what precedes the
+#: meta of a push-pull state entry.
 _U64_U8 = struct.Struct(">QB")
-#: Fused incarnation + state tag + meta length (decode side).
-_U64_U8_U16 = struct.Struct(">QBH")
-#: Fused incarnation + state tag + meta length + age for the dominant
-#: empty-meta encode case (identical bytes to packing the four fields
-#: separately with a zero-length meta body).
+#: The whole rest of a state entry whose meta is empty: incarnation +
+#: state tag + meta length (0) + age. Identical bytes to packing the
+#: four fields separately with a zero-length meta body.
 _U64_U8_U16_U32 = struct.Struct(">QBHI")
 #: Fixed body of a zone digest: four u32 state counts, the zone's max
 #: incarnation and a u64 hash of its membership view.
 _ZONE_DIGEST_BODY = struct.Struct(">IIIIQQ")
 
-# Pre-bound struct methods: the push-pull encode/decode loops run once
-# per state entry per sync round, where attribute lookups on the Struct
-# objects are measurable.
+# Pre-bound struct methods: the push-pull loops run once per state entry
+# per sync round, where attribute lookups on the Struct objects are
+# measurable.
 _pack_u16 = _U16.pack
 _pack_u32 = _U32.pack
-_pack_u64 = _U64.pack
+_pack_u64_u8 = _U64_U8.pack
 _unpack_u16_from = _U16.unpack_from
-_unpack_u32_from = _U32.unpack_from
-_unpack_u64_from = _U64.unpack_from
 _unpack_u64_u8_from = _U64_U8.unpack_from
-_unpack_entry_head_from = _U64_U8_U16.unpack_from
-_pack_entry_tail = _U64_U8_U16_U32.pack
+_unpack_entry_tail_from = _U64_U8_U16_U32.unpack_from
 
-# Member names and addresses recur across every push-pull snapshot and
-# gossip burst; decoding (and validating) the same short UTF-8 string
-# thousands of times per virtual second is pure waste. Keyed by the raw
-# bytes; values are the decoded strings (identical value, so behavior is
-# unchanged).
-_STR_CACHE: dict = {}
-_STR_CACHE_LIMIT = 4096
+#: Highest state tag a state entry or zone claim may carry.
+_MAX_STATE_VALUE = max(MemberState)
 
-#: Encode-side mirror of :data:`_STR_CACHE`: string -> its length-prefixed
-#: UTF-8 wire form. Strings longer than 255 encoded bytes are never
-#: cached (they raise instead).
-_STR_ENC_CACHE: dict = {}
+# The ``u8 name u8 address`` head of a state entry recurs in every
+# push-pull snapshot that mentions the member; decoding (and validating)
+# the same two short UTF-8 strings thousands of times per virtual second
+# is pure waste. Keyed by the raw head bytes — always an owned ``bytes``,
+# never a view of a receive buffer — and filled only after both strings
+# validated, so a hit yields exactly what decoding would have. Values
+# are the decoded ``(name, address)``. Emptied when full: one head per
+# member of every group this process decodes for, ~2 MB at the limit.
+_HEAD_CACHE: dict = {}
+_HEAD_CACHE_LIMIT = 8192
 
 
 class CodecError(ValueError):
@@ -172,6 +187,103 @@ def _get_str(buf: Buffer, offset: int) -> Tuple[str, int]:
     except UnicodeDecodeError as exc:
         raise CodecError(f"invalid UTF-8 in string: {exc}") from exc
     return text, end
+
+
+def pack_states_count(count: int) -> bytes:
+    """The ``u16`` entry count that opens a push-pull's states."""
+    if count > 0xFFFF:
+        raise CodecError("too many states in push-pull")
+    return _pack_u16(count)
+
+
+def pack_entry_head(name: str, address: str, meta: bytes) -> Tuple[bytes, bytes]:
+    """The two runs of a state entry that depend on the subject alone:
+    ``u8 name u8 address`` and ``u16 meta``.
+
+    The second is ``b""`` for an empty meta: :data:`pack_entry_tail`
+    covers the zero length in the entry's one fused pack.
+    """
+    head: List[bytes] = []
+    _put_str(head, name)
+    _put_str(head, address)
+    meta_wire: List[bytes] = []
+    if meta:
+        _put_bytes(meta_wire, meta, MAX_META_SIZE)
+    return b"".join(head), b"".join(meta_wire)
+
+
+#: ``pack_entry_tail(incarnation, state, 0, age_ms)``: everything after
+#: the head of a state entry whose meta is empty (the ``0`` is the meta
+#: length).
+pack_entry_tail = _U64_U8_U16_U32.pack
+
+
+def pack_entry_rest(
+    incarnation: int, state_value: int, meta_wire: bytes, age_ms: int
+) -> bytes:
+    """Everything after the head of a state entry that has a meta;
+    ``meta_wire`` is the second run :func:`pack_entry_head` returned."""
+    return _pack_u64_u8(incarnation, state_value) + meta_wire + _pack_u32(age_ms)
+
+
+class PackedStates:
+    """A push-pull's states in wire form: the ``u16`` count and the
+    entries, exactly as they travel.
+
+    What :meth:`repro.swim.member_map.MemberMap.snapshot` returns and a
+    sender's :class:`~repro.swim.messages.PushPull` carries, so that
+    :func:`encode` has nothing left to do per entry. Reads like the
+    tuple of entry tuples it encodes — ``len``, iteration, ``==`` against
+    one — by decoding itself; unhashable, like any other container that
+    compares by content across types.
+    """
+
+    __slots__ = ("wire",)
+
+    def __init__(self, wire: bytes) -> None:
+        self.wire = wire
+
+    def __len__(self) -> int:
+        return _unpack_u16_from(self.wire, 0)[0]
+
+    def __iter__(self) -> Iterator[StateEntry]:
+        return iter(_decode_states(self.wire, 2, len(self))[0])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is PackedStates:
+            return self.wire == other.wire  # type: ignore[attr-defined]
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PackedStates({len(self)} entries, {len(self.wire)} bytes)"
+
+
+def pack_states(entries: Sequence[tuple]) -> PackedStates:
+    """Wire form of hand-built state entries, ``(name, address,
+    incarnation, state value[, meta[, age in ms]])`` each.
+
+    The per-entry half of the one push-pull encoder: a member table
+    packs its own columns (``MemberMap.snapshot``) from the same four
+    pieces, with the heads cached on its roster records.
+    """
+    pieces = [pack_states_count(len(entries))]
+    append = pieces.append
+    for entry in entries:
+        name, address, incarnation, state_value = entry[:4]
+        meta = entry[4] if len(entry) > 4 else b""
+        age_ms = entry[5] if len(entry) > 5 else 0
+        head, meta_wire = pack_entry_head(name, address, meta)
+        # State age in milliseconds, saturating at the u32 ceiling
+        # (~49 days) so arbitrarily old entries still encode.
+        age_ms = min(max(int(age_ms), 0), 0xFFFFFFFF)
+        append(head)
+        if meta_wire:
+            append(pack_entry_rest(incarnation, state_value, meta_wire, age_ms))
+        else:
+            append(pack_entry_tail(incarnation, state_value, 0, age_ms))
+    return PackedStates(b"".join(pieces))
 
 
 def encode(message: Message) -> bytes:
@@ -252,65 +364,10 @@ def _encode_into(message: Message, out: List[bytes]) -> None:
         _put_str(out, message.source)
         flags = (1 if message.join else 0) | (2 if message.is_reply else 0)
         out.append(bytes((flags,)))
-        if len(message.states) > 0xFFFF:
-            raise CodecError("too many states in push-pull")
-        append = out.append
-        append(_pack_u16(len(message.states)))
-        pack_fixed = _U64_U8.pack
-        pack_tail = _pack_entry_tail
-        enc_cache = _STR_ENC_CACHE
-        for entry in message.states:
-            name, address, incarnation, state_value = entry[:4]
-            meta = entry[4] if len(entry) > 4 else b""
-            age_ms = entry[5] if len(entry) > 5 else 0
-            # Member names/addresses recur across every snapshot; cache
-            # their length-prefixed wire form keyed by the string itself.
-            prefixed = enc_cache.get(name)
-            if prefixed is None:
-                raw = name.encode("utf-8")
-                if len(raw) > 255:
-                    raise CodecError(
-                        f"string too long for wire format: {len(raw)} bytes"
-                    )
-                prefixed = bytes((len(raw),)) + raw
-                if len(enc_cache) >= _STR_CACHE_LIMIT:
-                    enc_cache.clear()
-                enc_cache[name] = prefixed
-            append(prefixed)
-            prefixed = enc_cache.get(address)
-            if prefixed is None:
-                raw = address.encode("utf-8")
-                if len(raw) > 255:
-                    raise CodecError(
-                        f"string too long for wire format: {len(raw)} bytes"
-                    )
-                prefixed = bytes((len(raw),)) + raw
-                if len(enc_cache) >= _STR_CACHE_LIMIT:
-                    enc_cache.clear()
-                enc_cache[address] = prefixed
-            append(prefixed)
-            # State age in milliseconds, saturating at the u32 ceiling
-            # (~49 days) so arbitrarily old entries still encode.
-            if not meta:
-                # Dominant case: no application metadata. One fused pack
-                # for incarnation + state + metalen(0) + age.
-                append(
-                    pack_tail(
-                        incarnation,
-                        state_value,
-                        0,
-                        min(max(int(age_ms), 0), 0xFFFFFFFF),
-                    )
-                )
-                continue
-            append(pack_fixed(incarnation, state_value))
-            if len(meta) > MAX_META_SIZE:
-                raise CodecError(
-                    f"byte field too long: {len(meta)} > {MAX_META_SIZE}"
-                )
-            append(_pack_u16(len(meta)))
-            append(meta)
-            append(_pack_u32(min(max(int(age_ms), 0), 0xFFFFFFFF)))
+        states = message.states
+        if states.__class__ is not PackedStates:
+            states = pack_states(states)
+        out.append(states.wire)
     elif isinstance(message, ZoneDigest):
         out.append(bytes((T_ZONE_DIGEST,)))
         _put_str(out, message.zone)
@@ -445,78 +502,7 @@ def _decode_at(buf: Buffer, offset: int) -> Tuple[Message, int]:
         source, offset = _get_str(buf, offset)
         flags, offset = _get_u8(buf, offset)
         count, offset = _get_u16(buf, offset)
-        # Inlined per-entry loop: one sync round decodes hundreds of
-        # entries, so the per-field helper calls above are replaced with
-        # local bounds checks, fused struct reads and a string cache.
-        states = []
-        append = states.append
-        buf_len = len(buf)
-        unpack_head = _unpack_entry_head_from
-        unpack_u32 = _unpack_u32_from
-        str_cache = _STR_CACHE
-        for _ in range(count):
-            # Name (u8 length + UTF-8 body), unrolled.
-            if offset >= buf_len:
-                raise CodecError("truncated string length")
-            end = offset + 1 + buf[offset]
-            if end > buf_len:
-                raise CodecError("truncated string body")
-            raw = buf[offset + 1 : end]
-            if raw.__class__ is not bytes:
-                raw = bytes(raw)
-            name = str_cache.get(raw)
-            if name is None:
-                try:
-                    name = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CodecError(f"invalid UTF-8 in string: {exc}") from exc
-                if len(str_cache) >= _STR_CACHE_LIMIT:
-                    str_cache.clear()
-                str_cache[raw] = name
-            offset = end
-            # Address, same shape.
-            if offset >= buf_len:
-                raise CodecError("truncated string length")
-            end = offset + 1 + buf[offset]
-            if end > buf_len:
-                raise CodecError("truncated string body")
-            raw = buf[offset + 1 : end]
-            if raw.__class__ is not bytes:
-                raw = bytes(raw)
-            address = str_cache.get(raw)
-            if address is None:
-                try:
-                    address = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CodecError(f"invalid UTF-8 in string: {exc}") from exc
-                if len(str_cache) >= _STR_CACHE_LIMIT:
-                    str_cache.clear()
-                str_cache[raw] = address
-            offset = end
-            # Fused incarnation + state + meta length (11 bytes).
-            if offset + 11 > buf_len:
-                if offset + 8 > buf_len:
-                    raise CodecError("truncated u64")
-                if offset + 9 > buf_len:
-                    raise CodecError("truncated u8")
-                raise CodecError("truncated u16")
-            incarnation, state_value, meta_len = unpack_head(buf, offset)
-            offset += 11
-            if meta_len:
-                meta_end = offset + meta_len
-                if meta_end > buf_len:
-                    raise CodecError("truncated byte field")
-                meta = buf[offset:meta_end]
-                if meta.__class__ is not bytes:
-                    meta = bytes(meta)
-                offset = meta_end
-            else:
-                meta = b""
-            if offset + 4 > buf_len:
-                raise CodecError("truncated u32")
-            age_ms = unpack_u32(buf, offset)[0]
-            offset += 4
-            append((name, address, incarnation, state_value, meta, age_ms))
+        states, offset = _decode_states(buf, offset, count)
         return (
             PushPull(source, tuple(states), bool(flags & 1), bool(flags & 2)),
             offset,
@@ -535,6 +521,8 @@ def _decode_at(buf: Buffer, offset: int) -> Tuple[Message, int]:
         if offset + 9 > len(buf):
             raise CodecError("truncated zone claim")
         incarnation, state_value = _unpack_u64_u8_from(buf, offset)
+        if state_value > _MAX_STATE_VALUE:
+            raise CodecError(f"invalid member state {state_value}")
         offset += 9
         return ZoneClaim(zone, member, incarnation, state_value), offset
     if tag == T_COMPOUND:
@@ -564,6 +552,73 @@ def _decode_at(buf: Buffer, offset: int) -> Tuple[Message, int]:
             offset = end
         return Compound(tuple(parts)), offset
     raise CodecError(f"unknown message tag 0x{tag:02x}")
+
+
+def _decode_states(
+    buf: Buffer, offset: int, count: int
+) -> Tuple[List[StateEntry], int]:
+    """Decode ``count`` push-pull state entries starting at ``offset``.
+
+    One sync round decodes hundreds of entries, so the steady-state
+    entry — a head seen before, no meta — costs one slice, one cache
+    lookup and one fused struct read. Anything else (a new head, a meta,
+    a buffer that ends early, a state tag out of range) takes the
+    per-field code below it, which checks every bound, raises every
+    error, and is what fills the cache: a hit and a miss cannot differ.
+    """
+    states: List[StateEntry] = []
+    append = states.append
+    buf_len = len(buf)
+    heads = _HEAD_CACHE
+    heads_get = heads.get
+    unpack_tail = _unpack_entry_tail_from
+    max_state = _MAX_STATE_VALUE
+    for _ in range(count):
+        # Head: u8 name u8 address, looked up whole. A head cut short by
+        # the end of the buffer is shorter than its own length bytes say
+        # and so equals no cached (complete) head.
+        strings = None
+        if offset < buf_len:
+            mid = offset + 1 + buf[offset]
+            if mid < buf_len:
+                end = mid + 1 + buf[mid]
+                head = buf[offset:end]
+                # A view's bytes belong to a buffer the transport will
+                # reuse; keys (and message fields) own their storage.
+                if head.__class__ is not bytes:
+                    head = bytes(head)
+                strings = heads_get(head)
+        if strings is None:
+            name, end = _get_str(buf, offset)
+            address, end = _get_str(buf, end)
+            head = buf[offset:end]
+            if head.__class__ is not bytes:
+                head = bytes(head)
+            if len(heads) >= _HEAD_CACHE_LIMIT:
+                heads.clear()
+            heads[head] = (name, address)
+        else:
+            name, address = strings
+        offset = end
+        # Rest, fused: incarnation + state + meta length (0) + age.
+        if offset + 15 <= buf_len:
+            incarnation, state_value, meta_len, age_ms = unpack_tail(buf, offset)
+            if not meta_len and state_value <= max_state:
+                append((name, address, incarnation, state_value, b"", age_ms))
+                offset += 15
+                continue
+        # Rest, per field.
+        if offset + 9 > buf_len:
+            if offset + 8 > buf_len:
+                raise CodecError("truncated u64")
+            raise CodecError("truncated u8")
+        incarnation, state_value = _unpack_u64_u8_from(buf, offset)
+        if state_value > max_state:
+            raise CodecError(f"invalid member state {state_value}")
+        meta, offset = _get_bytes(buf, offset + 9)
+        age_ms, offset = _get_u32(buf, offset)
+        append((name, address, incarnation, state_value, meta, age_ms))
+    return states, offset
 
 
 def _get_u8(buf: Buffer, offset: int) -> Tuple[int, int]:

@@ -25,7 +25,7 @@ what made that quadratic in constructor calls, in GC work and in RSS:
 * per observer, a :class:`MemberMap` keeps only columns indexed by that
   id: a ``bytearray`` of states, an ``array('Q')`` of incarnations, an
   ``array('d')`` of state-change times, and a list of references to
-  shared immutable ``(address, meta, zone)`` records, replaced
+  shared immutable :class:`Record` objects (address, meta, zone), replaced
   copy-on-write when an alive claim changes one. An ``array('I')`` of
   ids keeps table-insertion order. The record list is the only GC
   container among them — one object per observer, not one per pair —
@@ -50,9 +50,11 @@ every tick, so the table cannot afford per-call full scans):
   preserved exactly — the candidate list feeds ``rng.sample``, so any
   reordering would change seeded runs. Sampling runs over ids; only the
   members chosen are materialized;
-* ``snapshot()`` rebuilds its entry tuple from the columns on every call;
-  there is no cached copy to invalidate (or to pin ~120 KB per member at
-  n=1024).
+* ``snapshot()`` packs the columns straight into push-pull wire form on
+  every call — there is no cached copy to invalidate (or to pin ~27 KB
+  per member at n=1024). What does not depend on the observer, the
+  encoded ``name + address`` head of each entry, is computed once per
+  :class:`Record` and shared like the record itself.
 
 Every mutation goes through a :class:`MemberMap` method — views cannot be
 written through.
@@ -64,6 +66,14 @@ import random
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.swim.codec import (
+    PackedStates,
+    pack_entry_head,
+    pack_entry_rest,
+    pack_entry_tail,
+    pack_states_count,
+)
+from repro.swim.messages import StateEntry
 from repro.swim.probe_scheduler import ProbeScheduler, RoundRobinScheduler
 from repro.swim.state import MemberState, claim_supersedes
 
@@ -81,12 +91,6 @@ _STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
 _ALIVE = int(MemberState.ALIVE)
 _SUSPECT = int(MemberState.SUSPECT)
 _DEAD = int(MemberState.DEAD)
-
-#: What an alive claim says about a member beyond its liveness:
-#: ``(address, meta, zone)``. Immutable and shared between observers.
-Record = Tuple[str, bytes, str]
-#: One push-pull state entry, as :meth:`MemberMap.snapshot` emits it.
-StateEntry = Tuple[str, str, int, int, bytes, int]
 
 #: ``MergeDecision.action`` values. The claim concerned the local member
 #: (never applied here; the node decides whether to refute).
@@ -172,11 +176,45 @@ class MergeDecision:
         )
 
 
+class Record:
+    """What an alive claim says about a member beyond its liveness:
+    ``address``, ``meta`` and ``zone``. Never written after construction
+    and shared between observers (and the roster); a claim that changes
+    one replaces the record.
+
+    ``head`` is the member's push-pull entry head in wire form
+    (:func:`repro.swim.codec.pack_entry_head`), filled in by the first
+    snapshot that reaches the record and shared with it: one per record,
+    not one per (observer, subject). It includes the member's name, so a
+    record serves one roster id.
+    """
+
+    __slots__ = ("address", "meta", "zone", "head")
+
+    def __init__(self, address: str, meta: bytes, zone: str) -> None:
+        self.address = address
+        self.meta = meta
+        self.zone = zone
+        self.head: Optional[Tuple[bytes, bytes]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Record):
+            return NotImplemented
+        return (
+            self.address == other.address
+            and self.meta == other.meta
+            and self.zone == other.zone
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Record({self.address!r}, {self.meta!r}, {self.zone!r})"
+
+
 class Roster:
     """Subject names interned to dense ids, shared by a cluster's maps.
 
     ``names[id]`` and ``ids[name]`` are inverse; ``records[id]`` is the
-    ``(address, meta, zone)`` the subject was interned with, or — when
+    :class:`Record` the subject was interned with, or — when
     the subject's own map shares this roster — what it last announced
     about itself (:meth:`MemberMap.set_local_meta` publishes here). Maps
     reference these records rather than copying them, and
@@ -221,7 +259,7 @@ class Roster:
         for name, address, meta, zone in entries:
             if name in self.ids:
                 raise ValueError(f"member {name!r} already known")
-            self.intern(name, (address, meta, zone))
+            self.intern(name, Record(address, meta, zone))
         return range(start, len(self.names))
 
 
@@ -245,7 +283,7 @@ class Member:
 
     @property
     def address(self) -> str:
-        return self._map._records[self._id][0]
+        return self._map._records[self._id].address
 
     @property
     def incarnation(self) -> int:
@@ -265,13 +303,13 @@ class Member:
     def meta(self) -> bytes:
         """Application metadata carried in the member's alive claims
         (roles, tags — Consul/Serf style)."""
-        return self._map._records[self._id][1]
+        return self._map._records[self._id].meta
 
     @property
     def zone(self) -> str:
         """Zone tag in hierarchical deployments (:mod:`repro.zones`);
         ``""`` in flat clusters."""
-        return self._map._records[self._id][2]
+        return self._map._records[self._id].zone
 
     @property
     def is_alive(self) -> bool:
@@ -355,7 +393,7 @@ class MemberMap:
         # The columns behind claims() as last gathered, or None when stale.
         self._claims: Optional[Tuple[tuple, tuple, tuple]] = None
         self._local_id = self._insert(
-            local_name, (local_address, b"", zone), 1, _ALIVE, 0.0
+            local_name, Record(local_address, b"", zone), 1, _ALIVE, 0.0
         )
 
     # ------------------------------------------------------------------ #
@@ -487,18 +525,23 @@ class MemberMap:
             alive.insert(0, self._local_id)
         return self._views(alive)
 
-    def snapshot(self, now: float = 0.0) -> Tuple[StateEntry, ...]:
-        """Full state for a push-pull sync, rebuilt from the columns per
-        call (cheaper than the 1-in-5 hit rate of a cached tuple was
-        worth: docs/PERFORMANCE.md).
+    def snapshot(self, now: float = 0.0) -> PackedStates:
+        """Full state for a push-pull sync, packed from the columns per
+        call (cheaper than the 1-in-5 hit rate of a cached copy was
+        worth: docs/PERFORMANCE.md) and already in wire form:
+        :func:`repro.swim.codec.encode` appends it as it is. Iterating
+        the result yields the entry tuples it encodes, for whoever wants
+        to read it.
 
         The last element of an entry is the age of its state in integer
-        milliseconds; see :meth:`Member.snapshot`.
+        milliseconds; see :meth:`Member.snapshot`. A table the wire
+        format cannot carry (a name over 255 bytes, more than 65,535
+        members) raises :class:`~repro.swim.codec.CodecError`.
         """
-        # Entry construction dominates sync-heavy profiles. The state
-        # column already holds wire values, and a preseeded table shares
-        # a handful of transition times, so ages are computed once per
-        # distinct time.
+        # One pass: per entry, the record's cached head plus one fused
+        # pack of the observer's own columns. The state column already
+        # holds wire values, and a preseeded table shares a handful of
+        # transition times, so ages are computed once per distinct time.
         names = self._roster.names
         records = self._records
         incarnations = self._incarnations
@@ -506,10 +549,17 @@ class MemberMap:
         changed_at = self._changed_at
         max_age = MAX_STATE_AGE_MS
         ages: Dict[float, int] = {}
-        entries = []
-        append = entries.append
-        for sid in self._order:
+        order = self._order
+        pieces = [pack_states_count(len(order))]
+        append = pieces.append
+        for sid in order:
             record = records[sid]
+            packed = record.head
+            if packed is None:
+                packed = record.head = pack_entry_head(
+                    names[sid], record.address, record.meta
+                )
+            head, meta_wire = packed
             changed = changed_at[sid]
             age = ages.get(changed)
             if age is None:
@@ -518,10 +568,12 @@ class MemberMap:
                     if now > changed
                     else 0
                 )
-            append(
-                (names[sid], record[0], incarnations[sid], states[sid], record[1], age)
-            )
-        return tuple(entries)
+            append(head)
+            if meta_wire:
+                append(pack_entry_rest(incarnations[sid], states[sid], meta_wire, age))
+            else:
+                append(pack_entry_tail(incarnations[sid], states[sid], 0, age))
+        return PackedStates(b"".join(pieces))
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -573,7 +625,7 @@ class MemberMap:
         New members enter the probe list at a random position, per SWIM's
         round-robin refinement.
         """
-        self._insert(name, (address, meta, zone), incarnation, state, now)
+        self._insert(name, Record(address, meta, zone), incarnation, state, now)
         self._scheduler.on_members_added((name,))
 
     def add_many(
@@ -707,15 +759,15 @@ class MemberMap:
             record = self._records[sid]
             assert record is not None
             claimed = (
-                record[0] if address is None else address,
-                record[1] if meta is None else meta,
-                zone or record[2],
+                record.address if address is None else address,
+                record.meta if meta is None else meta,
+                zone or record.zone,
             )
-            if claimed != record:
+            if claimed != (record.address, record.meta, record.zone):
                 # Copy-on-write: the old record may be shared with other
                 # observers (and the roster), none of whom saw this claim.
-                meta_changed = claimed[1] != record[1]
-                self._records[sid] = claimed
+                meta_changed = claimed[1] != record.meta
+                self._records[sid] = Record(*claimed)
         elif state is not MemberState.SUSPECT and age > 0.0:
             self._changed_at[sid] = min(self._changed_at[sid], now - age)
         return MergeDecision(
@@ -846,8 +898,11 @@ class MemberMap:
         :meth:`add_many` by the maps sharing it seeds them with it.
         """
         sid = self._local_id
-        address, _, zone = self._records[sid]
-        self._records[sid] = self._roster.records[sid] = (address, meta, zone)
+        record = self._records[sid]
+        assert record is not None
+        self._records[sid] = self._roster.records[sid] = Record(
+            record.address, meta, record.zone
+        )
 
     def reclaim_dead(self, now: float, retention: float) -> List[str]:
         """Remove dead/left members whose retention window has expired.

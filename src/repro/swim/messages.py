@@ -15,9 +15,12 @@ realistic compact binary format rather than on Python object overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
 
 from repro.swim.state import MemberState
+
+if TYPE_CHECKING:  # the codec imports this module
+    from repro.swim.codec import PackedStates
 
 #: Wire value -> member state, bypassing the enum constructor on the
 #: push-pull decode path (see :meth:`PushPull.iter_entries`).
@@ -144,19 +147,18 @@ class PushPull:
     receiver merges it and answers with its own table and
     ``is_reply=True``. ``join=True`` marks the initiator's first contact
     with the group.
+
+    ``states`` is a tuple of entries on a decoded message and on one
+    built by hand; a sender's own table arrives here already encoded, as
+    the :class:`repro.swim.codec.PackedStates` that
+    :meth:`MemberMap.snapshot <repro.swim.member_map.MemberMap.snapshot>`
+    returns, which iterates (and compares) as the same entries.
     """
 
     source: str
-    states: Tuple[StateEntry, ...]
+    states: Union[Tuple[StateEntry, ...], PackedStates]
     join: bool = False
     is_reply: bool = False
-
-    def iter_states(self) -> Iterator[Tuple[str, str, int, MemberState, bytes]]:
-        """Yield ``(name, address, incarnation, MemberState, meta)``."""
-        for entry in self.states:
-            name, address, incarnation, state_value = entry[:4]
-            meta = entry[4] if len(entry) > 4 else b""
-            yield name, address, incarnation, MemberState(state_value), meta
 
     def iter_entries(
         self,

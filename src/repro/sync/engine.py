@@ -156,6 +156,8 @@ class SyncEngine:
     # ------------------------------------------------------------------ #
 
     def _snapshot_message(self, join: bool, reply: bool = False) -> PushPull:
+        # The snapshot is the table already in wire form (PackedStates);
+        # the codec appends it to the packet as it is.
         return PushPull(
             self._name,
             self._members.snapshot(self._clock()),

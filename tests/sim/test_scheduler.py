@@ -45,6 +45,22 @@ class TestScheduling:
         scheduler.run_until(2.0)
         assert order == ["a", "b", "c"]
 
+    def test_heap_orders_events_as_when_seq_lists(self):
+        """An event is its own heap entry and compares as the list
+        ``[when, seq]`` — in C, with no ``__lt__`` of its own. ``seq``
+        is unique, so the order is strict, no two events are equal, and
+        a handle still hashes (by identity)."""
+        scheduler = EventScheduler()
+        late = scheduler.call_at(2.0, lambda: None)
+        first = scheduler.call_at(1.0, lambda: None)
+        second = scheduler.call_at(1.0, lambda: None)
+        assert "__lt__" not in vars(type(first))
+        assert sorted(scheduler._heap) == [first, second, late]
+        assert [list(event) for event in (first, second, late)] == [
+            [1.0, 2], [1.0, 3], [2.0, 1],
+        ]
+        assert first != second and len({first, second, late}) == 3
+
     def test_clock_advances_to_event_time(self):
         scheduler = EventScheduler()
         seen = []
@@ -172,6 +188,7 @@ class TestCancellation:
         assert scheduler.compactions >= 1
         assert len(scheduler._heap) < 2010
         assert len(scheduler) == len(live) == 10
+        assert set(scheduler._heap) >= set(live)
 
     def test_order_preserved_across_compaction(self):
         scheduler = EventScheduler()

@@ -16,6 +16,7 @@ from repro.swim.messages import (
     PushPull,
     Suspect,
     UserEvent,
+    ZoneClaim,
 )
 
 _names = st.text(
@@ -162,6 +163,37 @@ class TestDecodeErrors:
         compound = codec.encode(Compound((Ack(1, "x"),)))
         with pytest.raises(codec.CodecError):
             codec.decode(compound[:-1])
+
+    @pytest.mark.parametrize("as_buffer", [bytes, bytearray, memoryview])
+    def test_state_tag_out_of_range(self, as_buffer):
+        """A well-framed push-pull entry or zone claim whose state byte
+        names no ``MemberState`` is refused by the decoder — whatever
+        precedes it in the packet, on either entry path (with and
+        without a meta), warm or cold — rather than handed to a merge
+        that cannot represent it."""
+        good = ("ok", "1.1.1.1:2", 1, 0, b"", 0)
+        for state_value in range(4, 256):
+            bad = ("a", "1.1.1.1:1", 1, state_value, b"", 0)
+            for message in (
+                PushPull("x", (bad,)),
+                PushPull("x", (good, good, bad, good)),
+                PushPull("x", (good, bad[:4] + (b"meta", 7))),
+                ZoneClaim("z", "m", 1, state_value),
+                Compound((Ack(1, "x"), ZoneClaim("z", "m", 1, state_value))),
+                Compound((Ack(1, "x"), PushPull("x", (good,) * 8 + (bad,)))),
+            ):
+                packet = as_buffer(codec.encode(message))
+                for _ in range(2):
+                    with pytest.raises(
+                        codec.CodecError, match=f"invalid member state {state_value}$"
+                    ):
+                        codec.decode(packet)
+        for state_value in range(4):
+            for message in (
+                PushPull("x", (("a", "1.1.1.1:1", 1, state_value, b"", 0),)),
+                ZoneClaim("z", "m", 1, state_value),
+            ):
+                assert codec.decode(as_buffer(codec.encode(message))) == message
 
     @given(st.binary(max_size=64))
     def test_fuzz_never_crashes(self, data):

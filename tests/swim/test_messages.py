@@ -76,17 +76,18 @@ class TestFlattenAndCompound:
 
 
 class TestPushPull:
-    def test_iter_states_decodes_enum(self):
+    def test_iter_entries_decodes_enum(self):
         sync = PushPull("s", (("a", "addr", 3, int(MemberState.SUSPECT)),))
-        entries = list(sync.iter_states())
-        assert entries == [("a", "addr", 3, MemberState.SUSPECT, b"")]
+        entries = list(sync.iter_entries())
+        assert entries == [("a", "addr", 3, MemberState.SUSPECT, 0.0, b"")]
+        assert entries[0][3] is MemberState.SUSPECT
 
-    def test_iter_states_passes_meta_through(self):
+    def test_iter_entries_passes_meta_and_age_through(self):
         sync = PushPull(
-            "s", (("a", "addr", 3, int(MemberState.ALIVE), b"role=db"),)
+            "s", (("a", "addr", 3, int(MemberState.ALIVE), b"role=db", 1500),)
         )
-        entries = list(sync.iter_states())
-        assert entries == [("a", "addr", 3, MemberState.ALIVE, b"role=db")]
+        entries = list(sync.iter_entries())
+        assert entries == [("a", "addr", 3, MemberState.ALIVE, 1.5, b"role=db")]
 
     def test_flags_default_off(self):
         sync = PushPull("s", ())

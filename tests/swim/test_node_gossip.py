@@ -231,6 +231,32 @@ class TestPushPull:
         assert cluster.view("n0", "n2") is MemberState.DEAD
 
 
+    def test_invalid_state_byte_drops_the_packet_whole(self):
+        """Hostile input: a well-framed entry whose state byte is no
+        ``MemberState`` used to decode, merge the entries ahead of it and
+        then raise ``ValueError`` out of the transport's handler. The
+        decoder refuses it, so nothing of the packet is acted on."""
+        cluster = LocalCluster(NAMES, config=base_config())
+        node = cluster.nodes["n0"]
+        node.start(first_probe_delay=100.0)
+        before = (node.members.names(), node.members.snapshot(), node.incarnation)
+        sync = PushPull(
+            "n1",
+            (
+                ("fresh", "fresh-addr", 4, int(MemberState.ALIVE)),
+                ("n2", "n2", 1, int(MemberState.DEAD)),
+                ("a", "1.1.1.1:1", 1, 9, b"", 0),
+            ),
+        )
+        for payload in (codec.encode(sync), memoryview(bytearray(codec.encode(sync)))):
+            node.handle_packet(payload, "n1", reliable=True)
+        assert (node.members.names(), node.members.snapshot(), node.incarnation) == before
+        assert cluster.view("n0", "n2") is MemberState.ALIVE
+        assert packets_from(cluster, "n0") == []  # not even the reply
+        assert not cluster.events.of_kind(EventKind.JOINED)
+        assert node.telemetry.sync_merges == 0
+
+
 class TestJoinAndLeave:
     def test_join_through_seed(self):
         cluster = LocalCluster(["seed", "late"], preseed=False, config=base_config())
