@@ -177,9 +177,12 @@ class Suspicion:
         both shrank the deadline and should be re-gossiped (the first ``K``
         only); ``False`` for duplicates or confirmations beyond ``K``.
         """
-        if not self.needs_confirmations or member in self._confirmers:
+        confirmers = self._confirmers
+        # len(confirmers) - 1 is C (the creator is in the set): the K-th
+        # confirmation was the last to count.
+        if len(confirmers) > self._k or member in confirmers:
             return False
-        self._confirmers.add(member)
+        confirmers.add(member)
         return True
 
     def current_timeout(self) -> float:

@@ -7,7 +7,9 @@ class VirtualClock:
     """A monotonically advancing virtual clock.
 
     Instances are callable so they satisfy the :data:`repro.runtime.Clock`
-    protocol directly. Only the scheduler advances the clock.
+    protocol directly. Only the scheduler advances the clock — its drive
+    loop, which runs once per simulated event, reads and writes ``_now``
+    itself (with :meth:`advance_to`'s check) rather than call in here.
     """
 
     __slots__ = ("_now",)

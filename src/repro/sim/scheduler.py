@@ -23,6 +23,7 @@ which makes the order strict and means two events never compare equal.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional
 
 from repro.sim.clock import VirtualClock
@@ -116,24 +117,17 @@ class EventScheduler:
         self._cancelled = 0
         self.compactions += 1
 
-    def _pop(self) -> _Event:
-        event = heapq.heappop(self._heap)
-        event._sched = None
-        if event.cancelled:
-            self._cancelled -= 1
-        return event
-
     def call_at(self, when: float, callback: Callable[[], None]) -> _Event:
         """Schedule ``callback`` at absolute virtual time ``when``.
 
         Scheduling in the past is clamped to 'now' (the event runs on the
         next pump), mirroring asyncio's behaviour.
         """
-        now = self.clock.now
+        now = self.clock._now
         if when < now:
             when = now
-        self._seq += 1
-        event = _Event((when, self._seq))
+        seq = self._seq = self._seq + 1
+        event = _Event((when, seq))
         event.callback = callback
         event.cancelled = False
         event._sched = self
@@ -145,42 +139,58 @@ class EventScheduler:
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` when drained."""
-        while self._heap and self._heap[0].cancelled:
-            self._pop()
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)._sched = None
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
+
+    def _run(self, deadline: float, limit: float) -> int:
+        """The drive loop behind :meth:`step` and :meth:`run_until`: run
+        the events due by ``deadline`` in ``(when, seq)`` order, at most
+        ``limit`` of them, and return how many ran.
+
+        It runs once per simulated event, so popping and advancing the
+        clock (``VirtualClock.advance_to``, never-backward check and
+        all) are spelled out here instead of called.
+        """
+        heap = self._heap
+        clock = self.clock
+        heappop = heapq.heappop
+        count = 0
+        while heap and count < limit:
+            event = heap[0]
+            if event.cancelled:
+                heappop(heap)._sched = None
+                self._cancelled -= 1
+                continue
+            when = event[0]
+            if when > deadline:
+                break
+            heappop(heap)
+            event._sched = None
+            if when < clock._now:
+                raise ValueError(
+                    f"cannot move clock backward: {when} < {clock._now}"
+                )
+            clock._now = when
+            # Before the callback: a callback that raises still ran.
+            self.executed += 1
+            count += 1
+            event.callback()
+            if self.on_event is not None:
+                self.on_event(clock._now)
+        return count
 
     def step(self) -> bool:
         """Run the single next event. Returns ``False`` when drained."""
-        while self._heap:
-            event = self._pop()
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event[0])
-            self.executed += 1
-            event.callback()
-            if self.on_event is not None:
-                self.on_event(self.clock.now)
-            return True
-        return False
+        return self._run(math.inf, 1) == 1
 
     def run_until(self, deadline: float) -> int:
         """Run all events with timestamps <= ``deadline``; the clock ends
         exactly at ``deadline``. Returns the number of events executed."""
-        count = 0
-        heap = self._heap
+        count = self._run(deadline, math.inf)
         clock = self.clock
-        while heap:
-            while heap and heap[0].cancelled:
-                self._pop()
-            if not heap or heap[0][0] > deadline:
-                break
-            event = self._pop()
-            clock.advance_to(event[0])
-            self.executed += 1
-            event.callback()
-            if self.on_event is not None:
-                self.on_event(clock.now)
-            count += 1
         clock.advance_to(max(clock.now, deadline))
         return count
 

@@ -13,18 +13,21 @@ queue never spreads self-contradictory state.
 Selection runs once per outgoing packet, so it must not re-sort the whole
 queue each time. Entries live in per-transmit-count *buckets*, each kept
 ordered newest-first; walking the buckets in ascending transmit order
-reproduces exactly the old full sort by ``(transmits, -enqueued_seq)``.
-Replaced/invalidated entries are dropped lazily (an entry is live only if
-it is still the queue's entry for its subject *and* still in the bucket
-matching its transmit count), with a periodic rebuild once stale entries
-accumulate.
+visits entries exactly as a full sort by ``(transmits, -enqueued_seq)``
+would. The buckets are exact: every item in bucket ``t`` is the queue's
+current entry for its subject and has been transmitted ``t`` times, and
+no bucket is empty. A replaced or invalidated entry leaves its bucket on
+the spot (found by bisecting on its sequence number), so selection never
+tests an item for liveness, and since everything in a bucket shares one
+transmit count, a bucket the packet has room for is taken, retired or
+promoted as a whole.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import insort
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.swim import codec
@@ -82,9 +85,9 @@ class BroadcastQueue:
     __slots__ = (
         "_mult",
         "_n_members_fn",
+        "_limit_for",
         "_queue",
         "_buckets",
-        "_stale",
         "_seq",
         "total_enqueued",
         "_max_payload",
@@ -101,11 +104,10 @@ class BroadcastQueue:
     ) -> None:
         self._mult = retransmit_mult
         self._n_members_fn = n_members_fn
+        #: ``(n, retransmit limit at group size n)`` as last computed.
+        self._limit_for: Tuple[int, int] = (-1, 0)
         self._queue: Dict[str, _QueuedBroadcast] = {}
         self._buckets: Dict[int, List[_BucketItem]] = {}
-        #: Bucket items whose entry was replaced or invalidated (lazily
-        #: dropped at selection time; triggers a rebuild when dominant).
-        self._stale = 0
         self._seq = 0
         #: Total broadcasts ever enqueued (telemetry).
         self.total_enqueued = 0
@@ -122,7 +124,14 @@ class BroadcastQueue:
         return bool(self._queue)
 
     def current_limit(self) -> int:
-        return retransmit_limit(self._mult, self._n_members_fn())
+        """The retransmit limit at the current group size (the logarithm
+        is taken again only when the size has changed)."""
+        n = self._n_members_fn()
+        known_n, limit = self._limit_for
+        if n != known_n:
+            limit = retransmit_limit(self._mult, n)
+            self._limit_for = (n, limit)
+        return limit
 
     def enqueue(self, message: GossipMessage) -> None:
         """Queue ``message``, replacing any queued claim about the same
@@ -133,57 +142,49 @@ class BroadcastQueue:
         supersedes it and a stale claim must not keep circulating."""
         payload = codec.encode(message)
         subject = gossip_subject(message)
-        if self._drop_if_oversized(subject, payload):
+        if self._max_payload is not None and len(payload) > self._max_payload:
+            self.invalidate(subject)
+            self._note_oversized(subject, len(payload))
             return
         self._seq += 1
         self.total_enqueued += 1
-        if subject in self._queue:
-            self._stale += 1
+        replaced = self._queue.get(subject)
+        if replaced is not None:
+            self._unbucket(replaced)
         entry = _QueuedBroadcast(message, payload, self._seq, subject)
         self._queue[subject] = entry
+        # The newest entry of all sorts first in the never-sent bucket.
         bucket = self._buckets.get(0)
         if bucket is None:
             self._buckets[0] = [(-self._seq, entry)]
         else:
-            insort(bucket, (-self._seq, entry))
-        self._maybe_rebuild()
+            bucket.insert(0, (-self._seq, entry))
 
-    def _drop_if_oversized(self, subject: str, payload: bytes) -> bool:
-        if self._max_payload is None or len(payload) <= self._max_payload:
-            return False
-        if self._queue.pop(subject, None) is not None:
-            self._stale += 1
+    def _note_oversized(self, subject: str, size: int) -> None:
         self.total_oversized += 1
         warnings.warn(
             f"dropping oversized broadcast about {subject!r}: "
-            f"{len(payload)} > {self._max_payload} bytes",
+            f"{size} > {self._max_payload} bytes",
             RuntimeWarning,
             stacklevel=3,
         )
         if self._on_oversized is not None:
-            self._on_oversized(len(payload))
-        return True
+            self._on_oversized(size)
 
     def invalidate(self, member: str) -> None:
         """Drop any queued broadcast about ``member``."""
-        if self._queue.pop(member, None) is not None:
-            self._stale += 1
-            self._maybe_rebuild()
+        entry = self._queue.pop(member, None)
+        if entry is not None:
+            self._unbucket(entry)
 
-    def _maybe_rebuild(self) -> None:
-        if self._stale > 64 and self._stale > len(self._queue):
-            self._rebuild_buckets()
-
-    def _rebuild_buckets(self) -> None:
-        buckets: Dict[int, List[_BucketItem]] = {}
-        for entry in self._queue.values():
-            buckets.setdefault(entry.transmits, []).append(
-                (-entry.enqueued_seq, entry)
-            )
-        for bucket in buckets.values():
-            bucket.sort()
-        self._buckets = buckets
-        self._stale = 0
+    def _unbucket(self, entry: _QueuedBroadcast) -> None:
+        bucket = self._buckets[entry.transmits]
+        if len(bucket) == 1:
+            del self._buckets[entry.transmits]
+        else:
+            # ``(-seq,)`` sorts just before ``(-seq, entry)``, and no
+            # other item shares the sequence number.
+            del bucket[bisect_left(bucket, (-entry.enqueued_seq,))]
 
     def peek(self, member: str) -> Optional[GossipMessage]:
         """The queued claim about ``member``, if any (not a transmission)."""
@@ -208,60 +209,67 @@ class BroadcastQueue:
         retransmit limit.
 
         Walks the transmit-count buckets in ascending order — the same
-        visit order as sorting everything by ``(transmits, -seq)``.
-        Selected entries move buckets only after the walk, so one call
-        never transmits the same broadcast twice; the walk stops early
-        once the remaining budget cannot fit even an empty payload
-        (skipped entries carry no state, so stopping is unobservable).
+        visit order as sorting everything by ``(transmits, -seq)``. What
+        a bucket gives up moves on as one sorted run, and only after the
+        walk, so one call never transmits the same broadcast twice; the
+        walk stops once the remaining budget cannot fit even an empty
+        payload (skipped entries carry no state, so stopping is
+        unobservable).
         """
         queue = self._queue
         if not queue:
             return []
         limit = self.current_limit()
+        buckets = self._buckets
         selected: List[bytes] = []
+        append = selected.append
         remaining = byte_budget
-        promoted: List[_BucketItem] = []
-        exhausted = remaining <= per_payload_overhead
-        for key in sorted(self._buckets):
-            bucket = self._buckets[key]
-            if exhausted:
+        promoted: List[Tuple[int, List[_BucketItem]]] = []
+        for key in sorted(buckets):
+            if remaining <= per_payload_overhead:
                 break
-            kept: List[_BucketItem] = []
+            bucket = taken = buckets[key]
+            sent = key + 1
             for index, item in enumerate(bucket):
                 entry = item[1]
-                if queue.get(entry.subject) is not entry or entry.transmits != key:
-                    self._stale -= 1
-                    continue
-                if exhausted:
-                    kept.extend(bucket[index:])
-                    break
                 cost = len(entry.payload) + per_payload_overhead
                 if cost > remaining:
-                    kept.append(item)
-                    continue
+                    # The bucket does not fit whole: from here on it is
+                    # split, item by item, into what goes and what stays.
+                    taken = bucket[:index]
+                    kept = [item]
+                    for item in bucket[index + 1 :]:
+                        entry = item[1]
+                        cost = len(entry.payload) + per_payload_overhead
+                        if cost > remaining:
+                            kept.append(item)
+                        else:
+                            remaining -= cost
+                            append(entry.payload)
+                            entry.transmits = sent
+                            taken.append(item)
+                    buckets[key] = kept
+                    break
                 remaining -= cost
-                selected.append(entry.payload)
-                entry.transmits += 1
-                if entry.transmits >= limit:
-                    queue.pop(entry.subject, None)
-                else:
-                    promoted.append(item)
-                if remaining <= per_payload_overhead:
-                    exhausted = True
-            if kept:
-                self._buckets[key] = kept
+                append(entry.payload)
+                entry.transmits = sent
             else:
-                del self._buckets[key]
-        for item in promoted:
-            entry = item[1]
-            bucket = self._buckets.get(entry.transmits)
+                del buckets[key]
+            if sent >= limit:
+                for item in taken:
+                    del queue[item[1].subject]
+            elif taken:
+                promoted.append((sent, taken))
+        for sent, run in promoted:
+            bucket = buckets.get(sent)
             if bucket is None:
-                self._buckets[entry.transmits] = [item]
+                buckets[sent] = run
             else:
-                insort(bucket, item)
+                # Two sorted runs: the sort is a single merge.
+                bucket.extend(run)
+                bucket.sort()
         return selected
 
     def clear(self) -> None:
         self._queue.clear()
         self._buckets.clear()
-        self._stale = 0

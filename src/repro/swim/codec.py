@@ -30,7 +30,8 @@ per entry and hands the result over as :class:`PackedStates`, which
 form from entry tuples, so there is one encoder.
 
 Encoding and decoding round-trip exactly; a corrupt or truncated packet
-raises :class:`CodecError` rather than yielding garbage.
+raises :class:`CodecError` rather than yielding garbage, and so does one
+whose compounds nest deeper than :data:`MAX_COMPOUND_DEPTH`.
 
 :func:`decode` accepts ``bytes``, ``bytearray`` or ``memoryview`` input.
 For buffer (non-``bytes``) input it slices without copying until string
@@ -388,14 +389,9 @@ def _encode_into(message: Message, out: List[bytes]) -> None:
         _put_str(out, message.member)
         out.append(_U64_U8.pack(message.incarnation, message.state_value))
     elif isinstance(message, Compound):
-        out.append(bytes((T_COMPOUND,)))
         if len(message.parts) > 0xFFFF:
             raise CodecError("too many parts in compound")
-        out.append(_U16.pack(len(message.parts)))
-        for part in message.parts:
-            encoded = encode(part)
-            out.append(_U16.pack(len(encoded)))
-            out.append(encoded)
+        out.extend(_compound_pieces([encode(part) for part in message.parts]))
     else:
         raise CodecError(f"cannot encode {type(message).__name__}")
 
@@ -404,49 +400,118 @@ def _encode_into(message: Message, out: List[bytes]) -> None:
 # so identical byte strings are decoded over and over during churn. All
 # messages are immutable (frozen dataclasses), so caching decodes of
 # small single messages is safe and cuts simulation time substantially.
+# Keys are owned ``bytes`` of a whole non-compound packet or compound
+# part, never empty; filled only after the bytes decoded cleanly.
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_LIMIT = 8192
 _CACHEABLE_MAX_LEN = 96
+
+#: How deep compounds may nest on the way in, the outermost counting as
+#: one. No sender here nests at all (a packet is one compound of plain
+#: parts); the bound keeps a hostile datagram of compounds within
+#: compounds from recursing the decoder, and then the receiver's
+#: dispatch, to the interpreter's limit.
+MAX_COMPOUND_DEPTH = 4
 
 
 def decode(buf: Buffer) -> Message:
     """Decode one wire packet back into a message.
 
-    ``bytes`` input is decoded as always (including the small-message
-    decode cache). ``bytearray``/``memoryview`` input is decoded without
-    copying the packet: small non-compound packets are interned to
-    ``bytes`` once so they share the decode cache with the classic path,
-    larger packets (push-pull snapshots, gossip compounds) are sliced in
-    place. Both paths produce identical messages and identical
+    The one entry point per packet. A small non-compound packet is
+    looked up in the decode cache (a ``bytearray``/``memoryview`` one is
+    interned to ``bytes`` first, so both input kinds share it); a
+    compound is walked part by part against the same cache
+    (:func:`_decode_compound`), and every part is decoded before the
+    message is returned, so one bad part refuses the packet whole; a
+    large packet (a push-pull snapshot) is sliced in place. ``bytes``
+    and buffer input produce identical messages and identical
     :class:`CodecError` behavior.
     """
-    if buf.__class__ is not bytes:
-        if len(buf) <= _CACHEABLE_MAX_LEN and len(buf) and buf[0] != T_COMPOUND:
-            # Interning the (tiny) packet costs one small copy but buys
-            # full cache hits for the retransmit-heavy gossip kinds.
-            return decode(bytes(buf))
-        message, offset = _decode_at(buf, 0)
-        if offset != len(buf):
-            raise CodecError(f"{len(buf) - offset} trailing bytes after message")
-        return message
-    if len(buf) <= _CACHEABLE_MAX_LEN and buf and buf[0] != T_COMPOUND:
+    size = len(buf)
+    if size and buf[0] == T_COMPOUND:
+        message, offset = _decode_compound(buf, 1, 1)
+    elif 0 < size <= _CACHEABLE_MAX_LEN:
+        if buf.__class__ is not bytes:
+            buf = bytes(buf)
         cached = _DECODE_CACHE.get(buf)
-        if cached is not None:
-            return cached
+        return cached if cached is not None else _decode_small(buf)
+    else:
         message, offset = _decode_at(buf, 0)
-        if offset != len(buf):
-            raise CodecError(f"{len(buf) - offset} trailing bytes after message")
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[buf] = message
-        return message
-    message, offset = _decode_at(buf, 0)
-    if offset != len(buf):
-        raise CodecError(f"{len(buf) - offset} trailing bytes after message")
+    if offset != size:
+        raise CodecError(f"{size - offset} trailing bytes after message")
     return message
 
 
-def _decode_at(buf: Buffer, offset: int) -> Tuple[Message, int]:
+def _decode_small(raw: bytes) -> Message:
+    """Decode a cacheable packet or compound part the cache did not
+    hold, and remember it."""
+    message, offset = _decode_at(raw, 0)
+    if offset != len(raw):
+        raise CodecError(f"{len(raw) - offset} trailing bytes after message")
+    if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
+        _DECODE_CACHE.clear()
+    _DECODE_CACHE[raw] = message
+    return message
+
+
+def _decode_compound(buf: Buffer, offset: int, depth: int) -> Tuple[Message, int]:
+    """Decode the compound whose part count starts at ``offset``; it is
+    the ``depth``-th compound around its parts.
+
+    The per-packet hot loop: gossip rides as several small parts per
+    packet and the same parts arrive again and again, so a part costs
+    one slice and one cache lookup. Only a part the cache does not hold
+    reaches the field decoders, and a part too large to cache (a
+    push-pull snapshot) is decoded where it lies, without copying it.
+    """
+    if depth > MAX_COMPOUND_DEPTH:
+        raise CodecError(f"compound nested deeper than {MAX_COMPOUND_DEPTH}")
+    buf_len = len(buf)
+    if offset + 2 > buf_len:
+        raise CodecError("truncated u16")
+    unpack_u16 = _unpack_u16_from
+    count = unpack_u16(buf, offset)[0]
+    offset += 2
+    if count == 0:
+        raise CodecError("empty compound")
+    parts = []
+    append = parts.append
+    cached = _DECODE_CACHE.get
+    for _ in range(count):
+        if offset + 2 > buf_len:
+            raise CodecError("truncated u16")
+        end = offset + 2 + unpack_u16(buf, offset)[0]
+        offset += 2
+        if end > buf_len:
+            raise CodecError("truncated compound part")
+        if end - offset <= _CACHEABLE_MAX_LEN:
+            raw = buf[offset:end]
+            # A view's bytes belong to a buffer the transport will
+            # reuse; keys (and message fields) own their storage.
+            if raw.__class__ is not bytes:
+                raw = bytes(raw)
+            part = cached(raw)
+            if part is None:
+                if raw and raw[0] == T_COMPOUND:
+                    part, consumed = _decode_compound(raw, 1, depth + 1)
+                    if consumed != len(raw):
+                        raise CodecError(
+                            f"{len(raw) - consumed} trailing bytes after message"
+                        )
+                else:
+                    part = _decode_small(raw)
+        else:
+            part, consumed = _decode_at(buf, offset, depth)
+            if consumed != end:
+                raise CodecError(f"{end - consumed} trailing bytes after message")
+        append(part)
+        offset = end
+    return Compound(tuple(parts)), offset
+
+
+def _decode_at(buf: Buffer, offset: int, depth: int = 0) -> Tuple[Message, int]:
+    """Decode the message starting at ``offset``, field by field.
+    ``depth`` counts the compounds already around it."""
     if offset >= len(buf):
         raise CodecError("empty packet")
     tag = buf[offset]
@@ -526,31 +591,7 @@ def _decode_at(buf: Buffer, offset: int) -> Tuple[Message, int]:
         offset += 9
         return ZoneClaim(zone, member, incarnation, state_value), offset
     if tag == T_COMPOUND:
-        count, offset = _get_u16(buf, offset)
-        if count == 0:
-            raise CodecError("empty compound")
-        parts = []
-        buf_len = len(buf)
-        for _ in range(count):
-            length, offset = _get_u16(buf, offset)
-            end = offset + length
-            if end > buf_len:
-                raise CodecError("truncated compound part")
-            if length <= _CACHEABLE_MAX_LEN:
-                # Route small parts through decode() so identical gossip
-                # payloads hit the decode cache.
-                parts.append(decode(buf[offset:end]))
-            else:
-                # Large parts (full push-pull snapshots): decode in
-                # place, no intermediate copy of the part bytes.
-                part, consumed = _decode_at(buf, offset)
-                if consumed != end:
-                    raise CodecError(
-                        f"{end - consumed} trailing bytes after message"
-                    )
-                parts.append(part)
-            offset = end
-        return Compound(tuple(parts)), offset
+        return _decode_compound(buf, offset, depth + 1)
     raise CodecError(f"unknown message tag 0x{tag:02x}")
 
 
@@ -655,12 +696,37 @@ COMPOUND_PART_OVERHEAD = 2
 #: Fixed overhead of a compound wrapper (type byte + part count).
 COMPOUND_HEADER_OVERHEAD = 3
 
+_COMPOUND_TAG = bytes((T_COMPOUND,))
+
 
 def compound_size(part_sizes: List[int]) -> int:
     """Wire size of a compound message holding parts of the given sizes."""
     return COMPOUND_HEADER_OVERHEAD + sum(
         COMPOUND_PART_OVERHEAD + size for size in part_sizes
     )
+
+
+def framed_size(parts: Sequence[bytes]) -> int:
+    """Bytes ``parts`` occupy inside a compound: each one's length plus
+    its framing. What a packet budget is charged for them."""
+    return sum(map(len, parts)) + COMPOUND_PART_OVERHEAD * len(parts)
+
+
+def _compound_pieces(parts: Sequence[bytes]) -> List[bytes]:
+    """The one spelling of compound framing on the way out: tag, part
+    count, then ``u16 length + part`` per already-encoded part."""
+    pack = _pack_u16
+    pieces = [_COMPOUND_TAG, pack(len(parts))]
+    append = pieces.append
+    for raw in parts:
+        append(pack(len(raw)))
+        append(raw)
+    return pieces
+
+
+def pack_compound(parts: Sequence[bytes]) -> bytes:
+    """One compound packet out of already-encoded parts."""
+    return b"".join(_compound_pieces(parts))
 
 
 def pack_with_piggyback(primary: Message, piggyback: List[bytes]) -> bytes:
@@ -679,13 +745,7 @@ def pack_encoded_with_piggyback(
     """Like :func:`pack_with_piggyback` for an already-encoded primary."""
     if not piggyback:
         return encoded_primary
-    out = [bytes((T_COMPOUND,)), _U16.pack(1 + len(piggyback))]
-    out.append(_U16.pack(len(encoded_primary)))
-    out.append(encoded_primary)
-    for raw in piggyback:
-        out.append(_U16.pack(len(raw)))
-        out.append(raw)
-    return b"".join(out)
+    return pack_compound([encoded_primary, *piggyback])
 
 
 def pack_encoded_with_piggyback_into(
@@ -701,12 +761,7 @@ def pack_encoded_with_piggyback_into(
     before = len(out)
     if not piggyback:
         out += encoded_primary
-        return len(out) - before
-    out.append(T_COMPOUND)
-    out += _U16.pack(1 + len(piggyback))
-    out += _U16.pack(len(encoded_primary))
-    out += encoded_primary
-    for raw in piggyback:
-        out += _U16.pack(len(raw))
-        out += raw
+    else:
+        for piece in _compound_pieces([encoded_primary, *piggyback]):
+            out += piece
     return len(out) - before

@@ -682,7 +682,11 @@ class MemberMap:
             self._changed_at[sid] = now
             self._state_counts[previous] -= 1
             self._state_counts[state] += 1
-            self._actives = None
+            # The active index holds ALIVE and SUSPECT members alike: a
+            # suspicion raised or refuted — most flips by far — leaves
+            # it as it was.
+            if (previous <= _SUSPECT) != (state <= _SUSPECT):
+                self._actives = None
             states[sid] = state
         self._incarnations[sid] = incarnation
         self._claims = None

@@ -22,7 +22,6 @@ same code run under the discrete-event simulator and under asyncio UDP.
 from __future__ import annotations
 
 import random
-import struct
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SwimConfig
@@ -653,33 +652,43 @@ class SwimNode:
             message = codec.decode(payload)
         except codec.CodecError:
             return
-        self._dispatch(message, from_address, reliable)
+        if message.__class__ is Compound:
+            self._dispatch(message.parts, from_address, reliable)
+        else:
+            self._dispatch((message,), from_address, reliable)
 
-    def _dispatch(self, message: Message, from_address: str, reliable: bool) -> None:
+    def _dispatch(
+        self, parts: Sequence[Message], from_address: str, reliable: bool
+    ) -> None:
+        """Hand each part of a decoded packet to its handler, in wire
+        order. The whole packet decoded before the first part is handled
+        (a corrupt part drops it entire), and a packet is one flat
+        compound: only a part that is itself a compound re-enters, at
+        most ``codec.MAX_COMPOUND_DEPTH`` deep."""
         # Ordered by observed frequency: gossip parts dominate packets
         # during churn, which is when simulation throughput matters.
-        kind = type(message)
-        if kind is Suspect:
-            self._handle_suspect(message)
-        elif kind is Alive:
-            self._handle_alive(message)
-        elif kind is Dead:
-            self._handle_dead(message)
-        elif kind is Ping:
-            self._handle_ping(message, from_address, reliable)
-        elif kind is Ack:
-            self._handle_ack(message, reliable)
-        elif kind is Compound:
-            for part in message.parts:
-                self._dispatch(part, from_address, reliable)
-        elif kind is UserEvent:
-            self._handle_user_event(message)
-        elif kind is PingReq:
-            self._handle_ping_req(message, from_address)
-        elif kind is Nack:
-            self._handle_nack(message)
-        elif kind is PushPull:
-            self._handle_push_pull(message, from_address)
+        for message in parts:
+            kind = message.__class__
+            if kind is Suspect:
+                self._handle_suspect(message)
+            elif kind is Alive:
+                self._handle_alive(message)
+            elif kind is Dead:
+                self._handle_dead(message)
+            elif kind is Ping:
+                self._handle_ping(message, from_address, reliable)
+            elif kind is Ack:
+                self._handle_ack(message, reliable)
+            elif kind is UserEvent:
+                self._handle_user_event(message)
+            elif kind is PingReq:
+                self._handle_ping_req(message, from_address)
+            elif kind is Nack:
+                self._handle_nack(message)
+            elif kind is PushPull:
+                self._handle_push_pull(message, from_address)
+            elif kind is Compound:
+                self._dispatch(message.parts, from_address, reliable)
 
     # ------------------------------------------------------------------ #
     # Failure detector: probing
@@ -923,29 +932,47 @@ class SwimNode:
         return minimum, maximum, k
 
     def _handle_suspect(self, message: Suspect) -> None:
-        if message.member == self.name:
+        name = message.member
+        entry = self._suspicions.get(name)
+        if entry is not None:
+            # A held suspicion means the subject is in the table, is not
+            # this node and is SUSPECT: an entry is made only below (and
+            # by start()) for exactly such a subject, and everything that
+            # moves the subject out of SUSPECT drops the entry in the same
+            # step (_apply_merge_decision, _suspicion_expired; the
+            # SUSPECT <=> timer oracle of repro.check holds every run to
+            # it). So the claim need only be checked against the
+            # incarnation held — and most suspect claims end here, as
+            # repeats of a suspicion already counted.
+            incarnation = message.incarnation
+            known = self._members.known_incarnation(name)
+            if incarnation < known:
+                return
+            if incarnation > known:
+                # Before the deadline can move: should the confirmation
+                # below expire the suspicion on the spot, the subject is
+                # declared dead at the incarnation it was last suspected
+                # at, and no SUSPECT claim lands on a dead member.
+                self._members.merge_claim(
+                    name, MemberState.SUSPECT, incarnation, self._clock()
+                )
+            if entry.suspicion.confirm(message.sender):
+                # A new independent suspicion within the first K: re-gossip
+                # it and shrink the timeout (LHA-Suspicion, Section IV-B).
+                self._broadcasts.enqueue(message)
+                self._reschedule_suspicion(name)
+            return
+        if name == self.name:
             self._refute(message.incarnation)
             return
-        member = self._members.get(message.member)
+        member = self._members.get(name)
         if member is None or member.is_dead:
             return
         if message.incarnation < member.incarnation:
             return
         now = self._clock()
-        entry = self._suspicions.get(message.member)
-        if entry is not None:
-            if entry.suspicion.confirm(message.sender):
-                # A new independent suspicion within the first K: re-gossip
-                # it and shrink the timeout (LHA-Suspicion, Section IV-B).
-                self._broadcasts.enqueue(message)
-                self._reschedule_suspicion(message.member)
-            if message.incarnation > member.incarnation:
-                self._members.merge_claim(
-                    message.member, MemberState.SUSPECT, message.incarnation, now
-                )
-            return
         decision = self._members.merge_claim(
-            message.member, MemberState.SUSPECT, message.incarnation, now
+            name, MemberState.SUSPECT, message.incarnation, now
         )
         if decision.action != MERGE_APPLIED and not member.is_suspect:
             return
@@ -957,16 +984,14 @@ class SwimNode:
         minimum, maximum, k = self._suspicion_parameters()
         suspicion = Suspicion(message.sender, now, minimum, maximum, k)
         entry = _SuspicionEntry(suspicion, None)
-        self._suspicions[message.member] = entry
+        self._suspicions[name] = entry
         entry.timer = self._scheduler.call_at(
-            suspicion.deadline(), lambda: self._suspicion_expired(message.member)
+            suspicion.deadline(), lambda: self._suspicion_expired(name)
         )
-        self._emit(EventKind.SUSPECTED, message.member, message.incarnation, now)
+        self._emit(EventKind.SUSPECTED, name, message.incarnation, now)
         # Gossip the suspicion onward, preserving the originator so peers
         # can count independence.
-        self._broadcasts.enqueue(
-            Suspect(message.incarnation, message.member, message.sender)
-        )
+        self._broadcasts.enqueue(Suspect(message.incarnation, name, message.sender))
 
     def _reschedule_suspicion(self, name: str) -> None:
         entry = self._suspicions.get(name)
@@ -1097,8 +1122,15 @@ class SwimNode:
             # claim would be.
             if decision.previous_state is None:
                 self._emit(EventKind.JOINED, name, decision.incarnation, now)
-            self._handle_suspect(Suspect(decision.incarnation, name, origin))
             member = self._members.get(name)
+            # A snapshot is merged into the table whole before its first
+            # decision is applied, so one that names the subject twice
+            # may already have written it off while the suspicion it
+            # ends is still held (the decision that drops it comes later
+            # in the batch). _handle_suspect trusts a held suspicion to
+            # mean SUSPECT, so a subject dead by now is turned away here.
+            if member is not None and not member.is_dead:
+                self._handle_suspect(Suspect(decision.incarnation, name, origin))
             became_suspect = (
                 member is not None
                 and member.is_suspect
@@ -1161,25 +1193,25 @@ class SwimNode:
         if not (self._broadcasts.pending or self._user_broadcasts.pending):
             return
         targets = self._gossip_targets(now)
+        budget = self.config.max_packet_size - codec.COMPOUND_HEADER_OVERHEAD
         for target in targets:
-            budget = self.config.max_packet_size - codec.COMPOUND_HEADER_OVERHEAD
-            payloads = self._broadcasts.get_payloads(
-                budget, codec.COMPOUND_PART_OVERHEAD
-            )
-            remaining = budget - sum(
-                len(p) + codec.COMPOUND_PART_OVERHEAD for p in payloads
-            )
-            if remaining > 0:
-                payloads.extend(
-                    self._user_broadcasts.get_payloads(
-                        remaining, codec.COMPOUND_PART_OVERHEAD
-                    )
-                )
+            payloads = self._select_gossip(budget)
             if not payloads:
                 break
             packet = self._pack_gossip_only(payloads)
             self.telemetry.record_send("gossip", len(packet))
             self._transport.send(target.address, packet)
+
+    def _select_gossip(self, budget: int) -> List[bytes]:
+        """Up to ``budget`` framed bytes of queued gossip for one packet:
+        membership claims first, user events in whatever room is left."""
+        overhead = codec.COMPOUND_PART_OVERHEAD
+        payloads = self._broadcasts.get_payloads(budget, overhead)
+        if payloads:
+            budget -= codec.framed_size(payloads)
+        if budget > 0:
+            payloads.extend(self._user_broadcasts.get_payloads(budget, overhead))
+        return payloads
 
     def _gossip_targets(self, now: float) -> List[Member]:
         """Targets for one dedicated gossip round: uniformly random
@@ -1211,11 +1243,7 @@ class SwimNode:
     def _pack_gossip_only(payloads: List[bytes]) -> bytes:
         if len(payloads) == 1:
             return payloads[0]
-        out = [bytes((codec.T_COMPOUND,)), struct.pack(">H", len(payloads))]
-        for raw in payloads:
-            out.append(struct.pack(">H", len(raw)))
-            out.append(raw)
-        return b"".join(out)
+        return codec.pack_compound(payloads)
 
     # ------------------------------------------------------------------ #
     # Anti-entropy push/pull (memberlist extension)
@@ -1266,22 +1294,10 @@ class SwimNode:
                 - codec.COMPOUND_HEADER_OVERHEAD
                 - codec.COMPOUND_PART_OVERHEAD
                 - len(encoded_primary)
-                - sum(len(p) + codec.COMPOUND_PART_OVERHEAD for p in payloads)
+                - codec.framed_size(payloads)
             )
             if budget > 0:
-                selected = self._broadcasts.get_payloads(
-                    budget, codec.COMPOUND_PART_OVERHEAD
-                )
-                budget -= sum(
-                    len(p) + codec.COMPOUND_PART_OVERHEAD for p in selected
-                )
-                payloads.extend(selected)
-                if budget > 0:
-                    payloads.extend(
-                        self._user_broadcasts.get_payloads(
-                            budget, codec.COMPOUND_PART_OVERHEAD
-                        )
-                    )
+                payloads.extend(self._select_gossip(budget))
         scratch = self._packet_scratch
         if scratch is not None and not reliable:
             # Buffer-reusing fast path: the transport copies before

@@ -152,6 +152,9 @@ class ZoneBridge:
             z.name: 0.0 for z in layout.zones if z.name != zone.name
         }
         self._next_tick = 0.0
+        #: What :meth:`_anti_entropy_claims` last returned, or ``None``
+        #: once the directory has changed since.
+        self._anti_entropy: Optional[Tuple[List[ZoneClaim], List[ZoneClaim]]] = None
         node.add_listener(self._on_member_event)
 
     # ------------------------------------------------------------------ #
@@ -177,18 +180,25 @@ class ZoneBridge:
             # the sole authority for their own members, which keeps the
             # bridge mesh loop-free.
             return
-        decision = self.directory.merge_claim(
-            event.subject,
-            state,
-            event.incarnation,
-            event.time,
-            address=event.subject,
-            zone=subject_zone,
-        )
-        if decision.action in (MERGE_APPLIED, MERGE_ADDED):
+        if self._merge(
+            event.subject, state, event.incarnation, event.time, subject_zone
+        ):
             self._broadcast(
                 ZoneClaim(self.zone.name, event.subject, event.incarnation, int(state))
             )
+
+    def _merge(
+        self, member: str, state: MemberState, incarnation: int, now: float, zone: str
+    ) -> bool:
+        """Merge one claim into the directory; ``True`` when it changed
+        an entry (and with it what anti-entropy re-advertises)."""
+        decision = self.directory.merge_claim(
+            member, state, incarnation, now, address=member, zone=zone
+        )
+        changed = decision.action in (MERGE_APPLIED, MERGE_ADDED)
+        if changed:
+            self._anti_entropy = None
+        return changed
 
     def _broadcast(self, message: Message) -> None:
         payload = encode(message)
@@ -260,7 +270,17 @@ class ZoneBridge:
         remote members and goes only back to the subject's own zone,
         giving a wrongly-written-off member the chance to hear the claim
         and refute it. Both are idempotent under ``merge_claim``.
+
+        The directory — thousands of rows, hardly any of them departed —
+        is walked only after the bridge changed it; until then the same
+        walk would yield the same claims in the same order.
         """
+        claims = self._anti_entropy
+        if claims is None:
+            claims = self._anti_entropy = self._walk_directory()
+        return claims
+
+    def _walk_directory(self) -> Tuple[List[ZoneClaim], List[ZoneClaim]]:
         own: List[ZoneClaim] = []
         echo: List[ZoneClaim] = []
         # Transient suspicion is never re-advertised cross-zone.
@@ -296,6 +316,7 @@ class ZoneBridge:
         node_incarnation = self.node.members.local.incarnation
         if self.directory.local.incarnation < node_incarnation:
             self.directory.bump_local_incarnation(node_incarnation - 1)
+            self._anti_entropy = None
 
     def _check_unreachable(self, now: float) -> None:
         horizon = UNREACHABLE_INTERVALS * self.interval
@@ -388,25 +409,15 @@ class ZoneBridge:
                 state, incarnation = member.state, member.incarnation
             else:
                 state, incarnation = claim.state, claim.incarnation
-            decision = self.directory.merge_claim(
-                claim.member, state, incarnation, now,
-                address=claim.member, zone=claim.zone,
-            )
-            if decision.action in (MERGE_APPLIED, MERGE_ADDED):
+            if self._merge(claim.member, state, incarnation, now, claim.zone):
                 self.stats.claims_applied += 1
                 self._broadcast(
                     ZoneClaim(claim.zone, claim.member, incarnation, int(state))
                 )
             return
-        decision = self.directory.merge_claim(
-            claim.member,
-            claim.state,
-            claim.incarnation,
-            now,
-            address=claim.member,
-            zone=claim.zone,
-        )
-        if decision.action in (MERGE_APPLIED, MERGE_ADDED):
+        if self._merge(
+            claim.member, claim.state, claim.incarnation, now, claim.zone
+        ):
             self.stats.claims_applied += 1
 
     def _on_verdict(self, claim: ZoneClaim) -> None:

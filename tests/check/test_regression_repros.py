@@ -17,6 +17,15 @@ Current repros:
   expire or decay, wedging the member's view. Fixed by re-arming
   suspicions in ``SwimNode.start()`` and accepting entry re-creation in
   ``_handle_suspect``.
+* ``confirm-expiry-resuspects-dead-*.json`` — a ``suspect`` claim that
+  was both a new confirmation of a held suspicion and at a newer
+  incarnation than the table's: the confirmation shrank a deadline that
+  had already passed, the suspicion expired inside the handler (subject
+  DEAD), and the handler then merged the newer incarnation — SUSPECT
+  over DEAD, which a higher incarnation wins — leaving a SUSPECT entry
+  with no timer. Found by seed 36 of the 100-seed flat sweep. Fixed by
+  merging the incarnation before the confirmation can move the deadline,
+  so the subject dies at the incarnation it was last suspected at.
 """
 
 import json

@@ -220,6 +220,109 @@ class TestCancellation:
         assert len(scheduler) == 0
 
 
+class TestDriveLoop:
+    """``step`` and ``run_until`` are one loop: the same skipping of
+    cancelled heads, the same book-keeping around each callback."""
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_cancelled_heads_are_skipped(self, drive):
+        scheduler = EventScheduler()
+        hits = []
+        doomed = [
+            scheduler.call_at(0.1 * i, lambda: hits.append("x")) for i in range(5)
+        ]
+        scheduler.call_at(1.0, lambda: hits.append("live"))
+        doomed.append(scheduler.call_at(2.0, lambda: hits.append("x")))
+        scheduler.call_at(9.0, lambda: hits.append("later"))
+        for handle in doomed:
+            handle.cancel()
+        assert len(scheduler) == 2
+        if drive == "run_until":
+            assert scheduler.run_until(5.0) == 1
+            assert scheduler.clock.now == 5.0
+            # The cancelled 2.0 s entry was due and is gone with the rest.
+            assert len(scheduler._heap) == 1
+        else:
+            assert scheduler.step()
+            assert scheduler.clock.now == 1.0
+        assert hits == ["live"]
+        assert scheduler.executed == 1
+        assert len(scheduler) == 1
+
+    def test_step_over_only_cancelled_entries_drains(self):
+        scheduler = EventScheduler()
+        for handle in [scheduler.call_at(float(i), lambda: None) for i in range(3)]:
+            handle.cancel()
+        assert not scheduler.step()
+        assert scheduler._heap == [] and len(scheduler) == 0
+        assert scheduler.executed == 0 and scheduler.clock.now == 0.0
+
+    def test_cancelled_head_past_the_deadline_is_dropped_not_run(self):
+        scheduler = EventScheduler()
+        scheduler.call_at(1.0, lambda: None)
+        late = scheduler.call_at(8.0, lambda: None)
+        scheduler.call_at(9.0, lambda: None)
+        late.cancel()
+        assert scheduler.run_until(5.0) == 1
+        assert scheduler.clock.now == 5.0
+        assert len(scheduler._heap) == 1 and scheduler._cancelled == 0
+        assert len(scheduler) == 1
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_cancel_after_the_event_ran_is_not_counted(self, drive):
+        scheduler = EventScheduler()
+        ran = scheduler.call_at(1.0, lambda: None)
+        scheduler.call_at(5.0, lambda: None)
+        if drive == "run_until":
+            scheduler.run_until(2.0)
+        else:
+            scheduler.step()
+        ran.cancel()
+        ran.cancel()
+        assert len(scheduler) == 1
+        assert scheduler.run_until(10.0) == 1
+        assert len(scheduler) == 0 and scheduler._cancelled == 0
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_raising_callback_leaves_the_books_right(self, drive):
+        scheduler = EventScheduler()
+        hits = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        scheduler.call_at(1.0, lambda: hits.append(1))
+        scheduler.call_at(2.0, boom)
+        scheduler.call_at(3.0, lambda: hits.append(3))
+        with pytest.raises(RuntimeError, match="boom"):
+            if drive == "run_until":
+                scheduler.run_until(10.0)
+            else:
+                while scheduler.step():
+                    pass
+        # The event that raised did run: counted, off the heap, and the
+        # clock stands at its time.
+        assert hits == [1]
+        assert scheduler.executed == 2
+        assert len(scheduler) == 1
+        assert scheduler.clock.now == 2.0
+        assert scheduler.run_until(10.0) == 1
+        assert hits == [1, 3] and scheduler.executed == 3
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_on_event_sees_each_event_time(self, drive):
+        scheduler = EventScheduler()
+        seen = []
+        scheduler.on_event = seen.append
+        for when in (1.0, 2.5):
+            scheduler.call_at(when, lambda: None)
+        if drive == "run_until":
+            scheduler.run_until(3.0)
+        else:
+            scheduler.drain()
+        assert seen == [1.0, 2.5]
+
+
 class TestStepAndDrain:
     def test_step_runs_one(self):
         scheduler = EventScheduler()

@@ -1,0 +1,230 @@
+"""The inbound claim path: packet -> parts -> ``_handle_suspect``.
+
+``_handle_suspect`` answers from the suspicion table first, so what a
+claim costs follows what it changes; the case table pins what each kind
+of claim changes. The dispatch tests pin that a packet is decoded whole
+before any part is handled, in wire order, and that hostile nesting is
+refused at the door.
+"""
+
+import pytest
+
+from repro.config import LifeguardFlags, SwimConfig
+from repro.swim import codec
+from repro.swim.events import EventKind
+from repro.swim.messages import Ack, Alive, Dead, Ping, PushPull, Suspect
+from repro.swim.state import MemberState
+
+from tests.conftest import LocalCluster
+from tests.swim.test_compound_walk import _frame, _nest
+
+NAMES = [f"n{i}" for i in range(8)]
+
+# Min = 5 s, Max = 30 s, K = 3 at these eight members.
+CONFIG = SwimConfig(
+    suspicion_alpha=5.0,
+    suspicion_beta=6.0,
+    flags=LifeguardFlags(lha_suspicion=True),
+    push_pull_interval=0.0,
+    reconnect_interval=0.0,
+)
+
+#: The incarnation the table holds for the subject in every case.
+KNOWN = 5
+
+
+def started_node():
+    cluster = LocalCluster(NAMES, config=CONFIG)
+    node = cluster.nodes["n0"]
+    node.start(first_probe_delay=100.0)
+    return cluster, node
+
+
+def feed(node, message, sender="x"):
+    node.handle_packet(codec.encode(message), sender)
+
+
+def _recorded(node):
+    """Replace every handler with a recorder; returns the record."""
+    seen = []
+    for name in (
+        "_handle_suspect", "_handle_alive", "_handle_dead", "_handle_ping",
+        "_handle_ack", "_handle_user_event", "_handle_ping_req",
+        "_handle_nack", "_handle_push_pull",
+    ):
+        setattr(node, name, lambda message, *_rest: seen.append(message))
+    return seen
+
+
+# subject, held, claimed incarnation, sender ->
+#     (re-gossiped, timer moved, incarnation merged, refuted)
+# "held": n3 already raised the suspicion here. Senders: "new" has not
+# been counted, "repeated" has, "late" is new but arrives after K = 3
+# others were counted.
+CASES = [
+    # A held suspicion: the claim is weighed against the incarnation held.
+    ("n1", True, KNOWN - 1, "new", (False, False, False, False)),
+    ("n1", True, KNOWN - 1, "repeated", (False, False, False, False)),
+    ("n1", True, KNOWN - 1, "late", (False, False, False, False)),
+    ("n1", True, KNOWN, "new", (True, True, False, False)),
+    ("n1", True, KNOWN, "repeated", (False, False, False, False)),
+    ("n1", True, KNOWN, "late", (False, False, False, False)),
+    ("n1", True, KNOWN + 1, "new", (True, True, True, False)),
+    ("n1", True, KNOWN + 1, "repeated", (False, False, True, False)),
+    ("n1", True, KNOWN + 1, "late", (False, False, True, False)),
+    # Not held: the claim raises the suspicion, or is nothing new.
+    ("n1", False, KNOWN - 1, "new", (False, False, False, False)),
+    ("n1", False, KNOWN, "new", (True, True, False, False)),
+    ("n1", False, KNOWN + 1, "new", (True, True, True, False)),
+    # Subjects a suspicion is never held for.
+    ("self", False, KNOWN - 1, "new", (False, False, False, False)),
+    ("self", False, KNOWN, "new", (False, False, False, True)),
+    ("self", False, KNOWN + 1, "new", (False, False, False, True)),
+    ("dead", False, KNOWN, "new", (False, False, False, False)),
+    ("dead", False, KNOWN + 1, "new", (False, False, False, False)),
+    ("unknown", False, KNOWN, "new", (False, False, False, False)),
+]
+
+
+class TestHandleSuspectCaseTable:
+    @pytest.mark.parametrize("subject, held, incarnation, sender, expected", CASES)
+    def test_case(self, subject, held, incarnation, sender, expected):
+        cluster, node = started_node()
+        name = {"self": "n0", "unknown": "stranger"}.get(subject, "n1")
+        if subject == "self":
+            node.members.bump_local_incarnation(KNOWN - 1)
+        elif subject != "unknown":
+            feed(node, Alive(KNOWN, "n1", "n1"))
+        if subject == "dead":
+            feed(node, Dead(KNOWN, "n1", "n2"))
+        if held:
+            feed(node, Suspect(KNOWN, "n1", "n3"))
+        if sender == "late":
+            for peer in ("n4", "n5", "n6"):
+                feed(node, Suspect(KNOWN, "n1", peer))
+        sender_name = "n3" if sender == "repeated" else "n7"
+
+        def deadlines():
+            return [(s["member"], s["deadline"]) for s in node.suspicion_snapshot()]
+
+        def table_incarnation():
+            return node.members.known_incarnation(name)
+
+        enqueued, timers = node.broadcasts.total_enqueued, deadlines()
+        local_before = node.incarnation
+        state_before = cluster.view("n0", name)
+        message = Suspect(incarnation, name, sender_name)
+        feed(node, message)
+
+        refuted = node.incarnation > local_before
+        regossiped = (
+            node.broadcasts.total_enqueued > enqueued
+            and node.broadcasts.peek(name) == message
+        )
+        assert regossiped == expected[0]
+        assert (deadlines() != timers) == expected[1]
+        if subject != "self":
+            assert (table_incarnation() == incarnation > KNOWN) == expected[2]
+        assert refuted == expected[3]
+        # Nothing is enqueued but the re-gossip or the refuting alive.
+        assert node.broadcasts.total_enqueued - enqueued == (expected[0] or refuted)
+        if expected[0]:
+            assert cluster.view("n0", name) is MemberState.SUSPECT
+        else:
+            assert cluster.view("n0", name) is state_before
+        # SUSPECT <=> a held suspicion, whatever the claim did.
+        assert node.suspicion_subjects() == [
+            n for n in NAMES if cluster.view("n0", n) is MemberState.SUSPECT
+        ]
+
+    def test_confirmation_that_expires_the_suspicion_lands_on_no_dead_member(self):
+        # The first confirmation halves the way from Max to Min: past
+        # 17.5 s it is already overdue and the suspicion expires inside
+        # the handler. When that claim also carries a newer incarnation,
+        # the subject must end DEAD at it — not DEAD and then SUSPECT
+        # again with no timer left to ever resolve it.
+        cluster, node = started_node()
+        feed(node, Alive(KNOWN, "n1", "n1"))
+        feed(node, Suspect(KNOWN, "n1", "n3"))
+        cluster.run_for(20.0)
+        assert cluster.view("n0", "n1") is MemberState.SUSPECT
+        feed(node, Suspect(KNOWN + 1, "n1", "n4"))
+        assert cluster.view("n0", "n1") is MemberState.DEAD
+        assert node.members.known_incarnation("n1") == KNOWN + 1
+        assert node.suspicion_count == 0
+        assert node.broadcasts.peek("n1") == Dead(KNOWN + 1, "n1", "n0")
+        failed = cluster.events.of_kind(EventKind.FAILED)
+        assert [(e.subject, e.incarnation) for e in failed] == [("n1", KNOWN + 1)]
+
+    def test_snapshot_naming_a_suspect_twice_cannot_confirm_the_dead(self):
+        # A push-pull is merged into the table whole before its first
+        # decision is applied. One that says "suspect" and then "dead"
+        # about a member whose suspicion is held must not count the
+        # first as a confirmation of a member the table already buried.
+        cluster, node = started_node()
+        feed(node, Alive(KNOWN, "n1", "n1"))
+        feed(node, Suspect(KNOWN, "n1", "n3"))
+        enqueued = node.broadcasts.total_enqueued
+        snapshot = PushPull(
+            "n5",
+            (
+                ("n1", "n1", KNOWN, int(MemberState.SUSPECT), b"", 0),
+                ("n1", "n1", KNOWN, int(MemberState.DEAD), b"", 0),
+            ),
+            is_reply=True,
+        )
+        feed(node, snapshot, sender="n5")
+        assert cluster.view("n0", "n1") is MemberState.DEAD
+        assert node.suspicion_count == 0
+        assert node.broadcasts.total_enqueued == enqueued + 1
+        assert node.broadcasts.peek("n1") == Dead(KNOWN, "n1", "n5")
+
+
+class TestDispatch:
+    def test_parts_dispatch_in_wire_order(self):
+        _cluster, node = started_node()
+        seen = _recorded(node)
+        parts = [Ping(1, "n0", "n2"), Suspect(1, "n1", "n3"), Alive(2, "n1", "n1"),
+                 Dead(2, "n4", "n5"), Ack(9, "n2")]
+        node.handle_packet(_frame([codec.encode(p) for p in parts]), "n2")
+        assert seen == parts
+
+    def test_nested_parts_dispatch_in_wire_order(self):
+        _cluster, node = started_node()
+        seen = _recorded(node)
+        a, b, c, d, e = (Suspect(i, "n1", f"n{i}") for i in range(2, 7))
+        enc = codec.encode
+        wire = _frame([enc(a), _frame([enc(b), _frame([enc(c)]), enc(d)]), enc(e)])
+        node.handle_packet(wire, "n2")
+        assert seen == [a, b, c, d, e]
+
+    def test_bare_message_dispatches(self):
+        _cluster, node = started_node()
+        seen = _recorded(node)
+        node.handle_packet(codec.encode(Ack(3, "n2")), "n2")
+        assert seen == [Ack(3, "n2")]
+
+    @pytest.mark.parametrize("make", [bytes, bytearray, memoryview])
+    def test_corrupt_last_part_dispatches_nothing(self, make):
+        cluster, node = started_node()
+        seen = _recorded(node)
+        good = [codec.encode(Suspect(1, "n1", "n3")), codec.encode(Dead(1, "n2", "n3"))]
+        bad = codec.encode(Alive(2, "n4", "n4"))[:-1]
+        node.handle_packet(make(_frame(good + [bad])), "n2")
+        assert seen == []
+        assert node.telemetry.msgs_received == 1  # it did arrive
+
+    @pytest.mark.parametrize("make", [bytes, bytearray, memoryview])
+    def test_hostile_nesting_neither_raises_nor_dispatches(self, make):
+        _cluster, node = started_node()
+        seen = _recorded(node)
+        wire = _nest(codec.encode(Ack(1, "a")), 2000)
+        node.handle_packet(make(wire), "n2")  # RecursionError before the bound
+        assert seen == []
+
+    def test_nesting_at_the_bound_is_dispatched(self):
+        _cluster, node = started_node()
+        seen = _recorded(node)
+        wire = _nest(codec.encode(Ack(1, "a")), codec.MAX_COMPOUND_DEPTH)
+        node.handle_packet(wire, "n2")
+        assert seen == [Ack(1, "a")]

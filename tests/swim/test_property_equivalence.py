@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,9 +53,9 @@ class _NaiveEntry:
 class _NaiveBroadcastQueue:
     """The pre-bucket semantics: sort every live entry per selection."""
 
-    def __init__(self, mult: int, n_members: int) -> None:
+    def __init__(self, mult: int, n_members_fn) -> None:
         self._mult = mult
-        self._n_members = n_members
+        self._n_members_fn = n_members_fn
         self._entries: Dict[str, _NaiveEntry] = {}
         self._seq = 0
 
@@ -68,7 +69,7 @@ class _NaiveBroadcastQueue:
     def get_payloads(self, budget: int, overhead: int) -> List[bytes]:
         if not self._entries:
             return []
-        limit = retransmit_limit(self._mult, self._n_members)
+        limit = retransmit_limit(self._mult, self._n_members_fn())
         remaining = budget
         if remaining <= overhead:
             return []
@@ -94,6 +95,9 @@ class _NaiveBroadcastQueue:
         return {s: e.transmits for s, e in self._entries.items()}
 
 
+#: Group sizes on both sides of every ``ceil(log10(n + 1))`` step up to 4.
+_GROUP_SIZES = [1, 9, 10, 99, 100, 999, 1000, 2000]
+
 _broadcast_op = st.one_of(
     st.tuples(
         st.just("enqueue"),
@@ -101,22 +105,68 @@ _broadcast_op = st.one_of(
         st.integers(0, 40),
     ),
     st.tuples(st.just("invalidate"), st.integers(0, len(_SUBJECTS) - 1)),
+    # An Alive about one of _SUBJECTS encodes to 22-50 bytes, so budgets
+    # up to 400 run from "nothing fits" through "a bucket is split" (the
+    # common case with several entries queued) to "everything fits".
     st.tuples(
         st.just("get"), st.integers(0, 400), st.integers(0, 8)
     ),
-    st.tuples(st.just("rebuild")),
+    st.tuples(st.just("resize"), st.sampled_from(_GROUP_SIZES)),
 )
+
+
+def _assert_buckets_exact(queue: BroadcastQueue) -> None:
+    """Every bucket item is its subject's live entry, sits in the bucket
+    of its transmit count, newest first; nothing live is missing."""
+    bucketed = 0
+    for transmits, bucket in queue._buckets.items():
+        assert bucket, "empty bucket kept"
+        assert bucket == sorted(bucket, key=lambda item: item[0])
+        for neg_seq, entry in bucket:
+            assert queue._queue[entry.subject] is entry
+            assert entry.transmits == transmits
+            assert entry.enqueued_seq == -neg_seq
+        bucketed += len(bucket)
+    assert bucketed == len(queue)
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     ops=st.lists(_broadcast_op, max_size=120),
     mult=st.integers(1, 3),
-    n_members=st.integers(1, 2000),
+    n_members=st.sampled_from(_GROUP_SIZES),
 )
 def test_bucketed_broadcast_queue_matches_full_sort(ops, mult, n_members):
-    queue = BroadcastQueue(mult, lambda: n_members)
-    naive = _NaiveBroadcastQueue(mult, n_members)
+    _drive_broadcast_queue(ops, mult, n_members)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bucketed_broadcast_queue_matches_full_sort_over_a_long_walk(seed):
+    """Hypothesis keeps its op lists short, so a queue seldom grows past
+    one bucket there. A long seeded walk keeps several buckets populated
+    and mostly asks for less than they hold: buckets split, promoted
+    runs merge into buckets that kept something, and the limit moves
+    under entries already part-way through their transmissions."""
+    draw = random.Random(seed)
+    ops = []
+    for _ in range(3000):
+        kind = draw.choice(["enqueue"] * 4 + ["get"] * 4 + ["invalidate", "resize"])
+        if kind == "enqueue":
+            ops.append((kind, draw.randrange(len(_SUBJECTS)), draw.randint(0, 40)))
+        elif kind == "get":
+            budget = draw.choice([0, 20, 60, 60, 100, 100, 150, 400])
+            ops.append((kind, budget, draw.randint(0, 8)))
+        elif kind == "invalidate":
+            ops.append((kind, draw.randrange(len(_SUBJECTS))))
+        else:
+            ops.append((kind, draw.choice(_GROUP_SIZES)))
+    _drive_broadcast_queue(ops, draw.randint(1, 3), draw.choice(_GROUP_SIZES))
+
+
+def _drive_broadcast_queue(ops, mult, n_members):
+    group = [n_members]
+    queue = BroadcastQueue(mult, lambda: group[0])
+    naive = _NaiveBroadcastQueue(mult, lambda: group[0])
     for op in ops:
         if op[0] == "enqueue":
             _, subject_index, incarnation = op
@@ -132,12 +182,18 @@ def test_bucketed_broadcast_queue_matches_full_sort(ops, mult, n_members):
             assert queue.get_payloads(budget, overhead) == naive.get_payloads(
                 budget, overhead
             )
-        else:  # force the lazy-compaction path regardless of thresholds
-            queue._rebuild_buckets()
+        else:  # the group grew or shrank: the limit must follow
+            group[0] = op[1]
+            assert queue.current_limit() == retransmit_limit(mult, op[1])
         assert {
             subject: transmits for subject, transmits, _ in queue.entries()
         } == naive.state()
+        assert list(queue.entries()) == [
+            (subject, entry.transmits, len(entry.payload))
+            for subject, entry in naive._entries.items()
+        ]
         assert len(queue) == len(naive.state())
+        _assert_buckets_exact(queue)
 
 
 # --------------------------------------------------------------------- #
@@ -204,6 +260,13 @@ _member_op = st.one_of(
         st.floats(0.0, 30.0),
     ),
     st.tuples(st.just("bump")),
+    # Suspicion raised, then refuted: the flips that leave the set of
+    # ALIVE-or-SUSPECT members — the active index — as it was.
+    st.tuples(
+        st.just("churn"),
+        st.lists(st.integers(0, len(_NAMES) - 1), min_size=1, max_size=4),
+        st.booleans(),
+    ),
     st.tuples(st.just("reclaim"), st.floats(0.0, 50.0)),
     st.tuples(st.just("meta"), st.binary(max_size=8)),
     st.tuples(
@@ -219,6 +282,35 @@ _member_op = st.one_of(
 @settings(deadline=None, max_examples=150)
 @given(ops=st.lists(_member_op, max_size=80), seed=st.integers(0, 2**16))
 def test_indexed_member_map_matches_full_scan(ops, seed):
+    _drive_member_map(ops, seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_indexed_member_map_matches_full_scan_under_long_churn(seed):
+    """Hypothesis keeps its op lists short (a handful of ops on average),
+    so few of them ever flip a suspect onward. One long seeded walk per
+    seed, mostly suspicion churn and samples, visits every flip between
+    every pair of states many times with the index warm."""
+    draw = random.Random(seed)
+    names = range(len(_NAMES))
+    ops = []
+    for _ in range(1500):
+        kind = draw.choice(["churn"] * 3 + ["sample"] * 3 + ["merge"] * 3 + ["reclaim"])
+        if kind == "churn":
+            subjects = draw.choices(names, k=draw.randint(1, 4))
+            ops.append((kind, subjects, draw.random() < 0.7))
+        elif kind == "sample":
+            ops.append((kind, draw.randint(0, 7), draw.randint(0, len(_NAMES)),
+                        draw.random() < 0.5, draw.choice([None, 5.0, 60.0])))
+        elif kind == "merge":
+            ops.append((kind, draw.choice(names), draw.randrange(len(_STATES)),
+                        draw.randint(0, 40), draw.uniform(0.0, 30.0)))
+        else:
+            ops.append((kind, draw.uniform(0.0, 50.0)))
+    _drive_member_map(ops, seed)
+
+
+def _drive_member_map(ops, seed):
     rng = random.Random(seed)
     mm = MemberMap(_LOCAL, f"{_LOCAL}:7946", rng)
     now = 0.0
@@ -237,6 +329,16 @@ def test_indexed_member_map_matches_full_scan(ops, seed):
             )
         elif op[0] == "bump":
             mm.bump_local_incarnation(mm.local.incarnation)
+        elif op[0] == "churn":
+            _, name_indexes, refute = op
+            for name_index in name_indexes:
+                name = _NAMES[name_index]
+                held = mm.known_incarnation(name)
+                mm.merge_claim(name, MemberState.SUSPECT, held, now)
+                if refute:
+                    mm.merge_claim(
+                        name, MemberState.ALIVE, held + 1, now, address=f"{name}:7946"
+                    )
         elif op[0] == "reclaim":
             mm.reclaim_dead(now, op[1])
         elif op[0] == "meta":
@@ -274,6 +376,11 @@ def test_indexed_member_map_matches_full_scan(ops, seed):
             assert [
                 m.name for m in mm.alive_members(include_local=include_local)
             ] == _naive_alive_members(mm, include_local)
+        assert [m.name for m in mm.probeable_members()] == [
+            m.name
+            for m in mm.members()
+            if (m.is_alive or m.is_suspect) and m.name != _LOCAL
+        ]
 
         # Snapshot vs per-member reference.
         assert mm.snapshot(now) == tuple(m.snapshot(now) for m in mm.members())

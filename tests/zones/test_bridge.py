@@ -140,3 +140,64 @@ class TestEchoBackRefutation:
         own, echo = bridge._anti_entropy_claims()
         for claim in own + echo:
             assert claim.state is not MemberState.SUSPECT
+
+
+def _claims_by_full_walk(bridge):
+    """What anti-entropy re-advertises, recomputed from the whole
+    directory: the reference the bridge's remembered answer must equal."""
+    departed = {
+        name: (state, incarnation)
+        for name, state, incarnation in bridge.directory.claims()
+        if state is not MemberState.SUSPECT
+        and (state is not MemberState.ALIVE or incarnation > 1)
+    }
+    own, echo = [], []
+    for zone in bridge.layout.zones:
+        for name in zone.members:
+            if name in departed:
+                state, incarnation = departed[name]
+                claim = ZoneClaim(zone.name, name, incarnation, int(state))
+                (own if zone.name == bridge.zone.name else echo).append(claim)
+    return own, echo
+
+
+class TestAntiEntropyIsRememberedNotStale:
+    def test_matches_a_full_walk_after_every_kind_of_directory_change(self):
+        """The bridge walks its directory only after changing it. Drive
+        every way it changes — a forwarded crash and leave (own-zone
+        events), the claims about them arriving at the other zones, an
+        echoed claim folded back, and a refutation bumping the bridge's
+        own entry — and compare with a fresh walk all the way through."""
+        cluster = make_cluster()
+        cluster.start()
+        cluster.run_until(5.0)
+        cluster.node("z000-m003").stop()
+        cluster.node("z001-m002").leave()
+        refuter = bridges_of(cluster, "z002")[0]
+        bumped = False
+        changed = set()
+        for step in range(6, 61):
+            cluster.run_until(float(step))
+            if step == 20:
+                inc = refuter.node.members.local.incarnation
+                refuter._on_claim(
+                    ZoneClaim("z002", refuter.node.name, inc, int(MemberState.DEAD))
+                )
+                bumped = refuter.directory.local.incarnation > inc
+            for bridge in cluster.bridges:
+                expected = _claims_by_full_walk(bridge)
+                assert bridge._anti_entropy_claims() == expected, (
+                    f"{bridge.node.name} at t={step}"
+                )
+                changed.update(claim.member for claim in expected[0] + expected[1])
+        assert bumped
+        assert {"z000-m003", "z001-m002", refuter.node.name} <= changed
+
+    def test_quiet_ticks_reuse_the_answer(self):
+        cluster = make_cluster()
+        cluster.start()
+        cluster.run_until(5.0)
+        bridge = cluster.bridges[0]
+        first = bridge._anti_entropy_claims()
+        cluster.run_until(8.0)
+        assert bridge._anti_entropy_claims() is first
