@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -44,6 +42,7 @@ from repro.check.scenarios import (
 )
 from repro.faults import FaultSchedule
 from repro.harness.configurations import make_config
+from repro.harness.sweep import ordered_map
 from repro.sim.faults import SimFaultExecutor
 from repro.sim.runtime import SimCluster, default_member_names
 
@@ -400,8 +399,8 @@ def run_sweep(
     :func:`run_scenario`.
 
     ``jobs > 1`` fans the per-seed work (scenario run plus shrink
-    campaign) out over a process pool, the same pattern as
-    :func:`repro.harness.sweep.run_many`. Outcomes are consumed in seed
+    campaign) out over a process pool
+    (:func:`repro.harness.sweep.ordered_map`). Outcomes are consumed in seed
     order and every seed is a pure function of its number, so verdicts,
     artifacts and progress output are identical to a sequential sweep —
     including the early stop, which discards any extra seeds workers
@@ -420,19 +419,12 @@ def run_sweep(
     sweep_jobs = [
         (seed, params, stride, shrink, max_shrink_runs, oracles) for seed in plan
     ]
-    executor: Optional[ProcessPoolExecutor] = None
-    outcomes: Iterator[_SeedOutcome]
-    if jobs > 1 and len(plan) > 1:
-        if oracles is not None:
-            raise ValueError(
-                "a custom oracle factory cannot cross the worker-process "
-                "boundary; use jobs=1"
-            )
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(plan)))
-        outcomes = executor.map(_sweep_seed_worker, sweep_jobs, chunksize=1)
-    else:
-        outcomes = map(_sweep_seed_worker, sweep_jobs)
-
+    if jobs > 1 and len(plan) > 1 and oracles is not None:
+        raise ValueError(
+            "a custom oracle factory cannot cross the worker-process "
+            "boundary; use jobs=1"
+        )
+    outcomes = ordered_map(_sweep_seed_worker, sweep_jobs, jobs)
     try:
         for seed, result, shrunk in outcomes:
             sweep.seeds_run += 1
@@ -458,8 +450,7 @@ def run_sweep(
             if sweep.seeds_failed >= max_failures:
                 break
     finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        outcomes.close()
     sweep.wall_time = time.monotonic() - started
     return sweep
 

@@ -102,7 +102,7 @@ def _run_stress_zoned(params: StressParams) -> StressResult:
     any shard count. False positives are classified over the serialized
     member events every zone ships back.
     """
-    from repro.swim.events import EventKind, MemberEvent
+    from repro.swim.events import MemberEvent
     from repro.zones.sharded import StressWindow, run_zoned
     from repro.zones.topology import build_layout
 
@@ -139,10 +139,7 @@ def _run_stress_zoned(params: StressParams) -> StressResult:
         stress_windows=windows,
         return_events=True,
     )
-    events = [
-        MemberEvent(time, observer, subject, EventKind[kind], incarnation)
-        for time, observer, subject, kind, incarnation in result.member_events
-    ]
+    events = [MemberEvent.from_tuple(item) for item in result.member_events]
     stats = classify_false_positives(
         events, set(stressed), since=start, until=end + params.tail
     )

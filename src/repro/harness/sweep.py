@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.harness.interval import IntervalParams, IntervalResult, run_interval
 from repro.harness.stress import StressParams, StressResult, run_stress
@@ -105,6 +105,30 @@ def env_scale() -> Scale:
     )
 
 
+def ordered_map(
+    runner: Callable[[TParams], TResult],
+    params: Sequence[TParams],
+    workers: int,
+) -> Iterator[TResult]:
+    """Lazily yield ``runner(p)`` for every ``p``, in input order — the
+    one worker-pool idiom of the package.
+
+    With ``workers > 1`` the calls fan out over a process pool
+    (``runner`` and every params object must be picklable) and results
+    are yielded as soon as their turn comes. A consumer that stops early
+    should ``close()`` the iterator: queued work is cancelled and the
+    pool released without waiting for what is already running.
+    """
+    if workers <= 1 or len(params) <= 1:
+        yield from map(runner, params)
+        return
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(params)))
+    try:
+        yield from pool.map(runner, params, chunksize=1)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
 def run_many(
     runner: Callable[[TParams], TResult],
     params: Sequence[TParams],
@@ -112,15 +136,11 @@ def run_many(
 ) -> List[TResult]:
     """Run ``runner`` over every params object, optionally in parallel.
 
-    Results are returned in input order. ``runner`` and every params
-    object must be picklable when ``workers > 1``.
+    Results are returned in input order (see :func:`ordered_map`).
     """
     if workers is None:
         workers = env_scale().workers
-    if workers <= 1 or len(params) <= 1:
-        return [runner(p) for p in params]
-    with ProcessPoolExecutor(max_workers=min(workers, len(params))) as pool:
-        return list(pool.map(runner, params, chunksize=1))
+    return list(ordered_map(runner, params, workers))
 
 
 # --------------------------------------------------------------------- #

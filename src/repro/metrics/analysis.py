@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.swim.events import EventKind, MemberEvent
 
 
@@ -154,13 +152,26 @@ def percentile_summary(
     """Percentiles of a latency sample (``None`` for an empty sample).
 
     Uses linear interpolation, matching the conventional definition used
-    in systems papers.
+    in systems papers — spelled out operation for operation as
+    ``numpy.percentile``'s default ``linear`` method computes it, so the
+    results are bit-equal to numpy's (``tests/metrics/test_analysis.py``
+    holds the two together) without importing numpy into every process.
     """
     if not values:
         return {p: None for p in percentiles}
-    array = np.asarray(values, dtype=float)
-    results = np.percentile(array, percentiles)
-    return {p: float(v) for p, v in zip(percentiles, results)}
+    ordered = sorted(float(v) for v in values)
+    last = len(ordered) - 1
+    out: Dict[float, Optional[float]] = {}
+    for p in percentiles:
+        if not 0.0 <= p <= 100.0:
+            raise ValueError("percentiles must be in the range [0, 100]")
+        virtual = last * (p / 100.0)
+        lower = int(virtual)
+        gamma = virtual - lower
+        a, b = ordered[lower], ordered[min(lower + 1, last)]
+        # numpy's _lerp: anchored at whichever end is nearer.
+        out[p] = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    return out
 
 
 def ratio_pct(value: float, baseline: float) -> Optional[float]:

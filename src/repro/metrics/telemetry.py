@@ -9,7 +9,7 @@ protocol node, labelled with the primary message kind.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 
 class TransportStats:
@@ -75,50 +75,96 @@ class TransportStats:
         return f"TransportStats({dict(self.events)})"
 
 
-class Telemetry:
-    """Counters for one member's sent (and optionally received) traffic."""
+class Stat(NamedTuple):
+    """One declared counter: where it is stored and how it is exposed.
 
-    __slots__ = (
-        "msgs_sent",
-        "bytes_sent",
-        "msgs_by_kind",
-        "bytes_by_kind",
-        "msgs_received",
-        "bytes_received",
-        "reliable_msgs_sent",
-        "reliable_bytes_sent",
-        "oversized_broadcasts",
-        "fallback_probes_sent",
-        "fallback_probe_acks",
-        "fallback_probe_failures",
-        "syncs_initiated",
-        "sync_replies_sent",
-        "sync_merges",
-        "sync_entries_merged",
-        "sync_changes_applied",
-        "transport",
-    )
+    ``field`` is the attribute on the stats object, ``family`` the
+    ``/metrics`` family it is exposed under with ``labels`` as fixed
+    ``(name, value)`` pairs. A counter broken down by a dynamic label
+    names that label in ``key``: its field is a ``Counter`` mapping
+    label values to totals rather than a plain int.
+    """
+
+    field: str
+    family: str
+    help: str
+    labels: Tuple[Tuple[str, str], ...] = ()
+    key: Optional[str] = None
+
+    @property
+    def labelnames(self) -> Tuple[str, ...]:
+        names = tuple(name for name, _ in self.labels)
+        return names if self.key is None else names + (self.key,)
+
+
+_FALLBACK_HELP = (
+    "Reliable-channel fallback probes by outcome (sent / ack / failure; "
+    "an acked fallback suppresses the indirect round)."
+)
+_SYNCS_HELP = (
+    "Push-pull anti-entropy activity by kind (initiated / replies / merges)."
+)
+
+#: Every :class:`Telemetry` counter, declared once. ``__slots__``,
+#: zeroing, ``merge``, ``as_dict`` / ``from_dict`` and the ``/metrics``
+#: families (:class:`repro.ops.registry.NodeCollector`) all derive from
+#: this table: adding a counter is one line here plus its increment.
+TELEMETRY_STATS: Tuple[Stat, ...] = (
+    Stat("msgs_sent", "lifeguard_msgs_sent_total", "Messages sent (compound = 1)."),
+    Stat("bytes_sent", "lifeguard_bytes_sent_total", "Payload bytes sent."),
+    Stat("msgs_by_kind", "lifeguard_msgs_sent_by_kind_total",
+         "Messages sent by primary message kind.", key="kind"),
+    Stat("bytes_by_kind", "lifeguard_bytes_sent_by_kind_total",
+         "Payload bytes sent by primary message kind.", key="kind"),
+    Stat("msgs_received", "lifeguard_msgs_received_total", "Messages received."),
+    Stat("bytes_received", "lifeguard_bytes_received_total",
+         "Payload bytes received."),
+    Stat("reliable_msgs_sent", "lifeguard_reliable_msgs_sent_total",
+         "Messages sent over the reliable channel."),
+    Stat("reliable_bytes_sent", "lifeguard_reliable_bytes_sent_total",
+         "Payload bytes sent over the reliable channel."),
+    Stat("oversized_broadcasts", "lifeguard_oversized_broadcasts_total",
+         "Broadcasts dropped as undeliverably large."),
+    # TCP fallback probes (fired when a direct UDP probe times out).
+    Stat("fallback_probes_sent", "lifeguard_fallback_probes_total",
+         _FALLBACK_HELP, (("outcome", "sent"),)),
+    Stat("fallback_probe_acks", "lifeguard_fallback_probes_total",
+         _FALLBACK_HELP, (("outcome", "ack"),)),
+    Stat("fallback_probe_failures", "lifeguard_fallback_probes_total",
+         _FALLBACK_HELP, (("outcome", "failure"),)),
+    # Anti-entropy push-pull sync.
+    Stat("syncs_initiated", "lifeguard_syncs_total", _SYNCS_HELP,
+         (("kind", "initiated"),)),
+    Stat("sync_replies_sent", "lifeguard_syncs_total", _SYNCS_HELP,
+         (("kind", "replies"),)),
+    Stat("sync_merges", "lifeguard_syncs_total", _SYNCS_HELP,
+         (("kind", "merges"),)),
+    Stat("sync_entries_merged", "lifeguard_sync_entries_merged_total",
+         "Member-table entries examined by push-pull merges."),
+    Stat("sync_changes_applied", "lifeguard_sync_changes_total",
+         "Local state changes applied by push-pull merges."),
+)
+
+#: ``(field, zero factory)``: ``int`` for plain totals, ``Counter`` for
+#: the by-label breakdowns.
+_FIELDS = tuple(
+    (stat.field, int if stat.key is None else Counter) for stat in TELEMETRY_STATS
+)
+
+
+class Telemetry:
+    """Counters for one member's sent (and optionally received) traffic.
+
+    The counters are the fields of :data:`TELEMETRY_STATS` — plain int
+    slots (``Counter`` for the by-kind breakdowns) — plus the
+    channel-level :class:`TransportStats` under ``transport``.
+    """
+
+    __slots__ = tuple(field for field, _ in _FIELDS) + ("transport",)
 
     def __init__(self) -> None:
-        self.msgs_sent = 0
-        self.bytes_sent = 0
-        self.msgs_by_kind: Counter = Counter()
-        self.bytes_by_kind: Counter = Counter()
-        self.msgs_received = 0
-        self.bytes_received = 0
-        self.reliable_msgs_sent = 0
-        self.reliable_bytes_sent = 0
-        self.oversized_broadcasts = 0
-        # TCP fallback probes (fired when a direct UDP probe times out).
-        self.fallback_probes_sent = 0
-        self.fallback_probe_acks = 0
-        self.fallback_probe_failures = 0
-        # Anti-entropy push-pull sync.
-        self.syncs_initiated = 0
-        self.sync_replies_sent = 0
-        self.sync_merges = 0
-        self.sync_entries_merged = 0
-        self.sync_changes_applied = 0
+        for field, zero in _FIELDS:
+            setattr(self, field, zero())
         self.transport = TransportStats()
 
     def record_send(self, kind: str, n_bytes: int, reliable: bool = False) -> None:
@@ -142,23 +188,11 @@ class Telemetry:
 
     def merge(self, other: "Telemetry") -> None:
         """Fold ``other``'s counters into this one (for aggregation)."""
-        self.msgs_sent += other.msgs_sent
-        self.bytes_sent += other.bytes_sent
-        self.msgs_by_kind.update(other.msgs_by_kind)
-        self.bytes_by_kind.update(other.bytes_by_kind)
-        self.msgs_received += other.msgs_received
-        self.bytes_received += other.bytes_received
-        self.reliable_msgs_sent += other.reliable_msgs_sent
-        self.reliable_bytes_sent += other.reliable_bytes_sent
-        self.oversized_broadcasts += other.oversized_broadcasts
-        self.fallback_probes_sent += other.fallback_probes_sent
-        self.fallback_probe_acks += other.fallback_probe_acks
-        self.fallback_probe_failures += other.fallback_probe_failures
-        self.syncs_initiated += other.syncs_initiated
-        self.sync_replies_sent += other.sync_replies_sent
-        self.sync_merges += other.sync_merges
-        self.sync_entries_merged += other.sync_entries_merged
-        self.sync_changes_applied += other.sync_changes_applied
+        for field, zero in _FIELDS:
+            if zero is int:
+                setattr(self, field, getattr(self, field) + getattr(other, field))
+            else:
+                getattr(self, field).update(getattr(other, field))
         self.transport.merge(other.transport)
 
     @classmethod
@@ -169,29 +203,28 @@ class Telemetry:
         return total
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "msgs_sent": self.msgs_sent,
-            "bytes_sent": self.bytes_sent,
-            "msgs_by_kind": dict(self.msgs_by_kind),
-            "bytes_by_kind": dict(self.bytes_by_kind),
-            "msgs_received": self.msgs_received,
-            "bytes_received": self.bytes_received,
-            "reliable_msgs_sent": self.reliable_msgs_sent,
-            "reliable_bytes_sent": self.reliable_bytes_sent,
-            "oversized_broadcasts": self.oversized_broadcasts,
-            "fallback_probes_sent": self.fallback_probes_sent,
-            "fallback_probe_acks": self.fallback_probe_acks,
-            "fallback_probe_failures": self.fallback_probe_failures,
-            "syncs_initiated": self.syncs_initiated,
-            "sync_replies_sent": self.sync_replies_sent,
-            "sync_merges": self.sync_merges,
-            "sync_entries_merged": self.sync_entries_merged,
-            "sync_changes_applied": self.sync_changes_applied,
-            "transport": self.transport.as_dict(),
+        out: Dict[str, object] = {
+            field: getattr(self, field) if zero is int else dict(getattr(self, field))
+            for field, zero in _FIELDS
         }
+        out["transport"] = self.transport.as_dict()
+        return out
+
+    @classmethod
+    def from_dict(cls, record: Mapping[str, object]) -> "Telemetry":
+        """Inverse of :meth:`as_dict`. A counter the record lacks (a
+        trace written before the counter existed) loads as zero."""
+        telemetry = cls()
+        for field, zero in _FIELDS:
+            if field not in record:
+                continue
+            if zero is int:
+                setattr(telemetry, field, int(record[field]))
+            else:
+                getattr(telemetry, field).update(record[field])
+        for event, count in record.get("transport", {}).items():
+            telemetry.transport.incr(event, int(count))
+        return telemetry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Telemetry(msgs_sent={self.msgs_sent}, "
-            f"bytes_sent={self.bytes_sent})"
-        )
+        return f"Telemetry({self.as_dict()})"

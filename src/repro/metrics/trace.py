@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, List, Union
 
 from repro.metrics.telemetry import Telemetry
-from repro.swim.events import EventKind, MemberEvent
+from repro.swim.events import MemberEvent
 
 PathLike = Union[str, Path]
 
@@ -24,13 +24,7 @@ def events_to_jsonl(events: Iterable[MemberEvent], path: PathLike) -> int:
     count = 0
     with path.open("w", encoding="utf-8") as handle:
         for event in events:
-            record = {
-                "t": event.time,
-                "observer": event.observer,
-                "subject": event.subject,
-                "kind": event.kind.value,
-                "incarnation": event.incarnation,
-            }
+            record = event.as_record()
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
             count += 1
     return count
@@ -45,16 +39,7 @@ def events_from_jsonl(path: PathLike) -> List[MemberEvent]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                events.append(
-                    MemberEvent(
-                        time=float(record["t"]),
-                        observer=record["observer"],
-                        subject=record["subject"],
-                        kind=EventKind(record["kind"]),
-                        incarnation=int(record["incarnation"]),
-                    )
-                )
+                events.append(MemberEvent.from_record(json.loads(line)))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(
                     f"{path}:{line_number}: malformed event record: {exc}"
@@ -70,33 +55,6 @@ def telemetry_to_json(telemetry: Telemetry, path: PathLike) -> None:
 def telemetry_from_json(path: PathLike) -> Telemetry:
     """Load telemetry persisted by :func:`telemetry_to_json`.
 
-    Inverse of :meth:`Telemetry.as_dict`: round-trips every counter,
-    including the per-kind breakdown, oversized-broadcast count and
-    transport events.
+    Counters the file lacks load as zero (see :meth:`Telemetry.from_dict`).
     """
-    record = json.loads(Path(path).read_text())
-    telemetry = Telemetry()
-    telemetry.msgs_sent = int(record["msgs_sent"])
-    telemetry.bytes_sent = int(record["bytes_sent"])
-    telemetry.msgs_received = int(record["msgs_received"])
-    telemetry.bytes_received = int(record["bytes_received"])
-    telemetry.reliable_msgs_sent = int(record["reliable_msgs_sent"])
-    telemetry.reliable_bytes_sent = int(record["reliable_bytes_sent"])
-    telemetry.oversized_broadcasts = int(record.get("oversized_broadcasts", 0))
-    # Fallback-probe and push-pull sync counters arrived later; traces
-    # written before them load with zeroes.
-    telemetry.fallback_probes_sent = int(record.get("fallback_probes_sent", 0))
-    telemetry.fallback_probe_acks = int(record.get("fallback_probe_acks", 0))
-    telemetry.fallback_probe_failures = int(
-        record.get("fallback_probe_failures", 0)
-    )
-    telemetry.syncs_initiated = int(record.get("syncs_initiated", 0))
-    telemetry.sync_replies_sent = int(record.get("sync_replies_sent", 0))
-    telemetry.sync_merges = int(record.get("sync_merges", 0))
-    telemetry.sync_entries_merged = int(record.get("sync_entries_merged", 0))
-    telemetry.sync_changes_applied = int(record.get("sync_changes_applied", 0))
-    telemetry.msgs_by_kind.update(record.get("msgs_by_kind", {}))
-    telemetry.bytes_by_kind.update(record.get("bytes_by_kind", {}))
-    for event, count in record.get("transport", {}).items():
-        telemetry.transport.incr(event, int(count))
-    return telemetry
+    return Telemetry.from_dict(json.loads(Path(path).read_text()))

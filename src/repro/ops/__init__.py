@@ -7,9 +7,10 @@ the same operational surface:
 
 * :mod:`repro.ops.registry` — a dependency-free metrics registry
   (labelled counters, gauges, fixed-bucket histograms) plus
-  :class:`~repro.ops.registry.NodeCollector`, which snapshots live state
-  from a :class:`~repro.swim.node.SwimNode` and its
-  :class:`~repro.metrics.telemetry.Telemetry` at scrape time.
+  :class:`~repro.ops.registry.NodeCollector`, which attaches a
+  :class:`~repro.swim.node.SwimNode` and its
+  :class:`~repro.metrics.telemetry.Telemetry` to the families as
+  sources read in place at scrape time.
 * :mod:`repro.ops.exposition` — Prometheus text-format rendering.
 * :mod:`repro.ops.http` — a minimal asyncio HTTP/1.1 admin server
   (``/metrics``, ``/members``, ``/suspicions``, ``/info``, ``/health``,

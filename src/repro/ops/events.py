@@ -25,14 +25,7 @@ from repro.swim.events import MemberEvent
 
 def event_record(seq: int, event: MemberEvent) -> Dict[str, object]:
     """The JSON-safe wire form of one stamped event."""
-    return {
-        "seq": seq,
-        "t": event.time,
-        "observer": event.observer,
-        "subject": event.subject,
-        "kind": event.kind.value,
-        "incarnation": event.incarnation,
-    }
+    return {"seq": seq, **event.as_record()}
 
 
 class EventStream:

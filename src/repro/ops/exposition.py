@@ -49,7 +49,7 @@ def _format_labels(label_pairs) -> str:
 
 
 def render_text(registry: MetricsRegistry) -> str:
-    """Render every family in ``registry`` (collectors run first)."""
+    """Render every family in ``registry``, reading live sources in place."""
     lines = []
     for metric in registry.collect():
         if metric.help:

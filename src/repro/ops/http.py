@@ -18,8 +18,10 @@ because the surface is tiny and read-only:
 
 Responses always close the connection (``Connection: close``); scrapers
 and the ``watch`` CLI poll, they do not hold sockets open. Requests are
-size-limited and non-GET methods are rejected, so a stray scanner cannot
-wedge the protocol loops sharing the event loop.
+size-limited, must arrive within :data:`REQUEST_DEADLINE` and non-GET
+methods are rejected, so a stray scanner — or a client that connects and
+says nothing — cannot wedge the protocol loops sharing the event loop:
+whatever bytes arrive, the answer is a well-formed response and a close.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from repro.ops.schema import envelope, members_payload, node_info, suspicions_pa
 
 _MAX_REQUEST_LINE = 4096
 _MAX_HEADER_BYTES = 16 * 1024
+#: Seconds a client has to deliver its request line and headers before
+#: it is answered ``408`` and closed.
+REQUEST_DEADLINE = 5.0
 _JSON_TYPE = "application/json; charset=utf-8"
 _JSONL_TYPE = "application/jsonl; charset=utf-8"
 
@@ -117,7 +122,14 @@ class AdminServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            status, content_type, body = await self._respond(reader)
+            try:
+                status, content_type, body = await asyncio.wait_for(
+                    self._respond(reader), REQUEST_DEADLINE
+                )
+            except asyncio.TimeoutError:
+                status, content_type, body = self._error(
+                    "408 Request Timeout", "request head not received in time"
+                )
             payload = body.encode("utf-8") if isinstance(body, str) else body
             head = (
                 f"HTTP/1.1 {status}\r\n"
@@ -151,7 +163,10 @@ class AdminServer:
         # Drain headers (bounded) so well-behaved clients see a clean close.
         seen = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # one header line over the stream limit
+                return self._error("431 Request Header Fields Too Large", "")
             seen += len(line)
             if line in (b"\r\n", b"\n", b""):
                 break
@@ -159,7 +174,10 @@ class AdminServer:
                 return self._error("431 Request Header Fields Too Large", "")
         if method != "GET":
             return self._error("405 Method Not Allowed", f"method {method}")
-        split = urlsplit(target)
+        try:
+            split = urlsplit(target)
+        except ValueError as exc:  # e.g. "//[": invalid IPv6 netloc
+            return self._error("400 Bad Request", f"malformed target: {exc}")
         query = parse_qs(split.query)
         return self._route(split.path, query)
 

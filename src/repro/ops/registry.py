@@ -6,20 +6,21 @@ Three metric types, all optionally labelled:
 * :class:`Gauge` — point-in-time values.
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``.
 
-Metrics are owned by a :class:`MetricsRegistry`. Besides direct
-instrumentation (``counter.labels(node="a").inc()``), the registry
-supports pull-time *collectors*: callbacks run at the start of every
-:meth:`MetricsRegistry.collect` that snapshot external state into
-gauges/counters. :class:`NodeCollector` is the collector for one
-:class:`~repro.swim.node.SwimNode`: member counts by state, incarnation,
-LHM score, scaled probe timing, suspicion-table size, broadcast-queue
-depths, the full :class:`~repro.metrics.telemetry.Telemetry` /
-:class:`~repro.metrics.telemetry.TransportStats` counter set, the
-fallback-probe, push-pull sync and probe-scheduler-selection counter
-families, a probe-RTT
-histogram fed by the node's ack-latency hook
-(:attr:`SwimNode.on_probe_rtt <repro.swim.node.SwimNode.on_probe_rtt>`),
-and a changes-per-merge histogram fed by the node's sync hook
+Metrics are owned by a :class:`MetricsRegistry`. A family holds two
+kinds of series: *stored* children, written by direct instrumentation
+(``counter.labels(node="a").inc()``), and sources *read in place* when
+the family is sampled (:meth:`Metric.read` / :meth:`Metric.watch`) — the
+protocol's own counters stay where the hot path increments them and a
+scrape copies nothing. :class:`NodeCollector` attaches one
+:class:`~repro.swim.node.SwimNode` that way, from declaration tables:
+member counts by state, incarnation, LHM score, scaled probe timing,
+suspicion-table size, broadcast-queue depths, every counter declared in
+:data:`~repro.metrics.telemetry.TELEMETRY_STATS`, the
+:class:`~repro.metrics.telemetry.TransportStats` event, syscall and
+batch-size series, and the probe-scheduler-selection counter. Two
+stored histograms are fed by node hooks: probe RTT
+(:attr:`SwimNode.on_probe_rtt <repro.swim.node.SwimNode.on_probe_rtt>`)
+and changes per push-pull merge
 (:attr:`SwimNode.on_sync_merge <repro.swim.node.SwimNode.on_sync_merge>`).
 
 Every per-node sample carries a ``node`` label, so one registry can host
@@ -31,10 +32,18 @@ metric names a single live member exposes over HTTP.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.lhm import LhmEvent
+from repro.metrics.telemetry import TELEMETRY_STATS, Stat
 from repro.swim.state import MemberState
+
+#: ``((label name, label value), ...)`` in the family's label order.
+LabelPairs = Tuple[Tuple[str, str], ...]
+#: A source read in place: returns ``(label pairs, value)`` per series
+#: (``value`` is a :class:`_HistogramChild` for a histogram family).
+Reader = Callable[[], Iterable[Tuple[LabelPairs, object]]]
 
 #: Cumulative upper bounds (seconds) for the probe-RTT histogram. Spans
 #: loopback (sub-millisecond) through LHM-scaled WAN timeouts.
@@ -64,12 +73,26 @@ class _Child:
 
 
 class _HistogramChild:
-    __slots__ = ("bucket_counts", "sum", "count")
+    """One histogram series. Holds its family's bounds, so the hook that
+    feeds it calls :meth:`observe` directly — labels validated and the
+    series resolved once, by :meth:`Metric.labels`, not per observation."""
 
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
+    __slots__ = ("bounds", "bucket_counts", "sum", "count")
+
+    def __init__(self, bounds: Tuple[float, ...]) -> None:
+        self.bounds = bounds
+        self.bucket_counts = [0] * len(bounds)
         self.sum = 0.0
         self.count = 0
+
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record ``n`` observations of ``value``."""
+        self.sum += value * n
+        self.count += n
+        for index, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.bucket_counts[index] += n
+                break
 
 
 class Metric:
@@ -84,6 +107,7 @@ class Metric:
         self.help = help_text
         self.labelnames = tuple(labelnames)
         self._children: Dict[Tuple[str, ...], object] = {}
+        self._readers: List[Reader] = []
 
     def _child_for(self, labels: Dict[str, str]):
         if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
@@ -104,10 +128,28 @@ class Metric:
         """The child series for the given label values (created lazily)."""
         return self._child_for(labels)
 
-    def samples(self) -> Iterable[Tuple[str, Tuple[Tuple[str, str], ...], float]]:
+    def read(self, reader: Reader) -> None:
+        """Attach a source that is read in place whenever the family is
+        sampled; its series appear after the stored children."""
+        self._readers.append(reader)
+
+    def watch(self, label_pairs: LabelPairs, get: Callable[[], float]) -> None:
+        """Attach one fixed series whose value is ``get()`` at sample
+        time. The label tuple is validated and resolved once, here."""
+        if tuple(name for name, _ in label_pairs) != self.labelnames:
+            raise ValueError(
+                f"{self.name}: expected labels {self.labelnames}, "
+                f"got {label_pairs}"
+            )
+        self._readers.append(lambda: ((label_pairs, get()),))
+
+    def samples(self) -> Iterable[Tuple[str, LabelPairs, float]]:
         """Yield ``(sample_name, label_pairs, value)`` for exposition."""
         for key, child in self._children.items():
             yield self.name, tuple(zip(self.labelnames, key)), child.value
+        for read in self._readers:
+            for label_pairs, value in read():
+                yield self.name, label_pairs, value
 
 
 class _CounterChild(_Child):
@@ -117,15 +159,6 @@ class _CounterChild(_Child):
         if amount < 0:
             raise ValueError("counters can only increase")
         self.value += amount
-
-    def set_total(self, total: float) -> None:
-        """Overwrite the running total.
-
-        For collectors mirroring an externally maintained monotonic
-        counter (e.g. :class:`~repro.metrics.telemetry.Telemetry`), where
-        the source of truth is elsewhere and already monotonic.
-        """
-        self.value = total
 
 
 class Counter(Metric):
@@ -182,54 +215,30 @@ class Histogram(Metric):
         self.buckets = bounds
 
     def _new_child(self):
-        return _HistogramChild(len(self.buckets))
+        return _HistogramChild(self.buckets)
 
     def observe(self, value: float, **labels: str) -> None:
-        self._observe_child(self._child_for(labels), value)
-
-    def _observe_child(self, child: _HistogramChild, value: float) -> None:
-        child.sum += value
-        child.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                child.bucket_counts[index] += 1
-                break
-
-    def labels(self, **labels: str) -> "_BoundHistogram":
-        return _BoundHistogram(self, dict(labels))
+        self._child_for(labels).observe(value)
 
     def samples(self):
         for key, child in self._children.items():
-            base = tuple(zip(self.labelnames, key))
-            cumulative = 0
-            for bound, count in zip(self.buckets, child.bucket_counts):
-                cumulative += count
-                yield (
-                    self.name + "_bucket",
-                    base + (("le", _format_bound(bound)),),
-                    cumulative,
-                )
-            yield self.name + "_bucket", base + (("le", "+Inf"),), child.count
-            yield self.name + "_sum", base, child.sum
-            yield self.name + "_count", base, child.count
+            yield from self._child_samples(tuple(zip(self.labelnames, key)), child)
+        for read in self._readers:
+            for label_pairs, child in read():
+                yield from self._child_samples(label_pairs, child)
 
-
-class _BoundHistogram:
-    """A histogram pre-bound to one label set.
-
-    Labels are validated and the child series resolved once, at bind
-    time, so :meth:`observe` is cheap enough for per-packet hot paths
-    (the node's ack-latency hook fires on every directly-acked probe).
-    """
-
-    __slots__ = ("_histogram", "_child")
-
-    def __init__(self, histogram: Histogram, labels: Dict[str, str]) -> None:
-        self._histogram = histogram
-        self._child = histogram._child_for(labels)
-
-    def observe(self, value: float) -> None:
-        self._histogram._observe_child(self._child, value)
+    def _child_samples(self, base: LabelPairs, child: _HistogramChild):
+        cumulative = 0
+        for bound, count in zip(self.buckets, child.bucket_counts):
+            cumulative += count
+            yield (
+                self.name + "_bucket",
+                base + (("le", _format_bound(bound)),),
+                cumulative,
+            )
+        yield self.name + "_bucket", base + (("le", "+Inf"),), child.count
+        yield self.name + "_sum", base, child.sum
+        yield self.name + "_count", base, child.count
 
 
 def _format_bound(bound: float) -> str:
@@ -237,7 +246,7 @@ def _format_bound(bound: float) -> str:
 
 
 class MetricsRegistry:
-    """Owns metric families and pull-time collectors.
+    """Owns metric families.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: asking twice
     for the same name returns the same family (so several
@@ -248,7 +257,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        self._collectors: List[Callable[[], None]] = []
 
     def _get_or_create(self, cls, name, help_text, labelnames, **kwargs) -> Metric:
         existing = self._metrics.get(name)
@@ -284,26 +292,123 @@ class MetricsRegistry:
             Histogram, name, help_text, labelnames, buckets=buckets
         )
 
-    def add_collector(self, collect: Callable[[], None]) -> None:
-        """Register a callback run at the start of every :meth:`collect`."""
-        self._collectors.append(collect)
-
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
     def collect(self) -> List[Metric]:
-        """Refresh collector-backed metrics and return all families,
-        sorted by name for stable exposition output."""
-        for collect in self._collectors:
-            collect()
+        """All families, sorted by name for stable exposition output."""
         return [self._metrics[name] for name in sorted(self._metrics)]
 
 
+def watch_stats(
+    registry: MetricsRegistry,
+    stats: Iterable[Stat],
+    base: LabelPairs,
+    read_field: Callable[[str], object],
+) -> None:
+    """Expose every counter of a declaration table under ``base`` labels.
+
+    ``read_field(field)`` returns the field's current total — or, for a
+    counter keyed by a dynamic label, its ``{label value: total}``
+    mapping, whose label set is discovered each time it is sampled.
+    """
+    base_names = tuple(name for name, _ in base)
+    for stat in stats:
+        family = registry.counter(
+            stat.family, stat.help, base_names + stat.labelnames
+        )
+        get = partial(read_field, stat.field)
+        if stat.key is None:
+            family.watch(base + stat.labels, get)
+        else:
+            family.read(
+                lambda fixed=base + stat.labels, key=stat.key, get=get: [
+                    (fixed + ((key, value),), total)
+                    for value, total in get().items()
+                ]
+            )
+
+
+def watch_series(registry: MetricsRegistry, rows, base: LabelPairs, source) -> None:
+    """Attach a table of ``(type, family, help, fixed labels, read)``
+    rows under ``base`` labels: one series per row, whose value is
+    ``read(source)`` each time it is sampled."""
+    base_names = tuple(name for name, _ in base)
+    for kind, family, help_text, labels, read in rows:
+        names = base_names + tuple(name for name, _ in labels)
+        getattr(registry, kind)(family, help_text, names).watch(
+            base + labels, partial(read, source)
+        )
+
+
+#: :class:`~repro.metrics.telemetry.TransportStats` counters with a
+#: plain dynamic label; the per-backend series need ``backend`` and are
+#: read by :meth:`NodeCollector._per_backend`.
+_TRANSPORT_STATS = (
+    Stat(
+        "events",
+        "lifeguard_transport_events_total",
+        "Channel-level transport events (see TransportStats).",
+        key="event",
+    ),
+)
+
+#: What a node exposes besides its stats tables, as
+#: :func:`watch_series` rows read from the node.
+_NODE_SERIES = (
+    *(
+        (
+            "gauge",
+            "lifeguard_members",
+            "Known members by state, as seen by this node (includes itself).",
+            (("state", state.name.lower()),),
+            lambda node, state=state: node.members.num_in_state(state),
+        )
+        for state in MemberState
+    ),
+    ("gauge", "lifeguard_incarnation", "This member's own incarnation number.", (),
+     lambda node: node.incarnation),
+    ("gauge", "lifeguard_lhm_score",
+     "Current Local Health Multiplier score (0 = healthy).", (),
+     lambda node: node.local_health.score),
+    ("gauge", "lifeguard_lhm_max", "LHM saturation limit S.", (),
+     lambda node: node.local_health.max_value),
+    ("gauge", "lifeguard_probe_interval_seconds",
+     "LHM-scaled probe interval currently in effect.", (),
+     lambda node: node.current_probe_interval()),
+    ("gauge", "lifeguard_probe_timeout_seconds",
+     "LHM-scaled probe timeout currently in effect.", (),
+     lambda node: node.current_probe_timeout()),
+    ("gauge", "lifeguard_suspicions", "Entries in the local suspicion table.", (),
+     lambda node: node.suspicion_count),
+    ("gauge", "lifeguard_broadcast_queue_depth",
+     "Broadcasts pending in the gossip queues.", (("queue", "system"),),
+     lambda node: len(node.broadcasts)),
+    ("gauge", "lifeguard_broadcast_queue_depth",
+     "Broadcasts pending in the gossip queues.", (("queue", "user"),),
+     lambda node: len(node.user_broadcasts)),
+    ("gauge", "lifeguard_node_running", "1 while the protocol loops are running.", (),
+     lambda node: 1 if node.running else 0),
+    *(
+        (
+            "counter",
+            "lifeguard_lhm_events_total",
+            "Local Health events recorded, by kind (counted even when "
+            "LHA-Probe is disabled).",
+            (("event", event.value),),
+            lambda node, event=event: node.local_health.event_count(event),
+        )
+        for event in LhmEvent
+    ),
+)
+
+
 class NodeCollector:
-    """Snapshots one :class:`~repro.swim.node.SwimNode` into a registry.
+    """Exposes one :class:`~repro.swim.node.SwimNode` through a registry.
 
     All samples carry a ``node`` label with the member name. Construction
-    registers (or reuses) the metric families and a pull-time collector;
+    registers (or reuses) the metric families and attaches the node's
+    state and counters to them, to be read in place on every scrape;
     :meth:`install_rtt_hook` additionally wires the node's ack-latency
     hook into the ``lifeguard_probe_rtt_seconds`` histogram.
     """
@@ -316,145 +421,47 @@ class NodeCollector:
     ) -> None:
         self.registry = registry
         self.node = node
-        label = ("node",)
-
-        g, c = registry.gauge, registry.counter
-        self._members = g(
-            "lifeguard_members",
-            "Known members by state, as seen by this node (includes itself).",
-            ("node", "state"),
-        )
-        self._incarnation = g(
-            "lifeguard_incarnation", "This member's own incarnation number.", label
-        )
-        self._lhm_score = g(
-            "lifeguard_lhm_score",
-            "Current Local Health Multiplier score (0 = healthy).",
-            label,
-        )
-        self._lhm_max = g(
-            "lifeguard_lhm_max", "LHM saturation limit S.", label
-        )
-        self._probe_interval = g(
-            "lifeguard_probe_interval_seconds",
-            "LHM-scaled probe interval currently in effect.",
-            label,
-        )
-        self._probe_timeout = g(
-            "lifeguard_probe_timeout_seconds",
-            "LHM-scaled probe timeout currently in effect.",
-            label,
-        )
-        self._suspicions = g(
-            "lifeguard_suspicions",
-            "Entries in the local suspicion table.",
-            label,
-        )
-        self._queue_depth = g(
-            "lifeguard_broadcast_queue_depth",
-            "Broadcasts pending in the gossip queues.",
-            ("node", "queue"),
-        )
-        self._running = g(
-            "lifeguard_node_running",
-            "1 while the protocol loops are running.",
-            label,
-        )
-        self._msgs_sent = c(
-            "lifeguard_msgs_sent_total", "Messages sent (compound = 1).", label
-        )
-        self._bytes_sent = c(
-            "lifeguard_bytes_sent_total", "Payload bytes sent.", label
-        )
-        self._msgs_received = c(
-            "lifeguard_msgs_received_total", "Messages received.", label
-        )
-        self._bytes_received = c(
-            "lifeguard_bytes_received_total", "Payload bytes received.", label
-        )
-        self._reliable_msgs = c(
-            "lifeguard_reliable_msgs_sent_total",
-            "Messages sent over the reliable channel.",
-            label,
-        )
-        self._reliable_bytes = c(
-            "lifeguard_reliable_bytes_sent_total",
-            "Payload bytes sent over the reliable channel.",
-            label,
-        )
-        self._oversized = c(
-            "lifeguard_oversized_broadcasts_total",
-            "Broadcasts dropped as undeliverably large.",
-            label,
-        )
-        self._by_kind_msgs = c(
-            "lifeguard_msgs_sent_by_kind_total",
-            "Messages sent by primary message kind.",
-            ("node", "kind"),
-        )
-        self._by_kind_bytes = c(
-            "lifeguard_bytes_sent_by_kind_total",
-            "Payload bytes sent by primary message kind.",
-            ("node", "kind"),
-        )
-        self._transport_events = c(
-            "lifeguard_transport_events_total",
-            "Channel-level transport events (see TransportStats).",
-            ("node", "event"),
-        )
-        self._lhm_events = c(
-            "lifeguard_lhm_events_total",
-            "Local Health events recorded, by kind (counted even when "
-            "LHA-Probe is disabled).",
-            ("node", "event"),
-        )
-        self._fallback_probes = c(
-            "lifeguard_fallback_probes_total",
-            "Reliable-channel fallback probes by outcome (sent / ack / "
-            "failure; an acked fallback suppresses the indirect round).",
-            ("node", "outcome"),
-        )
-        self._syncs = c(
-            "lifeguard_syncs_total",
-            "Push-pull anti-entropy activity by kind (initiated / "
-            "replies / merges).",
-            ("node", "kind"),
-        )
-        self._sync_entries = c(
-            "lifeguard_sync_entries_merged_total",
-            "Member-table entries examined by push-pull merges.",
-            label,
-        )
-        self._sync_changes = c(
-            "lifeguard_sync_changes_total",
-            "Local state changes applied by push-pull merges.",
-            label,
-        )
-        self._scheduler_selections = c(
-            "lifeguard_probe_scheduler_selections_total",
-            "Probe targets selected, labelled by scheduling strategy "
-            "(see docs/PROBE_SCHEDULING.md).",
-            ("node", "strategy"),
-        )
-        self._transport_syscalls = c(
+        base = (("node", node.name),)
+        watch_series(registry, _NODE_SERIES, base, node)
+        telemetry = node.telemetry
+        watch_stats(registry, TELEMETRY_STATS, base, partial(getattr, telemetry))
+        transport = telemetry.transport
+        watch_stats(registry, _TRANSPORT_STATS, base, partial(getattr, transport))
+        per_backend = ("node", "backend", "direction")
+        registry.counter(
             "lifeguard_transport_syscalls_total",
             "Datagram syscalls issued by the transport backend (one "
             "recvmmsg/sendmmsg may move many datagrams).",
-            ("node", "backend", "direction"),
+            per_backend,
+        ).read(
+            partial(
+                self._per_backend,
+                lambda direction: transport.get(f"udp_{direction}_syscalls"),
+            )
         )
-        self.transport_batch = registry.histogram(
+        batch = registry.histogram(
             "lifeguard_transport_batch_size",
             "Datagrams moved per datagram syscall, by backend and "
             "direction (always 1 on the asyncio backend; actual "
             "recvmmsg/sendmmsg batch sizes on the batched backend).",
-            ("node", "backend", "direction"),
+            per_backend,
             buckets=TRANSPORT_BATCH_BUCKETS,
+        )
+        batch.read(partial(self._per_backend, partial(self._batches, batch)))
+        scheduler = node.members.probe_scheduler
+        registry.counter(
+            "lifeguard_probe_scheduler_selections_total",
+            "Probe targets selected, labelled by scheduling strategy "
+            "(see docs/PROBE_SCHEDULING.md).",
+            ("node", "strategy"),
+        ).read(
+            lambda: ((base + (("strategy", scheduler.name),), scheduler.selections),)
         )
         self.sync_merge_changes = registry.histogram(
             "lifeguard_sync_merge_changes",
             "State changes applied per push-pull merge (0 = the snapshot "
             "taught us nothing; fed by the node's on_sync_merge hook).",
-            label,
+            ("node",),
             buckets=SYNC_MERGE_BUCKETS,
         )
         self._sync_merge_child = self.sync_merge_changes.labels(node=node.name)
@@ -462,11 +469,10 @@ class NodeCollector:
             "lifeguard_probe_rtt_seconds",
             "Round-trip time of directly acked probes (ack received "
             "within the probe timeout; indirect and nack paths excluded).",
-            label,
+            ("node",),
             buckets=rtt_buckets,
         )
         self._rtt_child = self.rtt.labels(node=node.name)
-        registry.add_collector(self.collect)
 
     def install_rtt_hook(self) -> None:
         """Point the node's ack-latency hook at the RTT histogram."""
@@ -483,100 +489,21 @@ class NodeCollector:
     def observe_sync_merge(self, changes: int) -> None:
         self._sync_merge_child.observe(changes)
 
-    def collect(self) -> None:
-        node = self.node
-        name = node.name
-        members = node.members
-        for state in MemberState:
-            self._members.set(
-                members.num_in_state(state), node=name, state=state.name.lower()
-            )
-        self._incarnation.set(node.incarnation, node=name)
-        lhm = node.local_health
-        self._lhm_score.set(lhm.score, node=name)
-        self._lhm_max.set(lhm.max_value, node=name)
-        self._probe_interval.set(node.current_probe_interval(), node=name)
-        self._probe_timeout.set(node.current_probe_timeout(), node=name)
-        self._suspicions.set(node.suspicion_count, node=name)
-        self._queue_depth.set(len(node.broadcasts), node=name, queue="system")
-        self._queue_depth.set(len(node.user_broadcasts), node=name, queue="user")
-        self._running.set(1 if node.running else 0, node=name)
-
-        telemetry = node.telemetry
-        self._msgs_sent.labels(node=name).set_total(telemetry.msgs_sent)
-        self._bytes_sent.labels(node=name).set_total(telemetry.bytes_sent)
-        self._msgs_received.labels(node=name).set_total(telemetry.msgs_received)
-        self._bytes_received.labels(node=name).set_total(telemetry.bytes_received)
-        self._reliable_msgs.labels(node=name).set_total(telemetry.reliable_msgs_sent)
-        self._reliable_bytes.labels(node=name).set_total(
-            telemetry.reliable_bytes_sent
-        )
-        self._oversized.labels(node=name).set_total(telemetry.oversized_broadcasts)
-        for kind, count in telemetry.msgs_by_kind.items():
-            self._by_kind_msgs.labels(node=name, kind=kind).set_total(count)
-        for kind, n_bytes in telemetry.bytes_by_kind.items():
-            self._by_kind_bytes.labels(node=name, kind=kind).set_total(n_bytes)
-        for event, count in telemetry.transport.as_dict().items():
-            self._transport_events.labels(node=name, event=event).set_total(count)
-        transport = telemetry.transport
-        if transport.backend:
-            be = transport.backend
-            self._transport_syscalls.labels(
-                node=name, backend=be, direction="send"
-            ).set_total(transport.get("udp_send_syscalls"))
-            self._transport_syscalls.labels(
-                node=name, backend=be, direction="recv"
-            ).set_total(transport.get("udp_recv_syscalls"))
+    def _per_backend(self, value: Callable[[str], object]):
+        """One series per direction, labelled with the transport's
+        backend — none until a transport with a syscall layer has
+        adopted the node's ``TransportStats``."""
+        backend = self.node.telemetry.transport.backend
+        if backend:
+            base = (("node", self.node.name), ("backend", backend))
             for direction in ("send", "recv"):
-                self._mirror_batches(transport, be, direction, name)
-        for event in LhmEvent:
-            self._lhm_events.labels(node=name, event=event.value).set_total(
-                lhm.event_count(event)
-            )
-        self._fallback_probes.labels(node=name, outcome="sent").set_total(
-            telemetry.fallback_probes_sent
-        )
-        self._fallback_probes.labels(node=name, outcome="ack").set_total(
-            telemetry.fallback_probe_acks
-        )
-        self._fallback_probes.labels(node=name, outcome="failure").set_total(
-            telemetry.fallback_probe_failures
-        )
-        self._syncs.labels(node=name, kind="initiated").set_total(
-            telemetry.syncs_initiated
-        )
-        self._syncs.labels(node=name, kind="replies").set_total(
-            telemetry.sync_replies_sent
-        )
-        self._syncs.labels(node=name, kind="merges").set_total(telemetry.sync_merges)
-        self._sync_entries.labels(node=name).set_total(telemetry.sync_entries_merged)
-        self._sync_changes.labels(node=name).set_total(telemetry.sync_changes_applied)
-        scheduler = members.probe_scheduler
-        self._scheduler_selections.labels(
-            node=name, strategy=scheduler.name
-        ).set_total(scheduler.selections)
+                yield base + (("direction", direction),), value(direction)
 
-    def _mirror_batches(self, transport, backend, direction, name) -> None:
-        """Overwrite one batch-size histogram series from the transport's
-        ``(direction, size)`` counters — the pull-time analogue of
-        ``set_total`` for histograms: the transport keeps the source of
-        truth, the registry snapshots it at scrape time."""
-        child = self.transport_batch.labels(
-            node=name, backend=backend, direction=direction
-        )._child
-        bounds = self.transport_batch.buckets
-        counts = [0] * len(bounds)
-        total = 0
-        weighted = 0.0
-        for (d, size), n in transport.batches.items():
-            if d != direction:
-                continue
-            total += n
-            weighted += size * n
-            for index, bound in enumerate(bounds):
-                if size <= bound:
-                    counts[index] += n
-                    break
-        child.bucket_counts = counts
-        child.sum = weighted
-        child.count = total
+    def _batches(self, histogram: Histogram, direction: str) -> _HistogramChild:
+        """One direction's ``(direction, size) -> syscalls`` counters as
+        a histogram series, bucketed when sampled."""
+        child = histogram._new_child()
+        for (d, size), n in self.node.telemetry.transport.batches.items():
+            if d == direction:
+                child.observe(size, n)
+        return child

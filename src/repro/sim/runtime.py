@@ -121,7 +121,6 @@ class SimCluster:
         #: Shared metrics registry, populated by
         #: :meth:`install_ops_registry` (``None`` until installed).
         self.ops_registry = None
-        self.ops_collectors: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -212,12 +211,7 @@ class SimCluster:
         if join_via is not None:
             node.join([join_via])
         if self.ops_registry is not None:
-            from repro.ops.registry import NodeCollector
-
-            collector = NodeCollector(self.ops_registry, node)
-            collector.install_rtt_hook()
-            collector.install_sync_hook()
-            self.ops_collectors[name] = collector
+            self._attach_to_registry(node)
         return node
 
     def install_gossip_overlay(self, degree: int, seed: Optional[int] = None) -> dict:
@@ -227,7 +221,13 @@ class SimCluster:
         dissemination tails with a random overlay). Returns the adjacency
         mapping that was installed.
         """
-        import networkx
+        try:
+            import networkx
+        except ImportError as exc:
+            raise ImportError(
+                "install_gossip_overlay needs networkx: install the "
+                "'overlay' extra (pip install 'repro[overlay]')"
+            ) from exc
 
         if not 1 <= degree < len(self.names):
             raise ValueError("need 1 <= degree < n_members")
@@ -254,18 +254,20 @@ class SimCluster:
         experiments can assert on exactly the metrics a live member
         serves from ``/metrics``. Returns the registry.
         """
-        from repro.ops.registry import MetricsRegistry, NodeCollector
+        from repro.ops.registry import MetricsRegistry
 
-        if self.ops_registry is not None:
-            return self.ops_registry
-        registry = MetricsRegistry()
-        for name, node in self.nodes.items():
-            collector = NodeCollector(registry, node)
-            collector.install_rtt_hook()
-            collector.install_sync_hook()
-            self.ops_collectors[name] = collector
-        self.ops_registry = registry
-        return registry
+        if self.ops_registry is None:
+            self.ops_registry = MetricsRegistry()
+            for node in self.nodes.values():
+                self._attach_to_registry(node)
+        return self.ops_registry
+
+    def _attach_to_registry(self, node: SwimNode) -> None:
+        from repro.ops.registry import NodeCollector
+
+        collector = NodeCollector(self.ops_registry, node)
+        collector.install_rtt_hook()
+        collector.install_sync_hook()
 
     def _on_anomaly_transition(self, member: str, blocked: bool, _now: float) -> None:
         """Suspend/resume a member's protocol loops around its anomaly

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 
 class EventKind(enum.Enum):
@@ -34,6 +34,11 @@ class EventKind(enum.Enum):
     UPDATED = "updated"
 
 
+#: :meth:`MemberEvent.as_tuple`: (time, observer, subject, kind name,
+#: incarnation).
+SerializedEvent = Tuple[float, str, str, str, int]
+
+
 @dataclass(frozen=True)
 class MemberEvent:
     """One membership state transition at one observer."""
@@ -44,25 +49,41 @@ class MemberEvent:
     kind: EventKind
     incarnation: int
 
+    # The two serial forms every writer and reader of events goes
+    # through: a JSON-safe record (event logs, ``/events``) and a compact
+    # picklable tuple (trace digests, shard workers).
+
+    def as_record(self) -> Dict[str, object]:
+        return {
+            "t": self.time,
+            "observer": self.observer,
+            "subject": self.subject,
+            "kind": self.kind.value,
+            "incarnation": self.incarnation,
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "MemberEvent":
+        """Inverse of :meth:`as_record`; raises ``KeyError`` /
+        ``ValueError`` / ``TypeError`` on a malformed record."""
+        return cls(
+            time=float(record["t"]),
+            observer=record["observer"],
+            subject=record["subject"],
+            kind=EventKind(record["kind"]),
+            incarnation=int(record["incarnation"]),
+        )
+
+    def as_tuple(self) -> SerializedEvent:
+        return (
+            self.time, self.observer, self.subject, self.kind.name, self.incarnation
+        )
+
+    @classmethod
+    def from_tuple(cls, item: SerializedEvent) -> "MemberEvent":
+        time, observer, subject, kind, incarnation = item
+        return cls(time, observer, subject, EventKind[kind], incarnation)
+
 
 #: Callback signature for membership event listeners.
 EventListener = Callable[[MemberEvent], None]
-
-
-class EventRecorder:
-    """A listener that appends every event to a list (used by tests,
-    examples and the experiment harness)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[MemberEvent] = []
-
-    def __call__(self, event: MemberEvent) -> None:
-        self.events.append(event)
-
-    def of_kind(self, kind: EventKind) -> List[MemberEvent]:
-        return [e for e in self.events if e.kind is kind]
-
-    def clear(self) -> None:
-        self.events.clear()

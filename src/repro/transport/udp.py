@@ -55,9 +55,14 @@ MAX_FRAME_PAYLOAD = 16 * 1024 * 1024
 def parse_address(address: str) -> Tuple[str, int]:
     """Split ``"host:port"`` into a ``(host, port)`` pair."""
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"not a host:port address: {address!r}")
-    return host, int(port)
+    if host and port.isdigit():
+        number = int(port)
+        # A peer names its own reply address (reliable frames carry it),
+        # so an out-of-range port must fail here, as a ValueError every
+        # send path handles, not as an OverflowError inside a socket call.
+        if number <= 65535:
+            return host, number
+    raise ValueError(f"not a host:port address: {address!r}")
 
 
 #: Requested UDP socket buffer size. Default buffers (~208 KiB on stock

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.config import SwimConfig
+from repro.metrics.telemetry import Stat
 from repro.sim.scheduler import EventScheduler
 from repro.swim.codec import encode
 from repro.swim.events import EventKind, MemberEvent
@@ -81,22 +81,43 @@ _FORWARDED_STATES: Dict[EventKind, MemberState] = {
 }
 
 
-@dataclass
-class BridgeStats:
-    """Cross-zone traffic and verdict counters for one bridge."""
+#: Every per-bridge counter, declared once: :class:`BridgeStats` takes
+#: its slots from this table and :class:`repro.zones.metrics.
+#: ZoneCollector` exposes each row, summed over a zone's bridges.
+BRIDGE_STATS: Tuple[Stat, ...] = (
+    Stat("digests_sent", "lifeguard_zone_digests_sent_total",
+         "Zone digests emitted by this zone's bridges."),
+    Stat("digests_received", "lifeguard_zone_digests_received_total",
+         "Zone digests received by this zone's bridges."),
+    Stat("claims_sent", "lifeguard_zone_claims_sent_total",
+         "Cross-zone member claims forwarded by this zone's bridges "
+         "(event-driven plus anti-entropy re-advertisements)."),
+    Stat("claims_received", "lifeguard_zone_claims_received_total",
+         "Cross-zone member claims received by this zone's bridges."),
+    Stat("claims_applied", "lifeguard_zone_claims_applied_total",
+         "Received cross-zone claims that changed a bridge directory."),
+    Stat("bytes_sent", "lifeguard_zone_bridge_bytes_total",
+         "Cross-zone payload bytes by direction.", (("direction", "out"),)),
+    Stat("bytes_received", "lifeguard_zone_bridge_bytes_total",
+         "Cross-zone payload bytes by direction.", (("direction", "in"),)),
+    Stat("unreachable_marked", "lifeguard_zone_unreachable_verdicts_total",
+         "Zone-unreachable verdicts marked by this zone's bridges."),
+    Stat("unreachable_cleared", "lifeguard_zone_unreachable_cleared_total",
+         "Zone-unreachable verdicts cleared by a resumed digest."),
+    Stat("verdicts_received", "lifeguard_zone_verdicts_received_total",
+         "Advisory zone-unreachable verdicts received from other bridges."),
+)
 
-    digests_sent: int = 0
-    digests_received: int = 0
-    claims_sent: int = 0
-    claims_received: int = 0
-    claims_applied: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    unreachable_marked: int = 0
-    unreachable_cleared: int = 0
-    verdicts_received: int = 0
-    #: Digest view hashes last seen per remote zone (observability).
-    last_view_hash: Dict[str, int] = field(default_factory=dict)
+
+class BridgeStats:
+    """Cross-zone traffic and verdict counters for one bridge: one int
+    slot per :data:`BRIDGE_STATS` row."""
+
+    __slots__ = tuple(stat.field for stat in BRIDGE_STATS)
+
+    def __init__(self) -> None:
+        for field in self.__slots__:
+            setattr(self, field, 0)
 
 
 class ZoneBridge:
@@ -352,7 +373,6 @@ class ZoneBridge:
 
     def _on_digest(self, digest: ZoneDigest) -> None:
         self.stats.digests_received += 1
-        self.stats.last_view_hash[digest.zone] = digest.view_hash
         self._last_digest[digest.zone] = self._scheduler.clock.now
         if digest.zone in self.unreachable:
             self.unreachable.discard(digest.zone)

@@ -496,10 +496,7 @@ def digest_zone_cluster(cluster: SimCluster) -> str:
     log plus message/byte telemetry and the scheduler's executed-event
     count — the same record shape the flat-cluster trace-equivalence
     tests pin."""
-    log = [
-        (e.time, e.observer, e.subject, e.kind.name, e.incarnation)
-        for e in cluster.event_log.events
-    ]
+    log = [event.as_tuple() for event in cluster.event_log.events]
     telemetry = cluster.telemetry()
     record = {
         "events": log,

@@ -1,124 +1,79 @@
 """Ops-plane metrics for the cross-zone layer.
 
-One :class:`ZoneCollector` snapshots a whole :class:`~repro.zones.cluster.
-ZonedCluster` into a :class:`~repro.ops.registry.MetricsRegistry` at pull
-time, following the ``NodeCollector`` pattern but aggregated per *zone*
-rather than per node — per-node series would explode cardinality at the
-cluster sizes the sharded driver targets. All families carry the
+One :class:`ZoneCollector` exposes a whole :class:`~repro.zones.cluster.
+ZonedCluster` through a :class:`~repro.ops.registry.MetricsRegistry`,
+following the ``NodeCollector`` pattern — declaration tables whose
+series read the live cluster in place when scraped — but aggregated per
+*zone* rather than per node: per-node series would explode cardinality
+at the cluster sizes the sharded driver targets. All families carry the
 ``lifeguard_zone_`` prefix.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.ops.registry import MetricsRegistry
+from repro.ops.registry import MetricsRegistry, watch_series, watch_stats
 from repro.swim.state import MemberState
+from repro.zones.bridge import BRIDGE_STATS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.zones.cluster import ZonedCluster
 
 __all__ = ["ZoneCollector"]
 
+#: Per-zone gauges, as :func:`~repro.ops.registry.watch_series` rows
+#: read from the zone's non-empty bridge list.
+_ZONE_GAUGES = (
+    *(
+        (
+            "gauge",
+            "lifeguard_zone_members",
+            "Members by state within each zone, as seen by the zone's "
+            "first bridge.",
+            (("state", state.name.lower()),),
+            lambda bridges, state=state: bridges[0].node.members.num_in_state(state),
+        )
+        for state in MemberState
+    ),
+    (
+        "gauge",
+        "lifeguard_zone_unreachable",
+        "Remote zones currently flagged unreachable by this zone's "
+        "bridges (soft verdicts; never merged into membership).",
+        (),
+        lambda bridges: max(len(bridge.unreachable) for bridge in bridges),
+    ),
+)
+
 
 class ZoneCollector:
-    """Publishes per-zone membership and bridge-layer metrics.
-
-    Construction registers the families and a pull-time collector;
-    every :meth:`MetricsRegistry.collect` refreshes the samples from the
-    live cluster state.
-    """
+    """Publishes per-zone membership and bridge-layer metrics: the
+    gauges above plus every :data:`~repro.zones.bridge.BRIDGE_STATS`
+    counter summed over the zone's bridges."""
 
     def __init__(self, registry: MetricsRegistry, cluster: "ZonedCluster") -> None:
         self.registry = registry
         self.cluster = cluster
-        g, c = registry.gauge, registry.counter
-        self._zones = g(
+        registry.gauge(
             "lifeguard_zone_count", "Zones in the cluster layout.", ()
-        )
-        self._members = g(
-            "lifeguard_zone_members",
-            "Members by state within each zone, as seen by the zone's "
-            "first bridge.",
-            ("zone", "state"),
-        )
-        self._bridges = g(
+        ).watch((), lambda: cluster.layout.zone_count)
+        bridge_count = registry.gauge(
             "lifeguard_zone_bridges", "Bridge members per zone.", ("zone",)
         )
-        self._unreachable = g(
-            "lifeguard_zone_unreachable",
-            "Remote zones currently flagged unreachable by this zone's "
-            "bridges (soft verdicts; never merged into membership).",
-            ("zone",),
-        )
-        self._digests_sent = c(
-            "lifeguard_zone_digests_sent_total",
-            "Zone digests emitted by this zone's bridges.",
-            ("zone",),
-        )
-        self._digests_received = c(
-            "lifeguard_zone_digests_received_total",
-            "Zone digests received by this zone's bridges.",
-            ("zone",),
-        )
-        self._claims_sent = c(
-            "lifeguard_zone_claims_sent_total",
-            "Cross-zone member claims forwarded by this zone's bridges "
-            "(event-driven plus anti-entropy re-advertisements).",
-            ("zone",),
-        )
-        self._claims_applied = c(
-            "lifeguard_zone_claims_applied_total",
-            "Received cross-zone claims that changed a bridge directory.",
-            ("zone",),
-        )
-        self._bytes = c(
-            "lifeguard_zone_bridge_bytes_total",
-            "Cross-zone payload bytes by direction.",
-            ("zone", "direction"),
-        )
-        self._verdicts = c(
-            "lifeguard_zone_unreachable_verdicts_total",
-            "Zone-unreachable verdicts marked by this zone's bridges.",
-            ("zone",),
-        )
-        registry.add_collector(self.collect)
-
-    def collect(self) -> None:
-        cluster = self.cluster
-        self._zones.set(cluster.layout.zone_count)
         for zi in cluster.shard.zone_indices:
-            zone = cluster.layout.zones[zi]
+            base = (("zone", cluster.layout.zones[zi].name),)
             bridges = cluster.shard.bridges[zi]
-            self._bridges.set(len(bridges), zone=zone.name)
+            bridge_count.watch(base, partial(len, bridges))
             if not bridges:
                 continue
-            first = bridges[0]
-            for state in MemberState:
-                self._members.set(
-                    first.node.members.num_in_state(state),
-                    zone=zone.name,
-                    state=state.name.lower(),
-                )
-            digests_sent = digests_received = claims_sent = claims_applied = 0
-            bytes_out = bytes_in = verdicts = 0
-            unreachable = 0
-            for bridge in bridges:
-                stats = bridge.stats
-                digests_sent += stats.digests_sent
-                digests_received += stats.digests_received
-                claims_sent += stats.claims_sent
-                claims_applied += stats.claims_applied
-                bytes_out += stats.bytes_sent
-                bytes_in += stats.bytes_received
-                verdicts += stats.unreachable_marked
-                unreachable = max(unreachable, len(bridge.unreachable))
-            self._unreachable.set(unreachable, zone=zone.name)
-            sent_child = self._digests_sent.labels(zone=zone.name)
-            sent_child.set_total(digests_sent)
-            self._digests_received.labels(zone=zone.name).set_total(digests_received)
-            self._claims_sent.labels(zone=zone.name).set_total(claims_sent)
-            self._claims_applied.labels(zone=zone.name).set_total(claims_applied)
-            self._bytes.labels(zone=zone.name, direction="out").set_total(bytes_out)
-            self._bytes.labels(zone=zone.name, direction="in").set_total(bytes_in)
-            self._verdicts.labels(zone=zone.name).set_total(verdicts)
+            watch_series(registry, _ZONE_GAUGES, base, bridges)
+            watch_stats(
+                registry,
+                BRIDGE_STATS,
+                base,
+                lambda field, bridges=bridges: sum(
+                    getattr(bridge.stats, field) for bridge in bridges
+                ),
+            )

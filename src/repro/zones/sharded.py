@@ -36,6 +36,7 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SwimConfig
+from repro.swim.events import SerializedEvent
 from repro.zones.cluster import (
     ZonedCluster,
     ZoneShard,
@@ -79,10 +80,6 @@ class StressWindow:
     mean_runnable: float = 0.15
     long_stall_prob: float = 0.12
     mean_long_stall: float = 7.0
-
-
-#: Serialized member event: (time, observer, subject, kind name, incarnation).
-SerializedEvent = Tuple[float, str, str, str, int]
 
 
 @dataclass(frozen=True)
@@ -148,19 +145,11 @@ def _apply_stress_windows(
 
 
 def _serialize_events(shard: ZoneShard) -> List[SerializedEvent]:
-    out: List[SerializedEvent] = []
-    for zi in shard.zone_indices:
-        for event in shard.clusters[zi].event_log.events:
-            out.append(
-                (
-                    event.time,
-                    event.observer,
-                    event.subject,
-                    event.kind.name,
-                    event.incarnation,
-                )
-            )
-    return out
+    return [
+        event.as_tuple()
+        for zi in shard.zone_indices
+        for event in shard.clusters[zi].event_log.events
+    ]
 
 
 def shard_slices(zone_count: int, shards: int) -> List[Tuple[int, ...]]:

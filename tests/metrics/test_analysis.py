@@ -2,6 +2,8 @@
 (the paper's metric definitions, Sections V-F1 / V-F2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.analysis import (
     FalsePositiveStats,
@@ -133,6 +135,33 @@ class TestPercentiles:
         values = [float(i) for i in range(1000)]
         summary = percentile_summary(values)
         assert summary[50.0] < summary[99.0] < summary[99.9]
+
+    def test_out_of_range_percentile_rejected(self):
+        for bad in (-0.1, 100.1):
+            with pytest.raises(ValueError):
+                percentile_summary([1.0, 2.0], percentiles=(bad,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-1e9, 1e9, allow_nan=False),
+                st.integers(0, 5).map(float),  # ties
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        extra=st.floats(0.0, 100.0),
+    )
+    def test_bit_equal_to_numpy_linear_method(self, values, extra):
+        """``numpy.percentile`` (default ``linear`` method) is the
+        reference the pure-Python spelling replaced; equality is exact,
+        not approximate — gated statistics hang off these floats."""
+        np = pytest.importorskip("numpy")
+        percentiles = (0.0, 50.0, 99.0, 99.9, 100.0, extra)
+        expected = np.percentile(np.asarray(values, dtype=float), percentiles)
+        summary = percentile_summary(values, percentiles)
+        assert [summary[p] for p in percentiles] == [float(v) for v in expected]
 
 
 class TestRatio:

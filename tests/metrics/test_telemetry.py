@@ -1,6 +1,14 @@
 """Tests for message/byte accounting."""
 
-from repro.metrics.telemetry import Telemetry
+from collections import Counter
+
+import pytest
+
+from repro.metrics.telemetry import TELEMETRY_STATS, Telemetry
+from repro.metrics.trace import telemetry_from_json, telemetry_to_json
+from repro.ops.registry import MetricsRegistry, NodeCollector
+
+from tests.conftest import LocalCluster
 
 
 class TestRecording:
@@ -106,3 +114,50 @@ class TestTransportStats:
             parts.append(telemetry)
         total = Telemetry.aggregate(parts)
         assert total.transport.get("conns_opened") == 3
+
+
+class TestDeclarationTable:
+    """Every counter is declared once, in ``TELEMETRY_STATS``; storage,
+    serialization, aggregation and exposition all derive from the row."""
+
+    @pytest.mark.parametrize("stat", TELEMETRY_STATS, ids=lambda s: s.field)
+    def test_declared_counter_is_stored_serialized_summed_exposed(
+        self, stat, tmp_path
+    ):
+        node = LocalCluster(["a", "b"]).nodes["a"]
+        telemetry = node.telemetry
+        value = 7 if stat.key is None else Counter({"x": 3, "y": 4})
+        setattr(telemetry, stat.field, value)
+        plain = value if stat.key is None else dict(value)
+
+        assert telemetry.as_dict()[stat.field] == plain
+
+        path = tmp_path / "telemetry.json"
+        telemetry_to_json(telemetry, path)
+        assert getattr(telemetry_from_json(path), stat.field) == value
+
+        total = Telemetry.aggregate([telemetry, telemetry])
+        assert getattr(total, stat.field) == value + value
+
+        registry = MetricsRegistry()
+        NodeCollector(registry, node)
+        family = registry.get(stat.family)
+        assert family.kind == "counter"
+        assert family.labelnames == ("node",) + stat.labelnames
+        exposed = {pairs: v for _name, pairs, v in family.samples()}
+        base = (("node", "a"),) + stat.labels
+        if stat.key is None:
+            assert exposed[base] == 7
+        else:
+            assert exposed[base + ((stat.key, "x"),)] == 3
+            assert exposed[base + ((stat.key, "y"),)] == 4
+
+    def test_fields_are_exactly_the_table_plus_transport(self):
+        fields = [stat.field for stat in TELEMETRY_STATS]
+        assert len(set(fields)) == len(fields)
+        assert set(Telemetry.__slots__) == set(fields) | {"transport"}
+        assert set(Telemetry().as_dict()) == set(Telemetry.__slots__)
+
+    def test_series_are_distinct(self):
+        series = [(s.family, s.labels) for s in TELEMETRY_STATS]
+        assert len(set(series)) == len(series)

@@ -43,12 +43,23 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc(1)
 
-    def test_set_total_mirrors_external_counter(self):
-        counter = Counter("mirrored_total", "", ("node",))
-        counter.labels(node="a").set_total(17)
-        counter.labels(node="a").set_total(21)
+    def test_watched_series_reads_its_source_in_place(self):
+        counter = Counter("watched_total", "", ("node",))
+        source = {"total": 17}
+        counter.watch((("node", "a"),), lambda: source["total"])
+        counter.inc(3, node="b")  # stored and watched series share a family
+        assert dict((pairs, v) for _n, pairs, v in counter.samples()) == {
+            (("node", "a"),): 17,
+            (("node", "b"),): 3,
+        }
+        source["total"] = 21
         values = {pairs: value for _n, pairs, value in counter.samples()}
         assert values[(("node", "a"),)] == 21
+
+    def test_watch_rejects_wrong_label_set(self):
+        counter = Counter("watched_total", "", ("node",))
+        with pytest.raises(ValueError):
+            counter.watch((("zone", "a"),), lambda: 0)
 
 
 class TestGauge:
@@ -122,14 +133,19 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.counter("has space")
 
-    def test_collectors_run_on_collect(self):
+    def test_readers_discover_label_values_when_sampled(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("snapshot")
-        pulls = []
-        registry.add_collector(lambda: (pulls.append(1), gauge.set(7))[0])
-        families = registry.collect()
-        assert pulls == [1]
-        assert any(m.name == "snapshot" for m in families)
+        counter = registry.counter("by_kind_total", "", ("kind",))
+        by_kind = {"ping": 2}
+        counter.read(
+            lambda: [((("kind", k),), v) for k, v in by_kind.items()]
+        )
+        (family,) = registry.collect()
+        assert [v for _n, _p, v in family.samples()] == [2]
+        by_kind["ack"] = 5
+        assert {p[0][1]: v for _n, p, v in family.samples()} == {
+            "ping": 2, "ack": 5,
+        }
 
     def test_collect_sorted_by_name(self):
         registry = MetricsRegistry()

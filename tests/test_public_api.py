@@ -1,6 +1,9 @@
 """The public API surface stays importable and coherent."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +99,53 @@ class TestPublicApi:
         # It's a short anomaly in a small cluster: no failure required,
         # but the machinery must run end to end.
         assert cluster.now > 0
+
+
+_BLOCKED_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+
+for name in ("numpy", "networkx"):
+    sys.modules[name] = None  # any `import name` now raises ImportError
+
+import repro
+
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name != "repro.__main__":  # importing it runs the CLI
+        importlib.import_module(info.name)
+
+from repro.config import SwimConfig
+from repro.sim.runtime import SimCluster
+
+try:
+    SimCluster(n_members=4, config=SwimConfig.lifeguard()).install_gossip_overlay(2)
+except ImportError as exc:
+    assert "overlay" in str(exc), exc
+else:
+    raise AssertionError("overlay installed without networkx")
+print("ok")
+"""
+
+
+class TestOptionalDependencies:
+    """The package is standard-library only: ``numpy`` is a test-time
+    reference and ``networkx`` an extra one method imports lazily."""
+
+    def _run(self, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_every_module_imports_with_numpy_and_networkx_blocked(self):
+        done = self._run(_BLOCKED_IMPORT_PROBE)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_import_repro_loads_no_third_party_module(self):
+        done = self._run(
+            "import sys, repro; "
+            "print([m for m in ('numpy', 'networkx') if m in sys.modules])"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -38,6 +38,8 @@ class TestParseAddress:
             parse_address("no-port")
         with pytest.raises(ValueError):
             parse_address(":123")
+        with pytest.raises(ValueError):
+            parse_address("127.0.0.1:65536")
 
 
 class TestUdpTransport:
