@@ -62,12 +62,9 @@ class Transport(Protocol):
     tolerate the loss of any individual reliable message (anti-entropy is
     periodic; the fallback probe is redundant with indirect probes).
 
-    A transport whose ``send`` copies (or fully consumes) the payload
-    before returning may advertise ``supports_buffer_send = True``;
-    the node then passes a reused scratch ``bytearray`` for datagram
-    sends instead of allocating fresh ``bytes`` per packet. Transports
-    that retain the payload by reference (the simulator, the in-memory
-    fabric, the stock asyncio UDP path) must not set it.
+    The node hands ``send`` immutable ``bytes`` it never touches again,
+    so a transport may keep the payload by reference (the simulator, the
+    in-memory fabric and both UDP backends do).
     """
 
     @property

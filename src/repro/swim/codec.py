@@ -33,22 +33,19 @@ Encoding and decoding round-trip exactly; a corrupt or truncated packet
 raises :class:`CodecError` rather than yielding garbage, and so does one
 whose compounds nest deeper than :data:`MAX_COMPOUND_DEPTH`.
 
-:func:`decode` accepts ``bytes``, ``bytearray`` or ``memoryview`` input.
-For buffer (non-``bytes``) input it slices without copying until string
-materialization: integers are unpacked straight off the view, and only
-the string/bytes *fields* of the resulting message are materialized (a
-``str``/``bytes`` object has to own its storage anyway). This is what
-lets the batched transport (:mod:`repro.transport.fastudp`) hand decode
-views into its reusable receive buffers — nothing in a decoded
-:class:`Message` aliases the underlying buffer, so the buffer can be
-reused for the next syscall immediately. The differential suite
-(``tests/swim/test_codec_equivalence.py``) pins both paths to identical
-messages *and* identical :class:`CodecError` behavior.
+:func:`decode` accepts ``bytes``, ``bytearray`` or ``memoryview`` input
+and copies anything that is not ``bytes`` once, at the door: everything
+behind it slices and looks up plain ``bytes``, so nothing in a decoded
+:class:`Message` (or in a cache key) aliases a receive buffer the
+transport is about to reuse, and a compound part costs one allocation.
+The differential suite (``tests/swim/test_codec_equivalence.py``) holds
+the three input kinds to identical messages *and* identical
+:class:`CodecError` behavior.
 
-:func:`encode_into` is the allocation-lean sibling of :func:`encode`:
-it appends the identical bytes to a caller-owned ``bytearray`` scratch
-buffer, so steady-state probe/ack senders can reuse one buffer instead
-of allocating a fresh ``bytes`` per packet.
+The four sequence-numbered probe kinds (``Ping``, ``PingReq``, ``Ack``,
+``Nack``) never repeat byte for byte, so they are decoded without
+touching the decode cache — a lookup could only miss, and an insert
+would push out the gossip parts that do repeat.
 """
 
 from __future__ import annotations
@@ -109,6 +106,11 @@ _U64_U8_U16_U32 = struct.Struct(">QBHI")
 #: Fixed body of a zone digest: four u32 state counts, the zone's max
 #: incarnation and a u64 hash of its membership view.
 _ZONE_DIGEST_BODY = struct.Struct(">IIIIQQ")
+#: Everything up to the first string body of a probe message (tag,
+#: sequence number, string length) and of a suspect / dead claim (tag,
+#: incarnation, string length), in one pack.
+_pack_probe_head = struct.Struct(">BIB").pack
+_pack_claim_head = struct.Struct(">BQB").pack
 
 # Pre-bound struct methods: the push-pull loops run once per state entry
 # per sync round, where attribute lookups on the Struct objects are
@@ -126,9 +128,8 @@ _MAX_STATE_VALUE = max(MemberState)
 # The ``u8 name u8 address`` head of a state entry recurs in every
 # push-pull snapshot that mentions the member; decoding (and validating)
 # the same two short UTF-8 strings thousands of times per virtual second
-# is pure waste. Keyed by the raw head bytes — always an owned ``bytes``,
-# never a view of a receive buffer — and filled only after both strings
-# validated, so a hit yields exactly what decoding would have. Values
+# is pure waste. Keyed by the raw head bytes and filled only after both
+# strings validated, so a hit yields exactly what decoding would have. Values
 # are the decoded ``(name, address)``. Emptied when full: one head per
 # member of every group this process decodes for, ~2 MB at the limit.
 _HEAD_CACHE: dict = {}
@@ -139,15 +140,18 @@ class CodecError(ValueError):
     """Raised when a packet cannot be decoded."""
 
 
-#: Anything :func:`decode` accepts. ``bytes`` is the classic path;
-#: ``bytearray``/``memoryview`` take the zero-copy path.
+#: Anything :func:`decode` accepts; what is not ``bytes`` is copied once.
 Buffer = Union[bytes, bytearray, memoryview]
+
+
+def _too_long(raw: bytes) -> CodecError:
+    return CodecError(f"string too long for wire format: {len(raw)} bytes")
 
 
 def _put_str(out: List[bytes], value: str) -> None:
     raw = value.encode("utf-8")
     if len(raw) > 255:
-        raise CodecError(f"string too long for wire format: {len(raw)} bytes")
+        raise _too_long(raw)
     out.append(bytes((len(raw),)))
     out.append(raw)
 
@@ -159,20 +163,15 @@ def _put_bytes(out: List[bytes], value: bytes, limit: int) -> None:
     out.append(value)
 
 
-def _get_bytes(buf: Buffer, offset: int) -> Tuple[bytes, int]:
+def _get_bytes(buf: bytes, offset: int) -> Tuple[bytes, int]:
     length, offset = _get_u16(buf, offset)
     end = offset + length
     if end > len(buf):
         raise CodecError("truncated byte field")
-    data = buf[offset:end]
-    # A slice of a memoryview aliases the (possibly reused) underlying
-    # buffer; message fields must own their storage.
-    if data.__class__ is not bytes:
-        data = bytes(data)
-    return data, end
+    return buf[offset:end], end
 
 
-def _get_str(buf: Buffer, offset: int) -> Tuple[str, int]:
+def _get_str(buf: bytes, offset: int) -> Tuple[str, int]:
     if offset >= len(buf):
         raise CodecError("truncated string length")
     length = buf[offset]
@@ -180,14 +179,10 @@ def _get_str(buf: Buffer, offset: int) -> Tuple[str, int]:
     end = offset + length
     if end > len(buf):
         raise CodecError("truncated string body")
-    raw = buf[offset:end]
     try:
-        # str(view, "utf-8") materializes straight from the buffer (and
-        # raises the same UnicodeDecodeError bytes.decode would).
-        text = raw.decode("utf-8") if raw.__class__ is bytes else str(raw, "utf-8")
+        return buf[offset:end].decode("utf-8"), end
     except UnicodeDecodeError as exc:
         raise CodecError(f"invalid UTF-8 in string: {exc}") from exc
-    return text, end
 
 
 def pack_states_count(count: int) -> bytes:
@@ -289,119 +284,175 @@ def pack_states(entries: Sequence[tuple]) -> PackedStates:
 
 def encode(message: Message) -> bytes:
     """Encode any protocol message to its wire representation."""
-    out: List[bytes] = []
-    _encode_into(message, out)
-    return b"".join(out)
+    encoder = _ENCODERS.get(message.__class__)
+    if encoder is None:
+        # A subclass of a message type encodes as that type.
+        for kind, encoder in _ENCODERS.items():
+            if isinstance(message, kind):
+                break
+        else:
+            raise CodecError(f"cannot encode {type(message).__name__}")
+    return encoder(message)
 
 
 def encode_into(message: Message, out: bytearray) -> int:
-    """Append ``message``'s wire form to ``out``; returns bytes appended.
-
-    The appended bytes are pinned byte-identical to :func:`encode` (both
-    run the same piece generator; this one skips the final ``join``
-    allocation by extending the caller's scratch buffer instead). A
-    steady-state sender clears and reuses one ``bytearray`` per packet —
-    see :meth:`repro.transport.fastudp.BatchedUdpTransport.send_encoded`.
-    """
-    pieces: List[bytes] = []
-    _encode_into(message, pieces)
-    before = len(out)
-    for piece in pieces:
-        out += piece
-    return len(out) - before
+    """Append :func:`encode`'s output to ``out``; returns bytes appended."""
+    wire = encode(message)
+    out += wire
+    return len(wire)
 
 
-def _encode_into(message: Message, out: List[bytes]) -> None:
-    if isinstance(message, Ping):
-        out.append(bytes((T_PING,)))
-        out.append(_U32.pack(message.seq_no))
-        _put_str(out, message.target)
-        _put_str(out, message.source)
-    elif isinstance(message, PingReq):
-        out.append(bytes((T_PING_REQ,)))
-        out.append(_U32.pack(message.seq_no))
-        _put_str(out, message.target)
-        _put_str(out, message.source)
-        out.append(b"\x01" if message.want_nack else b"\x00")
-    elif isinstance(message, Ack):
-        out.append(bytes((T_ACK,)))
-        out.append(_U32.pack(message.seq_no))
-        _put_str(out, message.source)
-    elif isinstance(message, Nack):
-        out.append(bytes((T_NACK,)))
-        out.append(_U32.pack(message.seq_no))
-        _put_str(out, message.source)
-    elif isinstance(message, Suspect):
-        out.append(bytes((T_SUSPECT,)))
-        out.append(_U64.pack(message.incarnation))
-        _put_str(out, message.member)
-        _put_str(out, message.sender)
-    elif isinstance(message, Alive):
-        if message.zone:
-            out.append(bytes((T_ALIVE_Z,)))
-            out.append(_U64.pack(message.incarnation))
-            _put_str(out, message.member)
-            _put_str(out, message.address)
-            _put_bytes(out, message.meta, MAX_META_SIZE)
-            _put_str(out, message.zone)
-        else:
-            out.append(bytes((T_ALIVE,)))
-            out.append(_U64.pack(message.incarnation))
-            _put_str(out, message.member)
-            _put_str(out, message.address)
-            _put_bytes(out, message.meta, MAX_META_SIZE)
-    elif isinstance(message, Dead):
-        out.append(bytes((T_DEAD,)))
-        out.append(_U64.pack(message.incarnation))
-        _put_str(out, message.member)
-        _put_str(out, message.sender)
-    elif isinstance(message, UserEvent):
-        out.append(bytes((T_USER_EVENT,)))
-        _put_str(out, message.origin)
-        out.append(_U32.pack(message.seq_no))
-        _put_bytes(out, message.payload, MAX_USER_PAYLOAD)
-    elif isinstance(message, PushPull):
-        out.append(bytes((T_PUSH_PULL,)))
-        _put_str(out, message.source)
-        flags = (1 if message.join else 0) | (2 if message.is_reply else 0)
-        out.append(bytes((flags,)))
-        states = message.states
-        if states.__class__ is not PackedStates:
-            states = pack_states(states)
-        out.append(states.wire)
-    elif isinstance(message, ZoneDigest):
-        out.append(bytes((T_ZONE_DIGEST,)))
-        _put_str(out, message.zone)
-        _put_str(out, message.source)
-        out.append(
-            _ZONE_DIGEST_BODY.pack(
-                message.alive,
-                message.suspect,
-                message.dead,
-                message.left,
-                message.max_incarnation,
-                message.view_hash,
-            )
+# One encoder per message class. The fixed-shape kinds — two integers and
+# one or two short strings — are a single fused struct pack plus the
+# strings; ``%c`` writes a string's one-byte length.
+
+
+def _encode_ping(message: Union[Ping, PingReq], tag: int = T_PING) -> bytes:
+    target = message.target.encode("utf-8")
+    source = message.source.encode("utf-8")
+    if len(target) > 255:
+        raise _too_long(target)
+    if len(source) > 255:
+        raise _too_long(source)
+    return b"%b%b%c%b" % (
+        _pack_probe_head(tag, message.seq_no, len(target)),
+        target,
+        len(source),
+        source,
+    )
+
+
+def _encode_ping_req(message: PingReq) -> bytes:
+    # A ping under its own tag, then the flag.
+    return _encode_ping(message, T_PING_REQ) + (
+        b"\x01" if message.want_nack else b"\x00"
+    )
+
+
+def _reply_encoder(tag: int):
+    def encode_reply(message: Union[Ack, Nack]) -> bytes:
+        source = message.source.encode("utf-8")
+        if len(source) > 255:
+            raise _too_long(source)
+        return _pack_probe_head(tag, message.seq_no, len(source)) + source
+
+    return encode_reply
+
+
+def _claim_encoder(tag: int):
+    def encode_claim(message: Union[Suspect, Dead]) -> bytes:
+        member = message.member.encode("utf-8")
+        sender = message.sender.encode("utf-8")
+        if len(member) > 255:
+            raise _too_long(member)
+        if len(sender) > 255:
+            raise _too_long(sender)
+        return b"%b%b%c%b" % (
+            _pack_claim_head(tag, message.incarnation, len(member)),
+            member,
+            len(sender),
+            sender,
         )
-    elif isinstance(message, ZoneClaim):
-        out.append(bytes((T_ZONE_CLAIM,)))
+
+    return encode_claim
+
+
+def _encode_zone_claim(message: ZoneClaim) -> bytes:
+    zone = message.zone.encode("utf-8")
+    member = message.member.encode("utf-8")
+    if len(zone) > 255:
+        raise _too_long(zone)
+    if len(member) > 255:
+        raise _too_long(member)
+    return b"%c%c%b%c%b%b" % (
+        T_ZONE_CLAIM,
+        len(zone),
+        zone,
+        len(member),
+        member,
+        _pack_u64_u8(message.incarnation, message.state_value),
+    )
+
+
+def _encode_alive(message: Alive) -> bytes:
+    # A zoneless Alive keeps the tag (and bytes) it had before zones.
+    out = [
+        bytes((T_ALIVE_Z if message.zone else T_ALIVE,)),
+        _U64.pack(message.incarnation),
+    ]
+    _put_str(out, message.member)
+    _put_str(out, message.address)
+    _put_bytes(out, message.meta, MAX_META_SIZE)
+    if message.zone:
         _put_str(out, message.zone)
-        _put_str(out, message.member)
-        out.append(_U64_U8.pack(message.incarnation, message.state_value))
-    elif isinstance(message, Compound):
-        if len(message.parts) > 0xFFFF:
-            raise CodecError("too many parts in compound")
-        out.extend(_compound_pieces([encode(part) for part in message.parts]))
-    else:
-        raise CodecError(f"cannot encode {type(message).__name__}")
+    return b"".join(out)
+
+
+def _encode_user_event(message: UserEvent) -> bytes:
+    out = [bytes((T_USER_EVENT,))]
+    _put_str(out, message.origin)
+    out.append(_U32.pack(message.seq_no))
+    _put_bytes(out, message.payload, MAX_USER_PAYLOAD)
+    return b"".join(out)
+
+
+def _encode_push_pull(message: PushPull) -> bytes:
+    out = [bytes((T_PUSH_PULL,))]
+    _put_str(out, message.source)
+    out.append(bytes(((1 if message.join else 0) | (2 if message.is_reply else 0),)))
+    states = message.states
+    if states.__class__ is not PackedStates:
+        states = pack_states(states)
+    out.append(states.wire)
+    return b"".join(out)
+
+
+def _encode_zone_digest(message: ZoneDigest) -> bytes:
+    out = [bytes((T_ZONE_DIGEST,))]
+    _put_str(out, message.zone)
+    _put_str(out, message.source)
+    out.append(
+        _ZONE_DIGEST_BODY.pack(
+            message.alive,
+            message.suspect,
+            message.dead,
+            message.left,
+            message.max_incarnation,
+            message.view_hash,
+        )
+    )
+    return b"".join(out)
+
+
+def _encode_compound(message: Compound) -> bytes:
+    if len(message.parts) > 0xFFFF:
+        raise CodecError("too many parts in compound")
+    return pack_compound([encode(part) for part in message.parts])
+
+
+_ENCODERS = {
+    Ping: _encode_ping,
+    PingReq: _encode_ping_req,
+    Ack: _reply_encoder(T_ACK),
+    Nack: _reply_encoder(T_NACK),
+    Suspect: _claim_encoder(T_SUSPECT),
+    Alive: _encode_alive,
+    Dead: _claim_encoder(T_DEAD),
+    UserEvent: _encode_user_event,
+    PushPull: _encode_push_pull,
+    ZoneDigest: _encode_zone_digest,
+    ZoneClaim: _encode_zone_claim,
+    Compound: _encode_compound,
+}
 
 
 # Gossip payloads are retransmitted lambda*log(n) times by many members,
 # so identical byte strings are decoded over and over during churn. All
 # messages are immutable (frozen dataclasses), so caching decodes of
 # small single messages is safe and cuts simulation time substantially.
-# Keys are owned ``bytes`` of a whole non-compound packet or compound
-# part, never empty; filled only after the bytes decoded cleanly.
+# Keys are the ``bytes`` of a whole non-compound packet or compound part
+# other than a probe message, never empty; filled only after the bytes
+# decoded cleanly.
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_LIMIT = 8192
 _CACHEABLE_MAX_LEN = 96
@@ -417,9 +468,10 @@ MAX_COMPOUND_DEPTH = 4
 def decode(buf: Buffer) -> Message:
     """Decode one wire packet back into a message.
 
-    The one entry point per packet. A small non-compound packet is
-    looked up in the decode cache (a ``bytearray``/``memoryview`` one is
-    interned to ``bytes`` first, so both input kinds share it); a
+    The one entry point per packet, and the one place a ``bytearray`` or
+    ``memoryview`` is copied. A probe message (tags up to ``T_NACK``:
+    each carries a fresh sequence number) is decoded field by field; any
+    other small non-compound packet is looked up in the decode cache; a
     compound is walked part by part against the same cache
     (:func:`_decode_compound`), and every part is decoded before the
     message is returned, so one bad part refuses the packet whole; a
@@ -427,12 +479,12 @@ def decode(buf: Buffer) -> Message:
     and buffer input produce identical messages and identical
     :class:`CodecError` behavior.
     """
+    if buf.__class__ is not bytes:
+        buf = bytes(buf)
     size = len(buf)
     if size and buf[0] == T_COMPOUND:
         message, offset = _decode_compound(buf, 1, 1)
-    elif 0 < size <= _CACHEABLE_MAX_LEN:
-        if buf.__class__ is not bytes:
-            buf = bytes(buf)
+    elif 0 < size <= _CACHEABLE_MAX_LEN and buf[0] > T_NACK:
         cached = _DECODE_CACHE.get(buf)
         return cached if cached is not None else _decode_small(buf)
     else:
@@ -444,17 +496,18 @@ def decode(buf: Buffer) -> Message:
 
 def _decode_small(raw: bytes) -> Message:
     """Decode a cacheable packet or compound part the cache did not
-    hold, and remember it."""
+    hold, and remember it unless it is a probe message."""
     message, offset = _decode_at(raw, 0)
     if offset != len(raw):
         raise CodecError(f"{len(raw) - offset} trailing bytes after message")
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-        _DECODE_CACHE.clear()
-    _DECODE_CACHE[raw] = message
+    if raw[0] > T_NACK:
+        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
+            _DECODE_CACHE.clear()
+        _DECODE_CACHE[raw] = message
     return message
 
 
-def _decode_compound(buf: Buffer, offset: int, depth: int) -> Tuple[Message, int]:
+def _decode_compound(buf: bytes, offset: int, depth: int) -> Tuple[Message, int]:
     """Decode the compound whose part count starts at ``offset``; it is
     the ``depth``-th compound around its parts.
 
@@ -486,10 +539,6 @@ def _decode_compound(buf: Buffer, offset: int, depth: int) -> Tuple[Message, int
             raise CodecError("truncated compound part")
         if end - offset <= _CACHEABLE_MAX_LEN:
             raw = buf[offset:end]
-            # A view's bytes belong to a buffer the transport will
-            # reuse; keys (and message fields) own their storage.
-            if raw.__class__ is not bytes:
-                raw = bytes(raw)
             part = cached(raw)
             if part is None:
                 if raw and raw[0] == T_COMPOUND:
@@ -509,7 +558,7 @@ def _decode_compound(buf: Buffer, offset: int, depth: int) -> Tuple[Message, int
     return Compound(tuple(parts)), offset
 
 
-def _decode_at(buf: Buffer, offset: int, depth: int = 0) -> Tuple[Message, int]:
+def _decode_at(buf: bytes, offset: int, depth: int = 0) -> Tuple[Message, int]:
     """Decode the message starting at ``offset``, field by field.
     ``depth`` counts the compounds already around it."""
     if offset >= len(buf):
@@ -596,7 +645,7 @@ def _decode_at(buf: Buffer, offset: int, depth: int = 0) -> Tuple[Message, int]:
 
 
 def _decode_states(
-    buf: Buffer, offset: int, count: int
+    buf: bytes, offset: int, count: int
 ) -> Tuple[List[StateEntry], int]:
     """Decode ``count`` push-pull state entries starting at ``offset``.
 
@@ -623,21 +672,13 @@ def _decode_states(
             mid = offset + 1 + buf[offset]
             if mid < buf_len:
                 end = mid + 1 + buf[mid]
-                head = buf[offset:end]
-                # A view's bytes belong to a buffer the transport will
-                # reuse; keys (and message fields) own their storage.
-                if head.__class__ is not bytes:
-                    head = bytes(head)
-                strings = heads_get(head)
+                strings = heads_get(buf[offset:end])
         if strings is None:
             name, end = _get_str(buf, offset)
             address, end = _get_str(buf, end)
-            head = buf[offset:end]
-            if head.__class__ is not bytes:
-                head = bytes(head)
             if len(heads) >= _HEAD_CACHE_LIMIT:
                 heads.clear()
-            heads[head] = (name, address)
+            heads[buf[offset:end]] = (name, address)
         else:
             name, address = strings
         offset = end
@@ -662,30 +703,30 @@ def _decode_states(
     return states, offset
 
 
-def _get_u8(buf: Buffer, offset: int) -> Tuple[int, int]:
+def _get_u8(buf: bytes, offset: int) -> Tuple[int, int]:
     if offset + 1 > len(buf):
         raise CodecError("truncated u8")
     return buf[offset], offset + 1
 
 
-def _get_bool(buf: Buffer, offset: int) -> Tuple[bool, int]:
+def _get_bool(buf: bytes, offset: int) -> Tuple[bool, int]:
     value, offset = _get_u8(buf, offset)
     return bool(value), offset
 
 
-def _get_u16(buf: Buffer, offset: int) -> Tuple[int, int]:
+def _get_u16(buf: bytes, offset: int) -> Tuple[int, int]:
     if offset + 2 > len(buf):
         raise CodecError("truncated u16")
     return _U16.unpack_from(buf, offset)[0], offset + 2
 
 
-def _get_u32(buf: Buffer, offset: int) -> Tuple[int, int]:
+def _get_u32(buf: bytes, offset: int) -> Tuple[int, int]:
     if offset + 4 > len(buf):
         raise CodecError("truncated u32")
     return _U32.unpack_from(buf, offset)[0], offset + 4
 
 
-def _get_u64(buf: Buffer, offset: int) -> Tuple[int, int]:
+def _get_u64(buf: bytes, offset: int) -> Tuple[int, int]:
     if offset + 8 > len(buf):
         raise CodecError("truncated u64")
     return _U64.unpack_from(buf, offset)[0], offset + 8
@@ -712,21 +753,17 @@ def framed_size(parts: Sequence[bytes]) -> int:
     return sum(map(len, parts)) + COMPOUND_PART_OVERHEAD * len(parts)
 
 
-def _compound_pieces(parts: Sequence[bytes]) -> List[bytes]:
-    """The one spelling of compound framing on the way out: tag, part
-    count, then ``u16 length + part`` per already-encoded part."""
+def pack_compound(parts: Sequence[bytes]) -> bytes:
+    """One compound packet out of already-encoded parts — the one
+    spelling of compound framing on the way out: tag, part count, then
+    ``u16 length + part`` per part."""
     pack = _pack_u16
     pieces = [_COMPOUND_TAG, pack(len(parts))]
     append = pieces.append
     for raw in parts:
         append(pack(len(raw)))
         append(raw)
-    return pieces
-
-
-def pack_compound(parts: Sequence[bytes]) -> bytes:
-    """One compound packet out of already-encoded parts."""
-    return b"".join(_compound_pieces(parts))
+    return b"".join(pieces)
 
 
 def pack_with_piggyback(primary: Message, piggyback: List[bytes]) -> bytes:
@@ -751,17 +788,8 @@ def pack_encoded_with_piggyback(
 def pack_encoded_with_piggyback_into(
     encoded_primary: bytes, piggyback: List[bytes], out: bytearray
 ) -> int:
-    """Append :func:`pack_encoded_with_piggyback`'s output to ``out``.
-
-    Byte-identical to the allocating form; returns the bytes appended.
-    Paired with a transport whose ``send`` copies before returning
-    (``supports_buffer_send``), a sender reuses one scratch buffer for
-    every outgoing packet instead of allocating a fresh ``bytes``.
-    """
-    before = len(out)
-    if not piggyback:
-        out += encoded_primary
-    else:
-        for piece in _compound_pieces([encoded_primary, *piggyback]):
-            out += piece
-    return len(out) - before
+    """Append :func:`pack_encoded_with_piggyback`'s output to ``out``;
+    returns the bytes appended."""
+    packet = pack_encoded_with_piggyback(encoded_primary, piggyback)
+    out += packet
+    return len(packet)

@@ -162,15 +162,6 @@ class SwimNode:
         self._clock = clock
         self._scheduler = scheduler
         self._transport = transport
-        # Transports that copy (or fully consume) the payload before
-        # ``send`` returns advertise ``supports_buffer_send``; for those
-        # the node reuses one scratch buffer for every outgoing datagram
-        # instead of allocating a fresh ``bytes`` per packet.
-        self._packet_scratch: Optional[bytearray] = (
-            bytearray()
-            if getattr(transport, "supports_buffer_send", False)
-            else None
-        )
         self._rng = rng if rng is not None else random.Random()
         self._listeners: List[EventListener] = [] if listener is None else [listener]
         self._on_user_event = on_user_event
@@ -643,8 +634,8 @@ class SwimNode:
 
         ``payload`` may be a ``memoryview`` into a transport-owned
         receive buffer that is reused after this call returns (the
-        batched backend's zero-copy path); decoding materialises
-        everything the node keeps, so nothing aliases the buffer."""
+        batched backend's receive slots); decoding copies it once, so
+        nothing the node keeps aliases the buffer."""
         if not self._running:
             return
         self.telemetry.record_receive(len(payload))
@@ -1182,18 +1173,21 @@ class SwimNode:
     # ------------------------------------------------------------------ #
 
     def _gossip_tick(self) -> None:
-        if not self._running or not self.config.gossip_enabled:
+        config = self.config
+        if not self._running or not config.gossip_enabled:
             return
-        if self._defer_if_paused("gossip"):
+        if self._paused:
+            self._deferred_ticks["gossip"] = None
             return
         now = self._clock()
         self._gossip_timer = self._scheduler.call_at(
-            now + self.config.gossip_interval, self._gossip_tick
+            now + config.gossip_interval, self._gossip_tick
         )
-        if not (self._broadcasts.pending or self._user_broadcasts.pending):
+        # Most ticks of a quiet cluster end here.
+        if not self._gossip_pending():
             return
         targets = self._gossip_targets(now)
-        budget = self.config.max_packet_size - codec.COMPOUND_HEADER_OVERHEAD
+        budget = config.max_packet_size - codec.COMPOUND_HEADER_OVERHEAD
         for target in targets:
             payloads = self._select_gossip(budget)
             if not payloads:
@@ -1201,6 +1195,10 @@ class SwimNode:
             packet = self._pack_gossip_only(payloads)
             self.telemetry.record_send("gossip", len(packet))
             self._transport.send(target.address, packet)
+
+    def _gossip_pending(self) -> bool:
+        """Whether either broadcast queue holds anything to send."""
+        return self._broadcasts.pending or self._user_broadcasts.pending
 
     def _select_gossip(self, budget: int) -> List[bytes]:
         """Up to ``budget`` framed bytes of queued gossip for one packet:
@@ -1286,30 +1284,28 @@ class SwimNode:
         piggyback: bool = True,
         mandatory_piggyback: Sequence[bytes] = (),
     ) -> None:
-        payloads: List[bytes] = list(mandatory_piggyback)
-        encoded_primary = codec.encode(primary)
-        if piggyback and self.config.gossip_enabled:
-            budget = (
-                self.config.max_packet_size
-                - codec.COMPOUND_HEADER_OVERHEAD
-                - codec.COMPOUND_PART_OVERHEAD
-                - len(encoded_primary)
-                - codec.framed_size(payloads)
-            )
-            if budget > 0:
-                payloads.extend(self._select_gossip(budget))
-        scratch = self._packet_scratch
-        if scratch is not None and not reliable:
-            # Buffer-reusing fast path: the transport copies before
-            # returning, so one scratch serves every datagram send.
-            del scratch[:]
-            n = codec.pack_encoded_with_piggyback_into(
-                encoded_primary, payloads, scratch
-            )
-            self.telemetry.record_send(primary_kind(primary), n, reliable)
-            self._transport.send(address, scratch, reliable=False)
-            return
-        packet = codec.pack_encoded_with_piggyback(encoded_primary, payloads)
+        """Send ``primary`` with whatever may ride along: the mandatory
+        (Buddy System) payloads and, for a piggybacking send, as much
+        queued gossip as the packet has room for. When there is neither —
+        most packets of a quiet cluster — the packet is the encoded
+        primary itself."""
+        gossip = piggyback and self.config.gossip_enabled
+        if not (mandatory_piggyback or (gossip and self._gossip_pending())):
+            packet = codec.encode(primary)
+        else:
+            payloads: List[bytes] = list(mandatory_piggyback)
+            encoded_primary = codec.encode(primary)
+            if gossip:
+                budget = (
+                    self.config.max_packet_size
+                    - codec.COMPOUND_HEADER_OVERHEAD
+                    - codec.COMPOUND_PART_OVERHEAD
+                    - len(encoded_primary)
+                    - codec.framed_size(payloads)
+                )
+                if budget > 0:
+                    payloads.extend(self._select_gossip(budget))
+            packet = codec.pack_encoded_with_piggyback(encoded_primary, payloads)
         self.telemetry.record_send(primary_kind(primary), len(packet), reliable)
         self._transport.send(address, packet, reliable=reliable)
 

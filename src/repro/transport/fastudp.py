@@ -17,12 +17,12 @@ is protocol fidelity, not just throughput. This module provides:
 * :class:`BatchedUdpTransport` — a :class:`UdpTransport` subclass that
   swaps only the datagram path for a :class:`PacketPump`; the pooled
   TCP reliable channel, fault handling, and stats plumbing are
-  inherited unchanged. Received payloads are dispatched as zero-copy
-  ``memoryview`` slices of the receive slots (the codec materialises
-  retained fields, see :func:`repro.swim.codec.decode`), and
-  :meth:`BatchedUdpTransport.send_encoded` reuses a per-transport
-  scratch buffer via :func:`repro.swim.codec.encode_into` so
-  steady-state probe/ack traffic allocates near-zero.
+  inherited unchanged. Received payloads are dispatched as
+  ``memoryview`` slices of the receive slots, which
+  :func:`repro.swim.codec.decode` copies once on the way in; a queued
+  datagram is plain ``bytes`` (measured: one small allocation per
+  packet is cheaper than any buffer pool that avoids it, see
+  docs/PERFORMANCE.md).
 * :func:`create_udp_transport` — the factory keyed by
   :attr:`SwimConfig.transport_backend` that
   :class:`~repro.transport.udp.UdpMember` uses.
@@ -30,10 +30,9 @@ is protocol fidelity, not just throughput. This module provides:
 Receive-buffer lifetime: the ``memoryview`` handed to the handler
 aliases a pump-owned slot that is reused after the handler returns.
 Handlers must either finish with the bytes synchronously (the SWIM
-node decodes immediately; the codec copies anything it keeps) or copy
-explicitly. The same applies to buffers passed to
-:meth:`PacketPump.send` — they are copied before the call returns, so
-callers may reuse their scratch immediately.
+node decodes immediately, and decoding copies) or copy explicitly.
+:meth:`PacketPump.send` keeps ``bytes`` by reference and copies any
+other buffer before it returns, so callers may reuse theirs at once.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import errno
 import socket
 import sys
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
 from repro.config import SwimConfig
 from repro.metrics.telemetry import TransportStats
@@ -154,13 +153,14 @@ class PacketPump:
     ``memoryview`` slice of a pump-owned slot, valid only for the
     duration of the call.
 
-    Send: :meth:`send` enqueues and schedules one flush per event-loop
-    tick via ``call_soon``, so every datagram queued in the same tick
-    (a probe fan-out, gossip to k targets, an echo burst) leaves in as
-    few ``sendmmsg`` calls as possible. Non-``bytes`` payloads are
-    copied into pooled buffers at enqueue time — callers may reuse
-    their scratch immediately. When the socket's buffer fills the
-    remainder stays queued behind ``loop.add_writer``.
+    Send: :meth:`send` enqueues. Replies queued while a received batch
+    is being handled leave when that drain ends; anything else (a probe
+    fan-out, gossip to k targets) schedules one flush per event-loop
+    tick via ``call_soon`` — either way every datagram queued together
+    leaves in as few ``sendmmsg`` calls as possible. Non-``bytes``
+    payloads are copied at enqueue time — callers may reuse their
+    buffer immediately. When the socket's buffer fills the remainder
+    stays queued behind ``loop.add_writer``.
 
     Syscall accounting goes to ``stats``: ``udp_recv_syscalls`` /
     ``udp_send_syscalls`` events plus a ``record_batch`` per syscall
@@ -198,14 +198,15 @@ class PacketPump:
         self.uses_mmsg = HAVE_MMSG
 
         # -- send state ------------------------------------------------
-        # Entries are (data, length, addr) where data is bytes or a
-        # pooled bytearray and addr is a _SockaddrIn (mmsg) or a
-        # (host, port) tuple (fallback).
-        self._outbox: Deque[Tuple[object, int, object]] = deque()
-        self._spare: List[bytearray] = []
+        # Entries are (data, addr) where addr is a (_SockaddrIn, its
+        # address) pair (mmsg) or a (host, port) tuple (fallback).
+        self._outbox: Deque[Tuple[bytes, object]] = deque()
         self._send_addrs: Dict[str, object] = {}
         self._flush_scheduled = False
         self._writer_armed = False
+        #: True while received datagrams are being handled: what the
+        #: handler sends leaves when the drain ends, not a tick later.
+        self._draining = False
 
         if HAVE_MMSG:
             self._init_mmsg_arrays()
@@ -302,15 +303,25 @@ class PacketPump:
     def _on_readable(self) -> None:
         if self._closed:
             return
-        if HAVE_MMSG:
-            self._drain_mmsg()
-        else:
-            self._drain_fallback()
+        self._draining = True
+        try:
+            if HAVE_MMSG:
+                self._drain_mmsg()
+            else:
+                self._drain_fallback()
+        finally:
+            # Also when a handler raised: its earlier replies still go,
+            # and later sends must schedule their own flush again.
+            self._draining = False
+            if self._outbox and not self._writer_armed:
+                self._flush()
 
     def _drain_mmsg(self) -> None:
         stats = self.stats
         batch = self._batch
         for _ in range(self._max_drain):
+            if self._closed:  # by a handler, mid-drain
+                break
             n = _recvmmsg(self._fd, self._rhdrs, batch, MSG_DONTWAIT, None)
             if n <= 0:
                 err = ctypes.get_errno() if n < 0 else 0
@@ -368,6 +379,8 @@ class PacketPump:
         budget = self._batch * self._max_drain
         handler = self._handler
         for _ in range(budget):
+            if self._closed:  # by a handler, mid-drain
+                break
             try:
                 nbytes, addr = self._sock.recvfrom_into(self._rbuf)
             except (BlockingIOError, InterruptedError):
@@ -399,20 +412,11 @@ class PacketPump:
         addr = self._send_addrs.get(destination)
         if addr is None:
             addr = self._resolve(destination)
-        n = len(payload)
-        if payload.__class__ is bytes:
-            entry: Tuple[object, int, object] = (payload, n, addr)
-        elif n <= self.DATAGRAM_SIZE:
-            # Copy now so the caller's scratch is reusable on return.
-            buf = self._spare.pop() if self._spare else bytearray(
-                self.DATAGRAM_SIZE
-            )
-            buf[:n] = payload
-            entry = (buf, n, addr)
-        else:
-            entry = (bytes(payload), n, addr)
-        self._outbox.append(entry)
-        if not self._flush_scheduled and not self._writer_armed:
+        if payload.__class__ is not bytes:
+            # Copy now so the caller's buffer is reusable on return.
+            payload = bytes(payload)
+        self._outbox.append((payload, addr))
+        if not (self._flush_scheduled or self._writer_armed or self._draining):
             self._flush_scheduled = True
             self._loop.call_soon(self._flush)
 
@@ -466,14 +470,13 @@ class PacketPump:
             name_idx, iovlen_idx = self._name_idx, self._iovlen_idx
         while outbox:
             k = 0
-            for data, n, sa in outbox:
+            for data, sa in outbox:
                 if k >= batch:
                     break
+                n = len(data)
                 if n > size:
                     break  # oversized head handled below
-                sviews[k][:n] = data if len(data) == n else memoryview(
-                    data
-                )[:n]
+                sviews[k][:n] = data
                 if flat:
                     siov_q[iov_stride * k + iovlen_idx] = n
                     shdr_q[hdr_stride * k + name_idx] = sa[1]
@@ -483,8 +486,7 @@ class PacketPump:
                 k += 1
             if k == 0:
                 # Oversized datagram at the head: one plain sendto.
-                data, n, sa = outbox.popleft()
-                self._send_oversized(data, n, sa)
+                self._send_oversized(*outbox.popleft())
                 continue
             sent = _sendmmsg(self._fd, self._shdrs, k, 0)
             if sent < 0:
@@ -497,17 +499,17 @@ class PacketPump:
                 # Destination-level error (ECONNREFUSED, EPERM, ...):
                 # drop the head so the queue cannot spin, keep going.
                 stats.incr("udp_send_error")
-                self._recycle(outbox.popleft())
+                outbox.popleft()
                 continue
             stats.incr("udp_send_syscalls")
             stats.record_batch("send", sent)
             for _ in range(sent):
-                self._recycle(outbox.popleft())
+                outbox.popleft()
             if sent < k:
                 self._arm_writer()
                 return
 
-    def _send_oversized(self, data: object, n: int, sa: object) -> None:
+    def _send_oversized(self, data: bytes, sa: object) -> None:
         try:
             if isinstance(sa, tuple) and isinstance(sa[0], _SockaddrIn):
                 dest = (
@@ -522,31 +524,23 @@ class PacketPump:
         else:
             self.stats.incr("udp_send_syscalls")
             self.stats.record_batch("send", 1)
-        self._recycle((data, n, sa))
 
     def _flush_fallback(self) -> None:
         stats = self.stats
         outbox = self._outbox
         while outbox:
-            data, n, addr = outbox[0]
-            payload = data if len(data) == n else memoryview(data)[:n]
             try:
-                self._sock.sendto(payload, addr)  # type: ignore[arg-type]
+                self._sock.sendto(*outbox[0])  # type: ignore[arg-type]
             except (BlockingIOError, InterruptedError):
                 self._arm_writer()
                 return
             except OSError:
                 stats.incr("udp_send_error")
-                self._recycle(outbox.popleft())
+                outbox.popleft()
                 continue
             stats.incr("udp_send_syscalls")
             stats.record_batch("send", 1)
-            self._recycle(outbox.popleft())
-
-    def _recycle(self, entry: Tuple[object, int, object]) -> None:
-        data = entry[0]
-        if data.__class__ is bytearray and len(self._spare) < self._batch:
-            self._spare.append(data)  # type: ignore[arg-type]
+            outbox.popleft()
 
     def _arm_writer(self) -> None:
         if not self._writer_armed and not self._closed:
@@ -577,31 +571,24 @@ class BatchedUdpTransport(UdpTransport):
 
     Only the datagram path differs from the parent: a raw nonblocking
     socket pumped with ``recvmmsg``/``sendmmsg`` (portable fallback
-    where unavailable), zero-copy receive dispatch, and per-tick send
-    coalescing. The TCP reliable channel, retry/pool behaviour, fault
-    surface, and address formats are inherited — the full transport
-    fault suite runs identically against both backends.
+    where unavailable), receive dispatch straight off the receive
+    slots, and send coalescing per drain and per tick. The TCP reliable
+    channel, retry/pool behaviour, fault surface, and address formats
+    are inherited — the full transport fault suite runs identically
+    against both backends.
     """
 
     backend = "batched"
-    #: :meth:`send` copies (or fully consumes) the payload before
-    #: returning, so callers — notably the SWIM node's packet builder —
-    #: may pass a reusable scratch buffer instead of fresh ``bytes``.
-    supports_buffer_send = True
 
     def __init__(
         self, local_address: str, config: Optional[SwimConfig] = None
     ) -> None:
         super().__init__(local_address, config)
         self._pump: Optional[PacketPump] = None
-        self._scratch = bytearray()
 
     @classmethod
-    async def create(
-        cls,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[SwimConfig] = None,
+    async def _open_datagram(
+        cls, host: str, port: int, config: Optional[SwimConfig]
     ) -> "BatchedUdpTransport":
         loop = asyncio.get_running_loop()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -622,12 +609,10 @@ class BatchedUdpTransport(UdpTransport):
         except OSError:
             sock.close()
             raise
-        try:
-            await self._start_reliable(bound_host, bound_port)
-        except OSError:
-            self._pump.close()
-            raise
         return self
+
+    def _close_datagram(self) -> None:
+        self._pump.close()
 
     @property
     def pump(self) -> PacketPump:
@@ -656,24 +641,11 @@ class BatchedUdpTransport(UdpTransport):
             self._stats.incr("udp_send_error")
 
     def send_encoded(self, destination: str, message: codec.Message) -> int:
-        """Encode ``message`` straight into the transport's scratch
-        buffer (:func:`repro.swim.codec.encode_into`) and queue it —
-        the pump copies at enqueue, so the scratch is reused for every
-        message and the steady-state datagram send path allocates
-        near-zero. Returns the encoded size in bytes (for telemetry).
-        The node prefers this over ``encode()`` + :meth:`send` when the
-        transport offers it."""
-        scratch = self._scratch
-        del scratch[:]
-        n = codec.encode_into(message, scratch)
-        if not self._closed and not self._fault_drop_datagram(
-            destination, outbound=True
-        ):
-            try:
-                self._pump.send(scratch, destination)
-            except (OSError, ValueError):
-                self._stats.incr("udp_send_error")
-        return n
+        """Encode ``message`` and :meth:`send` it as a datagram; returns
+        the encoded size in bytes (for telemetry)."""
+        wire = codec.encode(message)
+        self.send(destination, wire)
+        return len(wire)
 
     def _on_pump_datagram(self, payload: memoryview, source: str) -> None:
         # Syscall/batch accounting already happened in the pump.
@@ -681,12 +653,6 @@ class BatchedUdpTransport(UdpTransport):
             return
         if self._handler is not None:
             self._handler(payload, source, False)
-
-    async def close(self) -> None:
-        self._closed = True
-        if self._pump is not None:
-            self._pump.close()
-        await super().close()
 
 
 async def create_udp_transport(

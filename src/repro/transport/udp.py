@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
 import random
 import socket
 import struct
@@ -71,6 +72,9 @@ def parse_address(address: str) -> Tuple[str, int]:
 #: the protocol's normal fan-out size. The kernel clamps the request to
 #: ``net.core.{rmem,wmem}_max``; asking for more than it grants is fine.
 _UDP_SOCKET_BUFFER = 1 << 22
+
+#: Port pairs ``create(port=0)`` draws before giving up on EADDRINUSE.
+PORT_DRAWS = 8
 
 
 def _request_socket_buffers(sock: socket.socket) -> None:
@@ -358,6 +362,33 @@ class UdpTransport:
         port: int = 0,
         config: Optional[SwimConfig] = None,
     ) -> "UdpTransport":
+        """Bind the datagram socket, then listen on the same TCP port.
+
+        With ``port=0`` the kernel draws the UDP port, and about one draw
+        in 3,000 lands on a number some TCP socket already holds: that
+        draw is closed and another made, :data:`PORT_DRAWS` at most. An
+        explicit port that is taken raises at once. Either way a failed
+        listen leaves no socket behind.
+        """
+        draws = 1 if port else PORT_DRAWS
+        while True:
+            self = await cls._open_datagram(host, port, config)
+            try:
+                await self._start_reliable(*parse_address(self._local_address))
+                return self
+            except BaseException as exc:  # a cancelled create leaks nothing either
+                self._close_datagram()
+                draws -= 1
+                taken = isinstance(exc, OSError) and exc.errno == errno.EADDRINUSE
+                if not (taken and draws):
+                    raise
+
+    @classmethod
+    async def _open_datagram(
+        cls, host: str, port: int, config: Optional[SwimConfig]
+    ) -> "UdpTransport":
+        """A transport with its datagram half bound (what differs per
+        backend); :meth:`_close_datagram` undoes it."""
         loop = asyncio.get_running_loop()
         udp_transport, protocol = await loop.create_datagram_endpoint(
             _UdpProtocol, local_addr=(host, port)
@@ -374,8 +405,10 @@ class UdpTransport:
             self._stats.incr("datagrams_buffered_early", buffered)
         if dropped:
             self._stats.incr("datagrams_dropped_early", dropped)
-        await self._start_reliable(bound_host, bound_port)
         return self
+
+    def _close_datagram(self) -> None:
+        self._udp.close()
 
     async def _start_reliable(self, host: str, port: int) -> None:
         """Start the TCP side channel (server + idle reaper) on the same
@@ -570,8 +603,7 @@ class UdpTransport:
         for channel in self._channels.values():
             await channel.close()
         self._channels.clear()
-        if self._udp is not None:
-            self._udp.close()
+        self._close_datagram()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()

@@ -2,8 +2,8 @@
 
 Two real :class:`UdpMember` processes on loopback exchange tens of
 thousands of datagrams through the recvmmsg/sendmmsg fast path while
-the SWIM protocol runs underneath. The test proves the zero-copy
-receive path at volume: every datagram that arrives decodes cleanly
+the SWIM protocol runs underneath. The test proves the reused
+receive slots at volume: every datagram that arrives decodes cleanly
 (zero codec errors — a reused-buffer bug would corrupt frames under
 exactly this kind of load), and the burst traffic never starves the
 probe loop into a false suspicion.

@@ -2,7 +2,7 @@
 
 Every optimization in the simulation and protocol hot paths (scheduler
 heap compaction, the indexed member map, the bucketed broadcast queue,
-the zero-copy codec, batched network delivery) promises *bit-identical
+the cached codec, batched network delivery) promises *bit-identical
 seeded behavior*. These tests make that promise checkable: a family of
 seeded scenarios runs end to end and the full membership event log —
 every (time, observer, subject, kind, incarnation) tuple — plus the

@@ -229,5 +229,5 @@ class TestDecodeCache:
 
     def test_cache_overflow_resets(self):
         for i in range(codec._DECODE_CACHE_LIMIT + 10):
-            codec.decode(codec.encode(Ack(i, "x")))
-        assert len(codec._DECODE_CACHE) <= codec._DECODE_CACHE_LIMIT + 1
+            codec.decode(codec.encode(Suspect(i, "x", "y")))
+        assert 0 < len(codec._DECODE_CACHE) <= codec._DECODE_CACHE_LIMIT + 1

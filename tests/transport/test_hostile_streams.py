@@ -25,7 +25,7 @@ from repro.ops import http as admin_http
 from repro.swim import codec
 from repro.swim.messages import Ping
 from repro.transport.udp import MAX_FRAME_PAYLOAD, UdpMember
-from tests.transport.conftest import TRANSPORT_BACKENDS
+from tests.transport.conftest import TRANSPORT_BACKENDS, assert_no_leaked_sockets
 
 _FRAME = struct.Struct(">HI")
 
@@ -103,9 +103,19 @@ class LiveMember:
 
 @pytest.fixture(scope="module", params=TRANSPORT_BACKENDS)
 def live(request):
-    member = LiveMember(request.param)
-    yield member
-    member.close()
+    with assert_no_leaked_sockets():
+        member = LiveMember(request.param)
+        yield member
+        member.close()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_sockets():
+    """Overrides the per-test check: a probe frame that claims a
+    listening loopback port as its source makes the live member dial it,
+    and the member pools that connection past the test. ``live`` holds
+    the member's whole life to the check instead."""
+    yield
 
 
 def assert_well_formed_or_closed(raw):
