@@ -289,24 +289,26 @@ class SimFaultExecutor:
         # last-known peer list until the whole group sees it alive — the
         # serf snapshot-rejoin behaviour. A member that knows nobody yet
         # falls back to the executor's anchor.
-        scheduler = self.cluster.scheduler_for(member)
+        # (Re-armed through the executor, not as a closure that names
+        # itself: that is a reference cycle left behind per rejoin.)
+        self.cluster.scheduler_for(member).call_later(
+            first_delay, lambda: self._attempt_rejoin(member)
+        )
 
-        def attempt() -> None:
-            node = self._node(member)
-            if node is None or not node.running:
-                return
-            if self._reintegrated(member):
-                return
-            peers = [
-                name
-                for name, state, _ in node.members.claims()
-                if name != member and state is not MemberState.LEFT
-            ]
-            if not peers:
-                anchor = self._pick_anchor(member)
-                peers = [anchor] if anchor is not None else []
-            if peers:
-                node.join(peers)
-            scheduler.call_later(_JOIN_RETRY, attempt)
-
-        scheduler.call_later(first_delay, attempt)
+    def _attempt_rejoin(self, member: str) -> None:
+        node = self._node(member)
+        if node is None or not node.running:
+            return
+        if self._reintegrated(member):
+            return
+        peers = [
+            name
+            for name, state, _ in node.members.claims()
+            if name != member and state is not MemberState.LEFT
+        ]
+        if not peers:
+            anchor = self._pick_anchor(member)
+            peers = [anchor] if anchor is not None else []
+        if peers:
+            node.join(peers)
+        self._schedule_rejoin(member)

@@ -19,7 +19,7 @@ from repro.metrics.event_log import ClusterEventLog
 from repro.metrics.telemetry import Telemetry
 from repro.sim.anomaly import AnomalyController
 from repro.sim.network import LatencyModel, SimNetwork
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import EventScheduler, collector_paused
 from repro.swim.member_map import Roster
 from repro.swim.node import SwimNode
 from repro.swim.state import MemberState
@@ -58,6 +58,7 @@ class SimCluster:
         while unresponsive.
     """
 
+    @collector_paused
     def __init__(
         self,
         n_members: int = 0,
@@ -154,6 +155,7 @@ class SimCluster:
         self._transports[name] = transport
         return node
 
+    @collector_paused
     def start(self) -> None:
         """Bootstrap membership and start every node's protocol loops."""
         if self._started:

@@ -22,9 +22,11 @@ which makes the order strict and means two events never compare equal.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import math
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.sim.clock import VirtualClock
 
@@ -65,6 +67,37 @@ class _Event(list):
 
 def _noop() -> None:
     return None
+
+
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def collector_paused(fn: _F) -> _F:
+    """Run ``fn`` with CPython's cyclic collector switched off.
+
+    Building a cluster and driving its event loop allocate heavily and
+    make no garbage cycles (``tests/sim/test_collector.py`` pins that),
+    so every generation pass that lands in them walks a heap of live
+    objects and frees nothing. The collector is switched back on when
+    ``fn`` returns or raises, and nothing else is done: no collection,
+    no freeze, no thresholds — what ``fn`` allocated is examined by the
+    first pass after it. Under another paused call, or when the caller
+    already runs with the collector off, this is a plain call. The
+    switch is process-wide: cycles made by a listener or an event tap
+    while ``fn`` runs wait until it returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class EventScheduler:
@@ -186,6 +219,7 @@ class EventScheduler:
         """Run the single next event. Returns ``False`` when drained."""
         return self._run(math.inf, 1) == 1
 
+    @collector_paused
     def run_until(self, deadline: float) -> int:
         """Run all events with timestamps <= ``deadline``; the clock ends
         exactly at ``deadline``. Returns the number of events executed."""

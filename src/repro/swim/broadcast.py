@@ -106,6 +106,8 @@ class BroadcastQueue:
         self._n_members_fn = n_members_fn
         #: ``(n, retransmit limit at group size n)`` as last computed.
         self._limit_for: Tuple[int, int] = (-1, 0)
+        # Never rebound: SwimNode tests this dict in place, once per tick
+        # and per send, to learn whether anything is pending.
         self._queue: Dict[str, _QueuedBroadcast] = {}
         self._buckets: Dict[int, List[_BucketItem]] = {}
         self._seq = 0

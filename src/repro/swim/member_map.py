@@ -62,9 +62,10 @@ written through.
 
 from __future__ import annotations
 
+import collections.abc
 import random
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.swim.codec import (
     PackedStates,
@@ -91,6 +92,10 @@ _STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
 _ALIVE = int(MemberState.ALIVE)
 _SUSPECT = int(MemberState.SUSPECT)
 _DEAD = int(MemberState.DEAD)
+
+# ``random.sample`` insists on a registered Sequence. ``array`` is one
+# from Python 3.10 on; the active index is sampled on 3.9 as well.
+collections.abc.Sequence.register(array)
 
 #: ``MergeDecision.action`` values. The claim concerned the local member
 #: (never applied here; the node decides whether to refute).
@@ -389,7 +394,7 @@ class MemberMap:
         self._state_counts = [0] * len(MemberState)
         # Ids of non-local ALIVE/SUSPECT members in table-insertion
         # order, or None when stale. Backs alive_members/random_members.
-        self._actives: Optional[List[int]] = None
+        self._actives: Optional[array] = None
         # The columns behind claims() as last gathered, or None when stale.
         self._claims: Optional[Tuple[tuple, tuple, tuple]] = None
         self._local_id = self._insert(
@@ -493,23 +498,28 @@ class MemberMap:
         counts = self._state_counts
         return counts[MemberState.DEAD] + counts[MemberState.LEFT]
 
-    def _active_index(self) -> List[int]:
+    def _active_index(self) -> Sequence[int]:
         """Ids of non-local ALIVE/SUSPECT members, in table-insertion
         order.
 
         Lazily rebuilt after membership or state changes. Order matters:
         callers feed slices of this into ``rng.sample``, so it must match
-        what a fresh scan of the table would produce.
+        what a fresh scan of the table would produce. Kept as an
+        ``array``: 4 bytes an id where a list of ints holds 36, on every
+        node that has ever gossiped.
         """
         actives = self._actives
         if actives is None:
             states = self._states
             local_id = self._local_id
-            actives = self._actives = [
-                sid
-                for sid in self._order
-                if states[sid] <= _SUSPECT and sid != local_id
-            ]
+            actives = self._actives = array(
+                "I",
+                [
+                    sid
+                    for sid in self._order
+                    if states[sid] <= _SUSPECT and sid != local_id
+                ],
+            )
         return actives
 
     def _views(self, sids: Iterable[int]) -> List[Member]:
@@ -581,11 +591,12 @@ class MemberMap:
 
     def _grow(self) -> None:
         """Extend the columns to cover every id the roster has handed
-        out — and to at least double, so a private roster learning names
-        one at a time pays amortized O(1) per name."""
+        out, and no further: a private roster learning names one at a
+        time still pays amortized O(1) per name, because ``extend``
+        over-allocates geometrically on its own."""
         size = len(self._states)
-        if len(self._roster.names) > size:
-            extra = max(len(self._roster.names), 2 * size) - size
+        extra = len(self._roster.names) - size
+        if extra > 0:
             self._states.extend(bytes((_ABSENT,)) * extra)
             self._incarnations.extend(array("Q", (0,)) * extra)
             self._changed_at.extend(array("d", (0.0,)) * extra)
@@ -986,7 +997,7 @@ class MemberMap:
         """
         states = self._states
         ids_get = self._ids.get
-        candidates: List[int]
+        candidates: Sequence[int]
         if gossip_to_dead_within is not None and self._num_dead() > 0:
             # Slow path: recently-dead members are candidates, and their
             # eligibility depends on `now`, so scan the full table.

@@ -15,7 +15,7 @@ realistic compact binary format rather than on Python object overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Tuple, Union, get_args
 
 from repro.swim.state import MemberState
 
@@ -284,10 +284,21 @@ def gossip_subject(message: GossipMessage) -> object:
     return message.member
 
 
+#: Telemetry label per concrete message class (one lookup per packet
+#: sent, where lower-casing the class name was one string per packet).
+_KIND_OF = {
+    cls: cls.__name__.lower() for cls in get_args(Message) if cls is not Compound
+}
+
+
 def primary_kind(message: Message) -> str:
     """Telemetry label for a message; compound messages are labelled by
     their primary part, matching the paper's counting rule for Table VI
     ('compound messages ... are counted as one message')."""
+    kind = _KIND_OF.get(message.__class__)
+    if kind is not None:
+        return kind
+    # A compound, or a subclass of a message type.
     if isinstance(message, Compound):
         return primary_kind(message.parts[0])
     return type(message).__name__.lower()

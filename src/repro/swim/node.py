@@ -1197,18 +1197,24 @@ class SwimNode:
             self._transport.send(target.address, packet)
 
     def _gossip_pending(self) -> bool:
-        """Whether either broadcast queue holds anything to send."""
-        return self._broadcasts.pending or self._user_broadcasts.pending
+        """Whether either broadcast queue holds anything to send (asked
+        on every gossip tick and every send: the queues' own dicts, not
+        two ``pending`` property calls)."""
+        return bool(self._broadcasts._queue or self._user_broadcasts._queue)
 
     def _select_gossip(self, budget: int) -> List[bytes]:
         """Up to ``budget`` framed bytes of queued gossip for one packet:
         membership claims first, user events in whatever room is left."""
         overhead = codec.COMPOUND_PART_OVERHEAD
         payloads = self._broadcasts.get_payloads(budget, overhead)
-        if payloads:
-            budget -= codec.framed_size(payloads)
-        if budget > 0:
-            payloads.extend(self._user_broadcasts.get_payloads(budget, overhead))
+        user = self._user_broadcasts
+        # The user queue is almost always empty; only when it is not does
+        # anyone need to know what the claims left of the budget.
+        if user._queue:
+            if payloads:
+                budget -= codec.framed_size(payloads)
+            if budget > 0:
+                payloads.extend(user.get_payloads(budget, overhead))
         return payloads
 
     def _gossip_targets(self, now: float) -> List[Member]:

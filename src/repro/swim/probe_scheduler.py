@@ -59,7 +59,9 @@ class ProbeScheduler:
 
     def __init__(self) -> None:
         self._members: Optional["MemberMap"] = None
-        self._rng: random.Random = random.Random()
+        #: The owning node's RNG, from :meth:`bind` (a placeholder
+        #: ``Random()`` here would be OS-seeded, per member, for nothing).
+        self._rng: Optional[random.Random] = None
         #: Targets handed out so far (feeds the ops plane's
         #: ``lifeguard_probe_scheduler_selections_total`` counter).
         self.selections = 0
@@ -73,6 +75,16 @@ class ProbeScheduler:
             )
         self._members = members
         self._rng = rng
+
+    def _draws(self) -> random.Random:
+        """The RNG every draw comes from; only a bound scheduler has one."""
+        rng = self._rng
+        if rng is None:
+            raise RuntimeError(
+                f"{type(self).__name__} is not bound to a member map; "
+                f"a MemberMap binds its scheduler when it is built"
+            )
+        return rng
 
     # -- lifecycle hooks (driven by MemberMap) ------------------------- #
 
@@ -139,7 +151,7 @@ class RoundRobinScheduler(ProbeScheduler):
         # state against ``randint`` + ``insert``).
         order = self._order
         insert = order.insert
-        getrandbits = self._rng.getrandbits
+        getrandbits = self._draws().getrandbits
         index = self._index
         size = len(order)
         for name in names:
@@ -169,7 +181,7 @@ class RoundRobinScheduler(ProbeScheduler):
         while checked < total:
             if self._index >= len(self._order):
                 self._index = 0
-                self._rng.shuffle(self._order)
+                self._draws().shuffle(self._order)
             name = self._order[self._index]
             self._index += 1
             checked += 1
@@ -266,7 +278,7 @@ class LikelihoodWeightedScheduler(ProbeScheduler):
                 candidates = trimmed
         weights = [self._weight(member, now) for member in candidates]
         total = sum(weights)
-        mark = self._rng.random() * total
+        mark = self._draws().random() * total
         acc = 0.0
         chosen = candidates[-1]
         for member, weight in zip(candidates, weights):

@@ -43,7 +43,7 @@ from typing import (
 
 from repro.config import SwimConfig
 from repro.sim.runtime import SimCluster
-from repro.sim.scheduler import EventScheduler
+from repro.sim.scheduler import EventScheduler, collector_paused
 from repro.swim.member_map import Roster
 from repro.swim.node import SwimNode
 from repro.zones.bridge import ZoneBridge
@@ -115,6 +115,7 @@ class ZoneShard:
     per-zone schedules.
     """
 
+    @collector_paused
     def __init__(
         self,
         layout: ZoneLayout,
@@ -211,12 +212,14 @@ class ZoneShard:
 
         return send
 
+    @collector_paused
     def start(self) -> None:
         for zi in self.zone_indices:
             self.clusters[zi].start()
             for bridge in self.bridges[zi]:
                 bridge.start()
 
+    @collector_paused
     def run_until(self, deadline: float) -> int:
         executed = 0
         for zi in self.zone_indices:
@@ -297,6 +300,7 @@ class ZonedCluster:
     boundary for a window of virtual time.
     """
 
+    @collector_paused
     def __init__(
         self,
         n_members: int,
@@ -409,6 +413,7 @@ class ZonedCluster:
         self._started = True
         self.shard.start()
 
+    @collector_paused
     def run_until(self, deadline: float) -> int:
         """Advance all zones to ``deadline`` in epoch lockstep."""
         executed = 0

@@ -224,6 +224,10 @@ def _shard_worker(
     # duplicating) the parent heap. Without this, forking out of a process
     # that already holds a large cluster costs more than the run itself.
     gc.freeze()
+    # And this process does nothing but build one shard and drive it,
+    # which makes no cycles: there is nothing for a pass to find before
+    # the process exits.
+    gc.disable()
     ring: Optional[BarrierRing] = None
     try:
         layout = build_layout(n_members, zone_count, bridges_per_zone)

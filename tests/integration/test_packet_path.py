@@ -8,7 +8,7 @@ receive slots at volume: every datagram that arrives decodes cleanly
 exactly this kind of load), and the burst traffic never starves the
 probe loop into a false suspicion.
 
-Marked ``slow``; CI runs it at reduced volume via the
+CI's transport matrix runs it at reduced volume via the
 ``PACKET_SOAK_MESSAGES`` environment variable.
 """
 
@@ -63,7 +63,6 @@ def _instrument(member, counters):
     member.transport.bind(wrapped)
 
 
-@pytest.mark.slow
 class TestPacketPathSoak:
     def test_high_volume_batched_traffic_is_clean(self):
         async def scenario():

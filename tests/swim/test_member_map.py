@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.swim.member_map import MemberMap
+from repro.swim.member_map import MemberMap, Roster
 from repro.swim.state import MemberState
 
 
@@ -78,6 +78,24 @@ class TestBasics:
         )
         assert member.state_changed_at == 4.0
         assert mm.next_probe_target().name == "m0"
+
+    def test_columns_cover_the_roster_and_no_more(self):
+        """A preseeded table holds one slot per roster id (it used to
+        grow to "at least double": up to 2x slots on every map built
+        after half a shared roster existed) ..."""
+        roster = Roster()
+        maps = [
+            MemberMap(f"m{i}", f"addr{i}", random.Random(i), roster=roster)
+            for i in range(9)
+        ]
+        for mm in maps:
+            mm.add_many(range(len(roster)), 1, MemberState.ALIVE, 0.0)
+        for mm in maps:
+            columns = (mm._states, mm._incarnations, mm._changed_at, mm._records)
+            assert [len(column) for column in columns] == [len(roster)] * 4
+        # ... and so does a private roster that learns names one at a time.
+        mm = make_map(37)
+        assert len(mm._states) == len(mm._incarnations) == len(mm.roster) == 38
 
     def test_member_handle_is_live_and_read_only(self):
         mm = make_map(1)
@@ -265,6 +283,26 @@ class TestRandomMembers:
     def test_respects_count(self):
         mm = make_map(10)
         assert len(mm.random_members(3)) == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_samples_what_a_list_of_the_same_members_would(self, seed):
+        """The active index is an ``array``; ``rng.sample`` must draw
+        from it exactly as it did from the list it replaced."""
+        mm = make_map(40, seed=seed)
+        mm.apply_claim("m7", MemberState.DEAD, 1, 0.0)
+        mm.apply_claim("m9", MemberState.SUSPECT, 1, 0.0)
+        reference = random.Random()
+        for kwargs in ({}, {"exclude": ("m3",)}, {"include_suspect": False}):
+            reference.setstate(mm._rng.getstate())
+            candidates = [
+                name
+                for name in mm.names()
+                if name not in ("self", "m7", *kwargs.get("exclude", ()))
+                and (kwargs.get("include_suspect", True) or name != "m9")
+            ]
+            expected = reference.sample(candidates, 5)
+            assert [m.name for m in mm.random_members(5, **kwargs)] == expected
+            assert mm._rng.getstate() == reference.getstate()
 
     def test_returns_all_when_count_exceeds(self):
         mm = make_map(3)

@@ -248,7 +248,14 @@ class TestBareSendPath:
         assert transport.sent[0][1] == _framed(
             codec.encode(Ping(1, "b", "a")), codec.encode(claim)
         )
-        assert payload_selects == [node.broadcasts, node.user_broadcasts]
+        # The user queue is asked exactly when it holds something.
+        assert payload_selects == [node.broadcasts]
+        event = node.broadcast_event(b"deploy")
+        node._send_to_address("b", Ping(2, "b", "a"))
+        assert transport.sent[1][1] == _framed(
+            codec.encode(Ping(2, "b", "a")), codec.encode(claim), codec.encode(event)
+        )
+        assert payload_selects[1:] == [node.broadcasts, node.user_broadcasts]
 
     def test_a_pending_user_event_selects_the_compound_path(self, payload_selects):
         node, transport = _node()

@@ -61,6 +61,19 @@ class TestRegistry:
         with pytest.raises(RuntimeError, match="already bound"):
             scheduler.bind(make_map(1), random.Random(0))
 
+    @pytest.mark.parametrize("name", PROBE_SCHEDULER_NAMES)
+    def test_an_unbound_scheduler_holds_no_rng_and_cannot_draw(self, name):
+        scheduler = make_probe_scheduler(name)
+        assert scheduler._rng is None
+        with pytest.raises(RuntimeError, match="not bound to a member map"):
+            scheduler._draws()
+        mm = make_map(2, scheduler=scheduler)
+        assert scheduler._draws() is mm._rng
+
+    def test_an_unbound_round_robin_refuses_members(self):
+        with pytest.raises(RuntimeError, match="not bound to a member map"):
+            RoundRobinScheduler().on_members_added(["m0"])
+
 
 class TestRoundRobinNoImmediateRepeat:
     """Regression: a round-boundary reshuffle could place the just-probed
