@@ -706,6 +706,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print(f"soak: false positives {analysis.fp_total} "
               f"({analysis.fp_healthy} healthy-phase), undetected kills "
               f"{len(gate['undetected_kills'])}")
+        if result.sim is not None:
+            twin = result.sim
+            print(f"soak: simulator twin: first-detection median "
+                  f"{fmt(twin.detection_median())}, dissemination median "
+                  f"{fmt(twin.dissemination_median())}, false positives "
+                  f"{twin.fp_total} ({twin.fp_healthy} healthy-phase)")
         print(f"soak: report at {result.report_md}")
         print(f"soak: gate {'PASS' if gate['ok'] else 'FAIL'}")
     if args.gate and not result.gate_ok:

@@ -97,6 +97,35 @@ class DisseminationStats:
         return list(self.full_dissemination.values())
 
 
+def first_failed_times(
+    events: Iterable[MemberEvent],
+    since: Dict[str, float],
+    observers: Optional[Set[str]] = None,
+) -> Dict[str, Dict[str, float]]:
+    """Per subject in ``since``: the time of each observer's earliest
+    FAILED event about it at or after the subject's start time.
+
+    One pass over ``events`` in any order; ``observers`` restricts whose
+    events count. Every detection-latency figure in the tree — Table V,
+    the soak report and its simulator twin, the event-log queries — is
+    read off this table.
+    """
+    firsts: Dict[str, Dict[str, float]] = {subject: {} for subject in since}
+    for event in events:
+        if event.kind is not EventKind.FAILED:
+            continue
+        start = since.get(event.subject)
+        if start is None or event.time < start:
+            continue
+        if observers is not None and event.observer not in observers:
+            continue
+        per_observer = firsts[event.subject]
+        seen = per_observer.get(event.observer)
+        if seen is None or event.time < seen:
+            per_observer[event.observer] = event.time
+    return firsts
+
+
 def detection_latencies(
     events: Sequence[MemberEvent],
     anomalous: Set[str],
@@ -110,35 +139,18 @@ def detection_latencies(
     one other agent" of a genuinely anomalous member, and dissemination
     "to all healthy agents").
     """
-    healthy = [m for m in all_members if m not in anomalous]
-    healthy_set = set(healthy)
+    healthy = {m for m in all_members if m not in anomalous}
+    firsts = first_failed_times(
+        events, dict.fromkeys(anomalous, anomaly_start), healthy
+    )
     stats = DisseminationStats()
-
-    first_by_subject: Dict[str, float] = {}
-    observers_by_subject: Dict[str, Dict[str, float]] = {m: {} for m in anomalous}
-    # Event logs from live runs arrive time-ordered, but don't rely on it.
-    events = sorted(events, key=lambda e: e.time)
-    for event in events:
-        if event.kind is not EventKind.FAILED:
-            continue
-        if event.time < anomaly_start:
-            continue
-        if event.subject not in anomalous or event.observer not in healthy_set:
-            continue
-        if event.subject not in first_by_subject:
-            first_by_subject[event.subject] = event.time
-        per_observer = observers_by_subject[event.subject]
-        if event.observer not in per_observer:
-            per_observer[event.observer] = event.time
-
     for subject in anomalous:
-        first = first_by_subject.get(subject)
-        if first is None:
+        per_observer = firsts[subject]
+        if not per_observer:
             stats.undetected.append(subject)
             continue
-        stats.first_detection[subject] = first - anomaly_start
-        per_observer = observers_by_subject[subject]
-        if set(per_observer) == healthy_set and healthy_set:
+        stats.first_detection[subject] = min(per_observer.values()) - anomaly_start
+        if len(per_observer) == len(healthy):
             stats.full_dissemination[subject] = (
                 max(per_observer.values()) - anomaly_start
             )

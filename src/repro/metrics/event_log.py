@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
+from repro.metrics.analysis import first_failed_times
 from repro.swim.events import EventKind, MemberEvent
 
 
@@ -56,16 +57,13 @@ class ClusterEventLog:
             if e.kind is EventKind.FAILED and e.subject == subject
         ]
 
+    # The three queries below read :func:`first_failed_times`' table for
+    # one subject instead of scanning the log themselves.
+
     def observers_declaring_failed(
         self, subject: str, since: float = float("-inf")
     ) -> Set[str]:
-        return {
-            e.observer
-            for e in self.events
-            if e.kind is EventKind.FAILED
-            and e.subject == subject
-            and e.time >= since
-        }
+        return set(first_failed_times(self.events, {subject: since})[subject])
 
     def first_failure_time(
         self,
@@ -76,15 +74,8 @@ class ClusterEventLog:
         """Earliest FAILED event about ``subject`` (optionally restricted
         to a set of observers), or ``None``."""
         allowed = set(observers) if observers is not None else None
-        times = [
-            e.time
-            for e in self.events
-            if e.kind is EventKind.FAILED
-            and e.subject == subject
-            and e.time >= since
-            and (allowed is None or e.observer in allowed)
-        ]
-        return min(times) if times else None
+        firsts = first_failed_times(self.events, {subject: since}, allowed)
+        return min(firsts[subject].values(), default=None)
 
     def full_dissemination_time(
         self, subject: str, observers: Iterable[str], since: float = float("-inf")
@@ -92,16 +83,5 @@ class ClusterEventLog:
         """Earliest time by which *every* given observer had declared
         ``subject`` failed, or ``None`` if some observer never did."""
         needed = set(observers)
-        first_by_observer = {}
-        for e in self.events:
-            if (
-                e.kind is EventKind.FAILED
-                and e.subject == subject
-                and e.time >= since
-                and e.observer in needed
-                and e.observer not in first_by_observer
-            ):
-                first_by_observer[e.observer] = e.time
-        if set(first_by_observer) != needed:
-            return None
-        return max(first_by_observer.values())
+        firsts = first_failed_times(self.events, {subject: since}, needed)[subject]
+        return max(firsts.values()) if len(firsts) == len(needed) else None

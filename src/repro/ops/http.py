@@ -39,7 +39,8 @@ from repro.ops.schema import envelope, members_payload, node_info, suspicions_pa
 _MAX_REQUEST_LINE = 4096
 _MAX_HEADER_BYTES = 16 * 1024
 #: Seconds a client has to deliver its request line and headers before
-#: it is answered ``408`` and closed.
+#: it is answered ``408`` and closed — and, each, to take the response
+#: off the socket and to let the close finish before it is aborted.
 REQUEST_DEADLINE = 5.0
 _JSON_TYPE = "application/json; charset=utf-8"
 _JSONL_TYPE = "application/jsonl; charset=utf-8"
@@ -139,15 +140,15 @@ class AdminServer:
                 f"\r\n"
             )
             writer.write(head.encode("ascii") + payload)
-            await writer.drain()
-        except (OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
+            await asyncio.wait_for(writer.drain(), REQUEST_DEADLINE)
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+            await asyncio.wait_for(writer.wait_closed(), REQUEST_DEADLINE)
+        except (asyncio.TimeoutError, OSError, asyncio.IncompleteReadError):
+            pass  # timeout: the client stopped reading; its bytes go with it
+        finally:
+            # Idempotent after a clean close; discards whatever a stalled
+            # client left in the write buffer, which close() would wait on.
+            writer.transport.abort()
 
     async def _respond(self, reader: asyncio.StreamReader):
         try:

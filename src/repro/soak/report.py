@@ -1,7 +1,8 @@
-"""Distils a soak run's merged event record into a verdict.
+"""Distils a fault schedule and an event stream into a verdict.
 
-The analysis mirrors the paper's evaluation metrics, but measured on a
-*real* cluster in wall time:
+The analysis mirrors the paper's evaluation metrics, measured against a
+schedule's epoch on whatever clock the events carry — wall time for a
+real cluster, virtual time for its simulator twin:
 
 * **detection latency** per killed member — first FAILED event about the
   victim by any survivor after the kill, and full dissemination (last
@@ -16,27 +17,26 @@ The analysis mirrors the paper's evaluation metrics, but measured on a
   failed;
 * **convergence time** — launch to every member seeing the full group.
 
-:func:`analyze` produces a :class:`SoakAnalysis`; :func:`render_markdown`
-formats it (with the paired simulator run, when present) into the
-human-readable half of the report artifact.
+:func:`analyze` is the one scorer: the real soak and
+:func:`~repro.soak.sim_compare.run_sim_comparison` both return its
+:class:`SoakAnalysis`, and :func:`render_markdown` formats the pair into
+the human-readable half of the report artifact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults import FaultSchedule
+from repro.metrics.analysis import first_failed_times
+from repro.swim.events import EventKind, MemberEvent
 
-#: Median helper tolerant of empty/None-bearing samples.
-def _median(values: Sequence[float]) -> Optional[float]:
-    clean = sorted(v for v in values if v is not None)
-    if not clean:
-        return None
-    mid = len(clean) // 2
-    if len(clean) % 2:
-        return clean[mid]
-    return (clean[mid - 1] + clean[mid]) / 2.0
+
+def _median(values: Sequence[Optional[float]]) -> Optional[float]:
+    clean = [v for v in values if v is not None]
+    return statistics.median(clean) if clean else None
 
 
 @dataclass
@@ -80,18 +80,7 @@ class SoakAnalysis:
 
     def as_dict(self) -> dict:
         return {
-            "members": self.members,
-            "epoch": self.epoch,
-            "duration": self.duration,
-            "convergence_time": self.convergence_time,
-            "kills": self.kills,
-            "false_positives": self.false_positives,
-            "fp_total": self.fp_total,
-            "fp_excused": self.fp_excused,
-            "fp_healthy": self.fp_healthy,
-            "restored_events": self.restored_events,
-            "events_total": self.events_total,
-            "phases": self.phases,
+            **asdict(self),
             "detection_median": self.detection_median(),
             "dissemination_median": self.dissemination_median(),
             "gate": self.gate(),
@@ -101,8 +90,8 @@ class SoakAnalysis:
 def _excuse_windows(
     schedule: FaultSchedule, epoch: float, subject: str, grace: float
 ) -> List[tuple]:
-    """Wall-clock windows during which a FAILED event about ``subject``
-    is expected detector behaviour, not a healthy-phase FP."""
+    """Windows, on ``epoch``'s clock, during which a FAILED event about
+    ``subject`` is expected detector behaviour, not a healthy-phase FP."""
     windows = []
     for entry in schedule.entries:
         if entry.kind == "crash":
@@ -130,20 +119,24 @@ def _excuse_windows(
 def analyze(
     schedule: FaultSchedule,
     epoch: float,
-    events: List[dict],
+    events: Sequence[MemberEvent],
     member_names: Sequence[str],
     duration: float,
     convergence_time: Optional[float] = None,
     grace: float = 10.0,
+    since: float = float("-inf"),
 ) -> SoakAnalysis:
-    """Classify ``events`` (merged, wall-stamped, see
-    :class:`~repro.soak.scraper.SoakScraper`) against the schedule."""
-    kill_wall: Dict[str, float] = {}
+    """Score ``events`` from ``since`` on against the schedule.
+
+    The one scorer for a fault schedule and an event stream: event times
+    share ``epoch``'s clock — wall time for a real soak (scraped records
+    through :func:`wall_events`), virtual time for its simulator twin.
+    """
+    kill_time: Dict[str, float] = {}
     for entry in schedule.of_kind("crash"):
         for name in entry.members:
-            kill_wall.setdefault(name, epoch + entry.start)
-    killed = set(kill_wall)
-    survivors = [name for name in member_names if name not in killed]
+            kill_time.setdefault(name, epoch + entry.start)
+    survivors = {name for name in member_names if name not in kill_time}
 
     analysis = SoakAnalysis(
         members=len(member_names),
@@ -164,33 +157,27 @@ def analyze(
         ],
     )
 
-    # First FAILED about each subject per observer (for dissemination).
-    first_failed: Dict[str, Dict[str, float]] = {}
     for event in events:
-        kind = event.get("kind")
-        if kind == "restored":
+        if event.time < since:
+            continue
+        if event.kind is EventKind.RESTORED:
             analysis.restored_events += 1
-        if kind != "failed":
+        if event.kind is not EventKind.FAILED:
             continue
-        subject = event.get("subject", "")
-        observer = event.get("observer", "")
-        wall_t = event["wall_t"]
-        victim_kill = kill_wall.get(subject)
-        if victim_kill is not None and wall_t >= victim_kill:
-            per_observer = first_failed.setdefault(subject, {})
-            if observer not in per_observer or wall_t < per_observer[observer]:
-                per_observer[observer] = wall_t
-            continue
+        if event.time >= kill_time.get(event.subject, float("inf")):
+            continue  # a detection, scored per kill below
         # Subject's process was alive: a false positive.
-        excused = subject in member_names and any(
-            start <= wall_t <= end
-            for start, end in _excuse_windows(schedule, epoch, subject, grace)
+        excused = event.subject in member_names and any(
+            start <= event.time <= end
+            for start, end in _excuse_windows(
+                schedule, epoch, event.subject, grace
+            )
         )
         analysis.false_positives.append(
             {
-                "t": wall_t - epoch,
-                "observer": observer,
-                "subject": subject,
+                "t": event.time - epoch,
+                "observer": event.observer,
+                "subject": event.subject,
                 "excused": excused,
             }
         )
@@ -200,31 +187,32 @@ def analyze(
         else:
             analysis.fp_healthy += 1
 
-    for victim, kill_t in sorted(kill_wall.items(), key=lambda kv: kv[1]):
-        per_observer = {
-            observer: t
-            for observer, t in first_failed.get(victim, {}).items()
-            if observer in survivors
-        }
-        detected_by = len(per_observer)
-        first = min(per_observer.values()) - kill_t if per_observer else None
-        dissemination = (
-            max(per_observer.values()) - kill_t
-            if detected_by == len(survivors) and survivors
-            else None
-        )
+    first_failed = first_failed_times(events, kill_time, survivors)
+    for victim, kill_t in sorted(kill_time.items(), key=lambda kv: kv[1]):
+        per_observer = first_failed[victim]
+        detected = len(per_observer) == len(survivors) and bool(survivors)
         analysis.kills.append(
             {
                 "victim": victim,
                 "kill_t": kill_t - epoch,
-                "first_detection": first,
-                "dissemination": dissemination,
-                "detected_by": detected_by,
+                "first_detection": (
+                    min(per_observer.values()) - kill_t if per_observer else None
+                ),
+                "dissemination": (
+                    max(per_observer.values()) - kill_t if detected else None
+                ),
+                "detected_by": len(per_observer),
                 "survivors": len(survivors),
-                "detected": detected_by == len(survivors) and bool(survivors),
+                "detected": detected,
             }
         )
     return analysis
+
+
+def wall_events(records: Sequence[dict]) -> List[MemberEvent]:
+    """Scraped ``/events`` records as events on the scraper's wall clock
+    (a record's ``t`` is member-local, ``wall_t`` the scraper's stamp)."""
+    return [MemberEvent.from_record({**r, "t": r["wall_t"]}) for r in records]
 
 
 # ---------------------------------------------------------------------- #
@@ -235,9 +223,21 @@ def _fmt(value: Optional[float], suffix: str = "s") -> str:
     return f"{value:.2f}{suffix}" if value is not None else "n/a"
 
 
+def _comparison_rows(analysis: SoakAnalysis) -> List[tuple]:
+    """What a real run and its simulator twin are read side by side on."""
+    return [
+        ("first-detection median", _fmt(analysis.detection_median())),
+        ("dissemination median", _fmt(analysis.dissemination_median())),
+        ("undetected kills", len(analysis.undetected)),
+        ("false positives", analysis.fp_total),
+        ("excused", analysis.fp_excused),
+        ("healthy-phase", analysis.fp_healthy),
+    ]
+
+
 def render_markdown(
     analysis: SoakAnalysis,
-    sim: Optional[dict] = None,
+    sim: Optional[SoakAnalysis] = None,
     chaos_log: Optional[List[dict]] = None,
 ) -> str:
     """The human-readable soak report (markdown)."""
@@ -309,20 +309,16 @@ def render_markdown(
             "## Simulator comparison",
             "",
             "Same schedule replayed on the deterministic simulator "
-            "(`repro.soak.sim_compare`); wall-clock physics vs virtual "
-            "time.",
+            "(`repro.soak.sim_compare`) and scored by the same function "
+            "with the same grace; wall-clock physics vs virtual time.",
             "",
             "| metric | real | sim |",
             "|---|---|---|",
-            f"| first-detection median | {_fmt(analysis.detection_median())} "
-            f"| {_fmt(sim.get('detection_median'))} |",
-            f"| dissemination median | {_fmt(analysis.dissemination_median())} "
-            f"| {_fmt(sim.get('dissemination_median'))} |",
-            f"| undetected kills | {len(analysis.undetected)} "
-            f"| {len(sim.get('undetected', []))} |",
-            f"| false positives | {analysis.fp_total} "
-            f"| {sim.get('false_positives', 0)} |",
         ]
+        for (label, real), (_, twin) in zip(
+            _comparison_rows(analysis), _comparison_rows(sim)
+        ):
+            lines.append(f"| {label} | {real} | {twin} |")
     if chaos_log:
         jitter = [entry["t"] - entry["planned_t"] for entry in chaos_log]
         lines += [

@@ -25,6 +25,7 @@ soak run is observable with the same machinery as a live member.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from repro.faults import FaultSchedule
 from repro.ops.registry import MetricsRegistry
 from repro.soak.chaos import ChaosDriver
 from repro.soak.launcher import SoakLauncher
-from repro.soak.report import SoakAnalysis, analyze, render_markdown
+from repro.soak.report import SoakAnalysis, analyze, render_markdown, wall_events
 from repro.soak.schedule import validate_real_schedule
 from repro.soak.scraper import SoakScraper
 from repro.soak.sim_compare import run_sim_comparison
@@ -65,10 +66,6 @@ class SoakParams:
     scrape_interval: float = 1.0
     #: Replay the schedule on the simulator for the comparison section.
     sim_compare: bool = True
-    #: Grace tail after a chaos window during which FAILED events about
-    #: its targets stay excused (suspicion timeouts in flight). Derived
-    #: from the suspicion maximum when 0.
-    fp_grace: float = 0.0
 
     def __post_init__(self) -> None:
         if self.members < 2:
@@ -91,11 +88,10 @@ class SoakParams:
             )
 
     def grace(self) -> float:
-        if self.fp_grace > 0:
-            return self.fp_grace
-        # Max suspicion timeout + a couple of probe rounds of slack.
-        import math
-
+        """Grace tail after a chaos window during which FAILED events
+        about its targets stay excused (suspicion timeouts in flight):
+        max suspicion timeout + a couple of probe rounds of slack. The
+        real run and its simulator twin are scored with this one value."""
         log_n = max(1.0, math.log10(max(self.members, 2)))
         return (
             self.beta * self.alpha * log_n * self.probe_interval
@@ -108,7 +104,8 @@ class SoakResult:
     """What one soak run produced."""
 
     analysis: SoakAnalysis
-    sim: Optional[dict]
+    #: The simulator twin's analysis (``None`` when not requested).
+    sim: Optional[SoakAnalysis]
     run_dir: str
     report_json: str
     report_md: str
@@ -236,7 +233,7 @@ def run_soak(
     analysis = analyze(
         params.schedule,
         epoch,
-        scraper.merged_events(),
+        wall_events(scraper.merged_events()),
         [record.name for record in launcher.members],
         duration=params.duration,
         convergence_time=convergence_time,
@@ -258,6 +255,7 @@ def run_soak(
             beta=params.beta,
             seed=params.seed,
             duration=params.duration,
+            grace=params.grace(),
         )
 
     report_json, report_md = _write_artifacts(
@@ -279,7 +277,7 @@ def _write_artifacts(
     run_dir: str,
     params: SoakParams,
     analysis: SoakAnalysis,
-    sim: Optional[dict],
+    sim: Optional[SoakAnalysis],
     chaos_log: List[dict],
     launcher: SoakLauncher,
     scraper: SoakScraper,
@@ -301,7 +299,7 @@ def _write_artifacts(
                 "host": params.host,
             },
             "analysis": analysis.as_dict(),
-            "sim": sim,
+            "sim": sim.as_dict() if sim is not None else None,
             "chaos_log": chaos_log,
             "members": launcher.registry(),
             "scrape_errors": scraper.scrape_errors,

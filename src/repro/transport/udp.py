@@ -95,6 +95,22 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         pass
 
 
+async def _rest_of_frame(
+    reader: asyncio.StreamReader, start: bytes
+) -> Optional[Tuple[str, bytes]]:
+    """Read the frame whose first bytes are ``start``: ``(sender
+    address, payload)``, or ``None`` when it claims an oversized
+    payload. Raises ``IncompleteReadError`` / ``UnicodeDecodeError``."""
+    if len(start) < _FRAME.size:
+        start += await reader.readexactly(_FRAME.size - len(start))
+    addr_len, payload_len = _FRAME.unpack(start)
+    if payload_len > MAX_FRAME_PAYLOAD:
+        return None
+    addr_bytes = await reader.readexactly(addr_len)
+    payload = await reader.readexactly(payload_len)
+    return addr_bytes.decode("utf-8"), payload
+
+
 class AsyncioScheduler:
     """Adapter satisfying :class:`repro.runtime.Scheduler` on an event loop.
 
@@ -531,26 +547,40 @@ class UdpTransport:
     async def _on_tcp_connection(self, reader, writer) -> None:
         """Serve one inbound reliable connection: a loop of length-prefixed
         frames until the peer closes (peers pool connections, so many
-        frames per connection is the common case)."""
+        frames per connection is the common case).
+
+        Neither wait is the peer's to choose. Between frames the
+        connection may idle for twice ``reliable_idle_timeout`` — an
+        honest peer's reaper closes its pooled end after one, so it never
+        races this close; once a frame has begun, the rest of it is due
+        within ``reliable_connect_timeout``."""
+        opts = self.config
         try:
             while True:
                 try:
-                    header = await reader.readexactly(_FRAME.size)
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        self._stats.incr("frames_truncated")
+                    start = await asyncio.wait_for(
+                        reader.read(_FRAME.size), 2 * opts.reliable_idle_timeout
+                    )
+                except asyncio.TimeoutError:
+                    self._stats.incr("conns_closed_idle")
                     return
-                addr_len, payload_len = _FRAME.unpack(header)
-                if payload_len > MAX_FRAME_PAYLOAD:
-                    self._stats.incr("frames_oversized")
+                if not start:
                     return
                 try:
-                    addr_bytes = await reader.readexactly(addr_len)
-                    payload = await reader.readexactly(payload_len)
-                    addr = addr_bytes.decode("utf-8")
-                except (asyncio.IncompleteReadError, UnicodeDecodeError):
+                    frame = await asyncio.wait_for(
+                        _rest_of_frame(reader, start), opts.reliable_connect_timeout
+                    )
+                except (
+                    asyncio.IncompleteReadError,
+                    asyncio.TimeoutError,
+                    UnicodeDecodeError,
+                ):
                     self._stats.incr("frames_truncated")
                     return
+                if frame is None:
+                    self._stats.incr("frames_oversized")
+                    return
+                addr, payload = frame
                 self._stats.incr("frames_received")
                 if self._faults is not None and self._faults.partitioned_from(
                     addr, time.time()

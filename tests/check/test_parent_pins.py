@@ -6,8 +6,8 @@ replaced by :class:`repro.sim.faults.SimFaultExecutor` and one loop. The
 rows together cover all ten fault kinds on flat and zoned clusters;
 ``checks_run`` counts every simulated event the oracles saw, so any
 change in what a schedule does to a cluster — one extra scheduler
-callback, one RNG draw out of order — moves it. The table is data from
-the parent, never regenerated to make a change pass.
+callback, one RNG draw out of order — moves it. Re-capture rule:
+docs/CHECKING.md, *Tables recorded at a parent commit*.
 """
 
 import json

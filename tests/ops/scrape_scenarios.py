@@ -7,8 +7,8 @@ read in place, by running this module against that tree::
     PYTHONPATH=<parent>/src:. python -m tests.ops.scrape_scenarios tests/ops/fixtures
 
 so ``test_scrape_fixtures`` holds the new collectors to the old ones'
-output, family for family. Re-capturing is only legitimate for a change
-that means to alter what ``/metrics`` says.
+output, family for family. Re-capture rule: docs/CHECKING.md, *Tables
+recorded at a parent commit*.
 """
 
 from __future__ import annotations

@@ -28,6 +28,10 @@ def real(*entries):
 
 
 class TestChaosPhase:
+    """``FaultEntry`` construction rules, plus what
+    ``validate_real_schedule`` refuses per entry. (``ChaosPhase`` went in
+    PR 15; the class keeps its name because its 9 test ids are pinned.)"""
+
     def test_kill_is_permanent(self):
         with pytest.raises(ValueError, match="permanent"):
             real(FaultEntry("crash", 5.0, duration=3.0, members=("m001",)))
@@ -96,6 +100,9 @@ class TestChaosPhase:
 
 
 class TestChaosScheduleValidation:
+    """``validate_real_schedule`` across entries: what may overlap and
+    what may follow a crash. (Name kept for the same reason.)"""
+
     def test_target_after_kill_rejected(self):
         with pytest.raises(ValueError, match="after their crash"):
             real(

@@ -10,8 +10,8 @@ this module against that tree::
 
 ``test_probe_path.py`` holds the change to it: one wire vector per wire
 tag, the error every truncation of a probe packet raises, and every
-packet a seeded 16-member run hands its transports. The table is data
-from the parent, never regenerated to make a change pass.
+packet a seeded 16-member run hands its transports. Re-capture rule:
+docs/CHECKING.md, *Tables recorded at a parent commit*.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ import socket
 import pytest
 
 from repro.transport import udp
-from tests.transport.conftest import make_transport, open_sockets
+from tests.leaks import open_sockets
+from tests.transport.conftest import make_transport
 
 needs_proc = pytest.mark.skipif(
     open_sockets() is None, reason="no /proc/self/fd to count sockets in"

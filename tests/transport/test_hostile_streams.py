@@ -25,7 +25,8 @@ from repro.ops import http as admin_http
 from repro.swim import codec
 from repro.swim.messages import Ping
 from repro.transport.udp import MAX_FRAME_PAYLOAD, UdpMember
-from tests.transport.conftest import TRANSPORT_BACKENDS, assert_no_leaked_sockets
+from tests.leaks import assert_nothing_leaked, open_sockets
+from tests.transport.conftest import TRANSPORT_BACKENDS
 
 _FRAME = struct.Struct(">HI")
 
@@ -88,6 +89,59 @@ class LiveMember:
 
         return self.run(go())
 
+    def until_closed(self, address, sent, timeout=5.0):
+        """Send ``sent`` and then only listen: ``(bytes the peer sent
+        before its EOF, seconds until that EOF)``. Raises
+        ``TimeoutError`` when the peer holds the connection open."""
+
+        async def go():
+            reader, writer = await connect(address)
+            try:
+                writer.write(sent)
+                started = self.loop.time()
+                raw = await asyncio.wait_for(reader.read(), timeout)
+                return raw, self.loop.time() - started
+            finally:
+                writer.close()
+
+        with assert_nothing_leaked():
+            return self.run(go())
+
+    def until_dropped(self, address, sent, timeout=5.0):
+        """Send ``sent`` and then neither read, write nor close: seconds
+        until the member let go of its end — the accepted socket gone
+        from this process's descriptors, which is where both ends live."""
+
+        async def go():
+            host, port = address.rsplit(":", 1)
+            ours = open_sockets()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            # A window this small fills at once, so the member's write
+            # blocks on the client and not on a megabyte of kernel buffer.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            try:
+                await self.loop.sock_connect(sock, (host, int(port)))
+                await self.loop.sock_sendall(sock, sent)
+                started = self.loop.time()
+                accepted = False
+                while True:
+                    await asyncio.sleep(0.02)
+                    new = {
+                        fd for fd, link in open_sockets().items()
+                        if ours.get(fd) != link
+                    } - {sock.fileno()}
+                    if accepted and not new:
+                        return self.loop.time() - started
+                    accepted = accepted or bool(new)
+                    assert self.loop.time() - started < timeout, "still held"
+            finally:
+                sock.close()
+
+        with assert_nothing_leaked():
+            return self.run(go())
+
     def assert_loop_saw_nothing(self):
         # An error in a finished connection task surfaces when the task
         # is collected; give it the chance before the verdict.
@@ -103,14 +157,14 @@ class LiveMember:
 
 @pytest.fixture(scope="module", params=TRANSPORT_BACKENDS)
 def live(request):
-    with assert_no_leaked_sockets():
+    with assert_nothing_leaked():
         member = LiveMember(request.param)
         yield member
         member.close()
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_sockets():
+def nothing_leaked():
     """Overrides the per-test check: a probe frame that claims a
     listening loopback port as its source makes the live member dial it,
     and the member pools that connection past the test. ``live`` holds
@@ -157,9 +211,15 @@ _request_bytes = st.one_of(
 
 
 class TestAdminRequestReader:
+    @pytest.mark.parametrize("live", TRANSPORT_BACKENDS[:1], indirect=True)
     @settings(max_examples=100, deadline=None)
     @given(blobs=st.lists(_request_bytes, min_size=1, max_size=3))
     def test_arbitrary_bytes_get_a_response_or_a_close(self, live, blobs):
+        """One backend, not the matrix: ``ops/http.py`` is a TCP server
+        that never touches the datagram path the backends differ in, so
+        a second run re-tests the same code for ten seconds of tier 1.
+        (The frame reader below stays on both — its handler's replies
+        leave through the datagram path.)"""
         for blob in blobs:
             raw = live.exchange(live.member.admin_address, blob)
             assert_well_formed_or_closed(raw)
@@ -189,19 +249,27 @@ class TestAdminRequestReader:
         through the head — is answered 408 and closed; it cannot hold a
         task and a socket until the member exits."""
         monkeypatch.setattr(admin_http, "REQUEST_DEADLINE", 0.2)
-
-        async def stall():
-            reader, writer = await connect(live.member.admin_address)
-            writer.write(sent)
-            started = asyncio.get_running_loop().time()
-            raw = await asyncio.wait_for(reader.read(), 5.0)  # until server EOF
-            elapsed = asyncio.get_running_loop().time() - started
-            writer.close()
-            return raw, elapsed
-
-        raw, elapsed = live.run(stall())
+        raw, elapsed = live.until_closed(live.member.admin_address, sent)
         assert assert_well_formed_or_closed(raw) == 408
         assert 0.15 <= elapsed < 3.0
+
+    @pytest.mark.skipif(open_sockets() is None, reason="needs /proc/self/fd")
+    def test_client_that_stops_reading_is_dropped_at_the_deadline(
+        self, live, monkeypatch
+    ):
+        """A response the client never takes off the socket cannot pin
+        the handler: the write, then the close, each get the deadline
+        and the connection is aborted with whatever was left to send."""
+        monkeypatch.setattr(admin_http, "REQUEST_DEADLINE", 0.2)
+        # More than the kernel will buffer on the client's behalf.
+        monkeypatch.setattr(
+            admin_http, "render_text", lambda registry: "#" * (16 << 20)
+        )
+        elapsed = live.until_dropped(
+            live.member.admin_address, b"GET /metrics HTTP/1.1\r\n\r\n"
+        )
+        assert 0.15 <= elapsed < 3.0
+        live.assert_loop_saw_nothing()
 
 
 # --------------------------------------------------------------------- #
@@ -286,4 +354,34 @@ class TestReliableFrameReader:
             assert live.exchange(live.member.address, blob) == b""
             delta = tuple(stats.get(n) - b for n, b in zip(names, before))
             assert delta == expected_counts(blob), blob
+        live.assert_loop_saw_nothing()
+
+    @pytest.mark.parametrize(
+        "sent, counted",
+        [
+            (b"", "conns_closed_idle"),
+            (_FRAME.pack(9, 40)[:3], "frames_truncated"),
+            (frame(b"127.0.0.1:9", b"x" * 40)[:-20], "frames_truncated"),
+        ],
+        ids=["silent", "half-a-header", "half-a-payload"],
+    )
+    def test_stalled_peer_is_closed_at_the_deadline(
+        self, live, monkeypatch, sent, counted
+    ):
+        """An inbound connection that idles between frames, or stalls
+        inside one, is closed and counted; it cannot hold a task and a
+        socket until the peer chooses to close."""
+        transport = live.member.transport
+        monkeypatch.setattr(
+            transport,
+            "config",
+            transport.config.replace(
+                reliable_idle_timeout=0.1, reliable_connect_timeout=0.2
+            ),
+        )
+        before = transport.stats.get(counted)
+        raw, elapsed = live.until_closed(live.member.address, sent)
+        assert raw == b""
+        assert 0.15 <= elapsed < 3.0
+        assert transport.stats.get(counted) == before + 1
         live.assert_loop_saw_nothing()
