@@ -17,17 +17,21 @@ A push-pull carries the sender's whole member table as a u16 count and
 that many state entries, and this module is the only place the entry
 layout is spelled::
 
-    entry := head rest
-    head  := u8 len, name, u8 len, address
-    rest  := u64 incarnation, u8 state, u16 len, meta, u32 age in ms
+    entry := claim age
+    claim := u8 len, name, u8 len, address, u64 incarnation, u8 state,
+             u16 len, meta
+    age   := u32 milliseconds since the state last changed
 
-The head (and the ``u16 len, meta`` run) is a property of the subject,
-not of who is reporting on it, so :func:`pack_entry_head` is called once
-per roster record and every table that holds the record reuses the
-bytes; :meth:`repro.swim.member_map.MemberMap.snapshot` adds the rest
-per entry and hands the result over as :class:`PackedStates`, which
-:func:`encode` appends verbatim. :func:`pack_states` builds the same
-form from entry tuples, so there is one encoder.
+The claim -- the entry up to its age -- says nothing of who reports it
+or when, so the same bytes recur in every snapshot until the claim
+changes. :func:`pack_entry` spells it once per published claim
+(:meth:`repro.swim.member_map.Roster.publish`), :func:`join_states`
+strings a table together out of those, and on the way in one cache
+keyed by exactly those bytes (filled only by :func:`_decode_entry`) lets
+:func:`_decode_states` check a table that shares one age with a
+``split`` instead of a walk. :class:`PackedStates` is a push-pull's
+states on both sides of the wire; :func:`pack_states` builds one from
+entry tuples field by field and is the reference encoder.
 
 Encoding and decoding round-trip exactly; a corrupt or truncated packet
 raises :class:`CodecError` rather than yielding garbage, and so does one
@@ -51,7 +55,8 @@ would push out the gossip parts that do repeat.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Sequence, Tuple, Union
+from operator import concat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.swim.messages import (
     Ack,
@@ -99,10 +104,6 @@ _U64 = struct.Struct(">Q")
 #: Incarnation + state tag: a zone claim's body, and what precedes the
 #: meta of a push-pull state entry.
 _U64_U8 = struct.Struct(">QB")
-#: The whole rest of a state entry whose meta is empty: incarnation +
-#: state tag + meta length (0) + age. Identical bytes to packing the
-#: four fields separately with a zero-length meta body.
-_U64_U8_U16_U32 = struct.Struct(">QBHI")
 #: Fixed body of a zone digest: four u32 state counts, the zone's max
 #: incarnation and a u64 hash of its membership view.
 _ZONE_DIGEST_BODY = struct.Struct(">IIIIQQ")
@@ -116,24 +117,23 @@ _pack_claim_head = struct.Struct(">BQB").pack
 # per sync round, where attribute lookups on the Struct objects are
 # measurable.
 _pack_u16 = _U16.pack
-_pack_u32 = _U32.pack
 _pack_u64_u8 = _U64_U8.pack
 _unpack_u16_from = _U16.unpack_from
+_unpack_u32_from = _U32.unpack_from
 _unpack_u64_u8_from = _U64_U8.unpack_from
-_unpack_entry_tail_from = _U64_U8_U16_U32.unpack_from
 
 #: Highest state tag a state entry or zone claim may carry.
 _MAX_STATE_VALUE = max(MemberState)
 
-# The ``u8 name u8 address`` head of a state entry recurs in every
-# push-pull snapshot that mentions the member; decoding (and validating)
-# the same two short UTF-8 strings thousands of times per virtual second
-# is pure waste. Keyed by the raw head bytes and filled only after both
-# strings validated, so a hit yields exactly what decoding would have. Values
-# are the decoded ``(name, address)``. Emptied when full: one head per
-# member of every group this process decodes for, ~2 MB at the limit.
-_HEAD_CACHE: dict = {}
-_HEAD_CACHE_LIMIT = 8192
+# A state entry up to its age is validated once: keyed by exactly those
+# bytes, filled only by ``_decode_entry`` after every field checked out,
+# values the decoded ``(name, address, incarnation, state value, meta)``
+# -- a hit yields what decoding would have. Emptied when full. One key
+# per claim in circulation: ~350 bytes with short names and no meta
+# (~3 MB at the limit), at most ~2.3 KB (two 255-byte strings and a
+# 512-byte meta, held as key and decoded), ~19 MB.
+_ENTRY_CACHE: dict = {}
+_ENTRY_CACHE_LIMIT = 8192
 
 
 class CodecError(ValueError):
@@ -192,34 +192,42 @@ def pack_states_count(count: int) -> bytes:
     return _pack_u16(count)
 
 
-def pack_entry_head(name: str, address: str, meta: bytes) -> Tuple[bytes, bytes]:
-    """The two runs of a state entry that depend on the subject alone:
-    ``u8 name u8 address`` and ``u16 meta``.
-
-    The second is ``b""`` for an empty meta: :data:`pack_entry_tail`
-    covers the zero length in the entry's one fused pack.
-    """
-    head: List[bytes] = []
-    _put_str(head, name)
-    _put_str(head, address)
-    meta_wire: List[bytes] = []
-    if meta:
-        _put_bytes(meta_wire, meta, MAX_META_SIZE)
-    return b"".join(head), b"".join(meta_wire)
-
-
-#: ``pack_entry_tail(incarnation, state, 0, age_ms)``: everything after
-#: the head of a state entry whose meta is empty (the ``0`` is the meta
-#: length).
-pack_entry_tail = _U64_U8_U16_U32.pack
-
-
-def pack_entry_rest(
-    incarnation: int, state_value: int, meta_wire: bytes, age_ms: int
+def pack_entry(
+    name: str, address: str, incarnation: int, state_value: int, meta: bytes = b""
 ) -> bytes:
-    """Everything after the head of a state entry that has a meta;
-    ``meta_wire`` is the second run :func:`pack_entry_head` returned."""
-    return _pack_u64_u8(incarnation, state_value) + meta_wire + _pack_u32(age_ms)
+    """A state entry up to its age: what is claimed about ``name``."""
+    name_raw = name.encode("utf-8")
+    address_raw = address.encode("utf-8")
+    if len(name_raw) > 255:
+        raise _too_long(name_raw)
+    if len(address_raw) > 255:
+        raise _too_long(address_raw)
+    if len(meta) > MAX_META_SIZE:
+        raise CodecError(f"byte field too long: {len(meta)} > {MAX_META_SIZE}")
+    claimed = _pack_u64_u8(incarnation, state_value) + _pack_u16(len(meta)) + meta
+    return b"%c%b%c%b%b" % (
+        len(name_raw), name_raw, len(address_raw), address_raw, claimed
+    )
+
+
+#: ``pack_age(age_ms)``: the age that closes a state entry.
+pack_age = _U32.pack
+
+
+def join_states(
+    order: Sequence[int], entries: Sequence[bytes], ages: Union[bytes, Iterable[bytes]]
+) -> "PackedStates":
+    """Wire form of the table whose ``order[i]``-th :func:`pack_entry`
+    result in ``entries`` comes ``i``-th, from their :func:`pack_age`
+    results index by index -- or the one age the whole table shares,
+    which then is the separator of one ``join`` (and of the receiver's
+    ``split``: :func:`_decode_states`)."""
+    head = pack_states_count(len(order))
+    if ages.__class__ is not bytes:
+        aged = list(map(concat, entries, ages))
+        return PackedStates(head + b"".join(map(aged.__getitem__, order)))
+    body = ages.join(map(entries.__getitem__, order))
+    return PackedStates(b"%b%b%b" % (head, body, ages if order else b""))
 
 
 class PackedStates:
@@ -227,23 +235,37 @@ class PackedStates:
     entries, exactly as they travel.
 
     What :meth:`repro.swim.member_map.MemberMap.snapshot` returns and a
-    sender's :class:`~repro.swim.messages.PushPull` carries, so that
-    :func:`encode` has nothing left to do per entry. Reads like the
-    tuple of entry tuples it encodes — ``len``, iteration, ``==`` against
+    :class:`~repro.swim.messages.PushPull` carries on either side of the
+    wire: :func:`encode` appends ``wire`` as it is, and :func:`decode`
+    hands over the bytes it validated along with what the validation
+    learned (:meth:`split`), not a tuple per entry. Reads like the tuple
+    of entry tuples it encodes — ``len``, iteration, ``==`` against
     one — by decoding itself; unhashable, like any other container that
     compares by content across types.
     """
 
-    __slots__ = ("wire",)
+    __slots__ = ("wire", "_split")
 
-    def __init__(self, wire: bytes) -> None:
+    def __init__(
+        self, wire: bytes, split: Optional[Tuple[List[bytes], List[bytes]]] = None
+    ) -> None:
         self.wire = wire
+        self._split = split
 
     def __len__(self) -> int:
-        return _unpack_u16_from(self.wire, 0)[0]
+        return _get_u16(self.wire, 0)[0]
+
+    def split(self) -> Tuple[List[bytes], List[bytes]]:
+        """``(entries up to their ages, ages)`` in wire form, index by
+        index, for :func:`read_entry`; validated (a sender's own table
+        on first use). Not to be mutated."""
+        if self._split is None:
+            self._split = _decode_states(self.wire, 2, len(self))[:2]
+        return self._split
 
     def __iter__(self) -> Iterator[StateEntry]:
-        return iter(_decode_states(self.wire, 2, len(self))[0])
+        """The one per-field decode for whoever wants entry tuples."""
+        return map(read_entry, *self.split())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is PackedStates:
@@ -260,25 +282,19 @@ def pack_states(entries: Sequence[tuple]) -> PackedStates:
     """Wire form of hand-built state entries, ``(name, address,
     incarnation, state value[, meta[, age in ms]])`` each.
 
-    The per-entry half of the one push-pull encoder: a member table
-    packs its own columns (``MemberMap.snapshot``) from the same four
-    pieces, with the heads cached on its roster records.
+    The per-entry, field-by-field encoder, and the reference for
+    :func:`join_states`: a member table strings together the
+    :func:`pack_entry` of each published claim and must come out byte
+    for byte the same.
     """
     pieces = [pack_states_count(len(entries))]
     append = pieces.append
     for entry in entries:
-        name, address, incarnation, state_value = entry[:4]
-        meta = entry[4] if len(entry) > 4 else b""
         age_ms = entry[5] if len(entry) > 5 else 0
-        head, meta_wire = pack_entry_head(name, address, meta)
+        append(pack_entry(*entry[:5]))
         # State age in milliseconds, saturating at the u32 ceiling
         # (~49 days) so arbitrarily old entries still encode.
-        age_ms = min(max(int(age_ms), 0), 0xFFFFFFFF)
-        append(head)
-        if meta_wire:
-            append(pack_entry_rest(incarnation, state_value, meta_wire, age_ms))
-        else:
-            append(pack_entry_tail(incarnation, state_value, 0, age_ms))
+        append(pack_age(min(max(int(age_ms), 0), 0xFFFFFFFF)))
     return PackedStates(b"".join(pieces))
 
 
@@ -615,12 +631,11 @@ def _decode_at(buf: bytes, offset: int, depth: int = 0) -> Tuple[Message, int]:
     if tag == T_PUSH_PULL:
         source, offset = _get_str(buf, offset)
         flags, offset = _get_u8(buf, offset)
+        start = offset
         count, offset = _get_u16(buf, offset)
-        states, offset = _decode_states(buf, offset, count)
-        return (
-            PushPull(source, tuple(states), bool(flags & 1), bool(flags & 2)),
-            offset,
-        )
+        entries, ages, offset = _decode_states(buf, offset, count)
+        states = PackedStates(buf[start:offset], (entries, ages))
+        return PushPull(source, states, bool(flags & 1), bool(flags & 2)), offset
     if tag == T_ZONE_DIGEST:
         zone, offset = _get_str(buf, offset)
         source, offset = _get_str(buf, offset)
@@ -646,61 +661,89 @@ def _decode_at(buf: bytes, offset: int, depth: int = 0) -> Tuple[Message, int]:
 
 def _decode_states(
     buf: bytes, offset: int, count: int
-) -> Tuple[List[StateEntry], int]:
-    """Decode ``count`` push-pull state entries starting at ``offset``.
+) -> Tuple[List[bytes], List[bytes], int]:
+    """Validate ``count`` push-pull state entries starting at ``offset``;
+    returns the entries up to their ages, their ages (as they lie in
+    the buffer), and where the last one ends.
 
-    One sync round decodes hundreds of entries, so the steady-state
-    entry — a head seen before, no meta — costs one slice, one cache
-    lookup and one fused struct read. Anything else (a new head, a meta,
-    a buffer that ends early, a state tag out of range) takes the
-    per-field code below it, which checks every bound, raises every
-    error, and is what fills the cache: a hit and a miss cannot differ.
+    A table whose entries share one age is that age joining the entries,
+    so if the run ends the buffer, the buffer's last four bytes are it:
+    ``split`` on them. If that yields ``count`` pieces (and nothing after
+    the last age) and each is a key of the entry cache, the buffer *is*
+    those validated entries with that age between them. Anything else
+    -- ages that differ, a claim not seen before, a name that contains
+    the age bytes, a buffer cut short or followed by something -- sends
+    the whole run down the sequential walk, which checks every bound,
+    raises every error and fills the cache: a hit and a miss cannot
+    differ.
     """
-    states: List[StateEntry] = []
-    append = states.append
-    buf_len = len(buf)
-    heads = _HEAD_CACHE
-    heads_get = heads.get
-    unpack_tail = _unpack_entry_tail_from
-    max_state = _MAX_STATE_VALUE
+    known = _ENTRY_CACHE
+    size = len(buf)
+    if size - offset >= 4:
+        age = buf[size - 4 :]
+        entries = buf[offset:].split(age)
+        if (
+            len(entries) == count + 1
+            and not entries.pop()
+            and all(map(known.__contains__, entries))
+        ):
+            return entries, [age] * count, size
+    entries = []
+    ages = []
+    add_entry = entries.append
+    add_age = ages.append
     for _ in range(count):
-        # Head: u8 name u8 address, looked up whole. A head cut short by
-        # the end of the buffer is shorter than its own length bytes say
-        # and so equals no cached (complete) head.
-        strings = None
-        if offset < buf_len:
-            mid = offset + 1 + buf[offset]
-            if mid < buf_len:
-                end = mid + 1 + buf[mid]
-                strings = heads_get(buf[offset:end])
-        if strings is None:
-            name, end = _get_str(buf, offset)
-            address, end = _get_str(buf, end)
-            if len(heads) >= _HEAD_CACHE_LIMIT:
-                heads.clear()
-            heads[buf[offset:end]] = (name, address)
-        else:
-            name, address = strings
-        offset = end
-        # Rest, fused: incarnation + state + meta length (0) + age.
-        if offset + 15 <= buf_len:
-            incarnation, state_value, meta_len, age_ms = unpack_tail(buf, offset)
-            if not meta_len and state_value <= max_state:
-                append((name, address, incarnation, state_value, b"", age_ms))
-                offset += 15
-                continue
-        # Rest, per field.
-        if offset + 9 > buf_len:
-            if offset + 8 > buf_len:
-                raise CodecError("truncated u64")
-            raise CodecError("truncated u8")
-        incarnation, state_value = _unpack_u64_u8_from(buf, offset)
-        if state_value > max_state:
-            raise CodecError(f"invalid member state {state_value}")
-        meta, offset = _get_bytes(buf, offset + 9)
-        age_ms, offset = _get_u32(buf, offset)
-        append((name, address, incarnation, state_value, meta, age_ms))
-    return states, offset
+        # Where the entry's age starts, going by its three length fields.
+        try:
+            end = offset + 1 + buf[offset]
+            end += 12 + buf[end]
+            end += (buf[end - 2] << 8) | buf[end - 1]
+        except IndexError:
+            end = offset
+        # Cut short by the end of the buffer, an entry is shorter than
+        # its own length fields say and so equals no cached (complete)
+        # one.
+        entry = buf[offset:end]
+        if entry not in known:
+            end = _decode_entry(buf, offset)
+            entry = buf[offset:end]
+        offset = end + 4
+        if offset > size:
+            raise CodecError("truncated u32")
+        add_entry(entry)
+        add_age(buf[end:offset])
+    return entries, ages, offset
+
+
+def _decode_entry(buf: bytes, offset: int) -> int:
+    """The one per-field state-entry decoder: validate the entry at
+    ``offset`` up to its age, remember it, and return where its age
+    starts."""
+    start = offset
+    name, offset = _get_str(buf, offset)
+    address, offset = _get_str(buf, offset)
+    if offset + 9 > len(buf):
+        if offset + 8 > len(buf):
+            raise CodecError("truncated u64")
+        raise CodecError("truncated u8")
+    incarnation, state_value = _unpack_u64_u8_from(buf, offset)
+    if state_value > _MAX_STATE_VALUE:
+        raise CodecError(f"invalid member state {state_value}")
+    meta, offset = _get_bytes(buf, offset + 9)
+    if len(_ENTRY_CACHE) >= _ENTRY_CACHE_LIMIT:
+        _ENTRY_CACHE.clear()
+    _ENTRY_CACHE[buf[start:offset]] = (name, address, incarnation, state_value, meta)
+    return offset
+
+
+def read_entry(entry: bytes, age: bytes) -> StateEntry:
+    """The entry tuple of one ``(entry, age)`` pair of
+    :meth:`PackedStates.split`."""
+    fields = _ENTRY_CACHE.get(entry)
+    if fields is None:  # evicted since it was validated
+        _decode_entry(entry, 0)
+        fields = _ENTRY_CACHE[entry]
+    return (*fields, _unpack_u32_from(age)[0])
 
 
 def _get_u8(buf: bytes, offset: int) -> Tuple[int, int]:

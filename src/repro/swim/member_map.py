@@ -50,11 +50,13 @@ every tick, so the table cannot afford per-call full scans):
   preserved exactly — the candidate list feeds ``rng.sample``, so any
   reordering would change seeded runs. Sampling runs over ids; only the
   members chosen are materialized;
-* ``snapshot()`` packs the columns straight into push-pull wire form on
-  every call — there is no cached copy to invalidate (or to pin ~27 KB
-  per member at n=1024). What does not depend on the observer, the
-  encoded ``name + address`` head of each entry, is computed once per
-  :class:`Record` and shared like the record itself.
+* the roster carries one *published* copy of the table its maps agree
+  on (:meth:`Roster.publish`), each claim already packed for the wire.
+  A map that equals it — three C-level column comparisons — sends its
+  ``snapshot()`` by joining those and merges a snapshot made of them
+  with one set comparison; a map that differs first publishes what it
+  holds, Python work proportional to the ids that differ. No snapshot
+  is cached (that would pin ~27 KB per member at n=1024).
 
 Every mutation goes through a :class:`MemberMap` method — views cannot be
 written through.
@@ -65,14 +67,17 @@ from __future__ import annotations
 import collections.abc
 import random
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import is_not
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.swim.codec import (
+    CodecError,
     PackedStates,
-    pack_entry_head,
-    pack_entry_rest,
-    pack_entry_tail,
-    pack_states_count,
+    join_states,
+    pack_age,
+    pack_entry,
+    read_entry,
 )
 from repro.swim.messages import StateEntry
 from repro.swim.probe_scheduler import ProbeScheduler, RoundRobinScheduler
@@ -92,6 +97,29 @@ _STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
 _ALIVE = int(MemberState.ALIVE)
 _SUSPECT = int(MemberState.SUSPECT)
 _DEAD = int(MemberState.DEAD)
+
+
+def _differing(column, published, width: int) -> Iterator[int]:
+    """Indices at which two equally long columns of ``width``-byte items
+    differ, read off one XOR of the two as integers: C speed along the
+    columns, Python per index found."""
+    delta = int.from_bytes(column, "little") ^ int.from_bytes(published, "little")
+    bits, base = 8 * width, 0
+    while delta:
+        skip = ((delta & -delta).bit_length() - 1) // bits + 1
+        base += skip
+        yield base - 1
+        delta >>= skip * bits
+
+
+def _age(now: float, changed: float) -> bytes:
+    """How long a state that changed at ``changed`` has lasted at
+    ``now``, as a push-pull entry carries it: whole milliseconds,
+    saturating."""
+    return pack_age(
+        min(int((now - changed) * 1000.0), MAX_STATE_AGE_MS) if now > changed else 0
+    )
+
 
 # ``random.sample`` insists on a registered Sequence. ``array`` is one
 # from Python 3.10 on; the active index is sampled on 3.9 as well.
@@ -186,21 +214,14 @@ class Record:
     ``address``, ``meta`` and ``zone``. Never written after construction
     and shared between observers (and the roster); a claim that changes
     one replaces the record.
-
-    ``head`` is the member's push-pull entry head in wire form
-    (:func:`repro.swim.codec.pack_entry_head`), filled in by the first
-    snapshot that reaches the record and shared with it: one per record,
-    not one per (observer, subject). It includes the member's name, so a
-    record serves one roster id.
     """
 
-    __slots__ = ("address", "meta", "zone", "head")
+    __slots__ = ("address", "meta", "zone")
 
     def __init__(self, address: str, meta: bytes, zone: str) -> None:
         self.address = address
         self.meta = meta
         self.zone = zone
-        self.head: Optional[Tuple[bytes, bytes]] = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):
@@ -224,15 +245,36 @@ class Roster:
     about itself (:meth:`MemberMap.set_local_meta` publishes here). Maps
     reference these records rather than copying them, and
     :meth:`MemberMap.add_many` seeds a table from them.
+
+    The ``published_*`` columns copy the table of the last map to
+    :meth:`publish` (state byte, incarnation, record per id);
+    ``entries[id]`` is that claim packed for the wire (``b""`` for an
+    id not held) and ``alive`` the set of those that claim ALIVE. The
+    maps of a quiet cluster all equal it: n tables, packed once.
     """
 
-    __slots__ = ("names", "ids", "records", "_sequence")
+    __slots__ = (
+        "names",
+        "ids",
+        "records",
+        "_sequence",
+        "published_states",
+        "published_incarnations",
+        "published_records",
+        "entries",
+        "alive",
+    )
 
     def __init__(self) -> None:
         self.names: List[str] = []
         self.ids: Dict[str, int] = {}
         self.records: List[Record] = []
         self._sequence = array("I")
+        self.published_states = bytearray()
+        self.published_incarnations = array("Q")
+        self.published_records: List[Optional[Record]] = []
+        self.entries: List[bytes] = []
+        self.alive: Set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self.names)
@@ -255,6 +297,50 @@ class Roster:
         if len(sequence) < span.stop:
             sequence.extend(range(len(sequence), span.stop))
         return sequence[span.start : span.stop]
+
+    def publish(
+        self, states: bytearray, incarnations: array, records: List[Optional[Record]]
+    ) -> None:
+        """Make the published table equal to these columns of a map, each
+        covering every id interned so far: three comparisons when they
+        already are, which is all a quiet cluster pays. Otherwise the ids
+        that differ are found at C speed and only those are packed again
+        (values copied: the roster holds nothing of the map). A claim the
+        wire cannot carry raises :class:`~repro.swim.codec.CodecError`
+        before anything is published.
+        """
+        held, numbers = self.published_states, self.published_incarnations
+        if (states, incarnations, records) == (held, numbers, self.published_records):
+            return
+        extra = len(states) - len(held)
+        if extra:
+            held.extend(bytes((_ABSENT,)) * extra)
+            numbers.extend(array("Q", (0,)) * extra)
+            self.published_records.extend([None] * extra)
+            self.entries.extend([b""] * extra)
+        differ = set(_differing(states, held, 1))
+        differ.update(_differing(incarnations, numbers, 8))
+        if records != self.published_records:
+            is_new = map(is_not, records, self.published_records)
+            differ.update(compress(range(len(records)), is_new))
+        fresh = [
+            b""  # an id not held
+            if records[sid] is None
+            else pack_entry(
+                self.names[sid], records[sid].address, incarnations[sid],
+                states[sid], records[sid].meta,
+            )
+            for sid in differ
+        ]
+        entries, alive = self.entries, self.alive
+        for sid, entry in zip(differ, fresh):
+            alive.discard(entries[sid])
+            held[sid] = states[sid]
+            numbers[sid] = incarnations[sid]
+            self.published_records[sid] = records[sid]
+            entries[sid] = entry
+            if states[sid] == _ALIVE:
+                alive.add(entry)
 
     def extend(self, entries: Iterable[Tuple[str, str, bytes, str]]) -> range:
         """Intern a batch of new ``(name, address, meta, zone)`` subjects;
@@ -535,55 +621,35 @@ class MemberMap:
             alive.insert(0, self._local_id)
         return self._views(alive)
 
+    def _publish(self) -> Roster:
+        """The roster, its published table made equal to this one."""
+        self._grow()
+        roster = self._roster
+        roster.publish(self._states, self._incarnations, self._records)
+        return roster
+
     def snapshot(self, now: float = 0.0) -> PackedStates:
-        """Full state for a push-pull sync, packed from the columns per
-        call (cheaper than the 1-in-5 hit rate of a cached copy was
-        worth: docs/PERFORMANCE.md) and already in wire form:
+        """Full state for a push-pull sync, already in wire form:
         :func:`repro.swim.codec.encode` appends it as it is. Iterating
         the result yields the entry tuples it encodes, for whoever wants
         to read it.
 
-        The last element of an entry is the age of its state in integer
-        milliseconds; see :meth:`Member.snapshot`. A table the wire
-        format cannot carry (a name over 255 bytes, more than 65,535
-        members) raises :class:`~repro.swim.codec.CodecError`.
+        The table is published first (a comparison, unless it changed
+        since the roster last saw it); the snapshot is the published
+        claims in table order, each followed by the age of its state
+        (see :meth:`Member.snapshot`) — one age throughout for a table
+        nothing has happened to since it was seeded, which the codec
+        then joins with it. A table the wire format cannot carry (a name
+        over 255 bytes, more than 65,535 members) raises
+        :class:`~repro.swim.codec.CodecError`.
         """
-        # One pass: per entry, the record's cached head plus one fused
-        # pack of the observer's own columns. The state column already
-        # holds wire values, and a preseeded table shares a handful of
-        # transition times, so ages are computed once per distinct time.
-        names = self._roster.names
-        records = self._records
-        incarnations = self._incarnations
-        states = self._states
+        entries = self._publish().entries
         changed_at = self._changed_at
-        max_age = MAX_STATE_AGE_MS
-        ages: Dict[float, int] = {}
-        order = self._order
-        pieces = [pack_states_count(len(order))]
-        append = pieces.append
-        for sid in order:
-            record = records[sid]
-            packed = record.head
-            if packed is None:
-                packed = record.head = pack_entry_head(
-                    names[sid], record.address, record.meta
-                )
-            head, meta_wire = packed
-            changed = changed_at[sid]
-            age = ages.get(changed)
-            if age is None:
-                age = ages[changed] = (
-                    min(int((now - changed) * 1000.0), max_age)
-                    if now > changed
-                    else 0
-                )
-            append(head)
-            if meta_wire:
-                append(pack_entry_rest(incarnations[sid], states[sid], meta_wire, age))
-            else:
-                append(pack_entry_tail(incarnations[sid], states[sid], 0, age))
-        return PackedStates(b"".join(pieces))
+        times = changed_at.tobytes()
+        if times == times[:8] * len(changed_at):  # every slot holds the first's time
+            return join_states(self._order, entries, _age(now, changed_at[0]))
+        age_of = {changed: _age(now, changed) for changed in set(changed_at)}
+        return join_states(self._order, entries, map(age_of.__getitem__, changed_at))
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -847,28 +913,41 @@ class MemberMap:
         """Merge raw push-pull wire entries; the sync-engine hot path.
 
         Semantically :meth:`merge_remote_state` applied to
-        ``PushPull.iter_entries()``, with the steady-state majority fused
-        away: an ALIVE claim about a known member at an incarnation we
-        already have is exactly :meth:`merge_claim`'s ``MERGE_IGNORED``
-        outcome (for ALIVE claims the precedence rules reduce to
-        "supersedes iff strictly newer incarnation"), a guaranteed no-op
-        for every caller, so it is skipped straight off the columns — no
-        call, no ``age_ms -> seconds`` conversion, no decision object.
+        ``PushPull.iter_entries()``, with the steady-state majority
+        elided by one rule: an entry that is byte for byte a claim this
+        table holds as ALIVE (in the ``alive`` set it published) could
+        only come out ``MERGE_IGNORED`` — a guaranteed no-op for every
+        caller — so it is never decoded. A snapshot of nothing else is
+        merged by one ``issuperset``; what it says about the local
+        member (``MERGE_LOCAL``) and the rest are decided entry by entry.
         Returns ``(decisions, total_entries)`` where ``decisions`` holds
         only the non-ignored outcomes.
         """
-        decisions: List[MergeDecision] = []
-        append = decisions.append
-        # Cover every id the roster holds now; ids interned during the
-        # loop come from our own add(), which grows the columns again, so
-        # a known id always indexes them.
-        self._grow()
-        ids_get = self._ids.get
-        held = self._states
-        incarnations = self._incarnations
-        local_name = self._local_name
-        from_wire = _STATE_FROM_WIRE
         total = 0
+        if states.__class__ is PackedStates:
+            entries, ages = states.split()  # type: ignore[attr-defined]
+            try:
+                roster = self._publish()
+                alive, local = roster.alive, roster.entries[self._local_id]
+            except CodecError:
+                # We hold a claim the wire cannot carry, so none of ours
+                # is published: nothing arriving can be elided by it.
+                alive, local = frozenset(), None
+            if alive.issuperset(entries):
+                # Only what it says about us gets a decision, and that
+                # one does not read the age.
+                own = entries.count(local)
+                novel = [(local, ages[0])] * own if own else []
+            else:
+                novel = [
+                    pair
+                    for pair in zip(entries, ages)
+                    if pair[0] not in alive or pair[0] == local
+                ]
+            total = len(entries) - len(novel)
+            states = [read_entry(*pair) for pair in novel]
+        decisions: List[MergeDecision] = []
+        from_wire = _STATE_FROM_WIRE
         for entry in states:
             total += 1
             try:
@@ -878,14 +957,6 @@ class MemberMap:
                 name, address, incarnation, state_value = entry[:4]
                 meta = entry[4] if len(entry) > 4 else b""
                 age_ms = entry[5] if len(entry) > 5 else 0
-            if state_value == _ALIVE and name != local_name:
-                sid = ids_get(name)
-                if (
-                    sid is not None
-                    and held[sid] != _ABSENT
-                    and incarnation <= incarnations[sid]
-                ):
-                    continue
             state = from_wire.get(state_value)
             if state is None:
                 # Same ValueError iter_entries would have raised.
@@ -894,7 +965,7 @@ class MemberMap:
                 name, address, incarnation, state, meta, age_ms / 1000.0, now
             )
             if decision.action != MERGE_IGNORED:
-                append(decision)
+                decisions.append(decision)
         return decisions, total
 
     def bump_local_incarnation(self, at_least: int) -> int:

@@ -148,11 +148,11 @@ class PushPull:
     ``is_reply=True``. ``join=True`` marks the initiator's first contact
     with the group.
 
-    ``states`` is a tuple of entries on a decoded message and on one
-    built by hand; a sender's own table arrives here already encoded, as
-    the :class:`repro.swim.codec.PackedStates` that
-    :meth:`MemberMap.snapshot <repro.swim.member_map.MemberMap.snapshot>`
-    returns, which iterates (and compares) as the same entries.
+    ``states`` is a tuple of entries on a message built by hand; a
+    sender's own table (:meth:`MemberMap.snapshot
+    <repro.swim.member_map.MemberMap.snapshot>`) and a decoded message
+    carry it in wire form, as a :class:`repro.swim.codec.PackedStates`,
+    which iterates (and compares) as the same entries.
     """
 
     source: str

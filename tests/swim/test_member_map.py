@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.swim.member_map import MemberMap, Roster
+from repro.swim import codec
+from repro.swim.member_map import (
+    MERGE_ADDED,
+    MERGE_APPLIED,
+    MERGE_IGNORED,
+    MERGE_LOCAL,
+    MemberMap,
+    Roster,
+)
+from repro.swim.messages import PushPull
 from repro.swim.state import MemberState
 
 
@@ -141,6 +150,142 @@ class TestBasics:
             "m0",
             "m1",
         }
+
+
+class TestPublishedTable:
+    """One published table per roster, shared by maps that need not
+    agree: whoever sends or merges publishes what *it* holds first, so
+    no map ever speaks (or elides) by another map's claims."""
+
+    NAMES = [f"m{i}" for i in range(8)]
+
+    def cluster(self, full=4):
+        roster = Roster()
+        roster.extend((name, f"{name}:1", b"", "") for name in self.NAMES)
+        maps = [
+            MemberMap(name, f"{name}:1", random.Random(i), roster=roster)
+            for i, name in enumerate(self.NAMES[:full])
+        ]
+        for mm in maps:
+            mm.add_many(range(len(roster)), 1, MemberState.ALIVE, 0.0)
+        return roster, maps
+
+    @staticmethod
+    def says_what_it_holds(mm, now=5.0):
+        held = [member.snapshot(now) for member in mm.members()]
+        snapshot = mm.snapshot(now)
+        assert snapshot.wire == codec.pack_states(held).wire
+        assert list(snapshot) == held
+
+    @staticmethod
+    def merges_like_a_twin(receiver, twin, sender, now=5.0):
+        """``receiver`` takes ``sender``'s snapshot off the wire; its
+        ``twin`` (same table, own roster) takes the entry tuples."""
+        snapshot = sender.snapshot(now)
+        message = codec.decode(codec.encode(PushPull(sender.local_name, snapshot)))
+        decisions, total = receiver.merge_remote_wire_state(message.states, now)
+        reference = twin.merge_remote_state(
+            PushPull(sender.local_name, tuple(snapshot)).iter_entries(), now
+        )
+        assert total == len(reference) == len(sender)
+        assert decisions == [d for d in reference if d.action != MERGE_IGNORED]
+        assert [m.snapshot(now) for m in receiver.members()] == [
+            m.snapshot(now) for m in twin.members()
+        ]
+        return [(d.name, d.action) for d in decisions]
+
+    def twin_of(self, mm):
+        twin = MemberMap(mm.local_name, mm.local.address, random.Random(0))
+        for member in mm.members():
+            if member.name != mm.local_name:
+                twin.add(
+                    member.name, member.address, member.incarnation,
+                    member.state, member.state_changed_at, member.meta,
+                )
+        if mm.local.incarnation > 1:
+            twin.bump_local_incarnation(mm.local.incarnation - 2)
+        return twin
+
+    def test_a_joiner_beside_full_tables(self):
+        roster, maps = self.cluster()
+        joiner = MemberMap("j", "j:1", random.Random(9), roster=roster)
+        for name in ("m0", "m5"):
+            joiner.add(name, f"{name}:1", 1, MemberState.ALIVE, 3.0)
+        for mm in (maps[0], joiner, maps[1], joiner, maps[2]):
+            self.says_what_it_holds(mm)
+        assert len(joiner.snapshot(5.0)) == 3 and len(maps[0].snapshot(5.0)) == 8
+        # Quiet peers: nothing but the receiver's own entry is decided.
+        assert self.merges_like_a_twin(maps[1], self.twin_of(maps[1]), maps[0]) == [
+            ("m1", MERGE_LOCAL)
+        ]
+        assert self.merges_like_a_twin(maps[0], self.twin_of(maps[0]), joiner) == [
+            ("j", MERGE_ADDED), ("m0", MERGE_LOCAL)
+        ]
+        assert self.merges_like_a_twin(joiner, self.twin_of(joiner), maps[3]) == [
+            (name, MERGE_ADDED) for name in maps[3].names() if name not in ("m0", "m5")
+        ]
+        for mm in (*maps, joiner):
+            self.says_what_it_holds(mm)
+
+    def test_one_map_ahead_by_a_refutation(self):
+        roster, maps = self.cluster()
+        assert maps[1].bump_local_incarnation(1) == 2
+        for mm in (maps[1], maps[0], maps[1], maps[2]):
+            self.says_what_it_holds(mm)
+        assert ("m1", "m1:1", 2, 0, b"", 5000) in list(maps[1].snapshot(5.0))
+        assert ("m1", "m1:1", 1, 0, b"", 5000) in list(maps[0].snapshot(5.0))
+        # The stale claim about m1 reaches m1 as a claim about itself...
+        assert self.merges_like_a_twin(maps[1], self.twin_of(maps[1]), maps[0]) == [
+            ("m1", MERGE_LOCAL)
+        ]
+        # ...and m0 learns the new incarnation from m1, m2 from m0.
+        assert self.merges_like_a_twin(maps[0], self.twin_of(maps[0]), maps[1]) == [
+            ("m1", MERGE_APPLIED), ("m0", MERGE_LOCAL)
+        ]
+        assert self.merges_like_a_twin(maps[2], self.twin_of(maps[2]), maps[0]) == [
+            ("m1", MERGE_APPLIED), ("m2", MERGE_LOCAL)
+        ]
+
+    def test_a_reclaimed_dead_member(self):
+        roster, maps = self.cluster()
+        maps[0].merge_claim("m7", MemberState.DEAD, 1, 1.0)
+        self.says_what_it_holds(maps[0], 2.0)
+        assert maps[0].reclaim_dead(4.0, 2.0) == ["m7"]
+        for mm in (maps[0], maps[1], maps[0]):
+            self.says_what_it_holds(mm)
+        assert len(maps[0].snapshot(5.0)) == 7 and len(maps[1].snapshot(5.0)) == 8
+        # Nobody told m1, and m0 takes the member back on m1's word.
+        assert self.merges_like_a_twin(maps[1], self.twin_of(maps[1]), maps[0]) == [
+            ("m1", MERGE_LOCAL)
+        ]
+        assert self.merges_like_a_twin(maps[0], self.twin_of(maps[0]), maps[1]) == [
+            ("m0", MERGE_LOCAL), ("m7", MERGE_ADDED)
+        ]
+
+    def test_a_claim_the_wire_cannot_carry_is_never_half_published(self):
+        roster, maps = self.cluster(full=2)
+        maps[0].snapshot(5.0)
+        before = (
+            bytes(roster.published_states), roster.published_incarnations.tolist(),
+            list(roster.published_records), list(roster.entries), set(roster.alive),
+        )
+        # One change that could be published, then one that cannot.
+        maps[1].merge_claim("m3", MemberState.DEAD, 1, 1.0)
+        maps[1].add("n" * 256, "a", 1, MemberState.ALIVE, 1.0)
+        for _ in range(2):
+            with pytest.raises(codec.CodecError, match="string too long"):
+                maps[1].snapshot(5.0)
+            assert before == (
+                bytes(roster.published_states[:8]),
+                roster.published_incarnations[:8].tolist(),
+                roster.published_records[:8], roster.entries[:8], roster.alive,
+            )
+            assert roster.entries[8:] == [b""]
+        self.says_what_it_holds(maps[0])
+        # It still merges, eliding nothing it cannot vouch for.
+        assert self.merges_like_a_twin(maps[1], self.twin_of(maps[1]), maps[0]) == [
+            ("m1", MERGE_LOCAL)
+        ]
 
 
 class TestClaims:

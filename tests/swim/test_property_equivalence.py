@@ -29,11 +29,12 @@ from repro.swim.member_map import (
     MERGE_APPLIED,
     MERGE_IGNORED,
     MERGE_LOCAL,
+    MERGE_SUSPECT,
     Member,
     MemberMap,
     Roster,
 )
-from repro.swim.messages import Alive
+from repro.swim.messages import Alive, PushPull
 from repro.swim.state import MemberState, claim_supersedes
 
 # --------------------------------------------------------------------- #
@@ -682,6 +683,18 @@ class _NaiveTable:
             row["changed_at"] = min(row["changed_at"], now - age)
         return MERGE_APPLIED, meta_changed
 
+    def merge_entry(self, entry: tuple, now: float) -> str:
+        """One push-pull entry of another table's :meth:`snapshot`."""
+        name, address, incarnation, state_value, meta, age_ms = entry
+        state = MemberState(state_value)
+        if state is MemberState.SUSPECT and name != self.local:
+            if name not in self.rows:
+                self.add(name, address, meta, "", incarnation, MemberState.ALIVE, now)
+            return MERGE_SUSPECT
+        return self.merge_claim(
+            name, state, incarnation, now, address, meta, "", age_ms / 1000.0
+        )[0]
+
     def reclaim(self, now: float, retention: float) -> List[str]:
         gone = [
             name
@@ -760,6 +773,9 @@ _shared_op = st.one_of(
     st.tuples(st.just("reclaim"), _observer, st.floats(0.0, 40.0)),
     st.tuples(st.just("meta"), _observer, st.sampled_from(_METAS)),
     st.tuples(st.just("bump"), _observer),
+    # The observer merges the other's snapshot off the wire (or its own,
+    # as a peer that agrees with it on everything would send it).
+    st.tuples(st.just("sync"), _observer, st.booleans()),
     st.tuples(
         st.just("sample"), _observer, st.integers(0, 6), st.integers(0, 3),
         st.booleans(), st.one_of(st.none(), st.floats(0.0, 40.0)),
@@ -777,7 +793,8 @@ def test_two_maps_on_one_roster_match_private_dict_tables(ops, seed, preseed):
     """Two observers over one shared roster behave as two private
     dict-of-records tables: same table order, snapshot, counts, sampling
     draws and RNG state after every operation — and neither ever sees
-    the other's state, meta, address or zone changes."""
+    the other's state, meta, address or zone changes, although both
+    send and merge by way of the one table the roster has published."""
     roster = Roster()
     locals_ = ("la", "lb")
     rngs = [random.Random(seed + i) for i in range(2)]
@@ -876,6 +893,18 @@ def test_two_maps_on_one_roster_match_private_dict_tables(ops, seed, preseed):
             row = model.rows[model.local]
             row["incarnation"] += 1
             assert mm.bump_local_incarnation(mm.local.incarnation) == row["incarnation"]
+        elif kind == "sync":
+            sender = i if op[2] else 1 - i
+            sent = models[sender].snapshot(now)
+            packet = codec.encode(PushPull(locals_[sender], maps[sender].snapshot(now)))
+            decisions, total = mm.merge_remote_wire_state(
+                codec.decode(packet).states, now
+            )
+            expected = [(entry[0], model.merge_entry(entry, now)) for entry in sent]
+            assert total == len(sent)
+            assert [(d.name, d.action) for d in decisions] == [
+                outcome for outcome in expected if outcome[1] != MERGE_IGNORED
+            ]
         else:
             _, _, count, exclude_len, include_suspect, dead_within = op
             exclude = tuple(_SHARED_NAMES[2 : 2 + exclude_len])

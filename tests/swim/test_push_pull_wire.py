@@ -1,10 +1,14 @@
 """The push-pull path against reference models kept here.
 
-Send side: ``MemberMap.snapshot`` packs its columns straight into wire
-form from entry heads cached on the roster's records; the reference is a
-per-entry encoder that restates the layout field by field and shares
-nothing. Receive side: the decode loop looks entry heads up in a cache;
-the reference is the same decoder with the cache emptied first.
+Send side: ``MemberMap.snapshot`` strings together the claims its roster
+published, by one ``join`` when the table has one age throughout; the
+reference is a per-entry encoder that restates the layout field by field
+and shares nothing. Receive side: ``decode`` checks such a table with
+one ``split`` against the cache of validated entries and walks any other
+entry by entry; the reference is the same decoder with the cache emptied
+first, which can only walk. Merge: a snapshot made of claims the table
+holds is elided by one set comparison; the reference is
+``merge_remote_state`` over the decoded tuples, which elides nothing.
 """
 
 import random
@@ -14,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.telemetry import Telemetry
 from repro.swim import codec
-from repro.swim.member_map import MAX_STATE_AGE_MS, MemberMap, Roster
+from repro.swim.member_map import MAX_STATE_AGE_MS, MERGE_IGNORED, MemberMap, Roster
 from repro.swim.messages import Compound, PushPull
 from repro.swim.state import MemberState
+from repro.sync.engine import SyncEngine
 
 _STATES = list(MemberState)
 #: Includes two-, three- and four-byte UTF-8 sequences.
@@ -235,10 +241,10 @@ class TestUnencodableTables:
         assert len(members.snapshot(10.0)) == 0xFFFF
 
 
-class TestHeadsBelongToRosterRecords:
-    """n tables over one roster hold n entry heads, not n x n."""
+class TestPackedClaimsBelongToTheRoster:
+    """n tables over one roster hold n packed claims, not n x n."""
 
-    def test_every_map_references_the_same_head_objects(self):
+    def test_every_map_joins_the_same_entry_objects(self):
         roster = Roster()
         roster.extend((f"m{i:02d}", f"m{i:02d}:1", b"", "") for i in range(64))
         maps = [
@@ -247,15 +253,17 @@ class TestHeadsBelongToRosterRecords:
         ]
         for members in maps:
             members.add_many(range(64), 1, MemberState.ALIVE, 0.0)
-        assert all(record.head is None for record in roster.records)
-        snapshots = [members.snapshot(3.0) for members in maps]
-        for sid in range(64):
-            heads = {id(members._records[sid].head) for members in maps}
-            assert heads == {id(roster.records[sid].head)}
+        assert roster.entries == [] and roster.alive == set()
+        first = maps[0].snapshot(3.0)
+        packed = list(roster.entries)
+        assert roster.alive == set(packed) and len(roster.alive) == 64
+        snapshots = [first] + [members.snapshot(3.0) for members in maps[1:]]
+        # Nobody after the first packed (or published) anything.
+        assert list(map(id, roster.entries)) == list(map(id, packed))
         for members, snapshot in zip(maps, snapshots):
             assert snapshot.wire == _reference_states(_reference_entries(members, 3.0))
 
-    def test_a_replaced_record_gets_its_own_head(self):
+    def test_a_replaced_record_is_published_by_its_holder_only(self):
         roster = Roster()
         maps = [
             MemberMap(name, f"{name}:1", random.Random(i), roster=roster)
@@ -269,12 +277,12 @@ class TestHeadsBelongToRosterRecords:
         # One observer hears lc moved: copy-on-write, seen by nobody else.
         lb.merge_claim("lc", MemberState.ALIVE, 2, 1.0, address="lc:2")
         assert la._records[lc._local_id] is shared
-        assert lb._records[lc._local_id].head is None
         assert ("lc", "lc:2", 2, 0, b"", 1000) in list(lb.snapshot(1.0))
+        assert roster.published_records[lc._local_id] is lb._records[lc._local_id]
         assert ("lc", "lc:1", 1, 0, b"", 1000) in list(la.snapshot(1.0))
-        assert shared.head is la._records[lc._local_id].head is not None
-        # lc re-announces itself: the roster's record (and head) changes
-        # for lc and whoever is seeded from the roster afterwards.
+        assert roster.published_records[lc._local_id] is shared
+        # lc re-announces itself: the roster's record changes for lc and
+        # whoever is seeded from the roster afterwards.
         lc.set_local_meta(b"v2")
         assert roster.records[lc._local_id] is lc._records[lc._local_id]
         assert roster.records[lc._local_id] is not shared
@@ -287,20 +295,72 @@ class TestHeadsBelongToRosterRecords:
 # --------------------------------------------------------------------- #
 
 
+def _plain(message):
+    """A decoded message with every push-pull's states spelled out: the
+    bytes, and the entry tuples read back through ``split``."""
+    if isinstance(message, Compound):
+        return tuple(_plain(part) for part in message.parts)
+    if isinstance(message, PushPull):
+        states = message.states
+        assert type(states) is codec.PackedStates and len(states) == len(states.split()[0])
+        return (message.source, states.wire, tuple(states), message.join, message.is_reply)
+    return message
+
+
 def _outcome(buf):
     try:
-        return codec.decode(buf)
+        return _plain(codec.decode(buf))
     except codec.CodecError as exc:
         return ("CodecError", str(exc))
 
 
 def _cold(buf):
-    codec._HEAD_CACHE.clear()
+    """What the sequential walk makes of ``buf``: with no entry known,
+    no ``split`` can succeed."""
+    codec._ENTRY_CACHE.clear()
     return _outcome(buf)
 
 
-def _packets():
-    push_pull = st.builds(PushPull, st.sampled_from(_NAMES), _entries, st.booleans())
+def _three_kinds(buf):
+    scratch = bytearray(buf)
+    return buf, scratch, memoryview(scratch)
+
+
+#: Ages whose four bytes also occur inside entries: all zeros (every
+#: incarnation), 0x00000001 (incarnation 1), "abcd" and "\x00\x00\x07\xd0"
+#: (names, addresses and metas below).
+_AGES = [0, 1, 5000, 0x61626364, 2000, MAX_STATE_AGE_MS]
+_AGED_NAMES = _NAMES[:7] + ["abcd", "\x00\x00\x07\u0400"]
+_AGED_ADDRESSES = _ADDRESSES + ["xabcd:1"]
+_AGED_METAS = _METAS[:3] + [b"abcd", b"\x00\x00\x07\xd0"]
+
+
+@st.composite
+def _tables(draw, names=_AGED_NAMES):
+    """State entries as a sender would string them together: usually one
+    age throughout (what ``join_states`` turns into a separator), now and
+    then mixed, possibly the same subject (or entry) more than once."""
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(names),
+                st.sampled_from(_AGED_ADDRESSES),
+                st.sampled_from([0, 1, 2, 2**64 - 1]),
+                st.integers(0, 3),
+                st.sampled_from(_AGED_METAS),
+                st.sampled_from(_AGES),
+            ),
+            max_size=8,
+        )
+    )
+    if draw(st.integers(0, 3)):
+        age = draw(st.sampled_from(_AGES))
+        entries = [entry[:5] + (age,) for entry in entries]
+    return tuple(entries)
+
+
+def _packets(tables=_entries | _tables()):
+    push_pull = st.builds(PushPull, st.sampled_from(_NAMES), tables, st.booleans())
     return st.one_of(
         push_pull.map(codec.encode),
         # Inside a compound a large push-pull is decoded in place.
@@ -309,50 +369,95 @@ def _packets():
     )
 
 
+@given(_tables())
+def test_join_is_byte_equal_to_the_per_entry_encoder(entries):
+    claims = [codec.pack_entry(*entry[:5]) for entry in entries]
+    ages = [codec.pack_age(entry[5]) for entry in entries]
+    reference = codec.pack_states(entries)
+    assert reference.wire == _reference_states(entries)
+    order = range(len(entries))
+    assert codec.join_states(order, claims, ages).wire == reference.wire
+    if len(set(ages)) == 1:
+        assert codec.join_states(order, claims, ages[0]).wire == reference.wire
+    # In another order, out of columns that hold more than the table.
+    backwards = codec.pack_states(entries[::-1]).wire
+    assert codec.join_states(order[::-1], claims + [b""], ages + [b"\0" * 4]).wire == backwards
+    assert codec.join_states((), [b""], codec.pack_age(7)).wire == codec.pack_states(()).wire
+
+
 @settings(deadline=None, max_examples=60)
 @given(_packets())
 def test_warm_decode_equals_cold_decode_at_every_truncation(packet):
     expected = [_cold(packet[:cut]) for cut in range(len(packet) + 1)]
-    assert expected[-1] == codec.decode(packet)  # warms every head
-    scratch = bytearray(packet)
+    assert expected[-1] == _outcome(packet)  # warms every entry
     for cut in range(len(packet) + 1):
-        assert _outcome(packet[:cut]) == expected[cut]
-        assert _outcome(memoryview(scratch)[:cut]) == expected[cut]
-        assert _outcome(scratch[:cut]) == expected[cut]
-    codec._HEAD_CACHE.clear()
-    assert _outcome(memoryview(scratch)) == expected[-1]
+        for buf in _three_kinds(packet[:cut]):
+            assert _outcome(buf) == expected[cut]
+    codec._ENTRY_CACHE.clear()
+    assert _outcome(memoryview(bytearray(packet))) == expected[-1]
 
 
-@given(_entries)
-def test_decode_survives_head_cache_eviction(entries):
+@settings(deadline=None, max_examples=40)
+@given(_packets(_tables()), st.data())
+def test_warm_decode_equals_cold_decode_under_every_substitution(packet, data):
+    """One byte replaced anywhere -- a length, a state tag, a byte of the
+    separator itself -- is refused with the walk's error or decodes to
+    what the walk decodes, whether or not the untouched entries are
+    known."""
+    values = (0x00, 0xFF, data.draw(st.integers(0, 255)))
+    for index in range(len(packet)):
+        for value in {packet[index] ^ 0x01, *values} - {packet[index]}:
+            broken = packet[:index] + bytes((value,)) + packet[index + 1 :]
+            expected = _cold(broken)
+            codec._ENTRY_CACHE.clear()
+            _outcome(packet)  # every entry of the original is known
+            for buf in _three_kinds(broken):
+                assert _outcome(buf) == expected
+
+
+def test_one_bad_entry_refuses_the_packet_whole():
+    entries = tuple((f"m{i}", "a:1", 1, 0, b"", 5000) for i in range(6))
+    packet = codec.encode(PushPull("src", entries))
+    assert _outcome(packet)[2] == entries
+    at = packet.index(b"\x02m4") + 3 + 4 + 8  # its state tag
+    bad = packet[:at] + b"\x09" + packet[at + 1 :]
+    for buf in _three_kinds(bad):
+        with pytest.raises(codec.CodecError, match="invalid member state 9"):
+            codec.decode(buf)
+
+
+@given(_entries | _tables())
+def test_decode_survives_entry_cache_eviction(entries):
     """A cache that overflows within one small packet changes nothing."""
     packet = codec.encode(PushPull("src", entries))
     expected = _cold(packet)
-    saved = codec._HEAD_CACHE_LIMIT
-    codec._HEAD_CACHE_LIMIT = 2
-    codec._HEAD_CACHE.clear()
+    saved = codec._ENTRY_CACHE_LIMIT
+    codec._ENTRY_CACHE_LIMIT = 2
+    codec._ENTRY_CACHE.clear()
     try:
         for _ in range(2):
-            assert _outcome(packet) == expected
-            assert _outcome(memoryview(bytearray(packet))) == expected
-            assert len(codec._HEAD_CACHE) <= 2
+            for buf in _three_kinds(packet):
+                assert _outcome(buf) == expected
+            assert len(codec._ENTRY_CACHE) <= 2
     finally:
-        codec._HEAD_CACHE_LIMIT = saved
+        codec._ENTRY_CACHE_LIMIT = saved
 
 
-def test_head_cache_resets_at_its_limit():
-    codec._HEAD_CACHE.clear()
+def test_entry_cache_resets_at_its_limit():
+    codec._ENTRY_CACHE.clear()
     entries = tuple(
-        (f"m{i}", "a", 1, 0, b"", 0) for i in range(codec._HEAD_CACHE_LIMIT + 10)
+        (f"m{i}", "a", 1, 0, b"", 0) for i in range(codec._ENTRY_CACHE_LIMIT + 10)
     )
     decoded = codec.decode(codec.encode(PushPull("src", entries)))
+    assert 0 < len(codec._ENTRY_CACHE) <= codec._ENTRY_CACHE_LIMIT
+    # Most of what was validated is no longer cached; reading it back
+    # decodes it again.
     assert decoded.states == entries
-    assert 0 < len(codec._HEAD_CACHE) <= codec._HEAD_CACHE_LIMIT
     assert codec.decode(codec.encode(PushPull("src", entries))) == decoded
 
 
 def test_nothing_decoded_or_cached_aliases_the_receive_buffer():
-    codec._HEAD_CACHE.clear()
+    codec._ENTRY_CACHE.clear()
     # Large enough to be decoded in place rather than interned whole.
     entries = (("m0", "a:1", 1, 0, b"", 5), ("m1", "b:2", 2, 3, b"m" * 100, 6))
     packet = codec.encode(PushPull("src", entries))
@@ -361,17 +466,121 @@ def test_nothing_decoded_or_cached_aliases_the_receive_buffer():
     decoded = codec.decode(memoryview(buffer))
     buffer[:] = b"\xee" * len(buffer)  # the transport reuses its buffer
     assert decoded == PushPull("src", entries)
-    assert all(type(head) is bytes for head in codec._HEAD_CACHE)
+    assert decoded.states.wire == codec.pack_states(entries).wire
+    assert all(type(entry) is bytes for entry in codec._ENTRY_CACHE)
+    assert all(type(entry) is bytes for entry in decoded.states.split()[0])
     assert codec.decode(packet) == decoded
     for entry in decoded.states:
         assert type(entry[4]) is bytes
 
 
+def _every_cached_entry_is_valid():
+    """Each key re-read field by field, from nothing, gives its value."""
+    for entry, fields in list(codec._ENTRY_CACHE.items()):
+        assert entry == _reference_states([fields + (0,)])[2:-4]
+        assert 0 <= fields[3] <= 3
+
+
 def test_invalid_utf8_is_never_cached():
-    codec._HEAD_CACHE.clear()
+    codec._ENTRY_CACHE.clear()
     good = codec.encode(PushPull("s", (("ab", "cd", 1, 0),)))
     bad = good.replace(b"\x02ab", b"\x02\xff\xfe")
     for _ in range(2):
         with pytest.raises(codec.CodecError, match="invalid UTF-8"):
             codec.decode(bad)
-        assert codec._HEAD_CACHE == {}
+        assert codec._ENTRY_CACHE == {}
+
+
+@settings(deadline=None, max_examples=60)
+@given(_packets(_tables()), st.data())
+def test_the_cache_holds_only_what_the_per_field_decoder_accepted(packet, data):
+    codec._ENTRY_CACHE.clear()
+    for _ in range(8):
+        index = data.draw(st.integers(0, len(packet) - 1))
+        broken = bytearray(packet)
+        broken[index] = data.draw(st.integers(0, 255))
+        _outcome(broken[: data.draw(st.integers(index, len(packet)))])
+        _outcome(broken)
+        _every_cached_entry_is_valid()
+    _outcome(packet)
+    _every_cached_entry_is_valid()
+
+
+def test_a_wire_too_short_for_its_count_is_the_codecs_error():
+    for wire in (b"", b"\x00"):
+        states = codec.PackedStates(wire)
+        with pytest.raises(codec.CodecError, match="truncated u16"):
+            len(states)
+        with pytest.raises(codec.CodecError, match="truncated u16"):
+            list(states)
+    assert len(codec.PackedStates(b"\x00\x00")) == 0
+
+
+# --------------------------------------------------------------------- #
+# Merge
+# --------------------------------------------------------------------- #
+
+
+def _table(members: MemberMap):
+    return [
+        (m.name, m.address, m.incarnation, m.state, m.meta, m.state_changed_at)
+        for m in members.members()
+    ]
+
+
+@st.composite
+def _exchanges(draw):
+    """``(held, sent)``: what a receiver called ``la`` holds, and a table
+    sent to it -- its own claims as a peer in agreement would repeat
+    them (its own entry perhaps more than once), other claims mixed in,
+    usually under one age."""
+    held = draw(_tables(names=_AGED_NAMES[2:]))
+    receiver = _receiver(held)
+    age = draw(st.sampled_from(_AGES))
+    echoed = [entry[:5] + (age,) for entry in receiver.snapshot(0.0)]
+    own = [echoed[0]] * draw(st.integers(0, 2))
+    news = list(draw(_tables(names=_AGED_NAMES + ["la"])))
+    if draw(st.booleans()):
+        news = [entry[:5] + (age,) for entry in news]
+    return held, tuple(draw(st.permutations(echoed[1:] + own + news)))
+
+
+def _receiver(held) -> MemberMap:
+    members = MemberMap("la", "la:1", random.Random(0))
+    for name, address, incarnation, state_value, meta, _ in held:
+        if name not in members:
+            members.add(name, address, incarnation, MemberState(state_value), 0.0, meta)
+    return members
+
+
+@settings(deadline=None, max_examples=300)
+@given(_exchanges(), st.booleans(), st.booleans())
+def test_wire_merge_equals_the_per_entry_merge(exchange, published, cold):
+    held, sent = exchange
+    fast, slow = _receiver(held), _receiver(held)
+    if published:
+        fast.snapshot(1.0)
+    message = codec.decode(codec.encode(PushPull("src", sent)))
+    if cold:
+        codec._ENTRY_CACHE.clear()
+    reference = slow.merge_remote_state(PushPull("src", sent).iter_entries(), 9.0)
+    applied = []
+    telemetry = Telemetry()
+    engine = SyncEngine(
+        "la", fast, lambda: 9.0, random.Random(0), lambda *_: None,
+        lambda decision, source: applied.append(decision) or True, telemetry,
+    )
+    expected = [d for d in reference if d.action != MERGE_IGNORED]
+    assert engine.merge(message) == len(expected)
+    assert applied == expected
+    assert _table(fast) == _table(slow)
+    assert fast.snapshot(9.0).wire == slow.snapshot(9.0).wire
+    assert (
+        telemetry.sync_merges,
+        telemetry.sync_entries_merged,
+        telemetry.sync_changes_applied,
+    ) == (1, len(sent), len(expected))
+    # The same table straight from a sender, never decoded.
+    again, unsplit = _receiver(held), codec.pack_states(sent)
+    decisions, total = again.merge_remote_wire_state(unsplit, 9.0)
+    assert (decisions, total, _table(again)) == (expected, len(sent), _table(slow))
