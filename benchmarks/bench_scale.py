@@ -31,14 +31,14 @@ reps — a cheap tripwire for accidental nondeterminism in the core.
 Scale control: ``REPRO_SCALE_SIZES=256,1024`` restricts the size grid
 (CI uses this to keep the gate fast), ``REPRO_REPS`` sets the rep count,
 ``REPRO_SCALE_TIME`` scales the virtual duration budget. The 65536 rung
-is opt-in (name it in ``REPRO_SCALE_SIZES``): measured on the 2-core
-reference box with the struct-of-arrays member tables it needs 2.9 GB of
-RSS at its 0.5-virtual-second budget (the 1,024 bridge directories are
-29-byte-a-row state columns over one interned roster, 1.9 GB of it;
-another ~1.6 GB once the bridges have ticked and hold their gathered
-claims columns) and 35 s of set-up plus 5 s of drive per rep — about
-two thirds of the set-up is constructing 65,536 ``SwimNode`` objects,
-not their tables. It stays opt-in until it is gated (ROADMAP).
+is opt-in (name it in ``REPRO_SCALE_SIZES``; CI runs it nightly): measured
+on the 2-core reference box it needs 1.1 GB of RSS at its
+0.5-virtual-second budget and 10 s of set-up plus 3 s of drive per rep.
+The 1,024 bridge directories, each a full table over one interned
+roster, share that roster's one read-only bootstrap table until a
+directory is first written (1.9 GB when each held its own columns);
+what is left is the 65,536 ``SwimNode`` objects and their id orders. It
+stays ungated until a bar is set for it (ROADMAP).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import resource
 import time
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from benchmarks.conftest import publish
 from repro.config import SwimConfig
@@ -58,8 +58,10 @@ from repro.zones.sharded import run_zoned
 #: more events per virtual second, so the virtual budget shrinks with
 #: size to keep the total wall-clock roughly flat across rungs. Rungs
 #: with ``zones > 0`` run on the hierarchical zoned driver; flat SWIM
-#: above ~4096 members is O(n^2) memory in the full-mesh member maps,
-#: which is exactly the wall the zone hierarchy removes.
+#: above ~4096 members is O(n^2) in the full-mesh member maps — in
+#: push-pull work always, in memory 8 bytes a pair (two id orders) while
+#: the tables are quiet and shared and 33 once each map has written its
+#: own — which is exactly the wall the zone hierarchy removes.
 SIZE_GRID: Tuple[Tuple[int, float, int], ...] = (
     (256, 20.0, 0),
     (1024, 10.0, 0),
@@ -117,6 +119,29 @@ def _reps() -> int:
 def _peak_rss_kb() -> int:
     """Process peak RSS in KiB (``ru_maxrss`` is KiB on Linux)."""
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def render(payload: Dict[str, Any]) -> str:
+    """The published ``scale_throughput`` table, as a pure function of
+    the published JSON (a tier-1 test holds the committed
+    ``scale_throughput.txt`` to it)."""
+    lines = [
+        f"Simulator throughput (min of {payload['reps']} identical runs, "
+        f"seed {payload['seed']})",
+        f"{'n':>6s} {'zones':>5s} {'virtual':>8s} {'events':>9s} "
+        f"{'setup':>9s} {'wall':>9s} {'events/sec':>11s} {'vs/ws':>7s} "
+        f"{'rss':>8s}",
+    ]
+    for row in payload["rows"]:
+        lines.append(
+            f"{int(row['n_members']):6d} {int(row['zones']):5d} "
+            f"{row['virtual_seconds']:7.1f}s "
+            f"{int(row['events']):9d} {row['setup_s']:8.3f}s "
+            f"{row['wall_s']:8.3f}s "
+            f"{row['events_per_sec']:11,.0f} {row['virtual_per_wall']:7.2f} "
+            f"{int(row['peak_rss_kb']) // 1024:6d}MB"
+        )
+    return "\n".join(lines)
 
 
 def _run_once(
@@ -184,26 +209,8 @@ class TestScaleThroughput:
                 }
             )
 
-        lines = [
-            f"Simulator throughput (min of {reps} identical runs, seed {SEED})",
-            f"{'n':>6s} {'zones':>5s} {'virtual':>8s} {'events':>9s} "
-            f"{'setup':>9s} {'wall':>9s} {'events/sec':>11s} {'vs/ws':>7s} "
-            f"{'rss':>8s}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{int(row['n_members']):6d} {int(row['zones']):5d} "
-                f"{row['virtual_seconds']:7.1f}s "
-                f"{int(row['events']):9d} {row['setup_s']:8.3f}s "
-                f"{row['wall_s']:8.3f}s "
-                f"{row['events_per_sec']:11,.0f} {row['virtual_per_wall']:7.2f} "
-                f"{int(row['peak_rss_kb']) // 1024:6d}MB"
-            )
-        publish(
-            "scale_throughput",
-            "\n".join(lines),
-            {"seed": SEED, "reps": reps, "rows": rows},
-        )
+        payload = {"seed": SEED, "reps": reps, "rows": rows}
+        publish("scale_throughput", render(payload), payload)
 
         by_size = {int(row["n_members"]): row for row in rows}
         if 1024 in by_size:

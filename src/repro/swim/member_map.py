@@ -28,9 +28,14 @@ what made that quadratic in constructor calls, in GC work and in RSS:
   shared immutable :class:`Record` objects (address, meta, zone), replaced
   copy-on-write when an alive claim changes one. An ``array('I')`` of
   ids keeps table-insertion order. The record list is the only GC
-  container among them — one object per observer, not one per pair —
-  and a whole-roster preseed (:meth:`MemberMap.add_many`) is four
-  slice fills;
+  container among them — one object per observer, not one per pair;
+* a table every map of a roster holds alike is held once: a
+  whole-roster preseed (:meth:`MemberMap.add_many`) hands each map a
+  reference to the roster's one read-only *bootstrap table*
+  (:meth:`Roster.bootstrap`: ``bytes``, read-only ``memoryview``\\ s and
+  a ``tuple``), and a map copies it into columns of its own — once, one
+  memcpy a column — on its first write. Until then a quiet map costs
+  its two id orders (table insertion, probe order), 8 bytes a row;
 * :class:`Member` is a read-only *live view* — a ``(map, id)`` handle
   whose properties read the columns — materialized only for what the
   public API hands out. Full-table walkers read :meth:`MemberMap.claims`
@@ -52,7 +57,8 @@ every tick, so the table cannot afford per-call full scans):
   members chosen are materialized;
 * the roster carries one *published* copy of the table its maps agree
   on (:meth:`Roster.publish`), each claim already packed for the wire.
-  A map that equals it — three C-level column comparisons — sends its
+  A map that equals it — an identity check while it holds the bootstrap
+  table last published, else three C-level column comparisons — sends its
   ``snapshot()`` by joining those and merges a snapshot made of them
   with one set comparison; a map that differs first publishes what it
   holds, Python work proportional to the ids that differ. No snapshot
@@ -69,7 +75,9 @@ import random
 from array import array
 from itertools import compress
 from operator import is_not
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.swim.codec import (
     CodecError,
@@ -236,6 +244,11 @@ class Record:
         return f"Record({self.address!r}, {self.meta!r}, {self.zone!r})"
 
 
+#: A read-only member table, shared by the maps that hold it: states,
+#: incarnations, changed-at times and records, indexed by roster id.
+SharedTable = Tuple[bytes, memoryview, memoryview, Tuple[Optional[Record], ...]]
+
+
 class Roster:
     """Subject names interned to dense ids, shared by a cluster's maps.
 
@@ -251,6 +264,9 @@ class Roster:
     ``entries[id]`` is that claim packed for the wire (``b""`` for an
     id not held) and ``alive`` the set of those that claim ALIVE. The
     maps of a quiet cluster all equal it: n tables, packed once.
+    ``published_from`` is the incarnation column of the
+    :meth:`bootstrap` table it was last published from, or ``None``: a
+    map still holding that table equals the published one by identity.
     """
 
     __slots__ = (
@@ -258,9 +274,11 @@ class Roster:
         "ids",
         "records",
         "_sequence",
+        "_bootstrap",
         "published_states",
         "published_incarnations",
         "published_records",
+        "published_from",
         "entries",
         "alive",
     )
@@ -270,9 +288,11 @@ class Roster:
         self.ids: Dict[str, int] = {}
         self.records: List[Record] = []
         self._sequence = array("I")
+        self._bootstrap: Optional[Tuple[tuple, SharedTable]] = None
         self.published_states = bytearray()
         self.published_incarnations = array("Q")
         self.published_records: List[Optional[Record]] = []
+        self.published_from: Optional[memoryview] = None
         self.entries: List[bytes] = []
         self.alive: Set[bytes] = set()
 
@@ -298,12 +318,48 @@ class Roster:
             sequence.extend(range(len(sequence), span.stop))
         return sequence[span.start : span.stop]
 
+    def bootstrap(self, state: int, incarnation: int, now: float) -> SharedTable:
+        """Every id interned so far held with this claim, changed at
+        ``now``, with the record it was interned with: what each map of
+        a preseeded cluster holds after :meth:`MemberMap.add_many`.
+        Built once and handed to all of them read-only (``bytes``,
+        read-only ``memoryview``\\ s, a ``tuple``), so a write that
+        skipped :meth:`MemberMap._own` raises ``TypeError`` instead of
+        reaching a neighbour. A later call for another size, claim or
+        record set builds a new one; maps holding the old one keep it.
+        """
+        key = (len(self.names), state, incarnation, now)
+        built = self._bootstrap
+        if built is None or built[0] != key:
+            size = key[0]
+            built = self._bootstrap = key, (
+                bytes((state,)) * size,
+                memoryview(array("Q", (incarnation,)) * size).toreadonly(),
+                memoryview(array("d", (now,)) * size).toreadonly(),
+                tuple(self.records),
+            )
+        return built[1]
+
+    def announce(self, sid: int, record: Record) -> None:
+        """``record`` is what subject ``sid`` now says about itself: a
+        later :meth:`MemberMap.add_many` seeds tables with it."""
+        self.records[sid] = record
+        self._bootstrap = None
+
     def publish(
-        self, states: bytearray, incarnations: array, records: List[Optional[Record]]
+        self,
+        states: Union[bytes, bytearray],
+        incarnations: Union[array, memoryview],
+        records: Sequence[Optional[Record]],
     ) -> None:
         """Make the published table equal to these columns of a map, each
-        covering every id interned so far: three comparisons when they
-        already are, which is all a quiet cluster pays. Otherwise the ids
+        covering every id interned so far (or, for a :meth:`bootstrap`
+        table built before the roster last grew, every id it had: it
+        holds none of the others): three comparisons when they already
+        are, which is all a quiet cluster of private tables pays (a map
+        still holding the bootstrap table last published does not call
+        this: :meth:`MemberMap._publish` checks :attr:`published_from` by
+        identity). Otherwise the ids
         that differ are found at C speed and only those are packed again
         (values copied: the roster holds nothing of the map). A claim the
         wire cannot carry raises :class:`~repro.swim.codec.CodecError`
@@ -312,6 +368,16 @@ class Roster:
         held, numbers = self.published_states, self.published_incarnations
         if (states, incarnations, records) == (held, numbers, self.published_records):
             return
+        # Only a bootstrap table holds views, each built afresh and
+        # immutable: a map holding this one holds what is published. A
+        # private column proves nothing by identity.
+        source = incarnations if incarnations.__class__ is memoryview else None
+        self.published_from = None
+        short = len(held) - len(states)
+        if short > 0:
+            states = bytes(states) + bytes((_ABSENT,)) * short
+            incarnations = array("Q", incarnations.tobytes()) + array("Q", (0,)) * short
+            records = (*records, *[None] * short)
         extra = len(states) - len(held)
         if extra:
             held.extend(bytes((_ABSENT,)) * extra)
@@ -341,6 +407,7 @@ class Roster:
             entries[sid] = entry
             if states[sid] == _ALIVE:
                 alive.add(entry)
+        self.published_from = source
 
     def extend(self, entries: Iterable[Tuple[str, str, bytes, str]]) -> range:
         """Intern a batch of new ``(name, address, meta, zone)`` subjects;
@@ -466,11 +533,16 @@ class MemberMap:
         self._scheduler.bind(self, rng)
         # Columns indexed by roster id, covering at least every id this
         # map holds (see _grow). A slot is free while its state byte is
-        # _ABSENT.
+        # _ABSENT. While _shared, they are the roster's read-only
+        # bootstrap table, which every mutator first copies (_own).
         self._states = bytearray()
         self._incarnations = array("Q")
         self._changed_at = array("d")
         self._records: List[Optional[Record]] = []
+        self._shared = False
+        # No DEAD/LEFT member changed state before this time, or None
+        # when unknown: lets reclaim_dead skip walks that expire nothing.
+        self._dead_since: Optional[float] = None
         #: Ids held, in table-insertion order.
         self._order = array("I")
         # Per-state member counts, indexed by state value. Maintained
@@ -503,6 +575,12 @@ class MemberMap:
     def roster(self) -> Roster:
         """The name-interning roster this map's columns are indexed by."""
         return self._roster
+
+    @property
+    def shares_table(self) -> bool:
+        """Whether this map still holds its roster's bootstrap table:
+        nothing has written to it since :meth:`add_many` handed it over."""
+        return self._shared
 
     def _find(self, name: str) -> Optional[int]:
         """Roster id of ``name`` if this map holds it."""
@@ -608,6 +686,9 @@ class MemberMap:
             )
         return actives
 
+    def _view(self, sid: int) -> Member:
+        return Member(self, sid, self._roster.names[sid])
+
     def _views(self, sids: Iterable[int]) -> List[Member]:
         names = self._roster.names
         return [Member(self, sid, names[sid]) for sid in sids]
@@ -622,10 +703,19 @@ class MemberMap:
         return self._views(alive)
 
     def _publish(self) -> Roster:
-        """The roster, its published table made equal to this one."""
-        self._grow()
+        """The roster, its published table made equal to this one.
+
+        A map holding the bootstrap table the roster last published is
+        done by identity. A shared table is published as it is, however
+        far the roster has grown since it was built (ids past a column's
+        end read as absent, to ``_find`` and to :meth:`Roster.publish`
+        alike), so growth alone copies no map; a private one is grown
+        to the roster first."""
         roster = self._roster
-        roster.publish(self._states, self._incarnations, self._records)
+        if self._incarnations is not roster.published_from:
+            if not self._shared:
+                self._grow()
+            roster.publish(self._states, self._incarnations, self._records)
         return roster
 
     def snapshot(self, now: float = 0.0) -> PackedStates:
@@ -655,6 +745,17 @@ class MemberMap:
     # Mutation
     # ------------------------------------------------------------------ #
 
+    def _own(self) -> None:
+        """Swap the shared bootstrap table for private copies of it, one
+        memcpy a column: every mutator calls this before its first
+        write, so a map pays for its table only once something has
+        happened to it."""
+        self._states = bytearray(self._states)
+        self._incarnations = array("Q", self._incarnations.tobytes())
+        self._changed_at = array("d", self._changed_at.tobytes())
+        self._records = list(self._records)
+        self._shared = False
+
     def _grow(self) -> None:
         """Extend the columns to cover every id the roster has handed
         out, and no further: a private roster learning names one at a
@@ -663,6 +764,8 @@ class MemberMap:
         size = len(self._states)
         extra = len(self._roster.names) - size
         if extra > 0:
+            if self._shared:
+                self._own()
             self._states.extend(bytes((_ABSENT,)) * extra)
             self._incarnations.extend(array("Q", (0,)) * extra)
             self._changed_at.extend(array("d", (0.0,)) * extra)
@@ -672,6 +775,8 @@ class MemberMap:
         self, name: str, record: Record, incarnation: int, state: int, now: float
     ) -> int:
         sid = self._roster.intern(name, record)
+        if self._shared:
+            self._own()
         states = self._states
         if sid >= len(states):
             self._grow()
@@ -685,6 +790,8 @@ class MemberMap:
         self._order.append(sid)
         self._state_counts[state] += 1
         self._actives = self._claims = None
+        if state >= _DEAD:
+            self._dead_since = None
         return sid
 
     def add(
@@ -716,43 +823,67 @@ class MemberMap:
         skipped. Equivalent to calling :meth:`add` per id in span order
         with the roster's record — same table order, same probe-order
         draws — except that an already-known id raises before anything is
-        inserted. The columns are filled by slice assignment: no
-        per-member Python work besides the scheduler's draws.
+        inserted. A map that holds only itself, as the same claim, and
+        takes the whole roster ends up holding the roster's
+        :meth:`Roster.bootstrap` table, so it takes a reference to that
+        (shared until its first write); any other span is filled into
+        its own columns by slice assignment. Neither does per-member
+        Python work besides the scheduler's draws.
         """
         roster = self._roster
         start, stop = span.start, span.stop
         if span.step != 1 or not 0 <= start <= stop <= len(roster):
             raise ValueError(f"{span!r} is not a span of roster ids")
-        self._grow()
-        states = self._states
         local_id = self._local_id
         holds_local = start <= local_id < stop
-        if states.count(_ABSENT, start, stop) != stop - start - holds_local:
-            known = next(
-                sid
-                for sid in span
-                if sid != local_id and states[sid] != _ABSENT
-            )
-            raise ValueError(f"member {roster.names[known]!r} already known")
+        if (
+            stop - start == len(roster)
+            and len(self._order) == 1
+            and self._states[local_id] == state
+            and self._incarnations[local_id] == incarnation
+            and self._changed_at[local_id] == now
+            and self._records[local_id] is roster.records[local_id]
+        ):
+            (
+                self._states, self._incarnations, self._changed_at, self._records
+            ) = roster.bootstrap(state, incarnation, now)
+            self._shared = True
+        else:
+            if self._shared:
+                self._own()
+            self._grow()
+            states = self._states
+            if states.count(_ABSENT, start, stop) != stop - start - holds_local:
+                known = next(
+                    sid
+                    for sid in span
+                    if sid != local_id and states[sid] != _ABSENT
+                )
+                raise ValueError(f"member {roster.names[known]!r} already known")
+            pieces = [(start, stop)]
+            if holds_local:
+                pieces = [(start, local_id), (local_id + 1, stop)]
+            for lo, hi in pieces:
+                states[lo:hi] = bytes((state,)) * (hi - lo)
+                self._incarnations[lo:hi] = array("Q", (incarnation,)) * (hi - lo)
+                self._changed_at[lo:hi] = array("d", (now,)) * (hi - lo)
+                self._records[lo:hi] = roster.records[lo:hi]
         fresh = roster.id_array(span)
         names = roster.names[start:stop]
-        pieces = [(start, stop)]
         if holds_local:
             del fresh[local_id - start], names[local_id - start]
-            pieces = [(start, local_id), (local_id + 1, stop)]
-        for lo, hi in pieces:
-            states[lo:hi] = bytes((state,)) * (hi - lo)
-            self._incarnations[lo:hi] = array("Q", (incarnation,)) * (hi - lo)
-            self._changed_at[lo:hi] = array("d", (now,)) * (hi - lo)
-            self._records[lo:hi] = roster.records[lo:hi]
         self._order.extend(fresh)
         self._state_counts[state] += len(fresh)
         self._actives = self._claims = None
+        if state >= _DEAD:
+            self._dead_since = None
         self._scheduler.on_members_added(names)
 
     def _apply(self, sid: int, state: int, incarnation: int, now: float) -> None:
         """Write a claim that :func:`claim_supersedes` already admitted
         (which implies the state or the incarnation differs)."""
+        if self._shared:
+            self._own()
         states = self._states
         previous = states[sid]
         if previous != state:
@@ -764,6 +895,8 @@ class MemberMap:
             # it as it was.
             if (previous <= _SUSPECT) != (state <= _SUSPECT):
                 self._actives = None
+            if state >= _DEAD:
+                self._dead_since = None
             states[sid] = state
         self._incarnations[sid] = incarnation
         self._claims = None
@@ -851,6 +984,7 @@ class MemberMap:
                 self._records[sid] = Record(*claimed)
         elif state is not MemberState.SUSPECT and age > 0.0:
             self._changed_at[sid] = min(self._changed_at[sid], now - age)
+            self._dead_since = None
         return MergeDecision(
             name, state, incarnation, MERGE_APPLIED, previous, meta_changed
         )
@@ -970,6 +1104,8 @@ class MemberMap:
 
     def bump_local_incarnation(self, at_least: int) -> int:
         """Refutation: raise the local incarnation above ``at_least``."""
+        if self._shared:
+            self._own()
         sid = self._local_id
         bumped = max(self._incarnations[sid], at_least) + 1
         self._incarnations[sid] = bumped
@@ -983,31 +1119,44 @@ class MemberMap:
         one is published to the roster as well: a later
         :meth:`add_many` by the maps sharing it seeds them with it.
         """
+        if self._shared:
+            self._own()
         sid = self._local_id
         record = self._records[sid]
         assert record is not None
-        self._records[sid] = self._roster.records[sid] = Record(
-            record.address, meta, record.zone
-        )
+        self._records[sid] = record = Record(record.address, meta, record.zone)
+        self._roster.announce(sid, record)
 
     def reclaim_dead(self, now: float, retention: float) -> List[str]:
         """Remove dead/left members whose retention window has expired.
 
         Returns the reclaimed names. Retention exists so anti-entropy can
         still convey their state for a while (Section III-B). Runs every
-        probe tick, so the nobody-is-dead case must be O(1).
+        probe tick, so it must be O(1) both while nobody is dead and
+        while nobody dead has been so for ``retention``: a walk
+        remembers the earliest transition time among the dead it keeps,
+        and the next walk waits until that one could expire (anything
+        that makes a member DEAD or LEFT, or backdates one, forgets it;
+        a member that leaves DEAD only makes the memo early, never late).
         """
         if self._num_dead() == 0:
             return []
+        since = self._dead_since
+        if since is not None and now - since < retention:
+            return []
         states = self._states
         changed_at = self._changed_at
-        expired = [
-            sid
-            for sid in self._order
-            if states[sid] >= _DEAD and now - changed_at[sid] >= retention
-        ]
+        dead = [sid for sid in self._order if states[sid] >= _DEAD]
+        expired = [sid for sid in dead if now - changed_at[sid] >= retention]
+        self._dead_since = min(
+            (changed_at[sid] for sid in dead if now - changed_at[sid] < retention),
+            default=None,
+        )
         if not expired:
             return []
+        if self._shared:
+            self._own()
+            states = self._states
         for sid in expired:
             self._state_counts[states[sid]] -= 1
             states[sid] = _ABSENT

@@ -39,10 +39,15 @@ reproducible for every strategy. See docs/PROBE_SCHEDULING.md.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
+from array import array
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Type
+
+from repro.swim.state import MemberState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (member_map imports us)
     from repro.swim.member_map import Member, MemberMap
+
+_DEAD = int(MemberState.DEAD)
 
 
 class ProbeScheduler:
@@ -135,12 +140,14 @@ class RoundRobinScheduler(ProbeScheduler):
 
     def __init__(self) -> None:
         super().__init__()
-        self._order: List[str] = []
+        #: Roster ids of the members to probe, in probe order: 4 bytes a
+        #: member where a list of names holds 8, on every node.
+        self._order = array("I")
         self._index = 0
-        #: The most recently selected target, used to avoid probing the
-        #: same member twice in consecutive periods when a round-boundary
-        #: reshuffle happens to put it back at the front.
-        self._last: Optional[str] = None
+        #: The most recently selected target's id, used to avoid probing
+        #: the same member twice in consecutive periods when a
+        #: round-boundary reshuffle happens to put it back at the front.
+        self._last: Optional[int] = None
 
     def on_members_added(self, names: Iterable[str]) -> None:
         # One ``rng.randint(0, len(order))`` per name, spelled out as the
@@ -149,58 +156,61 @@ class RoundRobinScheduler(ProbeScheduler):
         # per member while consuming the identical RNG stream (the
         # reference-model test pins ``_order``, ``_index`` and the RNG
         # state against ``randint`` + ``insert``).
+        getrandbits = self._draws().getrandbits
         order = self._order
         insert = order.insert
-        getrandbits = self._draws().getrandbits
         index = self._index
         size = len(order)
-        for name in names:
+        for sid in map(self._members.roster.ids.__getitem__, names):
             size += 1
             bits = size.bit_length()
             offset = getrandbits(bits)
             while offset >= size:
                 offset = getrandbits(bits)
-            insert(offset, name)
+            insert(offset, sid)
             if offset < index:
                 index += 1
         self._index = index
 
     def on_members_removed(self, names: Iterable[str]) -> None:
-        gone = set(names)
-        kept = [n for n in self._order if n not in gone]
-        removed_before = sum(1 for n in self._order[: self._index] if n in gone)
-        self._order = kept
+        ids = self._members.roster.ids
+        gone = {ids[name] for name in names}
+        order = self._order
+        removed_before = sum(1 for sid in order[: self._index] if sid in gone)
+        self._order = array("I", [sid for sid in order if sid not in gone])
         self._index = max(0, self._index - removed_before)
 
     def next_target(self, now: float = 0.0) -> Optional["Member"]:
         members = self._members
         assert members is not None
+        # The map's columns, read by id: a slot past the end, absent,
+        # DEAD or LEFT is not probeable.
+        states = members._states
+        local_id = members._local_id
+        order = self._order
         checked = 0
-        total = len(self._order)
-        deferred: Optional["Member"] = None
+        total = len(order)
+        deferred: Optional[int] = None
         while checked < total:
-            if self._index >= len(self._order):
+            if self._index >= len(order):
                 self._index = 0
-                self._draws().shuffle(self._order)
-            name = self._order[self._index]
+                self._draws().shuffle(order)
+            sid = order[self._index]
             self._index += 1
             checked += 1
-            member = members.get(name)
-            if member is None:
+            if sid >= len(states) or states[sid] >= _DEAD or sid == local_id:
                 continue
-            if member.is_dead or name == members.local_name:
-                continue
-            if name == self._last and members.num_probeable() >= 2:
+            if sid == self._last and members.num_probeable() >= 2:
                 # The previous period probed this exact member and a
                 # round-boundary reshuffle (or a run of dead entries) put
                 # it first again (mid-scan reshuffles can even present it
                 # repeatedly). Probing it back to back wastes a period
                 # that another member is waiting for, so defer it and keep
                 # scanning.
-                deferred = member
+                deferred = sid
                 continue
-            self._last = name
-            return member
+            self._last = sid
+            return members._view(sid)
         if deferred is not None:
             # The check budget ran out on retained-dead entries (a
             # mid-scan reshuffle can revisit them) before reaching the
@@ -208,16 +218,15 @@ class RoundRobinScheduler(ProbeScheduler):
             # Take one deterministic pass over the list for it; only if
             # even that finds nobody does the repeat go out (a repeat
             # beats an idle period).
-            local_name = members.local_name
-            for name in self._order:
-                if name == self._last or name == local_name:
+            for sid in order:
+                if sid == self._last or sid == local_id:
                     continue
-                member = members.get(name)
-                if member is None or member.is_dead:
+                if sid >= len(states) or states[sid] >= _DEAD:
                     continue
-                self._last = name
-                return member
-        return deferred
+                self._last = sid
+                return members._view(sid)
+            return members._view(deferred)
+        return None
 
 
 class LikelihoodWeightedScheduler(ProbeScheduler):

@@ -304,6 +304,11 @@ class ZoneBridge:
     def _walk_directory(self) -> Tuple[List[ZoneClaim], List[ZoneClaim]]:
         own: List[ZoneClaim] = []
         echo: List[ZoneClaim] = []
+        if self.directory.shares_table:
+            # Still the table every directory was seeded with (ALIVE at
+            # incarnation 1 throughout): nothing departed, and no claims
+            # columns need gathering to say so.
+            return own, echo
         # Transient suspicion is never re-advertised cross-zone.
         departed = {
             name: (state, incarnation)

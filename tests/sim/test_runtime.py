@@ -1,6 +1,7 @@
 """Tests for the simulated cluster runtime."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -84,6 +85,43 @@ class TestLifecycle:
         before = len(gc.get_objects())
         cluster.start()
         assert len(gc.get_objects()) - before <= 16 * n
+
+    def test_preseed_start_allocates_table_memory_linearly_per_pair(self):
+        """What ``start()`` leaves allocated grows by at most ~12 bytes
+        per added (observer, subject) pair, plus a per-member constant:
+        the two 4-byte id orders (table insertion, probe order) are all
+        a quiet table costs per pair (~8 bytes; a private copy of the
+        table per observer was ~37)."""
+
+        def left_by_start(n):
+            cluster = SimCluster(n_members=n, config=SwimConfig.lifeguard(), seed=1)
+            tracemalloc.start()
+            try:
+                cluster.start()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        small, large = left_by_start(256), left_by_start(512)
+        pairs = 512 * 512 - 256 * 256
+        assert large - small <= 12 * pairs + 2048 * (512 - 256)
+
+    def test_a_quiet_cluster_holds_one_table(self):
+        """``flat1024_steady``'s cluster: after ``start()`` and after 10
+        quiet virtual seconds every map still holds the roster's one
+        bootstrap table, by identity."""
+        cluster = SimCluster(n_members=1024, config=SwimConfig.lifeguard(), seed=1)
+        cluster.start()
+        table = cluster.roster.bootstrap(MemberState.ALIVE, 1, 0.0)
+        for _ in range(2):
+            for node in cluster.nodes.values():
+                members = node.members
+                columns = (
+                    members._states, members._incarnations,
+                    members._changed_at, members._records,
+                )
+                assert all(a is b for a, b in zip(columns, table))
+            cluster.run_for(10.0)
 
     def test_join_bootstrap_converges(self):
         cluster = SimCluster(

@@ -1,6 +1,7 @@
 """Tests for the membership table and round-robin probe schedule."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,7 @@ class TestBasics:
             mm.roster.extend(roster)
             mm.add_many(range(len(mm.roster)), 1, MemberState.ALIVE, 0.0)
         assert (mm.names(), mm.snapshot(), mm.num_alive(), rng.getstate()) == before
-        assert mm.probe_scheduler._order == order
+        assert list(mm.probe_scheduler._order) == order
 
     @pytest.mark.parametrize("span", [range(1, 4), range(0, 2, 2), range(2, 1)])
     def test_add_many_rejects_a_span_outside_the_roster(self, span):
@@ -422,6 +423,232 @@ class TestReclaim:
         seen = {mm.next_probe_target().name for _ in range(10)}
         assert "m2" not in seen
         assert seen == {f"m{i}" for i in range(5) if i != 2}
+
+    def test_a_retained_death_is_walked_for_once(self):
+        """Every probe tick asks; while the one dead member's retention
+        runs, only the first call walks the table."""
+        mm = make_map(50)
+        mm.apply_claim("m7", MemberState.DEAD, 1, 10.0)
+        mm._order = order = _CountingOrder("I", mm._order)
+        for step in range(1000):
+            assert mm.reclaim_dead(10.0 + step * 0.05, 60.0) == []
+        assert order.walks == 1
+        assert mm.reclaim_dead(70.0, 60.0) == ["m7"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("tick"), st.floats(0.0, 8.0)),
+            st.tuples(
+                st.just("dead"), st.integers(0, 5),
+                st.sampled_from([MemberState.DEAD, MemberState.LEFT]),
+                st.floats(0.0, 20.0),
+            ),
+            st.tuples(st.just("alive"), st.integers(0, 5)),
+            st.tuples(st.just("reclaim"), st.floats(0.0, 30.0)),
+        ),
+        max_size=60,
+    ))
+    def test_reclaims_on_the_call_a_full_walk_would(self, operations):
+        """Against the rule read off every row on every call: deaths,
+        departures, deaths backdated by a merge's age, members coming
+        back, retentions that vary from call to call."""
+        mm = make_map(6)
+        now = 0.0
+        for op in operations:
+            if op[0] == "tick":
+                now += op[1]
+            elif op[0] == "reclaim":
+                retention = op[1]
+                expected = [
+                    m.name for m in mm.members()
+                    if m.is_dead and now - m.state_changed_at >= retention
+                ]
+                assert mm.reclaim_dead(now, retention) == expected
+            else:
+                name = f"m{op[1]}"
+                incarnation = mm.known_incarnation(name)
+                if op[0] == "dead":
+                    mm.merge_claim(name, op[2], incarnation, now, age=op[3])
+                else:
+                    mm.merge_claim(
+                        name, MemberState.ALIVE, incarnation + 1, now, address=name
+                    )
+
+
+class _CountingOrder(array):
+    """A table-insertion order that counts the walks made over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestSharedBootstrapTable:
+    """Maps preseeded from one roster hold one read-only table until
+    each first writes; nothing one of them does reaches the others."""
+
+    NAMES = [f"m{i}" for i in range(6)]
+
+    def bootstrapped(self):
+        roster = Roster()
+        maps = [
+            MemberMap(name, f"{name}:1", random.Random(i), roster=roster)
+            for i, name in enumerate(self.NAMES)
+        ]
+        for mm in maps:
+            mm.add_many(range(len(roster)), 1, MemberState.ALIVE, 0.0)
+        return roster, maps
+
+    def never_shared(self, name):
+        """The same table on a private roster, one ``add`` per member."""
+        reference = MemberMap(name, f"{name}:1", random.Random(0))
+        for other in self.NAMES:
+            if other != name:
+                reference.add(other, f"{other}:1", 1, MemberState.ALIVE, 0.0)
+        return reference
+
+    @staticmethod
+    def columns(mm):
+        return (mm._states, mm._incarnations, mm._changed_at, mm._records)
+
+    @staticmethod
+    def reads(mm, now=7.0):
+        rows = [
+            (m.name, m.state, m.incarnation, m.state_changed_at, m.address,
+             m.meta, m.zone)
+            for m in mm.members()
+        ]
+        return rows, list(mm.claims()), mm.snapshot(now).wire
+
+    def test_maps_of_one_roster_hold_one_table(self):
+        roster, maps = self.bootstrapped()
+        table = roster.bootstrap(MemberState.ALIVE, 1, 0.0)
+        for mm in maps:
+            assert mm.shares_table
+            assert all(a is b for a, b in zip(self.columns(mm), table))
+            assert self.reads(mm) == self.reads(self.never_shared(mm.local_name))
+
+    def test_a_write_to_a_shared_column_raises(self):
+        _, maps = self.bootstrapped()
+        for column, value in zip(self.columns(maps[0]), (2, 5, 1.0, None)):
+            with pytest.raises(TypeError):
+                column[1] = value
+
+    def test_the_first_write_copies_the_writer_only(self):
+        roster, maps = self.bootstrapped()
+        maps[2].apply_claim("m4", MemberState.SUSPECT, 1, 3.0)
+        assert not maps[2].shares_table
+        assert [type(c) for c in self.columns(maps[2])] == [
+            bytearray, array, array, list,
+        ]
+        assert maps[2].get("m4").is_suspect
+        assert all(mm.shares_table for i, mm in enumerate(maps) if i != 2)
+        assert maps[0].get("m4").is_alive
+
+    def test_a_quiet_publish_is_an_identity_check(self, monkeypatch):
+        roster, maps = self.bootstrapped()
+        maps[0].snapshot(1.0)
+        assert roster.published_from is maps[0]._incarnations
+        calls = []
+        monkeypatch.setattr(Roster, "publish", lambda *a: calls.append(a))
+        for mm in maps:
+            mm.snapshot(2.0)
+        assert calls == []
+
+    def test_growing_the_roster_copies_nobody(self):
+        roster, maps = self.bootstrapped()
+        maps[0].snapshot(1.0)
+        late = MemberMap("late", "late:1", random.Random(9), roster=roster)
+        assert len(roster) == len(self.NAMES) + 1
+        for mm in maps:
+            assert "late" not in mm and mm.get("late") is None
+            assert mm.known_incarnation("late") == -1
+            assert len(mm.snapshot(2.0)) == len(self.NAMES)
+            assert mm.shares_table
+        # A push-pull from the joiner: only the map that merges it copies.
+        decisions, _ = maps[1].merge_remote_wire_state(late.snapshot(3.0), 3.0)
+        assert [(d.name, d.action) for d in decisions] == [("late", MERGE_ADDED)]
+        assert [mm.shares_table for mm in maps] == [True, False] + [True] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        writer=st.integers(0, 5),
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, 3)),
+                st.tuples(
+                    st.just("claim"), st.integers(0, 5),
+                    st.sampled_from(list(MemberState)), st.integers(0, 3),
+                    st.floats(0.0, 5.0), st.binary(max_size=2),
+                ),
+                st.tuples(
+                    st.just("apply"), st.integers(0, 5),
+                    st.sampled_from(list(MemberState)), st.integers(0, 3),
+                ),
+                st.tuples(st.just("bump"), st.integers(0, 4)),
+                st.tuples(st.just("meta"), st.binary(max_size=3)),
+                st.tuples(st.just("reclaim"), st.floats(0.0, 5.0)),
+                st.tuples(st.just("extend"), st.integers(0, 3)),
+                st.tuples(st.just("wire"), st.integers(0, 5)),
+                st.tuples(st.just("remote"), st.integers(0, 5), st.integers(0, 3)),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_one_maps_writes_reach_no_other(self, writer, operations):
+        """Every public mutator, in any order, on one map of a shared
+        roster; the others must read exactly what a never-shared table
+        reads, and still hold the one table."""
+        roster, maps = self.bootstrapped()
+        table = roster.bootstrap(MemberState.ALIVE, 1, 0.0)
+        mm = maps[writer]
+        now, extended = 1.0, 0
+        for op in operations:
+            now += 0.5
+            kind = op[0]
+            if kind == "add":
+                name = f"j{op[1]}"
+                if name not in mm:
+                    mm.add(name, f"{name}:1", 1, MemberState.ALIVE, now)
+            elif kind == "claim":
+                _, index, state, incarnation, age, meta = op
+                mm.merge_claim(
+                    f"m{index}", state, incarnation, now,
+                    address=f"moved{index}", meta=meta, age=age, zone="z",
+                )
+            elif kind == "apply":
+                _, index, state, incarnation = op
+                if f"m{index}" in mm:
+                    mm.apply_claim(f"m{index}", state, incarnation, now)
+            elif kind == "bump":
+                mm.bump_local_incarnation(op[1])
+            elif kind == "meta":
+                mm.set_local_meta(op[1])
+            elif kind == "reclaim":
+                mm.reclaim_dead(now, op[1])
+            elif kind == "extend":
+                span = roster.extend(
+                    [(f"x{extended + i}", "x", b"", "") for i in range(op[1])]
+                )
+                extended += op[1]
+                mm.add_many(span, 2, MemberState.SUSPECT, now)
+            elif kind == "wire":
+                mm.merge_remote_wire_state(maps[op[1]].snapshot(now), now)
+            else:
+                _, index, incarnation = op
+                mm.merge_remote_state(
+                    [(f"m{index}", "r", incarnation, MemberState.DEAD, 2.0, b"")],
+                    now,
+                )
+        for other in maps:
+            if other is mm:
+                continue
+            assert other.shares_table
+            assert all(a is b for a, b in zip(self.columns(other), table))
+            assert self.reads(other) == self.reads(self.never_shared(other.local_name))
 
 
 class TestRandomMembers:

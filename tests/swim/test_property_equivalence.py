@@ -456,6 +456,12 @@ class _NaiveRoundRobin:
         return deferred
 
 
+def _probe_order(mm: MemberMap) -> List[str]:
+    """The round-robin scheduler's probe order (roster ids), as names."""
+    names = mm.roster.names
+    return [names[sid] for sid in mm.probe_scheduler._order]
+
+
 _probe_op = st.one_of(
     st.tuples(st.just("add"), st.integers(0, len(_POOL) - 1)),
     st.tuples(st.just("kill"), st.integers(0, len(_POOL) - 1)),
@@ -498,9 +504,8 @@ def test_round_robin_schedule_matches_reference(ops, seed):
 
         # Exact schedule-state equivalence after every operation: any
         # index drift shows up here long before it skews a selection.
-        scheduler = mm.probe_scheduler
-        assert scheduler._order == ref.order
-        assert scheduler._index == ref.index
+        assert _probe_order(mm) == ref.order
+        assert mm.probe_scheduler._index == ref.index
 
 
 # --------------------------------------------------------------------- #
@@ -543,7 +548,7 @@ def test_bulk_insert_draws_match_per_name_reference(seed, batches):
         mm.add_many(span, 1, MemberState.ALIVE, now)
         for name in names:
             ref.add(reference_rng, name)
-        assert scheduler._order == ref.order
+        assert _probe_order(mm) == ref.order
         assert scheduler._index == ref.index
         assert rng.getstate() == reference_rng.getstate()
 
@@ -555,7 +560,7 @@ def test_bulk_insert_draws_match_per_name_reference(seed, batches):
         for name in victims:
             mm.apply_claim(name, MemberState.DEAD, 1, now)
         ref.reclaim(mm.reclaim_dead(now + 1.0, 0.0))
-        assert scheduler._order == ref.order
+        assert _probe_order(mm) == ref.order
         assert scheduler._index == ref.index
         assert rng.getstate() == reference_rng.getstate()
 
@@ -602,7 +607,7 @@ def test_add_many_matches_sequence_of_adds(seed, entries, cuts, state, sample):
     assert [m.name for m in bulk.alive_members(True)] == [
         m.name for m in one_by_one.alive_members(True)
     ]
-    assert bulk.probe_scheduler._order == one_by_one.probe_scheduler._order
+    assert _probe_order(bulk) == _probe_order(one_by_one)
     assert bulk.probe_scheduler._index == one_by_one.probe_scheduler._index
     # Same RNG state going in, same candidate order: identical draws.
     assert [m.name for m in bulk.random_members(sample)] == [

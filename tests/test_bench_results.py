@@ -4,11 +4,20 @@ renders (ROADMAP aim 3: results match code)."""
 import json
 from pathlib import Path
 
-from benchmarks.bench_packet_path import render
+from benchmarks import bench_packet_path, bench_scale
 
 RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
 
 
 def test_packet_path_text_is_rendered_from_its_json():
     rows = json.loads((RESULTS / "packet_path.json").read_text())
-    assert (RESULTS / "packet_path.txt").read_text() == render(rows) + "\n"
+    assert (RESULTS / "packet_path.txt").read_text() == (
+        bench_packet_path.render(rows) + "\n"
+    )
+
+
+def test_scale_throughput_text_is_rendered_from_its_json():
+    payload = json.loads((RESULTS / "scale_throughput.json").read_text())
+    assert (RESULTS / "scale_throughput.txt").read_text() == (
+        bench_scale.render(payload) + "\n"
+    )
