@@ -20,7 +20,7 @@ from repro.metrics.telemetry import Telemetry
 from repro.sim.anomaly import AnomalyController
 from repro.sim.network import LatencyModel, SimNetwork
 from repro.sim.scheduler import EventScheduler, collector_paused
-from repro.swim.member_map import Roster
+from repro.swim.roster import Roster
 from repro.swim.node import SwimNode
 from repro.swim.state import MemberState
 from repro.transport.sim import SimTransport

@@ -17,7 +17,7 @@ transport, so the identical code runs under the discrete-event simulator
 (:mod:`repro.sim`) and under asyncio UDP (:mod:`repro.transport.udp`).
 """
 
-from repro.swim.member_map import Member, MemberMap, Roster
+from repro.swim.member_map import Member, MemberMap
 from repro.swim.messages import (
     Ack,
     Alive,
@@ -30,6 +30,7 @@ from repro.swim.messages import (
     Suspect,
 )
 from repro.swim.node import SwimNode
+from repro.swim.roster import Roster
 from repro.swim.state import MemberState
 
 __all__ = [

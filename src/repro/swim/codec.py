@@ -25,7 +25,7 @@ layout is spelled::
 The claim -- the entry up to its age -- says nothing of who reports it
 or when, so the same bytes recur in every snapshot until the claim
 changes. :func:`pack_entry` spells it once per published claim
-(:meth:`repro.swim.member_map.Roster.publish`), :func:`join_states`
+(:meth:`repro.swim.roster.Roster.publish`), :func:`join_states`
 strings a table together out of those, and on the way in one cache
 keyed by exactly those bytes (filled only by :func:`_decode_entry`) lets
 :func:`_decode_states` check a table that shares one age with a

@@ -18,24 +18,27 @@ Storage is struct-of-arrays, because at n members a cluster holds n
 tables of n entries and a Python object per (observer, subject) pair is
 what made that quadratic in constructor calls, in GC work and in RSS:
 
-* a :class:`Roster` interns every subject name to a dense id once. The
-  maps of one simulated cluster (and the bridge directories of one zone
-  shard) share a roster; a lone real-network member gets a private one.
-  There is no other difference between the two — one code path;
+* a :class:`~repro.swim.roster.Roster` interns every subject name to a
+  dense id once. The maps of one simulated cluster (and the bridge
+  directories of one zone shard) share a roster; a lone real-network
+  member gets a private one. There is no other difference between the
+  two — one code path;
 * per observer, a :class:`MemberMap` keeps only columns indexed by that
   id: a ``bytearray`` of states, an ``array('Q')`` of incarnations, an
   ``array('d')`` of state-change times, and a list of references to
-  shared immutable :class:`Record` objects (address, meta, zone), replaced
-  copy-on-write when an alive claim changes one. An ``array('I')`` of
-  ids keeps table-insertion order. The record list is the only GC
-  container among them — one object per observer, not one per pair;
+  shared immutable :class:`~repro.swim.roster.Record` objects (address,
+  meta, zone), replaced copy-on-write when an alive claim changes one.
+  An ``array('I')`` of ids keeps table-insertion order. The record list
+  is the only GC container among them — one object per observer, not
+  one per pair;
 * a table every map of a roster holds alike is held once: a
   whole-roster preseed (:meth:`MemberMap.add_many`) hands each map a
   reference to the roster's one read-only *bootstrap table*
-  (:meth:`Roster.bootstrap`: ``bytes``, read-only ``memoryview``\\ s and
-  a ``tuple``), and a map copies it into columns of its own — once, one
-  memcpy a column — on its first write. Until then a quiet map costs
-  its two id orders (table insertion, probe order), 8 bytes a row;
+  (:meth:`~repro.swim.roster.Roster.bootstrap`: ``bytes``, read-only
+  ``memoryview``\\ s and a ``tuple``), and a map copies it into columns
+  of its own — once, one memcpy a column — on its first write. Until
+  then a quiet map costs its two id orders (table insertion, probe
+  order), 8 bytes a row;
 * :class:`Member` is a read-only *live view* — a ``(map, id)`` handle
   whose properties read the columns — materialized only for what the
   public API hands out. Full-table walkers read :meth:`MemberMap.claims`
@@ -56,13 +59,14 @@ every tick, so the table cannot afford per-call full scans):
   reordering would change seeded runs. Sampling runs over ids; only the
   members chosen are materialized;
 * the roster carries one *published* copy of the table its maps agree
-  on (:meth:`Roster.publish`), each claim already packed for the wire.
-  A map that equals it — an identity check while it holds the bootstrap
-  table last published, else three C-level column comparisons — sends its
-  ``snapshot()`` by joining those and merges a snapshot made of them
-  with one set comparison; a map that differs first publishes what it
-  holds, Python work proportional to the ids that differ. No snapshot
-  is cached (that would pin ~27 KB per member at n=1024).
+  on (:meth:`~repro.swim.roster.Roster.publish`), each claim already
+  packed for the wire. A map that equals it — an identity check while
+  it holds the bootstrap table last published, else three C-level
+  column comparisons — sends its ``snapshot()`` by joining those and
+  merges a snapshot made of them with one set comparison; a map that
+  differs first publishes what it holds, Python work proportional to
+  the ids that differ. No snapshot is cached (that would pin ~27 KB per
+  member at n=1024).
 
 Every mutation goes through a :class:`MemberMap` method — views cannot be
 written through.
@@ -73,51 +77,23 @@ from __future__ import annotations
 import collections.abc
 import random
 from array import array
-from itertools import compress
-from operator import is_not
-from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.swim.codec import (
-    CodecError,
-    PackedStates,
-    join_states,
-    pack_age,
-    pack_entry,
-    read_entry,
-)
-from repro.swim.messages import StateEntry
+from repro.swim.codec import CodecError, PackedStates, join_states, pack_age, read_entry
 from repro.swim.probe_scheduler import ProbeScheduler, RoundRobinScheduler
+from repro.swim.roster import _ABSENT, Record, Roster
 from repro.swim.state import MemberState, claim_supersedes
 
 #: Saturation bound for the age field carried in push-pull state entries
 #: (u32 milliseconds on the wire, ~49 days).
 MAX_STATE_AGE_MS = 0xFFFFFFFF
 
-#: Wire value -> member state (for the wire-merge path).
-_STATE_FROM_WIRE = {int(state): state for state in MemberState}
-#: State-column byte of a roster id this map does not hold.
-_ABSENT = len(MemberState)
 #: State-column byte -> member state; the column stores wire values, so
 #: snapshots copy the byte straight out. An absent slot reads ``None``.
 _STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
 _ALIVE = int(MemberState.ALIVE)
 _SUSPECT = int(MemberState.SUSPECT)
 _DEAD = int(MemberState.DEAD)
-
-
-def _differing(column, published, width: int) -> Iterator[int]:
-    """Indices at which two equally long columns of ``width``-byte items
-    differ, read off one XOR of the two as integers: C speed along the
-    columns, Python per index found."""
-    delta = int.from_bytes(column, "little") ^ int.from_bytes(published, "little")
-    bits, base = 8 * width, 0
-    while delta:
-        skip = ((delta & -delta).bit_length() - 1) // bits + 1
-        base += skip
-        yield base - 1
-        delta >>= skip * bits
 
 
 def _age(now: float, changed: float) -> bytes:
@@ -217,210 +193,6 @@ class MergeDecision:
         )
 
 
-class Record:
-    """What an alive claim says about a member beyond its liveness:
-    ``address``, ``meta`` and ``zone``. Never written after construction
-    and shared between observers (and the roster); a claim that changes
-    one replaces the record.
-    """
-
-    __slots__ = ("address", "meta", "zone")
-
-    def __init__(self, address: str, meta: bytes, zone: str) -> None:
-        self.address = address
-        self.meta = meta
-        self.zone = zone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Record):
-            return NotImplemented
-        return (
-            self.address == other.address
-            and self.meta == other.meta
-            and self.zone == other.zone
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Record({self.address!r}, {self.meta!r}, {self.zone!r})"
-
-
-#: A read-only member table, shared by the maps that hold it: states,
-#: incarnations, changed-at times and records, indexed by roster id.
-SharedTable = Tuple[bytes, memoryview, memoryview, Tuple[Optional[Record], ...]]
-
-
-class Roster:
-    """Subject names interned to dense ids, shared by a cluster's maps.
-
-    ``names[id]`` and ``ids[name]`` are inverse; ``records[id]`` is the
-    :class:`Record` the subject was interned with, or — when
-    the subject's own map shares this roster — what it last announced
-    about itself (:meth:`MemberMap.set_local_meta` publishes here). Maps
-    reference these records rather than copying them, and
-    :meth:`MemberMap.add_many` seeds a table from them.
-
-    The ``published_*`` columns copy the table of the last map to
-    :meth:`publish` (state byte, incarnation, record per id);
-    ``entries[id]`` is that claim packed for the wire (``b""`` for an
-    id not held) and ``alive`` the set of those that claim ALIVE. The
-    maps of a quiet cluster all equal it: n tables, packed once.
-    ``published_from`` is the incarnation column of the
-    :meth:`bootstrap` table it was last published from, or ``None``: a
-    map still holding that table equals the published one by identity.
-    """
-
-    __slots__ = (
-        "names",
-        "ids",
-        "records",
-        "_sequence",
-        "_bootstrap",
-        "published_states",
-        "published_incarnations",
-        "published_records",
-        "published_from",
-        "entries",
-        "alive",
-    )
-
-    def __init__(self) -> None:
-        self.names: List[str] = []
-        self.ids: Dict[str, int] = {}
-        self.records: List[Record] = []
-        self._sequence = array("I")
-        self._bootstrap: Optional[Tuple[tuple, SharedTable]] = None
-        self.published_states = bytearray()
-        self.published_incarnations = array("Q")
-        self.published_records: List[Optional[Record]] = []
-        self.published_from: Optional[memoryview] = None
-        self.entries: List[bytes] = []
-        self.alive: Set[bytes] = set()
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def intern(self, name: str, record: Record) -> int:
-        """The id of ``name``, assigning the next one (and remembering
-        ``record``) the first time the name is seen."""
-        sid = self.ids.get(name)
-        if sid is None:
-            sid = self.ids[name] = len(self.names)
-            self.names.append(name)
-            self.records.append(record)
-        return sid
-
-    def id_array(self, span: range) -> array:
-        """``array('I', span)`` for a span of ids, sliced from one
-        sequence kept per roster: every map of a cluster asks for the
-        same span at bootstrap, and a slice is a memcpy."""
-        sequence = self._sequence
-        if len(sequence) < span.stop:
-            sequence.extend(range(len(sequence), span.stop))
-        return sequence[span.start : span.stop]
-
-    def bootstrap(self, state: int, incarnation: int, now: float) -> SharedTable:
-        """Every id interned so far held with this claim, changed at
-        ``now``, with the record it was interned with: what each map of
-        a preseeded cluster holds after :meth:`MemberMap.add_many`.
-        Built once and handed to all of them read-only (``bytes``,
-        read-only ``memoryview``\\ s, a ``tuple``), so a write that
-        skipped :meth:`MemberMap._own` raises ``TypeError`` instead of
-        reaching a neighbour. A later call for another size, claim or
-        record set builds a new one; maps holding the old one keep it.
-        """
-        key = (len(self.names), state, incarnation, now)
-        built = self._bootstrap
-        if built is None or built[0] != key:
-            size = key[0]
-            built = self._bootstrap = key, (
-                bytes((state,)) * size,
-                memoryview(array("Q", (incarnation,)) * size).toreadonly(),
-                memoryview(array("d", (now,)) * size).toreadonly(),
-                tuple(self.records),
-            )
-        return built[1]
-
-    def announce(self, sid: int, record: Record) -> None:
-        """``record`` is what subject ``sid`` now says about itself: a
-        later :meth:`MemberMap.add_many` seeds tables with it."""
-        self.records[sid] = record
-        self._bootstrap = None
-
-    def publish(
-        self,
-        states: Union[bytes, bytearray],
-        incarnations: Union[array, memoryview],
-        records: Sequence[Optional[Record]],
-    ) -> None:
-        """Make the published table equal to these columns of a map, each
-        covering every id interned so far (or, for a :meth:`bootstrap`
-        table built before the roster last grew, every id it had: it
-        holds none of the others): three comparisons when they already
-        are, which is all a quiet cluster of private tables pays (a map
-        still holding the bootstrap table last published does not call
-        this: :meth:`MemberMap._publish` checks :attr:`published_from` by
-        identity). Otherwise the ids
-        that differ are found at C speed and only those are packed again
-        (values copied: the roster holds nothing of the map). A claim the
-        wire cannot carry raises :class:`~repro.swim.codec.CodecError`
-        before anything is published.
-        """
-        held, numbers = self.published_states, self.published_incarnations
-        if (states, incarnations, records) == (held, numbers, self.published_records):
-            return
-        # Only a bootstrap table holds views, each built afresh and
-        # immutable: a map holding this one holds what is published. A
-        # private column proves nothing by identity.
-        source = incarnations if incarnations.__class__ is memoryview else None
-        self.published_from = None
-        short = len(held) - len(states)
-        if short > 0:
-            states = bytes(states) + bytes((_ABSENT,)) * short
-            incarnations = array("Q", incarnations.tobytes()) + array("Q", (0,)) * short
-            records = (*records, *[None] * short)
-        extra = len(states) - len(held)
-        if extra:
-            held.extend(bytes((_ABSENT,)) * extra)
-            numbers.extend(array("Q", (0,)) * extra)
-            self.published_records.extend([None] * extra)
-            self.entries.extend([b""] * extra)
-        differ = set(_differing(states, held, 1))
-        differ.update(_differing(incarnations, numbers, 8))
-        if records != self.published_records:
-            is_new = map(is_not, records, self.published_records)
-            differ.update(compress(range(len(records)), is_new))
-        fresh = [
-            b""  # an id not held
-            if records[sid] is None
-            else pack_entry(
-                self.names[sid], records[sid].address, incarnations[sid],
-                states[sid], records[sid].meta,
-            )
-            for sid in differ
-        ]
-        entries, alive = self.entries, self.alive
-        for sid, entry in zip(differ, fresh):
-            alive.discard(entries[sid])
-            held[sid] = states[sid]
-            numbers[sid] = incarnations[sid]
-            self.published_records[sid] = records[sid]
-            entries[sid] = entry
-            if states[sid] == _ALIVE:
-                alive.add(entry)
-        self.published_from = source
-
-    def extend(self, entries: Iterable[Tuple[str, str, bytes, str]]) -> range:
-        """Intern a batch of new ``(name, address, meta, zone)`` subjects;
-        returns their id span. A name already interned (or repeated in
-        the batch) raises, since its id would fall outside the span."""
-        start = len(self.names)
-        for name, address, meta, zone in entries:
-            if name in self.ids:
-                raise ValueError(f"member {name!r} already known")
-            self.intern(name, Record(address, meta, zone))
-        return range(start, len(self.names))
-
-
 class Member:
     """One peer's view of one group member: a live, read-only handle.
 
@@ -480,25 +252,6 @@ class Member:
     @property
     def is_dead(self) -> bool:
         return _DEAD <= self._map._states[self._id] < _ABSENT
-
-    def snapshot(self, now: float = 0.0) -> StateEntry:
-        """State entry for a push-pull sync.
-
-        The final element is the age of the current state in integer
-        milliseconds (how long ago the last transition happened, relative
-        to ``now``). Ages travel instead of absolute timestamps so peers
-        with unrelated clocks can still backdate terminal states into
-        their own retention windows.
-        """
-        age_ms = int(max(0.0, now - self.state_changed_at) * 1000.0)
-        return (
-            self.name,
-            self.address,
-            self.incarnation,
-            int(self.state),
-            self.meta,
-            min(age_ms, MAX_STATE_AGE_MS),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.state
@@ -726,12 +479,15 @@ class MemberMap:
 
         The table is published first (a comparison, unless it changed
         since the roster last saw it); the snapshot is the published
-        claims in table order, each followed by the age of its state
-        (see :meth:`Member.snapshot`) — one age throughout for a table
-        nothing has happened to since it was seeded, which the codec
-        then joins with it. A table the wire format cannot carry (a name
-        over 255 bytes, more than 65,535 members) raises
-        :class:`~repro.swim.codec.CodecError`.
+        claims in table order, each followed by the age of its state:
+        how long before ``now`` the member's last transition happened,
+        in whole milliseconds, saturating (ages travel instead of
+        absolute timestamps so peers with unrelated clocks can still
+        backdate terminal states into their own retention windows). One
+        age throughout for a table nothing has happened to since it was
+        seeded, which the codec then joins with it. A table the wire
+        format cannot carry (a name over 255 bytes, more than 65,535
+        members) raises :class:`~repro.swim.codec.CodecError`.
         """
         entries = self._publish().entries
         changed_at = self._changed_at
@@ -1041,10 +797,13 @@ class MemberMap:
 
     def merge_remote_wire_state(
         self,
-        states: Iterable[tuple],
+        states: PackedStates,
         now: float,
     ) -> Tuple[List[MergeDecision], int]:
-        """Merge raw push-pull wire entries; the sync-engine hot path.
+        """Merge a push-pull's states in wire form; the sync-engine hot
+        path. ``states`` comes off the wire or is another map's
+        :meth:`snapshot`; it is validated whole (:meth:`PackedStates.split`)
+        before anything is merged.
 
         Semantically :meth:`merge_remote_state` applied to
         ``PushPull.iter_entries()``, with the steady-state majority
@@ -1057,50 +816,36 @@ class MemberMap:
         Returns ``(decisions, total_entries)`` where ``decisions`` holds
         only the non-ignored outcomes.
         """
-        total = 0
-        if states.__class__ is PackedStates:
-            entries, ages = states.split()  # type: ignore[attr-defined]
-            try:
-                roster = self._publish()
-                alive, local = roster.alive, roster.entries[self._local_id]
-            except CodecError:
-                # We hold a claim the wire cannot carry, so none of ours
-                # is published: nothing arriving can be elided by it.
-                alive, local = frozenset(), None
-            if alive.issuperset(entries):
-                # Only what it says about us gets a decision, and that
-                # one does not read the age.
-                own = entries.count(local)
-                novel = [(local, ages[0])] * own if own else []
-            else:
-                novel = [
-                    pair
-                    for pair in zip(entries, ages)
-                    if pair[0] not in alive or pair[0] == local
-                ]
-            total = len(entries) - len(novel)
-            states = [read_entry(*pair) for pair in novel]
+        entries, ages = states.split()
+        try:
+            roster = self._publish()
+            alive, local = roster.alive, roster.entries[self._local_id]
+        except CodecError:
+            # We hold a claim the wire cannot carry, so none of ours
+            # is published: nothing arriving can be elided by it.
+            alive, local = frozenset(), None
+        if alive.issuperset(entries):
+            # Only what it says about us gets a decision, and that
+            # one does not read the age.
+            own = entries.count(local)
+            novel = [(local, ages[0])] * own if own else []
+        else:
+            novel = [
+                pair
+                for pair in zip(entries, ages)
+                if pair[0] not in alive or pair[0] == local
+            ]
         decisions: List[MergeDecision] = []
-        from_wire = _STATE_FROM_WIRE
-        for entry in states:
-            total += 1
-            try:
-                name, address, incarnation, state_value, meta, age_ms = entry
-            except ValueError:
-                # Hand-built short entries (meta/age optional).
-                name, address, incarnation, state_value = entry[:4]
-                meta = entry[4] if len(entry) > 4 else b""
-                age_ms = entry[5] if len(entry) > 5 else 0
-            state = from_wire.get(state_value)
-            if state is None:
-                # Same ValueError iter_entries would have raised.
-                state = MemberState(state_value)
+        state_of = _STATE_OF
+        for pair in novel:
+            name, address, incarnation, state_value, meta, age_ms = read_entry(*pair)
             decision = self._merge_entry(
-                name, address, incarnation, state, meta, age_ms / 1000.0, now
+                name, address, incarnation, state_of[state_value], meta,
+                age_ms / 1000.0, now,
             )
             if decision.action != MERGE_IGNORED:
                 decisions.append(decision)
-        return decisions, total
+        return decisions, len(entries)
 
     def bump_local_incarnation(self, at_least: int) -> int:
         """Refutation: raise the local incarnation above ``at_least``."""

@@ -152,7 +152,8 @@ class PushPull:
     sender's own table (:meth:`MemberMap.snapshot
     <repro.swim.member_map.MemberMap.snapshot>`) and a decoded message
     carry it in wire form, as a :class:`repro.swim.codec.PackedStates`,
-    which iterates (and compares) as the same entries.
+    which iterates (and compares) as the same entries. Only the wire
+    form is merged (:meth:`repro.sync.engine.SyncEngine.merge`).
     """
 
     source: str

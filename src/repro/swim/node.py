@@ -41,7 +41,6 @@ from repro.swim.member_map import (
     Member,
     MemberMap,
     MergeDecision,
-    Roster,
 )
 from repro.swim.messages import (
     Ack,
@@ -58,6 +57,7 @@ from repro.swim.messages import (
     primary_kind,
 )
 from repro.swim.probe_scheduler import make_probe_scheduler
+from repro.swim.roster import Roster
 from repro.swim.state import MemberState
 from repro.sync import FallbackPolicy, SyncEngine
 
@@ -139,7 +139,7 @@ class SwimNode:
         Optional callback receiving a :class:`MemberEvent` for every
         membership transition this node observes.
     roster:
-        The name-interning :class:`~repro.swim.member_map.Roster` the
+        The name-interning :class:`~repro.swim.roster.Roster` the
         member table is indexed by. A cluster hosting many nodes in one
         process passes one shared roster; left out, the node gets its own.
     """

@@ -52,15 +52,11 @@ from repro.metrics.telemetry import Stat
 from repro.sim.scheduler import EventScheduler
 from repro.swim.codec import encode
 from repro.swim.events import EventKind, MemberEvent
-from repro.swim.member_map import (
-    MERGE_ADDED,
-    MERGE_APPLIED,
-    MemberMap,
-    Roster,
-)
+from repro.swim.member_map import MERGE_ADDED, MERGE_APPLIED, MemberMap
 from repro.swim.messages import Message, ZoneClaim, ZoneDigest
 from repro.swim.node import SwimNode
 from repro.swim.probe_scheduler import ProbeScheduler
+from repro.swim.roster import Roster
 from repro.swim.state import MemberState
 from repro.zones.topology import Zone, ZoneLayout
 

@@ -44,7 +44,7 @@ from typing import (
 from repro.config import SwimConfig
 from repro.sim.runtime import SimCluster
 from repro.sim.scheduler import EventScheduler, collector_paused
-from repro.swim.member_map import Roster
+from repro.swim.roster import Roster
 from repro.swim.node import SwimNode
 from repro.zones.bridge import ZoneBridge
 from repro.zones.frames import RECORD_HEAD, BridgeTable, FrameBuffer, iter_records

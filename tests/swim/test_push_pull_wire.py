@@ -1,14 +1,13 @@
-"""The push-pull path against reference models kept here.
+"""The push-pull wire path against reference models kept here.
 
-Send side: ``MemberMap.snapshot`` strings together the claims its roster
-published, by one ``join`` when the table has one age throughout; the
-reference is a per-entry encoder that restates the layout field by field
-and shares nothing. Receive side: ``decode`` checks such a table with
-one ``split`` against the cache of validated entries and walks any other
-entry by entry; the reference is the same decoder with the cache emptied
-first, which can only walk. Merge: a snapshot made of claims the table
-holds is elided by one set comparison; the reference is
-``merge_remote_state`` over the decoded tuples, which elides nothing.
+Send side: ``join_states`` strings a table together out of claims
+packed once; the reference is a per-entry encoder that restates the
+layout field by field and shares nothing. Receive side: ``decode``
+checks such a table with one ``split`` against the cache of validated
+entries and walks any other entry by entry; the reference is the same
+decoder with the cache emptied first, which can only walk. What a member
+table sends and how it merges what it receives are held to the table's
+model in ``test_member_table.py``.
 """
 
 import random
@@ -18,14 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.telemetry import Telemetry
 from repro.swim import codec
-from repro.swim.member_map import MAX_STATE_AGE_MS, MERGE_IGNORED, MemberMap, Roster
+from repro.swim.member_map import MAX_STATE_AGE_MS, MemberMap
 from repro.swim.messages import Compound, PushPull
+from repro.swim.roster import Roster
 from repro.swim.state import MemberState
-from repro.sync.engine import SyncEngine
 
-_STATES = list(MemberState)
 #: Includes two-, three- and four-byte UTF-8 sequences.
 _NAMES = ["la", "lb", "m0", "m1", "nœud-2", "ノード3", "m-𝟜", "x" * 255]
 _ADDRESSES = ["10.0.0.1:7946", "hôte:1", "a"]
@@ -54,12 +51,6 @@ def _reference_push_pull(source, states_wire, join=False, is_reply=False) -> byt
     )
 
 
-def _reference_entries(members: MemberMap, now: float):
-    """The table read one member view at a time (``Member.snapshot``
-    goes through the view's properties, not the snapshot loop)."""
-    return [member.snapshot(now) for member in members.members()]
-
-
 _entries = st.lists(
     st.tuples(
         st.sampled_from(_NAMES),
@@ -77,84 +68,11 @@ _entries = st.lists(
 # Send side
 # --------------------------------------------------------------------- #
 
-_observer = st.integers(0, 1)
-_table_op = st.one_of(
-    st.tuples(
-        st.just("add"), _observer, st.sampled_from(_NAMES),
-        st.sampled_from(_ADDRESSES), st.sampled_from(_METAS),
-        st.sampled_from(_STATES), st.sampled_from([0, 1, 3, 2**64 - 1]),
-    ),
-    # Replaces the observer's record for the subject (copy-on-write)
-    # whenever the claim applies and says something new.
-    st.tuples(
-        st.just("merge"), _observer, st.sampled_from(_NAMES),
-        st.sampled_from(_STATES), st.integers(0, 5),
-        st.none() | st.sampled_from(_ADDRESSES),
-        st.none() | st.sampled_from(_METAS),
-        st.floats(0.0, 30.0),
-    ),
-    # Replaces the roster's record for the observer itself.
-    st.tuples(st.just("meta"), _observer, st.sampled_from(_METAS)),
-    # Frees ids, which a later add takes up again.
-    st.tuples(st.just("reclaim"), _observer, st.floats(0.0, 5.0)),
-    st.tuples(st.just("bump"), _observer),
-    # Ages far past what the u32 millisecond field holds.
-    st.tuples(st.just("wait"), st.sampled_from([0.0, 0.0004, 1.0, 5.0e6])),
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(ops=st.lists(_table_op, max_size=40), preseed=st.booleans())
-def test_snapshot_bytes_match_reference_encoder(ops, preseed):
-    roster = Roster()
-    maps = [
-        MemberMap(name, f"{name}:7946", random.Random(i), roster=roster)
-        for i, name in enumerate(("la", "lb"))
-    ]
-    if preseed:
-        roster.extend((n, f"{n}:1", b"", "") for n in _NAMES[2:5])
-        for members in maps:
-            members.add_many(range(len(roster)), 1, MemberState.ALIVE, 0.0)
-    now = 0.0
-    for op in ops:
-        kind = op[0]
-        if kind == "wait":
-            now += op[1]
-            continue
-        members = maps[op[1]]
-        if kind == "add":
-            _, _, name, address, meta, state, incarnation = op
-            if name not in members:
-                members.add(name, address, incarnation, state, now, meta)
-        elif kind == "merge":
-            _, _, name, state, incarnation, address, meta, age = op
-            members.merge_claim(
-                name, state, incarnation, now, address=address, meta=meta, age=age
-            )
-        elif kind == "meta":
-            members.set_local_meta(op[2])
-        elif kind == "reclaim":
-            members.reclaim_dead(now, op[2])
-        elif kind == "bump":
-            members.bump_local_incarnation(0)
-        for members in maps:
-            snapshot = members.snapshot(now)
-            entries = _reference_entries(members, now)
-            assert snapshot.wire == _reference_states(entries)
-            assert len(snapshot) == len(entries) == len(members)
-            assert list(snapshot) == entries
-            assert codec.encode(
-                PushPull(members.local_name, snapshot, is_reply=True)
-            ) == _reference_push_pull(
-                members.local_name, snapshot.wire, is_reply=True
-            )
-
 
 def test_snapshot_age_saturates_in_the_reference_too():
     members = MemberMap("la", "la:1", random.Random(0))
     now = 2 * MAX_STATE_AGE_MS / 1000.0
-    (entry,) = _reference_entries(members, now)
-    assert entry[5] == MAX_STATE_AGE_MS
+    entry = ("la", "la:1", 1, 0, b"", MAX_STATE_AGE_MS)
     assert members.snapshot(now).wire == _reference_states([entry])
 
 
@@ -260,8 +178,11 @@ class TestPackedClaimsBelongToTheRoster:
         snapshots = [first] + [members.snapshot(3.0) for members in maps[1:]]
         # Nobody after the first packed (or published) anything.
         assert list(map(id, roster.entries)) == list(map(id, packed))
-        for members, snapshot in zip(maps, snapshots):
-            assert snapshot.wire == _reference_states(_reference_entries(members, 3.0))
+        # Every member ALIVE at incarnation 1 since 0.0, the map's own first.
+        held = [(f"m{i:02d}", f"m{i:02d}:1", 1, 0, b"", 3000) for i in range(64)]
+        for k, snapshot in enumerate(snapshots):
+            table = [held[k], *held[:k], *held[k + 1 :]]
+            assert snapshot.wire == _reference_states(table)
 
     def test_a_replaced_record_is_published_by_its_holder_only(self):
         roster = Roster()
@@ -514,73 +435,3 @@ def test_a_wire_too_short_for_its_count_is_the_codecs_error():
         with pytest.raises(codec.CodecError, match="truncated u16"):
             list(states)
     assert len(codec.PackedStates(b"\x00\x00")) == 0
-
-
-# --------------------------------------------------------------------- #
-# Merge
-# --------------------------------------------------------------------- #
-
-
-def _table(members: MemberMap):
-    return [
-        (m.name, m.address, m.incarnation, m.state, m.meta, m.state_changed_at)
-        for m in members.members()
-    ]
-
-
-@st.composite
-def _exchanges(draw):
-    """``(held, sent)``: what a receiver called ``la`` holds, and a table
-    sent to it -- its own claims as a peer in agreement would repeat
-    them (its own entry perhaps more than once), other claims mixed in,
-    usually under one age."""
-    held = draw(_tables(names=_AGED_NAMES[2:]))
-    receiver = _receiver(held)
-    age = draw(st.sampled_from(_AGES))
-    echoed = [entry[:5] + (age,) for entry in receiver.snapshot(0.0)]
-    own = [echoed[0]] * draw(st.integers(0, 2))
-    news = list(draw(_tables(names=_AGED_NAMES + ["la"])))
-    if draw(st.booleans()):
-        news = [entry[:5] + (age,) for entry in news]
-    return held, tuple(draw(st.permutations(echoed[1:] + own + news)))
-
-
-def _receiver(held) -> MemberMap:
-    members = MemberMap("la", "la:1", random.Random(0))
-    for name, address, incarnation, state_value, meta, _ in held:
-        if name not in members:
-            members.add(name, address, incarnation, MemberState(state_value), 0.0, meta)
-    return members
-
-
-@settings(deadline=None, max_examples=300)
-@given(_exchanges(), st.booleans(), st.booleans())
-def test_wire_merge_equals_the_per_entry_merge(exchange, published, cold):
-    held, sent = exchange
-    fast, slow = _receiver(held), _receiver(held)
-    if published:
-        fast.snapshot(1.0)
-    message = codec.decode(codec.encode(PushPull("src", sent)))
-    if cold:
-        codec._ENTRY_CACHE.clear()
-    reference = slow.merge_remote_state(PushPull("src", sent).iter_entries(), 9.0)
-    applied = []
-    telemetry = Telemetry()
-    engine = SyncEngine(
-        "la", fast, lambda: 9.0, random.Random(0), lambda *_: None,
-        lambda decision, source: applied.append(decision) or True, telemetry,
-    )
-    expected = [d for d in reference if d.action != MERGE_IGNORED]
-    assert engine.merge(message) == len(expected)
-    assert applied == expected
-    assert _table(fast) == _table(slow)
-    assert fast.snapshot(9.0).wire == slow.snapshot(9.0).wire
-    assert (
-        telemetry.sync_merges,
-        telemetry.sync_entries_merged,
-        telemetry.sync_changes_applied,
-    ) == (1, len(sent), len(expected))
-    # The same table straight from a sender, never decoded.
-    again, unsplit = _receiver(held), codec.pack_states(sent)
-    decisions, total = again.merge_remote_wire_state(unsplit, 9.0)
-    assert (decisions, total, _table(again)) == (expected, len(sent), _table(slow))

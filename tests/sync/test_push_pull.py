@@ -142,7 +142,9 @@ class TestDeadMemberRetention:
 
         stale = PushPull(
             "m001",
-            (("m003", "m003", dead.incarnation, MemberState.ALIVE.value, b"", 0),),
+            codec.pack_states(
+                (("m003", "m003", dead.incarnation, MemberState.ALIVE.value, b"", 0),)
+            ),
             is_reply=True,
         )
         node.sync.merge(stale)
@@ -153,15 +155,17 @@ class TestDeadMemberRetention:
         # member actually came back, and retention must not block it.
         refute = PushPull(
             "m001",
-            (
+            codec.pack_states(
                 (
-                    "m003",
-                    "m003",
-                    dead.incarnation + 1,
-                    MemberState.ALIVE.value,
-                    b"",
-                    0,
-                ),
+                    (
+                        "m003",
+                        "m003",
+                        dead.incarnation + 1,
+                        MemberState.ALIVE.value,
+                        b"",
+                        0,
+                    ),
+                )
             ),
             is_reply=True,
         )
@@ -214,7 +218,9 @@ class TestStateAgeOnTheWire:
         node = cluster.nodes["m000"]
         aged_dead = PushPull(
             "m001",
-            (("m002", "m002", 1, MemberState.DEAD.value, b"", 500_000),),
+            codec.pack_states(
+                (("m002", "m002", 1, MemberState.DEAD.value, b"", 500_000),)
+            ),
             is_reply=True,
         )
         node.sync.merge(aged_dead)

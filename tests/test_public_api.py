@@ -32,6 +32,7 @@ class TestPublicApi:
             "repro.swim.codec",
             "repro.swim.broadcast",
             "repro.swim.member_map",
+            "repro.swim.roster",
             "repro.swim.messages",
             "repro.swim.events",
             "repro.swim.state",
