@@ -32,13 +32,16 @@ Scale control: ``REPRO_SCALE_SIZES=256,1024`` restricts the size grid
 (CI uses this to keep the gate fast), ``REPRO_REPS`` sets the rep count,
 ``REPRO_SCALE_TIME`` scales the virtual duration budget. The 65536 rung
 is opt-in (name it in ``REPRO_SCALE_SIZES``; CI runs it nightly): measured
-on the 2-core reference box it needs 1.1 GB of RSS at its
-0.5-virtual-second budget and 10 s of set-up plus 3 s of drive per rep.
-The 1,024 bridge directories, each a full table over one interned
-roster, share that roster's one read-only bootstrap table until a
-directory is first written (1.9 GB when each held its own columns);
-what is left is the 65,536 ``SwimNode`` objects and their id orders. It
-stays ungated until a bar is set for it (ROADMAP).
+on the 2-core reference box it peaks at 682 MB of RSS (646 MB after
+set-up) at its 0.5-virtual-second budget, with 6.3 s of set-up plus
+2.7 s of drive per rep. The 1,024 bridge directories, each a full table
+over one interned roster, share that roster's one read-only bootstrap
+table and hold their insertion order as two ints until a directory is
+first written (1.9 GB when each held its own columns, 1.1 GB while each
+held its own 256 KB insertion order); what is left is the 65,536
+members' slotted objects, each member's ``Random`` and probe order, and
+each zone's 64-member tables. It stays ungated until a bar is set for
+it (ROADMAP).
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ from repro.zones.sharded import run_zoned
 #: size to keep the total wall-clock roughly flat across rungs. Rungs
 #: with ``zones > 0`` run on the hierarchical zoned driver; flat SWIM
 #: above ~4096 members is O(n^2) in the full-mesh member maps — in
-#: push-pull work always, in memory 8 bytes a pair (two id orders) while
-#: the tables are quiet and shared and 33 once each map has written its
-#: own — which is exactly the wall the zone hierarchy removes.
+#: push-pull work always, in memory 4 bytes a pair (the probe order)
+#: while the tables are quiet and shared and 33 once each map has
+#: written and inserted into its own — which is exactly the wall the
+#: zone hierarchy removes.
 SIZE_GRID: Tuple[Tuple[int, float, int], ...] = (
     (256, 20.0, 0),
     (1024, 10.0, 0),
@@ -262,7 +266,7 @@ def sweep_shards(
     n_members: int = 16384,
     zones: int = 64,
     duration: float = 1.0,
-) -> Dict[str, object]:
+) -> Dict[str, Any]:
     """Run the sharded rung at each shard count against one single-process
     reference run, assert the digest contract at every point, and publish
     the ``scale_sharded`` table the regression gate distils.
@@ -302,22 +306,7 @@ def sweep_shards(
                 "overflows": sharded.barrier_overflows,
             }
         )
-    lines = [
-        f"Sharded driver at n={n_members} ({zones} zones, "
-        f"{duration:.1f} virtual s, {os.cpu_count()} cores): "
-        f"single {single.wall_s:.2f}s (setup {single.setup_s:.2f}s), "
-        f"{single.barriers} barrier(s), {single.barrier_msgs} msgs / "
-        f"{single.barrier_bytes} bytes exchanged",
-        f"{'shards':>6s} {'setup':>9s} {'wall':>9s} {'speedup':>8s} "
-        f"{'exchange':>9s} {'overflow':>8s}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{int(row['shards']):6d} {row['setup_s']:8.2f}s {row['wall_s']:8.2f}s "
-            f"{row['speedup']:7.2f}x {row['exchange_s']:8.4f}s "
-            f"{int(row['overflows']):8d}"
-        )
-    data: Dict[str, object] = {
+    data: Dict[str, Any] = {
         "n_members": n_members,
         "zones": zones,
         "duration": duration,
@@ -331,8 +320,31 @@ def sweep_shards(
         "digest_equal": True,
         "rows": rows,
     }
-    publish("scale_sharded", "\n".join(lines), data)
+    publish("scale_sharded", render_sharded(data), data)
     return data
+
+
+def render_sharded(data: Dict[str, Any]) -> str:
+    """The published ``scale_sharded`` table, as a pure function of the
+    published JSON (a tier-1 test holds the committed
+    ``scale_sharded.txt`` to it)."""
+    lines = [
+        f"Sharded driver at n={data['n_members']} ({data['zones']} zones, "
+        f"{data['duration']:.1f} virtual s, {data['cpu_count']} cores): "
+        f"single {data['single_wall_s']:.2f}s "
+        f"(setup {data['single_setup_s']:.2f}s), "
+        f"{data['barriers']} barrier(s), {data['barrier_msgs']} msgs / "
+        f"{data['barrier_bytes']} bytes exchanged",
+        f"{'shards':>6s} {'setup':>9s} {'wall':>9s} {'speedup':>8s} "
+        f"{'exchange':>9s} {'overflow':>8s}",
+    ]
+    for row in data["rows"]:
+        lines.append(
+            f"{int(row['shards']):6d} {row['setup_s']:8.2f}s {row['wall_s']:8.2f}s "
+            f"{row['speedup']:7.2f}x {row['exchange_s']:8.4f}s "
+            f"{int(row['overflows']):8d}"
+        )
+    return "\n".join(lines)
 
 
 def main(argv: "List[str] | None" = None) -> int:

@@ -36,9 +36,11 @@ what made that quadratic in constructor calls, in GC work and in RSS:
   reference to the roster's one read-only *bootstrap table*
   (:meth:`~repro.swim.roster.Roster.bootstrap`: ``bytes``, read-only
   ``memoryview``\\ s and a ``tuple``), and a map copies it into columns
-  of its own — once, one memcpy a column — on its first write. Until
-  then a quiet map costs its two id orders (table insertion, probe
-  order), 8 bytes a row;
+  of its own — once, one memcpy a column — on its first write. Its
+  table-insertion order is then "the local id, then every other id"
+  (:class:`_BootstrapOrder`, two ints), which the map turns into an
+  ``array`` of its own on its first insert or reclaim. Until then a
+  quiet map costs its probe order, 4 bytes a row;
 * :class:`Member` is a read-only *live view* — a ``(map, id)`` handle
   whose properties read the columns — materialized only for what the
   public API hands out. Full-table walkers read :meth:`MemberMap.claims`
@@ -77,7 +79,8 @@ from __future__ import annotations
 import collections.abc
 import random
 from array import array
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.swim.codec import CodecError, PackedStates, join_states, pack_age, read_entry
 from repro.swim.probe_scheduler import ProbeScheduler, RoundRobinScheduler
@@ -261,6 +264,27 @@ class Member:
         )
 
 
+class _BootstrapOrder:
+    """The table-insertion order :meth:`MemberMap.add_many` leaves in a
+    map it hands the bootstrap table: ``local``, then every other id
+    below ``stop``. Read-only; it reads like the ``array('I')`` of those
+    ids (``len``, iteration) at two ints' cost instead of 4 bytes an id.
+    """
+
+    __slots__ = ("_local", "_stop")
+
+    def __init__(self, local: int, stop: int) -> None:
+        self._local = local
+        self._stop = stop
+
+    def __len__(self) -> int:
+        return self._stop
+
+    def __iter__(self) -> Iterator[int]:
+        local = self._local
+        return chain((local,), range(local), range(local + 1, self._stop))
+
+
 class MemberMap:
     """Membership table for one local member.
 
@@ -268,6 +292,25 @@ class MemberMap:
     own point of view) so push-pull snapshots and group-size computations
     are uniform.
     """
+
+    __slots__ = (
+        "_local_name",
+        "_rng",
+        "_roster",
+        "_ids",
+        "_scheduler",
+        "_states",
+        "_incarnations",
+        "_changed_at",
+        "_records",
+        "_shared",
+        "_dead_since",
+        "_order",
+        "_state_counts",
+        "_actives",
+        "_claims",
+        "_local_id",
+    )
 
     def __init__(
         self,
@@ -296,8 +339,10 @@ class MemberMap:
         # No DEAD/LEFT member changed state before this time, or None
         # when unknown: lets reclaim_dead skip walks that expire nothing.
         self._dead_since: Optional[float] = None
-        #: Ids held, in table-insertion order.
-        self._order = array("I")
+        #: Ids held, in table-insertion order: an array, or the
+        #: _BootstrapOrder a sharing add_many leaves until the map's first
+        #: insert (_own_order) or reclaim.
+        self._order: Union[array, _BootstrapOrder] = array("I")
         # Per-state member counts, indexed by state value. Maintained
         # incrementally: suspicion-timeout scaling consults the alive
         # count on every new suspicion, gossip candidate selection needs
@@ -512,6 +557,14 @@ class MemberMap:
         self._records = list(self._records)
         self._shared = False
 
+    def _own_order(self) -> array:
+        """The table-insertion order as an ``array`` of this map's own,
+        converted from the bootstrap order on first use (4 bytes an id)."""
+        order = self._order
+        if order.__class__ is _BootstrapOrder:
+            order = self._order = array("I", order)
+        return order
+
     def _grow(self) -> None:
         """Extend the columns to cover every id the roster has handed
         out, and no further: a private roster learning names one at a
@@ -543,7 +596,7 @@ class MemberMap:
         states[sid] = state
         self._incarnations[sid] = incarnation
         self._changed_at[sid] = now
-        self._order.append(sid)
+        self._own_order().append(sid)
         self._state_counts[state] += 1
         self._actives = self._claims = None
         if state >= _DEAD:
@@ -582,9 +635,10 @@ class MemberMap:
         inserted. A map that holds only itself, as the same claim, and
         takes the whole roster ends up holding the roster's
         :meth:`Roster.bootstrap` table, so it takes a reference to that
-        (shared until its first write); any other span is filled into
-        its own columns by slice assignment. Neither does per-member
-        Python work besides the scheduler's draws.
+        (shared until its first write) and a :class:`_BootstrapOrder`;
+        any other span is filled into its own columns by slice
+        assignment. Neither does per-member Python work besides the
+        scheduler's draws.
         """
         roster = self._roster
         start, stop = span.start, span.stop
@@ -604,6 +658,8 @@ class MemberMap:
                 self._states, self._incarnations, self._changed_at, self._records
             ) = roster.bootstrap(state, incarnation, now)
             self._shared = True
+            self._order = _BootstrapOrder(local_id, stop)
+            added = stop - 1
         else:
             if self._shared:
                 self._own()
@@ -624,12 +680,15 @@ class MemberMap:
                 self._incarnations[lo:hi] = array("Q", (incarnation,)) * (hi - lo)
                 self._changed_at[lo:hi] = array("d", (now,)) * (hi - lo)
                 self._records[lo:hi] = roster.records[lo:hi]
-        fresh = roster.id_array(span)
+            fresh = roster.id_array(span)
+            if holds_local:
+                del fresh[local_id - start]
+            self._own_order().extend(fresh)
+            added = len(fresh)
         names = roster.names[start:stop]
         if holds_local:
-            del fresh[local_id - start], names[local_id - start]
-        self._order.extend(fresh)
-        self._state_counts[state] += len(fresh)
+            del names[local_id - start]
+        self._state_counts[state] += added
         self._actives = self._claims = None
         if state >= _DEAD:
             self._dead_since = None

@@ -63,6 +63,11 @@ from repro.sync import FallbackPolicy, SyncEngine
 
 _SEQ_MODULUS = 2**32
 
+#: The user-event queue of every node that has not seen a user event
+#: yet: empty, and never written (``SwimNode.user_broadcasts`` swaps in
+#: a queue of the node's own before the first enqueue).
+_NO_USER_EVENTS = BroadcastQueue(1, int)
+
 
 class _Probe:
     """Book-keeping for one in-flight probe the local member initiated."""
@@ -142,7 +147,49 @@ class SwimNode:
         The name-interning :class:`~repro.swim.roster.Roster` the
         member table is indexed by. A cluster hosting many nodes in one
         process passes one shared roster; left out, the node gets its own.
+
+    Slotted, like the member map and the probe schedulers under it: a
+    simulated cluster holds one of each per member, and an instance dict
+    of this many attributes is not key-shared (1.6 KB a node). Tests that
+    intercept a method patch the class.
     """
+
+    __slots__ = (
+        "name",
+        "config",
+        "_clock",
+        "_scheduler",
+        "_transport",
+        "_rng",
+        "_listeners",
+        "_on_user_event",
+        "on_probe_rtt",
+        "telemetry",
+        "_probe_scheduler",
+        "_members",
+        "_broadcasts",
+        "_user_broadcasts",
+        "_user_seq",
+        "_seen_user_events",
+        "_lhm",
+        "_buddy",
+        "_sync",
+        "_fallback",
+        "_seq",
+        "_probes",
+        "_relays",
+        "_suspicions",
+        "_reliable_failures",
+        "_running",
+        "_probe_timer",
+        "_gossip_timer",
+        "_push_pull_timer",
+        "_reconnect_timer",
+        "_leaving",
+        "_paused",
+        "_deferred_ticks",
+        "_overlay_neighbors",
+    )
 
     def __init__(
         self,
@@ -184,29 +231,12 @@ class SwimNode:
             roster=roster,
         )
         self._members.set_local_meta(meta)
-        # The largest broadcast any packet can carry: the dedicated gossip
-        # tick's budget minus one part's framing. Anything bigger would be
-        # skipped on every packet yet never retired, pinning the queue.
-        max_broadcast = (
-            config.max_packet_size
-            - codec.COMPOUND_HEADER_OVERHEAD
-            - codec.COMPOUND_PART_OVERHEAD
-        )
-        self._broadcasts = BroadcastQueue(
-            config.retransmit_mult,
-            lambda: len(self._members),
-            max_payload=max_broadcast,
-            on_oversized=self.telemetry.record_oversized_broadcast,
-        )
+        self._broadcasts = self._broadcast_queue()
         # Application-level gossip rides in a second, lower-priority
         # queue so bursts of user events can never starve membership
-        # updates (memberlist's system/user queue split).
-        self._user_broadcasts = BroadcastQueue(
-            config.retransmit_mult,
-            lambda: len(self._members),
-            max_payload=max_broadcast,
-            on_oversized=self.telemetry.record_oversized_broadcast,
-        )
+        # updates (memberlist's system/user queue split). Most members
+        # never see a user event: theirs is built on first use.
+        self._user_broadcasts = _NO_USER_EVENTS
         self._user_seq = 0
         self._seen_user_events: Dict[tuple, None] = {}
         self._lhm = LocalHealthMultiplier(
@@ -290,7 +320,26 @@ class SwimNode:
 
     @property
     def user_broadcasts(self) -> BroadcastQueue:
-        return self._user_broadcasts
+        """The application-event queue, built on first use."""
+        queue = self._user_broadcasts
+        if queue is _NO_USER_EVENTS:
+            queue = self._user_broadcasts = self._broadcast_queue()
+        return queue
+
+    def _broadcast_queue(self) -> BroadcastQueue:
+        """A gossip queue limited to what a packet can carry: the
+        dedicated gossip tick's budget minus one part's framing. Anything
+        bigger would be skipped on every packet yet never retired,
+        pinning the queue."""
+        config = self.config
+        return BroadcastQueue(
+            config.retransmit_mult,
+            self._members.__len__,
+            max_payload=config.max_packet_size
+            - codec.COMPOUND_HEADER_OVERHEAD
+            - codec.COMPOUND_PART_OVERHEAD,
+            on_oversized=self.telemetry.record_oversized_broadcast,
+        )
 
     @property
     def meta(self) -> bytes:
@@ -347,7 +396,7 @@ class SwimNode:
         self._user_seq += 1
         event = UserEvent(self.name, self._user_seq, payload)
         self._remember_user_event(event.key)
-        self._user_broadcasts.enqueue(event)
+        self.user_broadcasts.enqueue(event)
         if self._on_user_event is not None:
             self._on_user_event(event)
         return event
@@ -1068,7 +1117,7 @@ class SwimNode:
         if message.key in self._seen_user_events:
             return
         self._remember_user_event(message.key)
-        self._user_broadcasts.enqueue(message)
+        self.user_broadcasts.enqueue(message)
         if self._on_user_event is not None:
             self._on_user_event(message)
 

@@ -62,6 +62,8 @@ class ProbeScheduler:
     #: Registry key; also the ``strategy`` label on the ops counter.
     name = "abstract"
 
+    __slots__ = ("_members", "_rng", "selections")
+
     def __init__(self) -> None:
         self._members: Optional["MemberMap"] = None
         #: The owning node's RNG, from :meth:`bind` (a placeholder
@@ -137,6 +139,8 @@ class RoundRobinScheduler(ProbeScheduler):
     """
 
     name = "round-robin"
+
+    __slots__ = ("_order", "_index", "_last")
 
     def __init__(self) -> None:
         super().__init__()
@@ -255,6 +259,8 @@ class LikelihoodWeightedScheduler(ProbeScheduler):
     #: Additive weight floor keeping just-confirmed members selectable.
     weight_floor = 0.25
 
+    __slots__ = ("_confirmed_at", "_last")
+
     def __init__(self) -> None:
         super().__init__()
         #: name -> virtual time of the last confirmation we saw.
@@ -324,6 +330,8 @@ class LhmRttScheduler(LikelihoodWeightedScheduler):
     rtt_ratio_cap = 4.0
     #: Weight multiplier for members currently under suspicion.
     suspect_boost = 4.0
+
+    __slots__ = ("_rtt_ewma", "_rtt_mean")
 
     def __init__(self) -> None:
         super().__init__()

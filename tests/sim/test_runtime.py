@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import SwimConfig
 from repro.sim.runtime import SimCluster, default_member_names
+from repro.swim.member_map import _BootstrapOrder
 from repro.swim.state import MemberState
 
 
@@ -87,11 +88,11 @@ class TestLifecycle:
         assert len(gc.get_objects()) - before <= 16 * n
 
     def test_preseed_start_allocates_table_memory_linearly_per_pair(self):
-        """What ``start()`` leaves allocated grows by at most ~12 bytes
+        """What ``start()`` leaves allocated grows by at most ~6 bytes
         per added (observer, subject) pair, plus a per-member constant:
-        the two 4-byte id orders (table insertion, probe order) are all
-        a quiet table costs per pair (~8 bytes; a private copy of the
-        table per observer was ~37)."""
+        the 4-byte probe order is all a quiet table costs per pair (the
+        table-insertion order is two ints a map until its first insert;
+        a private copy of the table per observer was ~37 bytes)."""
 
         def left_by_start(n):
             cluster = SimCluster(n_members=n, config=SwimConfig.lifeguard(), seed=1)
@@ -104,12 +105,40 @@ class TestLifecycle:
 
         small, large = left_by_start(256), left_by_start(512)
         pairs = 512 * 512 - 256 * 256
-        assert large - small <= 12 * pairs + 2048 * (512 - 256)
+        assert large - small <= 6 * pairs + 2048 * (512 - 256)
+
+    def test_a_quiet_member_costs_its_state_not_its_scaffolding(self):
+        """What construction plus ``start()`` leaves allocated is
+        ``c + m*n + p*n**2``; three sizes solve it exactly. A member's
+        ``m`` is its node, map, scheduler, RNG, queues and timers, slotted
+        and built only as used (9,279 bytes when each had an instance
+        dict and every node a user-event queue); a pair's ``p`` is the
+        probe order's 4 bytes (9.0 while every map also held its own
+        table-insertion order)."""
+
+        def left_by_cluster(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cluster = SimCluster(n_members=n, config=SwimConfig.lifeguard(), seed=1)
+                cluster.start()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        b1, b2, b4 = (left_by_cluster(n) for n in (128, 256, 512))
+        # Differences over 128 and 256 added members: m + 384p, m + 768p.
+        d1, d2 = (b2 - b1) / 128, (b4 - b2) / 256
+        per_pair = (d2 - d1) / 384
+        per_member = d1 - 384 * per_pair
+        assert per_member <= 7300, (per_member, per_pair)
+        assert per_pair <= 6, (per_member, per_pair)
 
     def test_a_quiet_cluster_holds_one_table(self):
         """``flat1024_steady``'s cluster: after ``start()`` and after 10
         quiet virtual seconds every map still holds the roster's one
-        bootstrap table, by identity."""
+        bootstrap table, by identity, and its bootstrap insertion
+        order."""
         cluster = SimCluster(n_members=1024, config=SwimConfig.lifeguard(), seed=1)
         cluster.start()
         table = cluster.roster.bootstrap(MemberState.ALIVE, 1, 0.0)
@@ -121,6 +150,7 @@ class TestLifecycle:
                     members._changed_at, members._records,
                 )
                 assert all(a is b for a, b in zip(columns, table))
+                assert members._order.__class__ is _BootstrapOrder
             cluster.run_for(10.0)
 
     def test_join_bootstrap_converges(self):

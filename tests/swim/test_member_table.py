@@ -25,7 +25,7 @@ from repro.metrics.telemetry import Telemetry
 from repro.swim import codec
 from repro.swim.member_map import (
     MAX_STATE_AGE_MS, MERGE_ADDED, MERGE_APPLIED, MERGE_IGNORED, MERGE_LOCAL,
-    MERGE_SUSPECT, MemberMap,
+    MERGE_SUSPECT, MemberMap, _BootstrapOrder,
 )
 from repro.swim.messages import PushPull
 from repro.swim.roster import _DIFF_BLOCK, Roster, _differing
@@ -51,11 +51,12 @@ class _TableModel:
     what ``add_many`` seeds a table with. ``rng`` is drawn from where
     the map and its round-robin scheduler draw: one ``randint`` per
     non-local insert (its place in the probe order), one ``sample`` per
-    over-full candidate list. ``writes`` counts the changes.
+    over-full candidate list. ``writes`` counts the changes, ``orders``
+    the changes to which names it holds.
     """
 
     def __init__(self, local: str, announced: Dict[str, tuple], seed: int) -> None:
-        self.local, self.announced, self.writes = local, announced, 0
+        self.local, self.announced, self.writes, self.orders = local, announced, 0, 0
         self.rng = random.Random(seed)
         announced.setdefault(local, (f"{local}:1", b"", ""))
         self.rows = {local: _Row(f"{local}:1", b"", "", 1, ALIVE, 0.0)}
@@ -65,6 +66,7 @@ class _TableModel:
         self.announced.setdefault(name, (address, meta, zone))
         self.rows[name] = _Row(address, meta, zone, incarnation, state, now)
         self.writes += 1
+        self.orders += 1
 
     def apply(self, name, state, incarnation, now) -> bool:
         row = self.rows[name]
@@ -120,6 +122,7 @@ class _TableModel:
         ]
         self.rows = {n: r for n, r in rows.items() if n not in gone}
         self.writes += len(gone)
+        self.orders += len(gone)
         return gone
 
     def sample(self, count, exclude, include_suspect, dead_within, now) -> List[str]:
@@ -187,8 +190,9 @@ class MemberTableMachine(RuleBasedStateMachine):
         self.models: List[_TableModel] = []
         self.rngs: List[random.Random] = []
         # Per map: the bootstrap table it was handed and its model's
-        # write count then, or None.
+        # write count then, or None; its model's order count then, or None.
         self.shared: List[Optional[tuple]] = []
+        self.ordered: List[Optional[int]] = []
 
     def _join(self, name: str) -> None:
         i = len(self.maps)
@@ -196,6 +200,7 @@ class MemberTableMachine(RuleBasedStateMachine):
         self.maps.append(MemberMap(name, f"{name}:1", self.rngs[i], roster=self.roster))
         self.models.append(_TableModel(name, self.announced, i))
         self.shared.append(None)
+        self.ordered.append(None)
 
     @initialize()
     def preseed(self) -> None:
@@ -248,6 +253,7 @@ class MemberTableMachine(RuleBasedStateMachine):
         # Any other span is filled into columns of the map's own.
         assert mm.shares_table == bootstrap
         self.shared[i] = None
+        self.ordered[i] = model.orders if bootstrap else None
         if bootstrap:
             table = roster.bootstrap(state, incarnation, self.now)
             assert all(a is b for a, b in zip(_columns(mm), table))
@@ -420,6 +426,10 @@ class MemberTableMachine(RuleBasedStateMachine):
         if shared is not None and shared[1] == model.writes:
             assert mm.shares_table
             assert all(a is b for a, b in zip(_columns(mm), shared[0]))
+        # No insert, span or reclaim since the preseed: still the
+        # bootstrap insertion order, not an array of its own.
+        if self.ordered[i] == model.orders:
+            assert mm._order.__class__ is _BootstrapOrder
 
 
 def _columns(mm: MemberMap) -> tuple:
@@ -477,19 +487,48 @@ def test_the_machine_catches_an_own_that_aliases_its_neighbours(monkeypatch):
     _machine_fails()
 
 
+def test_the_machine_catches_an_insert_into_a_dropped_copy_of_the_order(monkeypatch):
+    """The bootstrap order is converted for the write but never kept."""
+    monkeypatch.setattr(MemberMap, "_own_order", lambda self: array("I", self._order))
+    _machine_fails()
+
+
+def test_the_machine_catches_an_order_copied_by_any_write(monkeypatch):
+    """A map that copies its insertion order on a write that leaves its
+    names as they were no longer holds the bootstrap order."""
+    own = MemberMap._own
+
+    def own_with_order(self):
+        own(self)
+        self._own_order()
+
+    monkeypatch.setattr(MemberMap, "_own", own_with_order)
+    _machine_fails()
+
+
 class _NeverForgotten:
-    """A ``_dead_since`` that keeps the first time a walk remembers."""
+    """A ``_dead_since`` that keeps the first time a walk remembers, in
+    the map's own slot."""
+
+    def __init__(self, slot):
+        self.slot = slot
 
     def __get__(self, mm, owner=None):
-        return self if mm is None else mm.__dict__.get("dead_since")
+        if mm is None:
+            return self
+        try:
+            return self.slot.__get__(mm, owner)
+        except AttributeError:  # nothing remembered yet
+            return None
 
     def __set__(self, mm, since):
         if since is not None:
-            mm.__dict__["dead_since"] = since
+            self.slot.__set__(mm, since)
 
 
 def test_the_machine_catches_a_dead_since_that_is_never_forgotten(monkeypatch):
-    monkeypatch.setattr(MemberMap, "_dead_since", _NeverForgotten(), raising=False)
+    slot = MemberMap._dead_since
+    monkeypatch.setattr(MemberMap, "_dead_since", _NeverForgotten(slot))
     _machine_fails()
 
 

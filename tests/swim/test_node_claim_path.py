@@ -13,6 +13,7 @@ from repro.config import LifeguardFlags, SwimConfig
 from repro.swim import codec
 from repro.swim.events import EventKind
 from repro.swim.messages import Ack, Alive, Dead, Ping, PushPull, Suspect
+from repro.swim.node import SwimNode
 from repro.swim.state import MemberState
 
 from tests.conftest import LocalCluster
@@ -44,15 +45,23 @@ def feed(node, message, sender="x"):
     node.handle_packet(codec.encode(message), sender)
 
 
-def _recorded(node):
-    """Replace every handler with a recorder; returns the record."""
+def _recorded(node, monkeypatch):
+    """Replace every handler with a recorder for ``node`` (other nodes
+    still handle what they receive); returns the record. A node has no
+    instance dict, so the recorders go on the class."""
     seen = []
     for name in (
         "_handle_suspect", "_handle_alive", "_handle_dead", "_handle_ping",
         "_handle_ack", "_handle_user_event", "_handle_ping_req",
         "_handle_nack", "_handle_push_pull",
     ):
-        setattr(node, name, lambda message, *_rest: seen.append(message))
+        def recorder(self, message, *rest, _handler=getattr(SwimNode, name)):
+            if self is node:
+                seen.append(message)
+            else:
+                _handler(self, message, *rest)
+
+        monkeypatch.setattr(SwimNode, name, recorder)
     return seen
 
 
@@ -181,33 +190,33 @@ class TestHandleSuspectCaseTable:
 
 
 class TestDispatch:
-    def test_parts_dispatch_in_wire_order(self):
+    def test_parts_dispatch_in_wire_order(self, monkeypatch):
         _cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         parts = [Ping(1, "n0", "n2"), Suspect(1, "n1", "n3"), Alive(2, "n1", "n1"),
                  Dead(2, "n4", "n5"), Ack(9, "n2")]
         node.handle_packet(_frame([codec.encode(p) for p in parts]), "n2")
         assert seen == parts
 
-    def test_nested_parts_dispatch_in_wire_order(self):
+    def test_nested_parts_dispatch_in_wire_order(self, monkeypatch):
         _cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         a, b, c, d, e = (Suspect(i, "n1", f"n{i}") for i in range(2, 7))
         enc = codec.encode
         wire = _frame([enc(a), _frame([enc(b), _frame([enc(c)]), enc(d)]), enc(e)])
         node.handle_packet(wire, "n2")
         assert seen == [a, b, c, d, e]
 
-    def test_bare_message_dispatches(self):
+    def test_bare_message_dispatches(self, monkeypatch):
         _cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         node.handle_packet(codec.encode(Ack(3, "n2")), "n2")
         assert seen == [Ack(3, "n2")]
 
     @pytest.mark.parametrize("make", [bytes, bytearray, memoryview])
-    def test_corrupt_last_part_dispatches_nothing(self, make):
+    def test_corrupt_last_part_dispatches_nothing(self, make, monkeypatch):
         cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         good = [codec.encode(Suspect(1, "n1", "n3")), codec.encode(Dead(1, "n2", "n3"))]
         bad = codec.encode(Alive(2, "n4", "n4"))[:-1]
         node.handle_packet(make(_frame(good + [bad])), "n2")
@@ -215,16 +224,16 @@ class TestDispatch:
         assert node.telemetry.msgs_received == 1  # it did arrive
 
     @pytest.mark.parametrize("make", [bytes, bytearray, memoryview])
-    def test_hostile_nesting_neither_raises_nor_dispatches(self, make):
+    def test_hostile_nesting_neither_raises_nor_dispatches(self, make, monkeypatch):
         _cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         wire = _nest(codec.encode(Ack(1, "a")), 2000)
         node.handle_packet(make(wire), "n2")  # RecursionError before the bound
         assert seen == []
 
-    def test_nesting_at_the_bound_is_dispatched(self):
+    def test_nesting_at_the_bound_is_dispatched(self, monkeypatch):
         _cluster, node = started_node()
-        seen = _recorded(node)
+        seen = _recorded(node, monkeypatch)
         wire = _nest(codec.encode(Ack(1, "a")), codec.MAX_COMPOUND_DEPTH)
         node.handle_packet(wire, "n2")
         assert seen == [Ack(1, "a")]

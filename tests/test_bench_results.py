@@ -21,3 +21,10 @@ def test_scale_throughput_text_is_rendered_from_its_json():
     assert (RESULTS / "scale_throughput.txt").read_text() == (
         bench_scale.render(payload) + "\n"
     )
+
+
+def test_scale_sharded_text_is_rendered_from_its_json():
+    data = json.loads((RESULTS / "scale_sharded.json").read_text())
+    assert (RESULTS / "scale_sharded.txt").read_text() == (
+        bench_scale.render_sharded(data) + "\n"
+    )
