@@ -274,7 +274,12 @@ def _weighted_choice(rng: Random, weights: Sequence[Tuple[str, float]]) -> str:
 def generate_scenario(
     seed: int, params: Optional[GeneratorParams] = None
 ) -> ScenarioSpec:
-    """Deterministically derive a scenario from ``seed``."""
+    """Deterministically derive a scenario from ``seed``.
+
+    A zoned scenario draws its members from a zone layout, restricts
+    faults to :data:`ZONED_FAULT_KINDS`, and may cut whole zones off
+    with ``zone_partition`` windows; otherwise both kinds draw alike.
+    """
     params = params or GeneratorParams()
     params.validate()
     # Decorrelate the schedule stream from the simulation streams (which
@@ -286,10 +291,31 @@ def generate_scenario(
         zones = params.zone_counts[0]
     else:
         zones = params.zone_counts[rng.randrange(len(params.zone_counts))]
+    lo = max(params.min_members, 2 * zones)
+    n = rng.randint(lo, max(params.max_members, lo))
     if zones:
-        return _generate_zoned_scenario(seed, params, rng, zones)
-    n = rng.randint(params.min_members, params.max_members)
-    names = default_member_names(n)
+        from repro.zones.topology import build_layout
+
+        layout = build_layout(n, zones)
+        names = list(layout.roster())
+        zone_names = [zone.name for zone in layout.zones]
+        weights = [
+            (kind, weight)
+            for kind, weight in params.weights
+            if kind in ZONED_FAULT_KINDS and weight > 0
+        ]
+        if not any(kind == "zone_partition" for kind, _ in weights):
+            weights.append(("zone_partition", 1.5))
+        # Each zone's first member doubles as its first bridge and its
+        # rejoin anchor: keeping it out of churn guarantees every zone
+        # retains a live claim forwarder, which is what makes cross-zone
+        # convergence a checkable obligation rather than a best-effort hope.
+        anchors = {zone.members[0] for zone in layout.zones}
+    else:
+        names = default_member_names(n)
+        weights = list(params.weights)
+        # names[0] is the join anchor and is never churned.
+        anchors = {names[0]}
     configuration = params.configurations[
         rng.randrange(len(params.configurations))
     ]
@@ -301,7 +327,7 @@ def generate_scenario(
     faults: List[FaultEntry] = []
     n_faults = rng.randint(params.min_faults, params.max_faults)
     for _ in range(n_faults):
-        kind = _weighted_choice(rng, params.weights)
+        kind = _weighted_choice(rng, weights)
         if kind in ("crash", "flap", "leave") and len(churned) >= churn_budget:
             kind = "block"
         start = round(rng.uniform(0.5, horizon * 0.75), 3)
@@ -324,9 +350,16 @@ def generate_scenario(
             src, dst = rng.sample(names, 2)
             rate = round(rng.uniform(0.5, 1.0), 3)
             faults.append(FaultEntry("link_loss", start, window, (src, dst), rate))
+        elif kind == "zone_partition" and zones:
+            # A flat arm has no zones to cut: a drawn zone_partition adds
+            # nothing there.
+            count = rng.randint(1, max(1, zones // 2))
+            isolated = tuple(rng.sample(zone_names, count))
+            faults.append(FaultEntry("zone_partition", start, window, isolated))
         elif kind in ("flap", "crash", "leave"):
-            # names[0] is the join anchor and is never churned.
-            candidates = [m for m in names[1:] if m not in churned]
+            candidates = [
+                m for m in names if m not in anchors and m not in churned
+            ]
             if not candidates:
                 continue
             member = candidates[rng.randrange(len(candidates))]
@@ -346,96 +379,6 @@ def generate_scenario(
     sync = rng.random() >= params.sync_off_fraction
     # Same discipline as `sync`, one knob later: with the single-entry
     # default no RNG is consumed, so historical seeds stay untouched.
-    if len(params.schedulers) == 1:
-        scheduler = params.schedulers[0]
-    else:
-        scheduler = params.schedulers[rng.randrange(len(params.schedulers))]
-
-    spec = ScenarioSpec(
-        seed=seed,
-        n_members=n,
-        configuration=configuration,
-        horizon=horizon,
-        settle=params.settle,
-        faults=tuple(faults),
-        sync=sync,
-        scheduler=scheduler,
-    )
-    spec.validate()
-    return spec
-
-
-def _generate_zoned_scenario(
-    seed: int, params: GeneratorParams, rng: Random, zones: int
-) -> ScenarioSpec:
-    """Zoned arm of :func:`generate_scenario`.
-
-    Mirrors the flat generator's structure but draws members from a zone
-    layout, restricts faults to :data:`ZONED_FAULT_KINDS`, and may cut
-    whole zones off with ``zone_partition`` windows.
-    """
-    from repro.zones.topology import build_layout
-
-    lo = max(params.min_members, 2 * zones)
-    hi = max(params.max_members, lo)
-    n = rng.randint(lo, hi)
-    layout = build_layout(n, zones)
-    names = list(layout.roster())
-    zone_names = [zone.name for zone in layout.zones]
-    configuration = params.configurations[
-        rng.randrange(len(params.configurations))
-    ]
-    horizon = params.horizon
-
-    weights = [
-        (kind, weight)
-        for kind, weight in params.weights
-        if kind in ZONED_FAULT_KINDS and weight > 0
-    ]
-    if not any(kind == "zone_partition" for kind, _ in weights):
-        weights.append(("zone_partition", 1.5))
-
-    # Each zone's first member doubles as its first bridge and its rejoin
-    # anchor: keeping it out of churn guarantees every zone retains a
-    # live claim forwarder, which is what makes cross-zone convergence a
-    # checkable obligation rather than a best-effort hope.
-    anchors = {zone.members[0] for zone in layout.zones}
-    churn_budget = max(1, int(n * params.max_churn_fraction))
-    churned: set = set()
-    faults: List[FaultEntry] = []
-    n_faults = rng.randint(params.min_faults, params.max_faults)
-    for _ in range(n_faults):
-        kind = _weighted_choice(rng, weights)
-        if kind in ("crash", "flap", "leave") and len(churned) >= churn_budget:
-            kind = "block"
-        start = round(rng.uniform(0.5, horizon * 0.75), 3)
-        window = round(rng.uniform(1.5, min(params.max_window, horizon - start)), 3)
-        if kind == "block":
-            count = rng.randint(1, max(1, min(3, n - 2)))
-            members = tuple(rng.sample(names, count))
-            faults.append(FaultEntry("block", start, window, members))
-        elif kind == "loss":
-            rate = round(rng.uniform(0.15, params.max_loss_rate), 3)
-            faults.append(FaultEntry("loss", start, window, (), rate))
-        elif kind == "zone_partition":
-            count = rng.randint(1, max(1, zones // 2))
-            isolated = tuple(rng.sample(zone_names, count))
-            faults.append(FaultEntry("zone_partition", start, window, isolated))
-        elif kind in ("flap", "crash", "leave"):
-            candidates = [
-                m for m in names if m not in anchors and m not in churned
-            ]
-            if not candidates:
-                continue
-            member = candidates[rng.randrange(len(candidates))]
-            churned.add(member)
-            if kind == "flap":
-                outage = round(rng.uniform(2.0, min(15.0, horizon - start)), 3)
-                faults.append(FaultEntry("flap", start, outage, (member,)))
-            else:
-                faults.append(FaultEntry(kind, start, 0.0, (member,)))
-    faults.sort(key=lambda entry: (entry.start, entry.kind, entry.members))
-    sync = rng.random() >= params.sync_off_fraction
     if len(params.schedulers) == 1:
         scheduler = params.schedulers[0]
     else:

@@ -28,7 +28,6 @@ from repro.core.suspicion import (
     DEFAULT_SUSPICION_K,
     SWIM_SUSPICION_BETA,
 )
-from repro.faults import FaultPlan
 
 #: Selectable probe-target scheduling strategies (see
 #: :mod:`repro.swim.probe_scheduler` and docs/PROBE_SCHEDULING.md). Kept
@@ -91,14 +90,9 @@ class SwimConfig:
     #: Whether to attempt a direct probe over the reliable (TCP) channel
     #: when the direct UDP probe times out, as memberlist does. The
     #: fallback fires *before* the indirect ping-req round (see
-    #: ``fallback_probe_wait``); a reliable ack completes the probe and
-    #: suppresses the indirect round entirely.
+    #: ``repro.swim.node.FALLBACK_PROBE_WAIT``); a reliable ack completes
+    #: the probe and suppresses the indirect round entirely.
     tcp_fallback_probe: bool = True
-    #: Fraction of the (LHM-scaled) probe timeout to wait after firing the
-    #: TCP fallback probe before engaging the indirect ping-req round.
-    #: Small by design: the stage-2 delay must leave ping-req helpers
-    #: enough of the protocol period to return acks/nacks.
-    fallback_probe_wait: float = 0.1
     #: Probe-target selection strategy: ``"round-robin"`` (classic SWIM,
     #: the default), ``"likelihood"`` (weights targets by time since last
     #: confirmation, per arXiv:1302.0792) or ``"lhm-rtt"`` (likelihood
@@ -199,12 +193,6 @@ class SwimConfig:
     #: ``"batched"`` backend (also sizes its preallocated slot arrays).
     #: Ignored by the other backends.
     transport_batch_size: int = 32
-    #: Declarative fault schedule enforced at the real transport's socket
-    #: boundary (loss/partition windows anchored to a wall-clock epoch;
-    #: see :mod:`repro.faults` and docs/SOAK.md). ``None`` disables
-    #: injection. The simulator ignores this — its faults are injected
-    #: by the :class:`~repro.sim.anomaly.AnomalyController` instead.
-    fault_plan: Optional[FaultPlan] = None
 
     # ------------------------------------------------------------------ #
     # Ops / admin plane (real-network members only; see :mod:`repro.ops`).
@@ -265,8 +253,6 @@ class SwimConfig:
             raise ValueError("lhm_max must be non-negative")
         if not 0.0 < self.nack_timeout_fraction < 1.0:
             raise ValueError("nack_timeout_fraction must be in (0, 1)")
-        if not 0.0 <= self.fallback_probe_wait < 1.0:
-            raise ValueError("fallback_probe_wait must be in [0, 1)")
         if self.probe_scheduler not in PROBE_SCHEDULER_NAMES:
             known = ", ".join(PROBE_SCHEDULER_NAMES)
             raise ValueError(
@@ -305,10 +291,6 @@ class SwimConfig:
             )
         if not 1 <= self.transport_batch_size <= 1024:
             raise ValueError("transport_batch_size must be in [1, 1024]")
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
-            raise ValueError("fault_plan must be a repro.faults.FaultPlan")
         if self.admin_port is not None and not 0 <= self.admin_port <= 65535:
             raise ValueError("admin_port must be in [0, 65535]")
         if not self.admin_host:

@@ -26,7 +26,7 @@ discrete-event simulator and under asyncio.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 #: The paper's suspicion-timeout tuning defaults (Section V-C): the
 #: minimum timeout is ``alpha * log10(n) * ProbeInterval`` and the maximum
@@ -205,25 +205,3 @@ class Suspicion:
             f"Suspicion(from={self._from!r}, C={self.confirmations}, "
             f"K={self._k}, timeout={self.current_timeout():.3f}s)"
         )
-
-
-class SuspicionClamp:
-    """Optional guard that clamps how often a member may raise suspicions.
-
-    Not part of the paper proper; exposed as an extension point mirroring
-    memberlist's defensive limits. Disabled by default everywhere.
-    """
-
-    __slots__ = ("_min_gap", "_last")
-
-    def __init__(self, min_gap: float = 0.0) -> None:
-        self._min_gap = min_gap
-        self._last: Optional[float] = None
-
-    def allow(self, now: float) -> bool:
-        if self._min_gap <= 0.0:
-            return True
-        if self._last is not None and now - self._last < self._min_gap:
-            return False
-        self._last = now
-        return True

@@ -22,14 +22,13 @@ any coordination at runtime. Windows are anchored to an absolute
 ``epoch`` (unix time), letting the launcher arm hundreds of processes
 against one shared timeline.
 
-Plans are immutable and JSON round-trippable; they ride on
-:attr:`SwimConfig.fault_plan <repro.config.SwimConfig.fault_plan>` (the
-static hook) or are armed on a live transport via
-:meth:`UdpTransport.set_fault_plan
-<repro.transport.udp.UdpTransport.set_fault_plan>` (how the soak
-launcher arms an already-converged cluster). Stdlib only, no imports
-from the rest of the package — :mod:`repro.config` imports this module,
-so it must sit below both config and the transports.
+Plans are immutable and JSON round-trippable, and reach a live
+transport one way: :meth:`UdpTransport.set_fault_plan
+<repro.transport.udp.UdpTransport.set_fault_plan>`, which the soak
+member process calls at startup and again whenever the launcher
+rewrites its plan file (so an already-converged cluster can be armed).
+Stdlib only, no imports from the rest of the package, so the
+transports and the simulator can both sit above it.
 
 This module also owns the **cluster-level** fault language those plans
 are compiled from: :class:`FaultEntry` / :class:`FaultSchedule` name
@@ -45,7 +44,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Collection, Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Any, Collection, Dict, FrozenSet, Iterator, Tuple
 
 PLAN_SCHEMA = "repro-fault-plan/v1"
 SCHEDULE_SCHEMA = "repro-fault-schedule/v1"
@@ -395,20 +394,3 @@ class FaultInjector:
             self.blocked_reliable += 1
             return True
         return False
-
-
-def plan_digest(plans: Dict[str, FaultPlan]) -> Dict[str, Any]:
-    """A compact JSON summary of a per-member plan set (for reports)."""
-    return {
-        name: {
-            "windows": len(plan.windows),
-            "epoch": plan.epoch,
-            "end": plan.end,
-        }
-        for name, plan in sorted(plans.items())
-    }
-
-
-def load_optional(path: Optional[str]) -> Optional[FaultPlan]:
-    """Load a plan file if ``path`` is given, else ``None``."""
-    return FaultPlan.load(path) if path else None

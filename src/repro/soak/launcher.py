@@ -18,7 +18,7 @@ compiles a :class:`~repro.faults.FaultSchedule` into per-member
 :class:`~repro.faults.FaultPlan` JSON (via
 :func:`~repro.soak.schedule.member_fault_plans`, using the real bound
 addresses) and writes each atomically next to the member's log; the
-member's ``--watch-fault-plan`` poller arms it on the live transport.
+member's ``--fault-plan`` poller arms it on the live transport.
 This two-step dance exists because the chaos epoch is only chosen after
 the cluster has converged, long after the processes were spawned.
 """
@@ -162,7 +162,6 @@ class SoakLauncher:
             "--beta", str(self.beta),
             "--seed", str(self.seed * 1_000_003 + index * 7919 + 17),
             "--fault-plan", plan_path,
-            "--watch-fault-plan",
             "--parent-pid", str(os.getpid()),
         ]
         if join is not None:

@@ -12,13 +12,12 @@ cluster member. The process:
    which is how the launcher learns the ports the kernel actually chose;
 3. starts the protocol, joins the given seed addresses, and runs until
    SIGTERM/SIGINT;
-4. optionally watches a fault-plan file (``--watch-fault-plan``): the
-   launcher writes each member's :class:`~repro.faults.FaultPlan` only
-   once the cluster has converged and the chaos epoch is known, and the
-   watcher arms it on the live transport via
-   :meth:`~repro.transport.udp.UdpTransport.set_fault_plan`. A plan file
-   that already exists at startup is instead applied through the static
-   ``SwimConfig(fault_plan=...)`` hook;
+4. with ``--fault-plan PATH``, arms the plan in that file on its
+   transport via :meth:`~repro.transport.udp.UdpTransport.set_fault_plan`
+   (before it starts, if the file already exists) and then watches the
+   file, arming each new version: the launcher writes each member's
+   :class:`~repro.faults.FaultPlan` only once the cluster has converged
+   and the chaos epoch is known;
 5. self-terminates if its parent launcher dies (``--parent-pid``), so a
    crashed harness never strands orphan members on the host.
 
@@ -50,10 +49,6 @@ def build_config(args: argparse.Namespace) -> SwimConfig:
         admin_port=args.admin_port,
         admin_host=args.admin_host,
     )
-    if args.fault_plan and os.path.exists(args.fault_plan):
-        # Static hook: a plan present before the member exists rides in
-        # on the (frozen) config itself.
-        overrides["fault_plan"] = FaultPlan.load(args.fault_plan)
     return SwimConfig.lifeguard(
         alpha=args.alpha, beta=args.beta, **overrides
     )
@@ -82,37 +77,35 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for this member (default: 0)")
     parser.add_argument("--fault-plan", metavar="PATH",
-                        help="fault-plan JSON file (repro.faults)")
-    parser.add_argument("--watch-fault-plan", action="store_true",
-                        help="poll --fault-plan for (re)appearance and arm "
-                             "it on the live transport")
+                        help="fault-plan JSON file (repro.faults), armed "
+                             "at startup if present and whenever rewritten")
     parser.add_argument("--parent-pid", type=int, default=0,
                         help="exit when this process is no longer the "
                              "parent (orphan protection)")
 
 
-async def _watch_plan(path: str, transport, applied_mtime: float) -> None:
+def _arm_plan(path: str, transport) -> float:
+    """Arm the plan in ``path`` on ``transport``; return the file's mtime."""
+    mtime = os.stat(path).st_mtime
+    plan = FaultPlan.load(path)
+    transport.set_fault_plan(plan)
+    print(
+        f"fault plan armed: {len(plan.windows)} window(s), "
+        f"epoch={plan.epoch:.3f}",
+        flush=True,
+    )
+    return mtime
+
+
+async def _watch_plan(path: str, transport, armed_mtime: float) -> None:
     """Poll ``path``; arm each new plan version on ``transport``."""
-    last = applied_mtime
     while True:
         await asyncio.sleep(_WATCH_INTERVAL)
         try:
-            mtime = os.stat(path).st_mtime
-        except OSError:
-            continue
-        if mtime == last:
-            continue
-        try:
-            plan = FaultPlan.load(path)
+            if os.stat(path).st_mtime != armed_mtime:
+                armed_mtime = _arm_plan(path, transport)
         except (OSError, ValueError, KeyError):
-            continue  # partially written; the launcher replaces atomically
-        transport.set_fault_plan(plan)
-        last = mtime
-        print(
-            f"fault plan armed: {len(plan.windows)} window(s), "
-            f"epoch={plan.epoch:.3f}",
-            flush=True,
-        )
+            pass  # not there yet or partially written; retried next poll
 
 
 async def _watch_parent(parent_pid: int, stop: asyncio.Event) -> None:
@@ -157,19 +150,19 @@ async def _amain(args: argparse.Namespace) -> int:
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, stop.set)
+    tasks = []
+    if args.fault_plan:
+        armed = -1.0
+        if os.path.exists(args.fault_plan):
+            armed = _arm_plan(args.fault_plan, member.transport)
+        tasks.append(
+            asyncio.ensure_future(
+                _watch_plan(args.fault_plan, member.transport, armed)
+            )
+        )
     member.start()
     if args.join:
         member.join(list(args.join))
-    tasks = []
-    if args.fault_plan and args.watch_fault_plan:
-        applied = -1.0
-        if config.fault_plan is not None:
-            applied = os.stat(args.fault_plan).st_mtime
-        tasks.append(
-            asyncio.ensure_future(
-                _watch_plan(args.fault_plan, member.transport, applied)
-            )
-        )
     if args.parent_pid:
         tasks.append(asyncio.ensure_future(_watch_parent(args.parent_pid, stop)))
     try:

@@ -59,9 +59,15 @@ from repro.swim.messages import (
 from repro.swim.probe_scheduler import make_probe_scheduler
 from repro.swim.roster import Roster
 from repro.swim.state import MemberState
-from repro.sync import FallbackPolicy, SyncEngine
+from repro.sync import SyncEngine
 
 _SEQ_MODULUS = 2**32
+
+#: Fraction of the (LHM-scaled) probe timeout a timed-out probe waits
+#: for an ack to its reliable-channel fallback ping before enlisting
+#: ping-req helpers. Small by design: the helpers still need most of the
+#: protocol period to return acks and nacks.
+FALLBACK_PROBE_WAIT = 0.1
 
 #: The user-event queue of every node that has not seen a user event
 #: yet: empty, and never written (``SwimNode.user_broadcasts`` swaps in
@@ -174,7 +180,6 @@ class SwimNode:
         "_lhm",
         "_buddy",
         "_sync",
-        "_fallback",
         "_seq",
         "_probes",
         "_relays",
@@ -257,11 +262,6 @@ class SwimNode:
             self._rng,
             self._send_sync,
             self._apply_merge_decision,
-            self.telemetry,
-        )
-        self._fallback = FallbackPolicy(
-            config.tcp_fallback_probe,
-            config.fallback_probe_wait,
             self.telemetry,
         )
 
@@ -776,8 +776,12 @@ class SwimNode:
         The staging keeps pure UDP loss away from the suspicion
         subprotocol: a healthy-but-datagram-unlucky peer answers the
         fallback within the grace window, completing the probe before any
-        helper is enlisted. With the fallback disabled the indirect round
-        engages immediately, exactly as plain SWIM prescribes.
+        helper is enlisted. Probe-scheduling work (Cohen, "Probe
+        Scheduling for Efficient Detection of Silent Failures") motivates
+        treating the reliable ping as a distinct, budgeted channel rather
+        than more UDP retries. An ack on either path completes the probe.
+        With the fallback disabled the indirect round engages
+        immediately, exactly as plain SWIM prescribes.
         """
         probe.timeout_timer = None
         if probe.acked or probe.seq_no not in self._probes:
@@ -785,18 +789,16 @@ class SwimNode:
         target = self._members.get(probe.target)
         if target is None or target.is_dead:
             return
-        if self._fallback.enabled:
-            probe.fallback_sent = True
-            self._fallback.note_sent()
-            self._send_ping(target, probe.seq_no, reliable=True)
-            delay = self._fallback.stage_delay(self.current_probe_timeout())
-            if delay > 0:
-                probe.indirect_timer = self._scheduler.call_at(
-                    self._clock() + delay,
-                    lambda: self._launch_indirect_probe(probe),
-                )
-                return
-        self._launch_indirect_probe(probe)
+        if not self.config.tcp_fallback_probe:
+            self._launch_indirect_probe(probe)
+            return
+        probe.fallback_sent = True
+        self.telemetry.fallback_probes_sent += 1
+        self._send_ping(target, probe.seq_no, reliable=True)
+        probe.indirect_timer = self._scheduler.call_at(
+            self._clock() + FALLBACK_PROBE_WAIT * self.current_probe_timeout(),
+            lambda: self._launch_indirect_probe(probe),
+        )
 
     def _launch_indirect_probe(self, probe: _Probe) -> None:
         """Enlist ping-req helpers for a probe still unanswered."""
@@ -829,7 +831,7 @@ class SwimNode:
         if probe.acked:
             return
         if probe.fallback_sent:
-            self._fallback.note_failure()
+            self.telemetry.fallback_probe_failures += 1
         # Failed probe. Local-health accounting first (Section IV-A): when
         # nacks were expected, each *missing* nack is evidence of local
         # slowness; when every helper nacked, the evidence points at the
@@ -908,7 +910,7 @@ class SwimNode:
                         self.on_probe_rtt(probe.target, rtt)
                 self._probe_scheduler.note_confirmation(probe.target, now)
                 if reliable and probe.fallback_sent:
-                    self._fallback.note_ack()
+                    self.telemetry.fallback_probe_acks += 1
                 probe.acked = True
                 self._lhm.note(LhmEvent.PROBE_SUCCESS)
                 if probe.timeout_timer is not None:

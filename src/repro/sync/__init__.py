@@ -13,17 +13,17 @@ runs on all of them (PAPER.md / DESIGN.md Section 2):
   other once connectivity returns;
 * **TCP fallback probes** — a direct-probe timeout fires one
   reliable-channel ping before the indirect ping-req round, so pure UDP
-  loss does not start the suspicion subprotocol against a healthy peer
-  (see :mod:`repro.sync.fallback`).
+  loss does not start the suspicion subprotocol against a healthy peer.
 
-:class:`repro.sync.engine.SyncEngine` owns the first two; the precedence
-rules themselves live in
+:class:`repro.sync.engine.SyncEngine` owns the first two. The third is
+a stage of the node's probe round
+(:meth:`repro.swim.node.SwimNode._probe_timeout`), between the direct
+and indirect stages. The precedence rules themselves live in
 :meth:`repro.swim.member_map.MemberMap.merge_claim` and are shared
 with the gossip handlers, so sync and gossip cannot diverge. This package
 is kept ``mypy --strict``-clean (enforced in CI).
 """
 
 from repro.sync.engine import SyncEngine
-from repro.sync.fallback import FallbackPolicy
 
-__all__ = ["SyncEngine", "FallbackPolicy"]
+__all__ = ["SyncEngine"]

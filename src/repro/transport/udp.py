@@ -364,8 +364,6 @@ class UdpTransport:
         self._reaper: Optional[asyncio.Task] = None
         self._stats = TransportStats()
         self._faults: Optional[FaultInjector] = None
-        if self.config.fault_plan is not None:
-            self.set_fault_plan(self.config.fault_plan)
         #: Called with the destination address when a reliable send fails
         #: permanently (wired to the node's local-health hook by
         #: :class:`UdpMember`).
@@ -469,10 +467,10 @@ class UdpTransport:
 
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Arm (or with ``None`` disarm) a fault plan on the live
-        transport. The soak launcher uses this path — via the member
-        process's plan-file watcher — to arm an already-converged
-        cluster against a shared wall-clock epoch; static plans arrive
-        through ``SwimConfig(fault_plan=...)`` at construction."""
+        transport: the one way a plan reaches a real member. The soak
+        launcher uses it through the member process's plan file, which
+        arms an already-converged cluster against a shared wall-clock
+        epoch."""
         self._faults = FaultInjector(plan) if plan is not None else None
 
     def _fault_drop_datagram(self, peer: str, outbound: bool) -> bool:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.suspicion import (
     Suspicion,
-    SuspicionClamp,
     suspicion_bounds,
     suspicion_timeout,
 )
@@ -200,16 +199,3 @@ class TestSuspicionObject:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             Suspicion("x", 0.0, 1.0, 2.0, k=-1)
-
-
-class TestSuspicionClamp:
-    def test_disabled_always_allows(self):
-        clamp = SuspicionClamp(0.0)
-        assert clamp.allow(0.0)
-        assert clamp.allow(0.0)
-
-    def test_enforces_min_gap(self):
-        clamp = SuspicionClamp(5.0)
-        assert clamp.allow(10.0)
-        assert not clamp.allow(12.0)
-        assert clamp.allow(15.1)

@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.soak.launcher import SoakLauncher
-from repro.faults import FaultEntry, FaultSchedule
+from repro.faults import FaultEntry, FaultPlan, FaultSchedule, FaultWindow
 
 
 @pytest.fixture
@@ -85,6 +85,74 @@ def test_fault_plan_delivery_arms_live_transport(launcher):
     assert armed, "member never armed the delivered fault plan"
 
 
+def _member_env():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    return env
+
+
+def test_existing_fault_plan_is_armed_before_join_and_rewrites_rearm(tmp_path):
+    """A plan file present at startup is armed before the member joins,
+    and the same watcher arms every later version of it."""
+    import queue
+    import socket
+    import subprocess
+    import sys
+    import threading
+
+    # A stand-in seed: the member's join is a reliable (TCP) sync offer to
+    # it, which the plan's partition window must fail before it connects.
+    seed = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    seed.bind(("127.0.0.1", 0))
+    seed.listen(4)
+    seed.settimeout(1.5)
+    seed_address = "127.0.0.1:%d" % seed.getsockname()[1]
+    plan_path = str(tmp_path / "m.plan.json")
+    FaultPlan(
+        windows=(FaultWindow("partition", 0.0, 60.0, peers=(seed_address,)),),
+        epoch=time.time(),
+    ).dump(plan_path)
+
+    member = subprocess.Popen(
+        [sys.executable, "-m", "repro", "member", "--name", "m",
+         "--probe-interval", "0.2", "--fault-plan", plan_path,
+         "--join", seed_address],
+        stdout=subprocess.PIPE, text=True, env=_member_env(),
+    )
+    lines: "queue.Queue[str]" = queue.Queue()
+    reader = threading.Thread(
+        target=lambda: [lines.put(line) for line in member.stdout], daemon=True
+    )
+    reader.start()
+    try:
+        assert json.loads(lines.get(timeout=20))["event"] == "ready"
+        assert lines.get(timeout=5).startswith("fault plan armed: 1 window(s)")
+        with pytest.raises(socket.timeout):
+            seed.accept()  # the join never reached the seed
+
+        rewritten = tmp_path / "next.plan.json"
+        FaultPlan(
+            windows=(
+                FaultWindow("loss", 0.0, 5.0, rate=0.5),
+                FaultWindow("loss", 5.0, 10.0, rate=0.25),
+            ),
+            epoch=time.time(),
+        ).dump(str(rewritten))
+        os.replace(rewritten, plan_path)
+        assert lines.get(timeout=5).startswith("fault plan armed: 2 window(s)")
+    finally:
+        seed.close()
+        member.terminate()
+        member.wait(timeout=10)
+        reader.join(timeout=5)
+        member.stdout.close()
+
+
 def test_ready_timeout_surfaces_log_path(tmp_path):
     broken = SoakLauncher(
         run_dir=str(tmp_path), ready_timeout=0.5, python="/bin/false"
@@ -98,8 +166,6 @@ def test_member_self_exits_when_parent_dies():
     import subprocess
     import sys
 
-    import repro
-
     # A throwaway parent that spawns one member and then dies.
     script = (
         "import os, subprocess, sys, time\n"
@@ -112,14 +178,9 @@ def test_member_self_exits_when_parent_dies():
         "print(proc.pid, flush=True)\n"
         "time.sleep(30)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH", "")) if p
-    )
     parent = subprocess.Popen(
         [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-        env=env,
+        env=_member_env(),
     )
     member_pid = int(parent.stdout.readline())
     parent.send_signal(signal.SIGKILL)

@@ -1,8 +1,5 @@
 """Fault schedules on the real cluster: validation, JSON round-trip,
 plan compilation, and the committed example schedules.
-
-(The two ``TestChaos*`` class names predate the unified fault language;
-they are kept so the test ids stay stable.)
 """
 
 import glob
@@ -27,10 +24,9 @@ def real(*entries):
     return validate_real_schedule(FaultSchedule(entries))
 
 
-class TestChaosPhase:
+class TestRealEntryRules:
     """``FaultEntry`` construction rules, plus what
-    ``validate_real_schedule`` refuses per entry. (``ChaosPhase`` went in
-    PR 15; the class keeps its name because its 9 test ids are pinned.)"""
+    ``validate_real_schedule`` refuses per entry."""
 
     def test_kill_is_permanent(self):
         with pytest.raises(ValueError, match="permanent"):
@@ -99,9 +95,9 @@ class TestChaosPhase:
             assert accepted in str(excinfo.value)
 
 
-class TestChaosScheduleValidation:
+class TestRealScheduleValidation:
     """``validate_real_schedule`` across entries: what may overlap and
-    what may follow a crash. (Name kept for the same reason.)"""
+    what may follow a crash."""
 
     def test_target_after_kill_rejected(self):
         with pytest.raises(ValueError, match="after their crash"):

@@ -11,14 +11,7 @@ import time
 
 import pytest
 
-from repro.config import SwimConfig
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultWindow,
-    load_optional,
-    plan_digest,
-)
+from repro.faults import FaultInjector, FaultPlan, FaultWindow
 from tests.transport.conftest import make_transport
 
 
@@ -49,28 +42,6 @@ class TestFaultPlan:
         path = str(tmp_path / "plan.json")
         plan.dump(path)
         assert FaultPlan.load(path) == plan
-        assert load_optional(path) == plan
-        assert load_optional(None) is None
-
-    def test_is_hashable_and_rides_on_config(self):
-        plan = FaultPlan(
-            windows=(FaultWindow("loss", 0.0, 1.0, rate=0.5),), epoch=1.0
-        )
-        config = SwimConfig(fault_plan=plan)
-        hash(config)
-        assert config.fault_plan is plan
-
-    def test_config_rejects_non_plan(self):
-        with pytest.raises(ValueError, match="fault_plan"):
-            SwimConfig(fault_plan={"windows": []})  # type: ignore[arg-type]
-
-    def test_digest_summarises_per_member_plans(self):
-        a = FaultPlan(
-            windows=(FaultWindow("loss", 0.0, 1.0, rate=0.5),), epoch=7.0
-        )
-        digest = plan_digest({"m001": a, "m000": a})
-        assert list(digest) == ["m000", "m001"]  # sorted
-        assert digest["m000"] == {"windows": 1, "epoch": 7.0, "end": 1.0}
 
 
 class TestFaultInjector:
@@ -194,22 +165,5 @@ class TestTransportEnforcement:
             finally:
                 await a.close()
                 await b.close()
-
-        asyncio.run(scenario())
-
-    def test_config_fault_plan_arms_at_construction(self, backend):
-        async def scenario():
-            plan = FaultPlan(
-                windows=(FaultWindow("loss", 0.0, 60.0, rate=1.0),),
-                epoch=time.time(),
-            )
-            a = await make_transport(
-                backend, config=SwimConfig(fault_plan=plan)
-            )
-            try:
-                assert a.fault_injector is not None
-                assert a.fault_injector.plan == plan
-            finally:
-                await a.close()
 
         asyncio.run(scenario())
