@@ -140,6 +140,12 @@ class SimNetwork:
             raise ValueError(f"address {address!r} already registered")
         self._endpoints[address] = deliver
 
+    def redirect(self, address: str, deliver: DeliverFn) -> None:
+        """Hand what arrives for ``address`` to ``deliver`` from now on.
+        An address that is not registered (or no longer) stays so."""
+        if address in self._endpoints:
+            self._endpoints[address] = deliver
+
     def unregister(self, address: str) -> None:
         self._endpoints.pop(address, None)
         self._failure_handlers.pop(address, None)
@@ -213,8 +219,6 @@ class SimNetwork:
         }
 
     def _partitioned(self, src: str, dst: str) -> bool:
-        if not self._partition_groups:
-            return False
         src_group = self._partition_groups.get(src)
         dst_group = self._partition_groups.get(dst)
         if src_group is None or dst_group is None:
@@ -242,7 +246,7 @@ class SimNetwork:
         """Put a packet on the fabric (used directly when the anomaly
         controller flushes a blocked member's queued sends)."""
         self.stats.packets_sent += 1
-        if self._partitioned(src, dst):
+        if self._partition_groups and self._partitioned(src, dst):
             self.stats.packets_cut += 1
             if reliable:
                 handler = self._failure_handlers.get(src)
@@ -273,20 +277,22 @@ class SimNetwork:
         batch = self._delivery_batches.pop(when, None)
         if batch is None:
             return
-        deliver = self._deliver
+        # The per-packet delivery, inlined: a batch is the fabric's
+        # innermost loop. An endpoint is looked up as each packet lands,
+        # since an earlier one may have stopped (unregistered) it.
+        endpoints = self._endpoints
+        anomalies = self._anomalies
+        stats = self.stats
         for src, dst, payload, reliable in batch:
-            deliver(src, dst, payload, reliable)
-
-    def _deliver(self, src: str, dst: str, payload: bytes, reliable: bool) -> None:
-        deliver = self._endpoints.get(dst)
-        if deliver is None:
-            return
-        if self._anomalies is not None and self._anomalies.intercept_delivery(
-            dst, payload, src, reliable
-        ):
-            return
-        self.stats.packets_delivered += 1
-        deliver(payload, src, reliable)
+            deliver = endpoints.get(dst)
+            if deliver is None:
+                continue
+            if anomalies is not None and anomalies.intercept_delivery(
+                dst, payload, src, reliable
+            ):
+                continue
+            stats.packets_delivered += 1
+            deliver(payload, src, reliable)
 
     def deliver_now(self, dst: str, payload: bytes, src: str, reliable: bool) -> None:
         """Hand a previously queued packet to its endpoint immediately

@@ -10,8 +10,8 @@ Invalidation: the queue is keyed by the member a gossip message is about —
 a fresher claim about a member replaces any queued older claim, so the
 queue never spreads self-contradictory state.
 
-Selection runs once per outgoing packet, so it must not re-sort the whole
-queue each time. Entries live in per-transmit-count *buckets*, each kept
+Selection runs for every outgoing packet, so it must not re-sort the
+whole queue each time. Entries live in per-transmit-count *buckets*, each kept
 ordered newest-first; walking the buckets in ascending transmit order
 visits entries exactly as a full sort by ``(transmits, -enqueued_seq)``
 would. The buckets are exact: every item in bucket ``t`` is the queue's
@@ -21,6 +21,13 @@ the spot (found by bisecting on its sequence number), so selection never
 tests an item for liveness, and since everything in a bucket shares one
 transmit count, a bucket the packet has room for is taken, retired or
 promoted as a whole.
+
+A gossip tick sends to several targets at once, and one call serves them
+all (``get_payloads(..., rounds=k)``). While the queue fits one packet —
+almost always outside a burst — the first packet takes everything and
+each later one the same, less what reached the limit: one walk, then a
+prefix per packet, and the same list object for packets that carry the
+same broadcasts.
 """
 
 from __future__ import annotations
@@ -201,34 +208,64 @@ class BroadcastQueue:
         for subject, entry in self._queue.items():
             yield subject, entry.transmits, len(entry.payload)
 
-    def get_payloads(self, byte_budget: int, per_payload_overhead: int) -> List[bytes]:
-        """Select encoded broadcasts for one outgoing packet.
+    def get_payloads(
+        self, byte_budget: int, per_payload_overhead: int, rounds: int = 1
+    ) -> List[List[bytes]]:
+        """Select encoded broadcasts for ``rounds`` outgoing packets, one
+        list per packet, exactly as ``rounds`` successive selections
+        would: a piggybacking send is one round, a gossip tick one round
+        per fanout target.
 
         Fewest-transmitted first (newest as tie-break), greedily filling
         ``byte_budget``; each selected payload costs its own length plus
         ``per_payload_overhead`` framing bytes. Selected broadcasts get
         their transmit count bumped and are retired once they reach the
-        retransmit limit.
+        retransmit limit. A round that selects nothing leaves the queue
+        as it was, so it and every round after it are empty.
+
+        Once one packet takes the whole queue, every later one does too,
+        less what retired at the one before: the rest of the round is
+        served without walking the queue again (:meth:`_serve_again`).
+        Consecutive packets that carry the same broadcasts get the same
+        list object, so a caller packs each distinct list once. The lists
+        are not to be mutated.
+        """
+        served: List[List[bytes]] = []
+        limit = self.current_limit()
+        while self._queue and len(served) < rounds:
+            payloads, whole = self._select(byte_budget, per_payload_overhead, limit)
+            if not payloads:
+                break
+            served.append(payloads)
+            if whole and len(served) < rounds:
+                served.extend(self._serve_again(payloads, rounds - len(served), limit))
+        if len(served) < rounds:
+            served.extend([] for _ in range(rounds - len(served)))
+        return served
+
+    def _select(
+        self, byte_budget: int, per_payload_overhead: int, limit: int
+    ) -> Tuple[List[bytes], bool]:
+        """One packet's selection, and whether it took the whole queue.
 
         Walks the transmit-count buckets in ascending order — the same
         visit order as sorting everything by ``(transmits, -seq)``. What
         a bucket gives up moves on as one sorted run, and only after the
-        walk, so one call never transmits the same broadcast twice; the
+        walk, so one packet never carries the same broadcast twice; the
         walk stops once the remaining budget cannot fit even an empty
         payload (skipped entries carry no state, so stopping is
         unobservable).
         """
         queue = self._queue
-        if not queue:
-            return []
-        limit = self.current_limit()
         buckets = self._buckets
         selected: List[bytes] = []
         append = selected.append
         remaining = byte_budget
+        whole = True
         promoted: List[Tuple[int, List[_BucketItem]]] = []
         for key in sorted(buckets):
             if remaining <= per_payload_overhead:
+                whole = False
                 break
             bucket = taken = buckets[key]
             sent = key + 1
@@ -238,6 +275,7 @@ class BroadcastQueue:
                 if cost > remaining:
                     # The bucket does not fit whole: from here on it is
                     # split, item by item, into what goes and what stays.
+                    whole = False
                     taken = bucket[:index]
                     kept = [item]
                     for item in bucket[index + 1 :]:
@@ -270,7 +308,48 @@ class BroadcastQueue:
                 # Two sorted runs: the sort is a single merge.
                 bucket.extend(run)
                 bucket.sort()
-        return selected
+        return selected, whole
+
+    def _serve_again(
+        self, payloads: List[bytes], rounds: int, limit: int
+    ) -> List[List[bytes]]:
+        """``rounds`` more packets after one that took the whole queue
+        (``payloads``, whose entries still queued are its first
+        ``len(self)``, by ascending transmit count).
+
+        Every bucket was taken whole and moved up one, so no two merged:
+        each packet takes the whole queue again, less the buckets that
+        reached the limit at the packet before — a shorter prefix of
+        ``payloads``. A bucket at ``key`` goes out ``limit - key`` more
+        times at most; what is left of the queue afterwards is its
+        buckets moved up ``rounds``, those that reach the limit retired.
+        """
+        buckets = self._buckets
+        keys = sorted(buckets)
+        count = len(self._queue)
+        top = len(keys)
+        served: List[List[bytes]] = []
+        for sent in range(1, rounds + 1):
+            while top and keys[top - 1] + sent > limit:
+                top -= 1
+                count -= len(buckets[keys[top]])
+            if count != len(payloads):
+                payloads = payloads[:count]
+            served.append(payloads)
+        queue = self._queue
+        moved: Dict[int, List[_BucketItem]] = {}
+        for key in keys:
+            run = buckets[key]
+            sent = key + rounds
+            if sent >= limit:
+                for item in run:
+                    del queue[item[1].subject]
+            else:
+                for item in run:
+                    item[1].transmits = sent
+                moved[sent] = run
+        self._buckets = moved
+        return served
 
     def clear(self) -> None:
         self._queue.clear()

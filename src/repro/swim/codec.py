@@ -49,7 +49,11 @@ the three input kinds to identical messages *and* identical
 The four sequence-numbered probe kinds (``Ping``, ``PingReq``, ``Ack``,
 ``Nack``) never repeat byte for byte, so they are decoded without
 touching the decode cache — a lookup could only miss, and an insert
-would push out the gossip parts that do repeat.
+would push out the gossip parts that do repeat. Whole gossip-only
+compounds repeat as well (a gossip round sends one packet to all its
+targets) and have a small cache of their own; a ``Suspect`` decoded
+into the part cache keeps the bytes it arrived as, and :func:`encode`
+returns those instead of encoding it again.
 """
 
 from __future__ import annotations
@@ -357,6 +361,12 @@ def _reply_encoder(tag: int):
 
 def _claim_encoder(tag: int):
     def encode_claim(message: Union[Suspect, Dead]) -> bytes:
+        # A suspect claim decoded from the wire carries the bytes it
+        # arrived as (:func:`_decode_small`): re-gossiped unchanged, it
+        # is not encoded again.
+        wire = getattr(message, "_wire", None)
+        if wire is not None:
+            return wire
         member = message.member.encode("utf-8")
         sender = message.sender.encode("utf-8")
         if len(member) > 255:
@@ -473,6 +483,15 @@ _DECODE_CACHE: dict = {}
 _DECODE_CACHE_LIMIT = 8192
 _CACHEABLE_MAX_LEN = 96
 
+# Whole gossip-only compounds recur byte for byte too: a gossip round
+# sends one packet to every fanout target, and the same queue goes out
+# again next tick. Keyed by the whole packet, filled only after it
+# decoded cleanly, emptied when full. The bound keeps it small: 256
+# packets of at most one datagram (~1.4 KB here) hold ~0.4 MB of keys,
+# and their parts are the part cache's own messages.
+_PACKET_CACHE: dict = {}
+_PACKET_CACHE_LIMIT = 256
+
 #: How deep compounds may nest on the way in, the outermost counting as
 #: one. No sender here nests at all (a packet is one compound of plain
 #: parts); the bound keeps a hostile datagram of compounds within
@@ -491,15 +510,27 @@ def decode(buf: Buffer) -> Message:
     compound is walked part by part against the same cache
     (:func:`_decode_compound`), and every part is decoded before the
     message is returned, so one bad part refuses the packet whole; a
-    large packet (a push-pull snapshot) is sliced in place. ``bytes``
-    and buffer input produce identical messages and identical
-    :class:`CodecError` behavior.
+    large packet (a push-pull snapshot) is sliced in place. A compound
+    whose first part is gossip (its tag, at offset 5, above ``T_NACK``)
+    is gossip only — a probe leads whatever rides with it — and is
+    looked up whole in the packet cache first, and stored there once it
+    decoded. ``bytes`` and buffer input produce identical messages and
+    identical :class:`CodecError` behavior.
     """
     if buf.__class__ is not bytes:
         buf = bytes(buf)
     size = len(buf)
     if size and buf[0] == T_COMPOUND:
+        gossip = size > 5 and buf[5] > T_NACK
+        if gossip:
+            cached = _PACKET_CACHE.get(buf)
+            if cached is not None:
+                return cached
         message, offset = _decode_compound(buf, 1, 1)
+        if gossip and offset == size:
+            if len(_PACKET_CACHE) >= _PACKET_CACHE_LIMIT:
+                _PACKET_CACHE.clear()
+            _PACKET_CACHE[buf] = message
     elif 0 < size <= _CACHEABLE_MAX_LEN and buf[0] > T_NACK:
         cached = _DECODE_CACHE.get(buf)
         return cached if cached is not None else _decode_small(buf)
@@ -516,10 +547,18 @@ def _decode_small(raw: bytes) -> Message:
     message, offset = _decode_at(raw, 0)
     if offset != len(raw):
         raise CodecError(f"{len(raw) - offset} trailing bytes after message")
-    if raw[0] > T_NACK:
+    tag = raw[0]
+    if tag > T_NACK:
         if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
             _DECODE_CACHE.clear()
         _DECODE_CACHE[raw] = message
+        if tag == T_SUSPECT:
+            # The claim a node re-gossips as it came. Frozen to its
+            # readers; the codec alone notes the bytes it was decoded
+            # from, in attribute room every instance already has (it
+            # costs no memory), for ``encode_claim`` to return: a suspect
+            # claim encodes canonically, so they are its encoding.
+            object.__setattr__(message, "_wire", raw)
     return message
 
 

@@ -1032,8 +1032,9 @@ class SwimNode:
         )
         self._emit(EventKind.SUSPECTED, name, message.incarnation, now)
         # Gossip the suspicion onward, preserving the originator so peers
-        # can count independence.
-        self._broadcasts.enqueue(Suspect(message.incarnation, name, message.sender))
+        # can count independence: the claim as it came, which, decoded
+        # from the wire, goes out as the bytes it arrived as.
+        self._broadcasts.enqueue(message)
 
     def _reschedule_suspicion(self, name: str) -> None:
         entry = self._suspicions.get(name)
@@ -1238,12 +1239,17 @@ class SwimNode:
         if not self._gossip_pending():
             return
         targets = self._gossip_targets(now)
+        if not targets:
+            return
         budget = config.max_packet_size - codec.COMPOUND_HEADER_OVERHEAD
-        for target in targets:
-            payloads = self._select_gossip(budget)
+        # One selection for the whole round; targets served the same
+        # list get the same packet, packed once.
+        packed = packet = None
+        for target, payloads in zip(targets, self._select_gossip(budget, len(targets))):
             if not payloads:
                 break
-            packet = self._pack_gossip_only(payloads)
+            if payloads is not packed:
+                packed, packet = payloads, self._pack_gossip_only(payloads)
             self.telemetry.record_send("gossip", len(packet))
             self._transport.send(target.address, packet)
 
@@ -1253,20 +1259,24 @@ class SwimNode:
         two ``pending`` property calls)."""
         return bool(self._broadcasts._queue or self._user_broadcasts._queue)
 
-    def _select_gossip(self, budget: int) -> List[bytes]:
-        """Up to ``budget`` framed bytes of queued gossip for one packet:
-        membership claims first, user events in whatever room is left."""
+    def _select_gossip(self, budget: int, rounds: int = 1) -> List[List[bytes]]:
+        """Up to ``budget`` framed bytes of queued gossip for each of
+        ``rounds`` packets: membership claims first, user events in
+        whatever room each packet has left. The two queues are
+        independent, so taking every packet's claims first selects what
+        packet-by-packet selection would."""
         overhead = codec.COMPOUND_PART_OVERHEAD
-        payloads = self._broadcasts.get_payloads(budget, overhead)
+        selected = self._broadcasts.get_payloads(budget, overhead, rounds)
         user = self._user_broadcasts
         # The user queue is almost always empty; only when it is not does
-        # anyone need to know what the claims left of the budget.
-        if user._queue:
-            if payloads:
-                budget -= codec.framed_size(payloads)
-            if budget > 0:
-                payloads.extend(user.get_payloads(budget, overhead))
-        return payloads
+        # anyone need to know what the claims left of each packet.
+        for index, payloads in enumerate(selected):
+            if not user._queue:
+                break
+            room = budget - codec.framed_size(payloads)
+            if room > 0:
+                selected[index] = payloads + user.get_payloads(room, overhead)[0]
+        return selected
 
     def _gossip_targets(self, now: float) -> List[Member]:
         """Targets for one dedicated gossip round: uniformly random
@@ -1361,7 +1371,7 @@ class SwimNode:
                     - codec.framed_size(payloads)
                 )
                 if budget > 0:
-                    payloads.extend(self._select_gossip(budget))
+                    payloads.extend(self._select_gossip(budget)[0])
             packet = codec.pack_encoded_with_piggyback(encoded_primary, payloads)
         self.telemetry.record_send(primary_kind(primary), len(packet), reliable)
         self._transport.send(address, packet, reliable=reliable)

@@ -128,7 +128,7 @@ class TestRetransmitLimitVectors:
         queue.enqueue(Suspect(1, "m1", "m2"))
         handed_out = 0
         while queue.pending:
-            assert len(queue.get_payloads(1400, 2)) == 1
+            assert len(queue.get_payloads(1400, 2)[0]) == 1
             handed_out += 1
             assert handed_out <= 12
         assert handed_out == 12

@@ -78,7 +78,7 @@ class TestPayloadSelection:
         queue = make_queue()
         message = Suspect(1, "m1", "s")
         queue.enqueue(message)
-        payloads = queue.get_payloads(1000, 2)
+        payloads = queue.get_payloads(1000, 2)[0]
         assert payloads == [codec.encode(message)]
 
     def test_byte_budget_respected(self):
@@ -87,14 +87,14 @@ class TestPayloadSelection:
             queue.enqueue(Alive(1, f"member-{i:02d}", "some-address:1234"))
         size = len(codec.encode(Alive(1, "member-00", "some-address:1234")))
         budget = 3 * (size + 2)
-        payloads = queue.get_payloads(budget, 2)
+        payloads = queue.get_payloads(budget, 2)[0]
         assert len(payloads) == 3
         assert sum(len(p) + 2 for p in payloads) <= budget
 
     def test_zero_budget_selects_nothing(self):
         queue = make_queue()
         queue.enqueue(Suspect(1, "m1", "s"))
-        assert queue.get_payloads(0, 2) == []
+        assert queue.get_payloads(0, 2)[0] == []
         assert queue.pending  # not consumed
 
     def test_fewest_transmitted_first(self):
@@ -105,14 +105,14 @@ class TestPayloadSelection:
         for _ in range(3):
             queue.get_payloads(size + 2, 2)
         queue.enqueue(Suspect(1, "m2", "s"))
-        first = queue.get_payloads(size + 2, 2)
+        first = queue.get_payloads(size + 2, 2)[0]
         assert first == [codec.encode(Suspect(1, "m2", "s"))]
 
     def test_retired_after_limit(self):
         queue = make_queue(n_members=9, mult=2)  # limit = 2
         queue.enqueue(Suspect(1, "m1", "s"))
         for _ in range(2):
-            assert queue.get_payloads(1000, 2)
+            assert queue.get_payloads(1000, 2)[0]
         assert not queue.pending
 
     def test_replacement_restarts_transmit_count(self):
@@ -120,11 +120,11 @@ class TestPayloadSelection:
         queue.enqueue(Suspect(1, "m1", "s"))
         queue.get_payloads(1000, 2)
         queue.enqueue(Suspect(2, "m1", "s"))  # replaces, resets count
-        assert queue.get_payloads(1000, 2)
+        assert queue.get_payloads(1000, 2)[0]
         assert queue.pending  # one transmit used of the fresh limit
 
     def test_empty_queue_returns_nothing(self):
-        assert make_queue().get_payloads(1000, 2) == []
+        assert make_queue().get_payloads(1000, 2) == [[]]
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30))
     def test_total_transmissions_bounded(self, member_ids):
@@ -136,7 +136,7 @@ class TestPayloadSelection:
         unique = len({f"m{m}" for m in member_ids})
         total = 0
         for _ in range(1000):
-            got = queue.get_payloads(10_000, 2)
+            got = queue.get_payloads(10_000, 2)[0]
             if not got:
                 break
             total += len(got)
@@ -173,7 +173,7 @@ class TestOversizedBroadcasts:
         with pytest.warns(RuntimeWarning):
             queue.enqueue(Alive(1, "big", "addr", meta=b"x" * 100))
         queue.enqueue(Suspect(1, "small", "s"))
-        got = queue.get_payloads(1000, 2)
+        got = queue.get_payloads(1000, 2)[0]
         assert got == [codec.encode(Suspect(1, "small", "s"))]
 
     def test_no_limit_keeps_legacy_behaviour(self):

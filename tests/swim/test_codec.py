@@ -231,3 +231,104 @@ class TestDecodeCache:
         for i in range(codec._DECODE_CACHE_LIMIT + 10):
             codec.decode(codec.encode(Suspect(i, "x", "y")))
         assert 0 < len(codec._DECODE_CACHE) <= codec._DECODE_CACHE_LIMIT + 1
+
+    def test_a_decoded_claim_encodes_as_the_bytes_it_arrived_as(self):
+        codec._DECODE_CACHE.clear()
+        claim = Suspect(4, "m", "s")
+        wire = codec.encode(claim)
+        decoded = codec.decode(wire)
+        assert codec.encode(decoded) is wire
+        assert codec.encode(Compound((decoded,))) == codec.encode(Compound((claim,)))
+        assert decoded == claim and repr(decoded) == repr(claim)
+        # Other gossip is encoded anew: an Alive's zone tag has two
+        # spellings of "no zone", so what arrived is not always what
+        # encoding gives.
+        for other in (Dead(4, "m", "s"), Alive(4, "m", "a:1")):
+            wire = codec.encode(other)
+            assert codec.encode(codec.decode(wire)) is not wire
+
+
+def _gossip_packet(i: int) -> bytes:
+    return codec.pack_compound(
+        [codec.encode(Suspect(i, "m", "s")), codec.encode(Alive(i, "m", "a:1"))]
+    )
+
+
+class _SpyCache(dict):
+    """A packet cache that records every lookup and store."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+        self.stores = []
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+class TestPacketCache:
+    """Whole gossip-only compounds: decoded once, then looked up."""
+
+    def test_cache_never_exceeds_its_bound(self):
+        codec._PACKET_CACHE.clear()
+        for i in range(2 * codec._PACKET_CACHE_LIMIT + 10):
+            codec.decode(_gossip_packet(i))
+            assert 0 < len(codec._PACKET_CACHE) <= codec._PACKET_CACHE_LIMIT
+
+    def test_a_repeated_packet_is_the_same_message(self):
+        packet = _gossip_packet(1)
+        first = codec.decode(packet)
+        assert codec.decode(bytearray(packet)) is first
+        assert first == Compound((Suspect(1, "m", "s"), Alive(1, "m", "a:1")))
+
+    @pytest.mark.parametrize(
+        "primary", [Ping(7, "b", "a"), Ack(7, "a"), PingReq(7, "b", "a", True), Nack(7, "a")]
+    )
+    def test_a_probe_led_compound_is_never_looked_up_or_stored(
+        self, primary, monkeypatch
+    ):
+        spy = _SpyCache()
+        monkeypatch.setattr(codec, "_PACKET_CACHE", spy)
+        packet = codec.pack_encoded_with_piggyback(
+            codec.encode(primary), [codec.encode(Suspect(1, "m", "s"))]
+        )
+        for _ in range(2):
+            assert codec.decode(packet).parts[0] == primary
+        assert spy.lookups == spy.stores == [] and not spy
+        # A gossip-led packet, by contrast, is looked up and stored.
+        codec.decode(_gossip_packet(1))
+        assert spy.lookups == spy.stores == [_gossip_packet(1)]
+
+    @pytest.mark.parametrize(
+        "last", [b"\xff", codec.encode(Alive(1, "m", "a:1"))[:-1]],
+        ids=["unknown-tag", "truncated"],
+    )
+    def test_a_corrupt_last_part_raises_alike_and_is_never_stored(
+        self, last, monkeypatch
+    ):
+        spy = _SpyCache()
+        monkeypatch.setattr(codec, "_PACKET_CACHE", spy)
+        packet = codec.pack_compound([codec.encode(Suspect(1, "m", "s")), last])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(codec.CodecError) as excinfo:
+                codec.decode(packet)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        assert spy.lookups == [packet, packet]
+        assert spy.stores == [] and not spy
+
+    @given(st.lists(_messages_strategy(), min_size=1, max_size=6))
+    def test_a_warm_decode_equals_a_cold_one(self, parts):
+        packet = codec.pack_compound([codec.encode(part) for part in parts])
+        codec._PACKET_CACHE.clear()
+        codec._DECODE_CACHE.clear()
+        cold = codec.decode(packet)
+        warm = codec.decode(packet)
+        assert warm == cold == Compound(tuple(parts))
+        assert [type(part) for part in warm.parts] == [type(p) for p in parts]

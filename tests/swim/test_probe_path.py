@@ -302,3 +302,54 @@ class TestBareSendPath:
         bare = sum(1 for line in run if not line.split()[2].startswith("09"))
         # Both sides of the choice are in the run.
         assert 0 < bare < len(run)
+
+
+class TestGossipRound:
+    """A gossip tick selects once for all its targets and packs each
+    distinct payload list once."""
+
+    @staticmethod
+    def _tick(node, transport):
+        transport.sent.clear()
+        node._gossip_tick()
+        return [packet for _, packet, _ in transport.sent]
+
+    def test_one_selection_per_gossip_tick(self, payload_selects):
+        node, transport = _node()
+        node.start()
+        node.broadcasts.enqueue(Suspect(1, "c", "a"))
+        packets = self._tick(node, transport)
+        assert len(packets) == node.config.gossip_fanout == 3
+        assert payload_selects == [node.broadcasts]
+        # A quiet tick selects nothing at all.
+        node.broadcasts.clear()
+        assert self._tick(node, transport) == []
+        assert payload_selects == [node.broadcasts]
+
+    def test_every_target_gets_the_same_packet_while_nothing_retires(self):
+        node, transport = _node()
+        node.start()
+        claims = [Suspect(1, "c", "a"), Alive(2, "d", "d")]
+        for claim in claims:
+            node.broadcasts.enqueue(claim)
+        first, *others = self._tick(node, transport)
+        assert first == _framed(*map(codec.encode, reversed(claims)))
+        assert all(packet is first for packet in others) and len(others) == 2
+        assert [transmits for _, transmits, _ in node.broadcasts.entries()] == [3, 3]
+
+    def test_the_packet_is_repacked_after_an_entry_retires_mid_round(self):
+        node, transport = _node()
+        node.start()
+        limit = node.broadcasts.current_limit()
+        old, fresh = Suspect(1, "c", "a"), Alive(2, "d", "d")
+        node.broadcasts.enqueue(old)
+        # Two transmissions short of the limit: the round's second packet
+        # retires it, and the third carries the fresh claim alone.
+        node.broadcasts.get_payloads(1000, codec.COMPOUND_PART_OVERHEAD, limit - 2)
+        node.broadcasts.enqueue(fresh)
+        first, second, third = self._tick(node, transport)
+        assert first == _framed(codec.encode(fresh), codec.encode(old))
+        assert second is first
+        assert third == codec.encode(fresh)
+        assert node.broadcasts.peek("c") is None
+        assert [transmits for _, transmits, _ in node.broadcasts.entries()] == [3]

@@ -103,6 +103,10 @@ _broadcast_op = st.one_of(
     st.tuples(
         st.just("get"), st.integers(0, 400), st.integers(0, 8)
     ),
+    # A gossip tick's fanout: k packets at one budget in one call.
+    st.tuples(
+        st.just("round"), st.integers(0, 400), st.integers(0, 8), st.integers(1, 4)
+    ),
     st.tuples(st.just("resize"), st.sampled_from(_GROUP_SIZES)),
 )
 
@@ -138,16 +142,22 @@ def test_bucketed_broadcast_queue_matches_full_sort_over_a_long_walk(seed):
     one bucket there. A long seeded walk keeps several buckets populated
     and mostly asks for less than they hold: buckets split, promoted
     runs merge into buckets that kept something, and the limit moves
-    under entries already part-way through their transmissions."""
+    under entries already part-way through their transmissions. Rounds
+    of up to four packets run out of room part-way as often as not."""
     draw = random.Random(seed)
     ops = []
     for _ in range(3000):
-        kind = draw.choice(["enqueue"] * 4 + ["get"] * 4 + ["invalidate", "resize"])
+        kind = draw.choice(
+            ["enqueue"] * 4 + ["get"] * 4 + ["round"] * 2 + ["invalidate", "resize"]
+        )
         if kind == "enqueue":
             ops.append((kind, draw.randrange(len(_SUBJECTS)), draw.randint(0, 40)))
         elif kind == "get":
             budget = draw.choice([0, 20, 60, 60, 100, 100, 150, 400])
             ops.append((kind, budget, draw.randint(0, 8)))
+        elif kind == "round":
+            budget = draw.choice([0, 20, 60, 100, 150, 400, 400])
+            ops.append((kind, budget, draw.randint(0, 8), draw.randint(1, 4)))
         elif kind == "invalidate":
             ops.append((kind, draw.randrange(len(_SUBJECTS))))
         else:
@@ -155,9 +165,9 @@ def test_bucketed_broadcast_queue_matches_full_sort_over_a_long_walk(seed):
     _drive_broadcast_queue(ops, draw.randint(1, 3), draw.choice(_GROUP_SIZES))
 
 
-def _drive_broadcast_queue(ops, mult, n_members):
+def _drive_broadcast_queue(ops, mult, n_members, queue_class=BroadcastQueue):
     group = [n_members]
-    queue = BroadcastQueue(mult, lambda: group[0])
+    queue = queue_class(mult, lambda: group[0])
     naive = _NaiveBroadcastQueue(mult, lambda: group[0])
     for op in ops:
         if op[0] == "enqueue":
@@ -171,9 +181,15 @@ def _drive_broadcast_queue(ops, mult, n_members):
             naive.invalidate(_SUBJECTS[op[1]])
         elif op[0] == "get":
             _, budget, overhead = op
-            assert queue.get_payloads(budget, overhead) == naive.get_payloads(
-                budget, overhead
-            )
+            assert queue.get_payloads(budget, overhead) == [
+                naive.get_payloads(budget, overhead)
+            ]
+        elif op[0] == "round":
+            # One call serves k packets exactly as k selections would.
+            _, budget, overhead, k = op
+            assert queue.get_payloads(budget, overhead, k) == [
+                naive.get_payloads(budget, overhead) for _ in range(k)
+            ]
         else:  # the group grew or shrank: the limit must follow
             group[0] = op[1]
             assert queue.current_limit() == retransmit_limit(mult, op[1])
@@ -186,6 +202,23 @@ def _drive_broadcast_queue(ops, mult, n_members):
         ]
         assert len(queue) == len(naive.state())
         _assert_buckets_exact(queue)
+
+
+class _RoundIgnoresTheLimit(BroadcastQueue):
+    """A queue whose later packets of a round never reach the limit:
+    they keep sending, and retire nothing, what should have retired."""
+
+    def _serve_again(self, payloads, rounds, limit):
+        return super()._serve_again(payloads, rounds, limit + rounds)
+
+
+def test_a_round_that_skips_retirement_fails_the_machine():
+    # Limit 2: the round's first packet sends the entry once, the second
+    # retires it, and the third has nothing left to carry.
+    ops = [("enqueue", 0, 1), ("round", 400, 2, 3)]
+    _drive_broadcast_queue(ops, 2, 9)
+    with pytest.raises(AssertionError):
+        _drive_broadcast_queue(ops, 2, 9, queue_class=_RoundIgnoresTheLimit)
 
 
 # --------------------------------------------------------------------- #
