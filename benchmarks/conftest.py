@@ -6,7 +6,9 @@ paper's directional claims. Every rendered table/figure is
 
 * printed (visible with ``pytest -s``),
 * written to ``benchmarks/results/<name>.txt`` (plus a ``.json`` with the
-  raw numbers), and
+  raw numbers) — under ``REPRO_FULL=1`` to ``benchmarks/results/full/``
+  instead, with the scale in each file's header, so a full-grid run
+  never overwrites the reduced results — and
 * echoed in the terminal summary at the end of the run, so plain
   ``pytest benchmarks/ --benchmark-only`` output contains the tables.
 
@@ -30,6 +32,7 @@ from repro.harness.interval import run_interval
 from repro.harness.stress import run_stress
 from repro.harness.sweep import (
     TUNING_COMBINATIONS,
+    Scale,
     env_scale,
     interval_grid,
     run_many,
@@ -44,13 +47,28 @@ RESULTS_DIR = Path(__file__).parent / "results"
 _RENDERED: List[str] = []
 
 
+def scale_header(scale: Scale) -> str:
+    """One line naming the grid a result was measured on."""
+    return (
+        f"scale: REPRO_FULL={int(scale.full)} reps={scale.reps} "
+        f"n={scale.n_members} test_time={scale.min_test_time:g}s"
+    )
+
+
 def publish(name: str, rendered: str, raw: object = None) -> None:
     """Print, persist and queue a rendered table for the summary."""
     print("\n" + rendered + "\n")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(rendered + "\n")
+    scale = env_scale()
+    directory, text = RESULTS_DIR, rendered
+    if scale.full:
+        header = scale_header(scale)
+        directory, text = RESULTS_DIR / "full", f"# {header}\n{rendered}"
+        if raw is not None:
+            raw = {"scale": header, "results": raw}
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
     if raw is not None:
-        (RESULTS_DIR / f"{name}.json").write_text(json.dumps(raw, indent=2))
+        (directory / f"{name}.json").write_text(json.dumps(raw, indent=2))
     _RENDERED.append(rendered)
 
 

@@ -32,7 +32,9 @@ The shipped oracles and their paper anchors:
     higher incarnation. Additionally, a running node's suspicion table
     and member table must agree: a member is SUSPECT if and only if a
     suspicion (with its timeout timer) exists for it — a SUSPECT entry
-    with no timer can never be resolved and is a stuck state.
+    with no timer can never be resolved and is a stuck state — and no
+    suspicion is held at an incarnation above the table's (the receive
+    path settles repeated claims against the held one).
 
 ``broadcast-queue``
     Section III-A dissemination sanity: gossip transmit counts never
@@ -321,9 +323,9 @@ class MembershipOracle(Oracle):
                 current[subject] = (int(state), incarnation)
             self._seen[name] = current
             if node.running:
-                with_entries = set(node.suspicion_subjects())
+                held = node.suspicion_incarnations()
                 for subject in suspects_in_map:
-                    if subject not in with_entries:
+                    if subject not in held:
                         out.append(
                             Violation(
                                 self.name, now, name,
@@ -332,7 +334,7 @@ class MembershipOracle(Oracle):
                                 subject=subject,
                             )
                         )
-                for subject in with_entries:
+                for subject, incarnation in held.items():
                     member = node.members.get(subject)
                     if member is None or member.state is not MemberState.SUSPECT:
                         state = "absent" if member is None else member.state.name
@@ -340,6 +342,18 @@ class MembershipOracle(Oracle):
                             Violation(
                                 self.name, now, name,
                                 f"suspicion timer exists but member is {state}",
+                                subject=subject,
+                            )
+                        )
+                    elif incarnation > member.incarnation:
+                        # The receive path settles repeats against the
+                        # held incarnation; above the table's, it would
+                        # turn away claims the handler must see.
+                        out.append(
+                            Violation(
+                                self.name, now, name,
+                                f"suspicion held at incarnation {incarnation}, "
+                                f"above the table's {member.incarnation}",
                                 subject=subject,
                             )
                         )

@@ -159,6 +159,14 @@ class Suspicion:
         return frozenset(self._confirmers)
 
     @property
+    def confirmer_set(self) -> Set[str]:
+        """The live set behind :attr:`confirmers`, for a holder that tells
+        a repeat from a confirmation without calling :meth:`confirm`: a
+        member in it, or more than ``k`` members in it, and ``confirm``
+        would refuse. Only ``confirm`` writes it."""
+        return self._confirmers
+
+    @property
     def needs_confirmations(self) -> bool:
         """Whether further confirmations would still shrink the deadline.
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.scheduler import EventScheduler
 
@@ -186,6 +186,13 @@ class AnomalyController:
 
     def is_blocked(self, member: str) -> bool:
         return member in self._blocked
+
+    @property
+    def blocked(self) -> Mapping[str, _BlockState]:
+        """The members blocked now, as a live mapping that is never
+        rebound: the network binds it once and asks the ``intercept_*``
+        methods only about a member in it."""
+        return self._blocked
 
     def intercept_send(
         self, src: str, dst: str, payload: bytes, reliable: bool

@@ -9,7 +9,8 @@ class VirtualClock:
     Instances are callable so they satisfy the :data:`repro.runtime.Clock`
     protocol directly. Only the scheduler advances the clock — its drive
     loop, which runs once per simulated event, reads and writes ``_now``
-    itself (with :meth:`advance_to`'s check) rather than call in here.
+    itself (with :meth:`advance_to`'s check) rather than call in here,
+    and :class:`~repro.sim.network.SimNetwork` reads it once per packet.
     """
 
     __slots__ = ("_now",)

@@ -12,12 +12,20 @@ Models the two channels memberlist uses:
 
 Delivery to members experiencing an anomaly is intercepted by the
 :class:`~repro.sim.anomaly.AnomalyController` (if one is attached).
+
+The packet path is the simulator's innermost loop, so it is spelled
+out: a send tests the controller's blocked map itself and asks the
+controller only about a member in it; :meth:`LatencyModel.sample` draws
+its exponential without a call into ``random``; and packets that land
+at one timestamp share one scheduler event, a bound method that finds
+its batch by the clock.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from math import log
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.sim.scheduler import EventScheduler
 
@@ -51,8 +59,13 @@ class LatencyModel:
 
     def sample(self, rng: random.Random, reliable: bool = False) -> float:
         latency = self.base
-        if self.jitter_mean > 0:
-            latency += rng.expovariate(1.0 / self.jitter_mean)
+        jitter_mean = self.jitter_mean
+        if jitter_mean > 0:
+            # ``rng.expovariate(1.0 / jitter_mean)`` drawn here, with the
+            # same draw and the same float operations: it runs once per
+            # packet, and the call into ``random`` costs more than the
+            # arithmetic.
+            latency += -log(1.0 - rng.random()) / (1.0 / jitter_mean)
         if reliable:
             latency += self.reliable_overhead
         return latency
@@ -110,6 +123,8 @@ class SimNetwork:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         self._scheduler = scheduler
+        # Read per packet (``_now``, as the scheduler's drive loop does).
+        self._clock = scheduler.clock
         self._rng = rng
         self._latency = latency if latency is not None else LatencyModel.loopback()
         self._loss_rate = loss_rate
@@ -123,6 +138,9 @@ class SimNetwork:
         self._partition_groups: Dict[str, int] = {}
         self._link_loss: Dict[Tuple[str, str], float] = {}
         self._anomalies = None  # set via attach_anomalies()
+        #: The controller's live blocked map (empty until one is
+        #: attached): only a member in it is handed to the controller.
+        self._blocked: Mapping[str, object] = {}
         #: In-flight packets grouped by exact delivery timestamp: one
         #: scheduler event per distinct timestamp instead of one per
         #: packet. Within a batch, packets deliver in injection order —
@@ -167,6 +185,7 @@ class SimNetwork:
     def attach_anomalies(self, controller) -> None:
         """Wire in an :class:`~repro.sim.anomaly.AnomalyController`."""
         self._anomalies = controller
+        self._blocked = controller.blocked
 
     @property
     def loss_rate(self) -> float:
@@ -236,7 +255,7 @@ class SimNetwork:
         fabric: a blocked member is blocked 'immediately before sending'
         (paper, Section V-D1).
         """
-        if self._anomalies is not None and self._anomalies.intercept_send(
+        if src in self._blocked and self._anomalies.intercept_send(
             src, dst, payload, reliable
         ):
             return
@@ -264,30 +283,32 @@ class SimNetwork:
             if link_rate > 0.0 and self._rng.random() < link_rate:
                 self.stats.packets_lost += 1
                 return
-        latency = self._latency.sample(self._rng, reliable)
-        when = self._scheduler.clock.now + latency
+        when = self._clock._now + self._latency.sample(self._rng, reliable)
         batch = self._delivery_batches.get(when)
         if batch is None:
             self._delivery_batches[when] = [(src, dst, payload, reliable)]
-            self._scheduler.call_at(when, lambda: self._deliver_batch(when))
+            self._scheduler.call_at(when, self._deliver_batch)
         else:
             batch.append((src, dst, payload, reliable))
 
-    def _deliver_batch(self, when: float) -> None:
-        batch = self._delivery_batches.pop(when, None)
+    def _deliver_batch(self) -> None:
+        """The event of one delivery timestamp: it runs at exactly the
+        ``when`` its batch is keyed by (never in the past, so
+        ``call_at`` did not clamp it)."""
+        batch = self._delivery_batches.pop(self._clock._now, None)
         if batch is None:
             return
         # The per-packet delivery, inlined: a batch is the fabric's
         # innermost loop. An endpoint is looked up as each packet lands,
         # since an earlier one may have stopped (unregistered) it.
         endpoints = self._endpoints
-        anomalies = self._anomalies
+        blocked = self._blocked
         stats = self.stats
         for src, dst, payload, reliable in batch:
             deliver = endpoints.get(dst)
             if deliver is None:
                 continue
-            if anomalies is not None and anomalies.intercept_delivery(
+            if dst in blocked and self._anomalies.intercept_delivery(
                 dst, payload, src, reliable
             ):
                 continue

@@ -124,6 +124,8 @@ _pack_u16 = _U16.pack
 _pack_u64_u8 = _U64_U8.pack
 _unpack_u16_from = _U16.unpack_from
 _unpack_u32_from = _U32.unpack_from
+#: A probe message's sequence number and first string length.
+_unpack_u32_u8_from = struct.Struct(">IB").unpack_from
 _unpack_u64_u8_from = _U64_U8.unpack_from
 
 #: Highest state tag a state entry or zone claim may carry.
@@ -620,7 +622,23 @@ def _decode_at(buf: bytes, offset: int, depth: int = 0) -> Tuple[Message, int]:
         raise CodecError("empty packet")
     tag = buf[offset]
     offset += 1
+    # A well-formed ping or ack -- the probe round trip -- decodes in one
+    # step: its head unpacked, its strings in bounds and valid UTF-8.
+    # Anything else falls through to the field decoders, which find what
+    # is wrong and say so as they always have.
     if tag == T_PING:
+        try:
+            seq_no, length = _unpack_u32_u8_from(buf, offset)
+            end = offset + 5 + length
+            source_end = end + 1 + buf[end]
+            if source_end <= len(buf):
+                return Ping(
+                    seq_no,
+                    buf[offset + 5 : end].decode("utf-8"),
+                    buf[end + 1 : source_end].decode("utf-8"),
+                ), source_end
+        except (struct.error, IndexError, UnicodeDecodeError):
+            pass
         seq_no, offset = _get_u32(buf, offset)
         target, offset = _get_str(buf, offset)
         source, offset = _get_str(buf, offset)
@@ -632,6 +650,13 @@ def _decode_at(buf: bytes, offset: int, depth: int = 0) -> Tuple[Message, int]:
         want_nack, offset = _get_bool(buf, offset)
         return PingReq(seq_no, target, source, want_nack), offset
     if tag == T_ACK:
+        try:
+            seq_no, length = _unpack_u32_u8_from(buf, offset)
+            end = offset + 5 + length
+            if end <= len(buf):
+                return Ack(seq_no, buf[offset + 5 : end].decode("utf-8")), end
+        except (struct.error, UnicodeDecodeError):
+            pass
         seq_no, offset = _get_u32(buf, offset)
         source, offset = _get_str(buf, offset)
         return Ack(seq_no, source), offset

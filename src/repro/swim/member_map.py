@@ -71,7 +71,11 @@ every tick, so the table cannot afford per-call full scans):
   member at n=1024).
 
 Every mutation goes through a :class:`MemberMap` method — views cannot be
-written through.
+written through. One reader outside this module reads the columns
+directly: ``SwimNode._dispatch`` makes :meth:`MemberMap.known_incarnation`'s
+test (``_ids``, ``_states``, ``_incarnations``) on every gossiped alive
+claim without the call, re-reading the columns per claim since a write
+may replace them.
 """
 
 from __future__ import annotations
@@ -1019,6 +1023,38 @@ class MemberMap:
         (memberlist gossips to the dead for a grace period so false
         positives recover faster).
         """
+        return self._views(
+            self._sample(count, exclude, include_suspect, gossip_to_dead_within, now)
+        )
+
+    def random_addresses(
+        self,
+        count: int,
+        exclude: Tuple[str, ...] = (),
+        include_suspect: bool = True,
+        gossip_to_dead_within: Optional[float] = None,
+        now: float = 0.0,
+    ) -> List[str]:
+        """The addresses of what :meth:`random_members` would draw with
+        the same arguments from the same RNG state: what a sender needs,
+        without a view per member drawn."""
+        records = self._records
+        return [
+            records[sid].address
+            for sid in self._sample(
+                count, exclude, include_suspect, gossip_to_dead_within, now
+            )
+        ]
+
+    def _sample(
+        self,
+        count: int,
+        exclude: Tuple[str, ...],
+        include_suspect: bool,
+        gossip_to_dead_within: Optional[float],
+        now: float,
+    ) -> Sequence[int]:
+        """The one candidate sampler: ids, in the order drawn."""
         states = self._states
         ids_get = self._ids.get
         candidates: Sequence[int]
@@ -1056,4 +1092,4 @@ class MemberMap:
                 candidates = [sid for sid in candidates if states[sid] == _ALIVE]
         if count < len(candidates):
             candidates = self._rng.sample(candidates, count)
-        return self._views(candidates)
+        return candidates

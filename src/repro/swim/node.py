@@ -57,7 +57,7 @@ from repro.swim.messages import (
     primary_kind,
 )
 from repro.swim.probe_scheduler import make_probe_scheduler
-from repro.swim.roster import Roster
+from repro.swim.roster import _ABSENT, Roster
 from repro.swim.state import MemberState
 from repro.sync import SyncEngine
 
@@ -124,11 +124,20 @@ class _IndirectRelay:
 
 
 class _SuspicionEntry:
-    __slots__ = ("suspicion", "timer")
+    """One held suspicion: its :class:`Suspicion` and timer, plus what
+    ``SwimNode._dispatch`` settles a repeated claim against without a
+    call -- the incarnation the suspicion is held at (never above the
+    table's; ``_handle_suspect`` brings it up to the table's whenever it
+    runs) and the live confirmer set with its ``K``."""
 
-    def __init__(self, suspicion: Suspicion, timer: Optional[TimerHandle]) -> None:
+    __slots__ = ("suspicion", "timer", "incarnation", "confirmers", "k")
+
+    def __init__(self, suspicion: Suspicion, incarnation: int) -> None:
         self.suspicion = suspicion
-        self.timer = timer
+        self.timer: Optional[TimerHandle] = None
+        self.incarnation = incarnation
+        self.confirmers = suspicion.confirmer_set
+        self.k = suspicion.k
 
 
 class SwimNode:
@@ -420,9 +429,11 @@ class SwimNode:
         """Entries currently in the local suspicion table."""
         return len(self._suspicions)
 
-    def suspicion_subjects(self) -> List[str]:
-        """Names with a live suspicion entry (inspection only)."""
-        return list(self._suspicions)
+    def suspicion_incarnations(self) -> Dict[str, int]:
+        """Each live suspicion's subject, in the order raised, and the
+        incarnation it is held at (inspection only: never above the
+        table's)."""
+        return {name: entry.incarnation for name, entry in self._suspicions.items()}
 
     def suspicion_snapshot(self) -> List[dict]:
         """The live suspicion table as JSON-safe records (ops plane)."""
@@ -538,7 +549,7 @@ class SwimNode:
                     continue
                 minimum, maximum, k = self._suspicion_parameters()
                 suspicion = Suspicion(self.name, now, minimum, maximum, k)
-                entry = _SuspicionEntry(suspicion, None)
+                entry = _SuspicionEntry(suspicion, member.incarnation)
                 self._suspicions[member.name] = entry
                 entry.timer = self._scheduler.call_at(
                     suspicion.deadline(),
@@ -666,10 +677,10 @@ class SwimNode:
         self._broadcasts.enqueue(message)
         # Push the departure out immediately rather than waiting for the
         # next gossip tick.
-        for member in self._members.random_members(
+        for address in self._members.random_addresses(
             self.config.gossip_fanout, now=self._clock()
         ):
-            self._send_to_address(member.address, message, piggyback=False)
+            self._send_to_address(address, message, piggyback=False)
         self.stop()
 
     # ------------------------------------------------------------------ #
@@ -704,14 +715,55 @@ class SwimNode:
         order. The whole packet decoded before the first part is handled
         (a corrupt part drops it entire), and a packet is one flat
         compound: only a part that is itself a compound re-enters, at
-        most ``codec.MAX_COMPOUND_DEPTH`` deep."""
+        most ``codec.MAX_COMPOUND_DEPTH`` deep.
+
+        Most gossip that lands changes nothing, and two kinds of it are
+        settled here, before any handler runs, by exactly the test the
+        handler would make first:
+
+        * a ``Suspect`` repeating a held suspicion: below the incarnation
+          it is held at, or at it from a sender already counted or once
+          ``K`` are. With the held incarnation at most the table's, the
+          handler would return (claim below the table's) or its
+          ``confirm`` would refuse (claim at it);
+        * a stale ``Alive``: at or below the incarnation the table holds
+          (the handler's ``known_incarnation`` test, on the columns).
+
+        Everything else reaches its handler, and the handlers stay the
+        only place that changes state."""
+        suspicions = self._suspicions
+        members = self._members
+        ids = members._ids
         # Ordered by observed frequency: gossip parts dominate packets
         # during churn, which is when simulation throughput matters.
         for message in parts:
             kind = message.__class__
             if kind is Suspect:
+                entry = suspicions.get(message.member)
+                if entry is not None:
+                    incarnation = message.incarnation
+                    held = entry.incarnation
+                    if incarnation < held or (
+                        incarnation == held
+                        and (
+                            len(entry.confirmers) > entry.k
+                            or message.sender in entry.confirmers
+                        )
+                    ):
+                        continue
                 self._handle_suspect(message)
             elif kind is Alive:
+                # known_incarnation, read off the columns: a handler may
+                # have replaced them since the last part.
+                sid = ids.get(message.member)
+                if sid is not None:
+                    states = members._states
+                    if (
+                        sid < len(states)
+                        and states[sid] != _ABSENT
+                        and message.incarnation <= members._incarnations[sid]
+                    ):
+                        continue
                 self._handle_alive(message)
             elif kind is Dead:
                 self._handle_dead(message)
@@ -808,7 +860,7 @@ class SwimNode:
         target = self._members.get(probe.target)
         if target is None or target.is_dead:
             return
-        helpers = self._members.random_members(
+        helpers = self._members.random_addresses(
             self.config.indirect_probes,
             exclude=(probe.target,),
             include_suspect=False,
@@ -816,7 +868,7 @@ class SwimNode:
         want_nack = self.config.flags.lha_probe
         for helper in helpers:
             request = PingReq(probe.seq_no, probe.target, self.name, want_nack)
-            self._send_to_address(helper.address, request)
+            self._send_to_address(helper, request)
         if want_nack:
             probe.expected_nacks = len(helpers)
 
@@ -998,6 +1050,9 @@ class SwimNode:
                 self._members.merge_claim(
                     name, MemberState.SUSPECT, incarnation, self._clock()
                 )
+            # The table holds the claim's incarnation now (a suspect claim
+            # at or above a SUSPECT entry's lands): so does the suspicion.
+            entry.incarnation = incarnation
             if entry.suspicion.confirm(message.sender):
                 # A new independent suspicion within the first K: re-gossip
                 # it and shrink the timeout (LHA-Suspicion, Section IV-B).
@@ -1025,7 +1080,9 @@ class SwimNode:
         # table but keeps the member map.
         minimum, maximum, k = self._suspicion_parameters()
         suspicion = Suspicion(message.sender, now, minimum, maximum, k)
-        entry = _SuspicionEntry(suspicion, None)
+        # The claim landed, or equals the SUSPECT entry it found: the
+        # table holds its incarnation.
+        entry = _SuspicionEntry(suspicion, message.incarnation)
         self._suspicions[name] = entry
         entry.timer = self._scheduler.call_at(
             suspicion.deadline(), lambda: self._suspicion_expired(name)
@@ -1251,7 +1308,7 @@ class SwimNode:
             if payloads is not packed:
                 packed, packet = payloads, self._pack_gossip_only(payloads)
             self.telemetry.record_send("gossip", len(packet))
-            self._transport.send(target.address, packet)
+            self._transport.send(target, packet)
 
     def _gossip_pending(self) -> bool:
         """Whether either broadcast queue holds anything to send (asked
@@ -1278,28 +1335,28 @@ class SwimNode:
                 selected[index] = payloads + user.get_payloads(room, overhead)[0]
         return selected
 
-    def _gossip_targets(self, now: float) -> List[Member]:
-        """Targets for one dedicated gossip round: uniformly random
+    def _gossip_targets(self, now: float) -> List[str]:
+        """Addresses for one dedicated gossip round: uniformly random
         members, or the configured overlay neighbors (still honouring
         liveness and the gossip-to-the-dead window)."""
         if self._overlay_neighbors is None:
-            return self._members.random_members(
+            return self._members.random_addresses(
                 self.config.gossip_fanout,
                 gossip_to_dead_within=self.config.gossip_to_dead,
                 now=now,
             )
-        candidates: List[Member] = []
+        candidates: List[str] = []
         for name in self._overlay_neighbors:
             member = self._members.get(name)
             if member is None:
                 continue
             if member.is_alive or member.is_suspect:
-                candidates.append(member)
+                candidates.append(member.address)
             elif (
                 member.is_dead
                 and now - member.state_changed_at <= self.config.gossip_to_dead
             ):
-                candidates.append(member)
+                candidates.append(member.address)
         if len(candidates) <= self.config.gossip_fanout:
             return candidates
         return self._rng.sample(candidates, self.config.gossip_fanout)

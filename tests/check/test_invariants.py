@@ -84,14 +84,19 @@ class FakeNode:
         self.config = FakeConfig()
         self.broadcasts = FakeQueue()
         self.user_broadcasts = FakeQueue()
-        self._suspicions = list(suspicions)
+        # Subject -> the incarnation its suspicion is held at (a plain
+        # list of subjects holds each at FakeMember's default, 1).
+        self._suspicions = (
+            dict(suspicions) if isinstance(suspicions, dict)
+            else dict.fromkeys(suspicions, 1)
+        )
 
     @property
     def suspicion_count(self):
         return len(self._suspicions)
 
-    def suspicion_subjects(self):
-        return list(self._suspicions)
+    def suspicion_incarnations(self):
+        return dict(self._suspicions)
 
     def suspicion_snapshot(self):
         return [
@@ -271,6 +276,14 @@ class TestMembershipOracle:
         )
         out = violations_of(MembershipOracle(), FakeCluster(node))
         assert any("timer exists" in v.detail for v in out)
+
+    def test_suspicion_held_above_the_table_flagged(self):
+        members = [FakeMember("a"), FakeMember("b", MemberState.SUSPECT, incarnation=4)]
+        for held, flagged in ((3, False), (4, False), (5, True)):
+            node = FakeNode("a", members, suspicions={"b": held})
+            out = violations_of(MembershipOracle(), FakeCluster(node))
+            assert any("above the table's 4" in v.detail for v in out) == flagged
+            assert len(out) == flagged
 
     def test_stopped_node_not_held_to_timer_agreement(self):
         node = FakeNode(

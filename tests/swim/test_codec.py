@@ -19,6 +19,8 @@ from repro.swim.messages import (
     ZoneClaim,
 )
 
+from tests.swim.test_compound_walk import _frame
+
 _names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=32
 )
@@ -332,3 +334,75 @@ class TestPacketCache:
         warm = codec.decode(packet)
         assert warm == cold == Compound(tuple(parts))
         assert [type(part) for part in warm.parts] == [type(p) for p in parts]
+
+
+def _parent_probe_decode(buf: bytes):
+    """What the parent's ``decode`` did with a packet tagged ``T_PING`` or
+    ``T_ACK``: its field-by-field branch of ``_decode_at``, then the
+    trailing-bytes check."""
+    seq_no, offset = codec._get_u32(buf, 1)
+    if buf[0] == codec.T_PING:
+        target, offset = codec._get_str(buf, offset)
+        source, offset = codec._get_str(buf, offset)
+        message = Ping(seq_no, target, source)
+    else:
+        source, offset = codec._get_str(buf, offset)
+        message = Ack(seq_no, source)
+    if offset != len(buf):
+        raise codec.CodecError(f"{len(buf) - offset} trailing bytes after message")
+    return message
+
+
+def _outcome(decode, buf):
+    try:
+        return decode(buf)
+    except codec.CodecError as exc:
+        return f"CodecError: {exc}"
+
+
+def _variants(wire: bytes):
+    """Every prefix (the empty one and the whole packet included) and
+    every one-byte corruption of ``wire``."""
+    for cut in range(len(wire) + 1):
+        yield wire[:cut]
+    for at in range(len(wire)):
+        for value in range(256):
+            if value != wire[at]:
+                yield wire[:at] + bytes((value,)) + wire[at + 1 :]
+
+
+class TestProbeDecodeAsAtTheParent:
+    """A well-formed ping or ack decodes in one step; everything else
+    must still be decoded, or refused with the same error, as the
+    parent's field decoders did: alone, and as a compound's first part.
+    A corruption that moves the tag off ``T_PING`` / ``T_ACK`` leaves
+    the probe branches, and ``decode`` is only asked not to crash."""
+
+    _RIDER = Suspect(3, "m007", "m001")
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            Ping(0xDEADBEEF, "m007", "mémbre-012"),
+            Ping(0, "", ""),
+            Ack(0xFFFFFFFF, "mémbre"),
+            Ack(7, ""),
+        ],
+        ids=repr,
+    )
+    def test_every_prefix_and_corruption(self, message):
+        rider = codec.encode(self._RIDER)
+        checked = 0
+        for buf in _variants(codec.encode(message)):
+            framed = _frame([buf, rider])
+            if not buf or buf[0] not in (codec.T_PING, codec.T_ACK):
+                _outcome(codec.decode, buf)
+                _outcome(codec.decode, framed)
+                continue
+            expected = _outcome(_parent_probe_decode, buf)
+            assert _outcome(codec.decode, buf) == expected, buf.hex()
+            if not isinstance(expected, str):
+                expected = Compound((expected, self._RIDER))
+            assert _outcome(codec.decode, framed) == expected, framed.hex()
+            checked += 1
+        assert checked > 255

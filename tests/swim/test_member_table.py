@@ -330,10 +330,17 @@ class MemberTableMachine(RuleBasedStateMachine):
           dead_within=st.none() | st.sampled_from([0.5, 5.0, 60.0]))
     def random_members(self, i, count, excluded, include_suspect, dead_within):
         exclude = tuple(self.pool[2 : 2 + excluded])
-        drawn = self.maps[i].random_members(
-            count, exclude=exclude, include_suspect=include_suspect,
+        table = self.maps[i]
+        args = dict(
+            exclude=exclude, include_suspect=include_suspect,
             gossip_to_dead_within=dead_within, now=self.now,
         )
+        # The address form draws what the views do from the same state.
+        state = table._rng.getstate()
+        addresses = table.random_addresses(count, **args)
+        table._rng.setstate(state)
+        drawn = table.random_members(count, **args)
+        assert addresses == [m.address for m in drawn]
         assert [m.name for m in drawn] == self.models[i].sample(
             count, exclude, include_suspect, dead_within, self.now
         )

@@ -2,12 +2,17 @@
 
 ``_handle_suspect`` answers from the suspicion table first, so what a
 claim costs follows what it changes; the case table pins what each kind
-of claim changes. The dispatch tests pin that a packet is decoded whole
-before any part is handled, in wire order, and that hostile nesting is
-refused at the door.
+of claim changes. ``_dispatch`` settles a repeat of a held suspicion and
+a stale alive claim before any handler runs: a Hypothesis sequence of
+claims holds it to a node whose dispatch always calls the handler, and a
+breakage test shows that sequence catches a check that settles too much.
+The dispatch tests pin that a packet is decoded whole before any part is
+handled, in wire order, and that hostile nesting is refused at the door.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import LifeguardFlags, SwimConfig
 from repro.swim import codec
@@ -142,7 +147,7 @@ class TestHandleSuspectCaseTable:
         else:
             assert cluster.view("n0", name) is state_before
         # SUSPECT <=> a held suspicion, whatever the claim did.
-        assert node.suspicion_subjects() == [
+        assert list(node.suspicion_incarnations()) == [
             n for n in NAMES if cluster.view("n0", n) is MemberState.SUSPECT
         ]
 
@@ -187,6 +192,141 @@ class TestHandleSuspectCaseTable:
         assert node.suspicion_count == 0
         assert node.broadcasts.total_enqueued == enqueued + 1
         assert node.broadcasts.peek("n1") == Dead(KNOWN, "n1", "n5")
+
+
+# --------------------------------------------------------------------- #
+# Claims settled in _dispatch, against the handler path
+# --------------------------------------------------------------------- #
+
+SUBJECTS = ("n1", "n2")
+#: "n0" is the node itself: a suspicion it raised counts it first.
+SENDERS = ("n0", "n3", "n4", "n5", "n6", "n7")
+
+#: ``(kind, subject, incarnation offset from the table's, sender or wait)``.
+CLAIMS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("suspect"), st.sampled_from(SUBJECTS),
+            st.integers(-1, 1), st.sampled_from(SENDERS),
+        ),
+        st.tuples(
+            st.just("alive"), st.sampled_from(SUBJECTS), st.integers(-1, 1), st.just(""),
+        ),
+        st.tuples(st.just("wait"), st.just(""), st.just(0), st.sampled_from([1.0, 4.0])),
+    ),
+    max_size=40,
+)
+
+#: Suspected at 5 by n3, then the same claim again from n3 at 6: a check
+#: that settled it would leave the table at 5.
+HIGHER_REPEAT = [("suspect", "n1", 0, "n3"), ("suspect", "n1", 1, "n3")]
+
+
+def _handler_path(node, message):
+    """The reference: a dispatch that hands every claim to its handler."""
+    if message.__class__ is Suspect:
+        node._handle_suspect(message)
+    else:
+        node._handle_alive(message)
+
+
+def _observed(cluster, node):
+    """Everything a claim may change: table rows, held suspicions (their
+    incarnation, confirmers and timer), the broadcast queue and the
+    events emitted."""
+    held = {
+        name: (
+            entry.incarnation,
+            sorted(entry.confirmers),
+            entry.suspicion.deadline(),
+            None if entry.timer is None else entry.timer[0],
+        )
+        for name, entry in node._suspicions.items()
+    }
+    queue = node.broadcasts
+    return (
+        sorted(node.members.claims()),
+        held,
+        list(queue.entries()),
+        [queue.peek(subject) for subject in SUBJECTS],
+        queue.total_enqueued,
+        [(e.time, e.kind, e.subject, e.incarnation) for e in cluster.events.events],
+    )
+
+
+def _check_against_handler_path(claims):
+    clusters, nodes = zip(started_node(), started_node())
+    for cluster, node in zip(clusters, nodes):
+        for subject in SUBJECTS:
+            _handler_path(node, Alive(KNOWN, subject, subject))
+    dispatched, reference = nodes
+    for kind, subject, offset, extra in claims:
+        if kind == "wait":
+            for cluster in clusters:
+                cluster.run_for(extra)
+        else:
+            incarnation = max(0, reference.members.known_incarnation(subject) + offset)
+            if kind == "suspect":
+                message = Suspect(incarnation, subject, extra)
+            else:
+                message = Alive(incarnation, subject, subject)
+            dispatched._dispatch((message,), "x", False)
+            _handler_path(reference, message)
+        assert _observed(clusters[0], dispatched) == _observed(clusters[1], reference)
+
+
+@settings(deadline=None, max_examples=150, database=None)
+@given(claims=CLAIMS)
+@example(claims=HIGHER_REPEAT)
+def check_against_handler_path(claims):
+    _check_against_handler_path(claims)
+
+
+class TestSettledClaims:
+    def test_settled_claims_match_the_handler_path(self):
+        check_against_handler_path()
+
+    def test_settling_a_higher_incarnation_repeat_breaks_it(self, monkeypatch):
+        dispatch = SwimNode._dispatch
+
+        def settles_higher_repeats(self, parts, from_address, reliable):
+            # The mutant: a counted sender's claim is settled at any
+            # incarnation, not only at the one held.
+            for message in parts:
+                entry = self._suspicions.get(getattr(message, "member", None))
+                if (
+                    message.__class__ is Suspect
+                    and entry is not None
+                    and message.incarnation >= entry.incarnation
+                    and message.sender in entry.confirmers
+                ):
+                    continue
+                dispatch(self, (message,), from_address, reliable)
+
+        monkeypatch.setattr(SwimNode, "_dispatch", settles_higher_repeats)
+        with pytest.raises(AssertionError):
+            _check_against_handler_path(HIGHER_REPEAT)
+        with pytest.raises(AssertionError):
+            check_against_handler_path()
+
+    def test_a_settled_claim_reaches_no_handler(self, monkeypatch):
+        _cluster, node = started_node()
+        feed(node, Alive(KNOWN, "n1", "n1"))
+        feed(node, Alive(KNOWN, "n2", "n2"))
+        feed(node, Suspect(KNOWN, "n1", "n3"))
+        for peer in ("n4", "n5", "n6"):
+            feed(node, Suspect(KNOWN, "n1", peer))
+        seen = _recorded(node, monkeypatch)
+        settled = [
+            Suspect(KNOWN - 1, "n1", "n7"),  # below the held incarnation
+            Suspect(KNOWN, "n1", "n3"),  # a counted sender
+            Suspect(KNOWN, "n1", "n7"),  # K already counted
+            Alive(KNOWN, "n1", "n1"),  # nothing newer than the table's
+            Alive(KNOWN - 1, "n2", "n2"),
+        ]
+        handled = [Suspect(KNOWN + 1, "n1", "n3"), Alive(KNOWN + 1, "n2", "n2")]
+        node.handle_packet(_frame([codec.encode(m) for m in settled + handled]), "x")
+        assert seen == handled
 
 
 class TestDispatch:

@@ -128,7 +128,7 @@ class TestEchoBackRefutation:
         bridge.node.apply_external_claim(subject, MemberState.SUSPECT, inc)
         member = bridge.node.members.get(subject)
         if member.is_suspect:
-            assert subject in bridge.node.suspicion_subjects(), (
+            assert subject in bridge.node.suspicion_incarnations(), (
                 "SUSPECT member has no suspicion timer"
             )
 
