@@ -55,10 +55,7 @@ def test_ablation_suspicion_k(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = "ABLATION — suspicion confirmations K vs false positives\n" + "\n".join(
-        f"  K={k}: FP={fp}" for k, fp in rows.items()
-    )
-    publish("ablation_suspicion_k", rendered, raw=rows)
+    publish("ablation_suspicion_k", rows)
     # The paper's default must be at least as good as the degenerate K=0.
     assert rows[3] <= max(rows[0], 1)
 
@@ -149,10 +146,7 @@ def test_ablation_lhm_saturation(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = "ABLATION — LHM saturation S vs false positives\n" + "\n".join(
-        f"  S={s}: FP={fp}" for s, fp in rows.items()
-    )
-    publish("ablation_lhm_saturation", rendered, raw=rows)
+    publish("ablation_lhm_saturation", rows)
     assert rows[8] <= max(rows[0], 1)
 
 
@@ -172,10 +166,7 @@ def test_ablation_nack_fraction(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = "ABLATION — nack deadline fraction vs false positives\n" + "\n".join(
-        f"  fraction={fraction}: FP={fp}" for fraction, fp in rows.items()
-    )
-    publish("ablation_nack_fraction", rendered, raw=rows)
+    publish("ablation_nack_fraction", rows)
     assert all(fp >= 0 for fp in rows.values())
 
 
@@ -195,8 +186,5 @@ def test_ablation_anomaly_model(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = "ABLATION — anomaly model vs SWIM false positives\n" + "\n".join(
-        f"  {label}: FP={fp}" for label, fp in rows.items()
-    )
-    publish("ablation_anomaly_model", rendered, raw=rows)
+    publish("ablation_anomaly_model", rows)
     assert rows["io_only"] >= rows["stall_loops"] * 0.5

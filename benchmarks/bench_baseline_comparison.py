@@ -27,13 +27,14 @@ from repro.swim.events import EventKind
 SCALE = env_scale()
 N = min(SCALE.n_members, 48)
 SLOW = 4
+STALL = 6.0
 TEST_TIME = min(SCALE.min_test_time, 60.0)
 
 
 def _slow_windows(cluster, members, until):
     start = cluster.now
     return cluster.anomalies.cyclic_windows(
-        members, first_start=start, duration=6.0, interval=0.002,
+        members, first_start=start, duration=STALL, interval=0.002,
         until=until if until > start else start + TEST_TIME,
     )
 
@@ -90,13 +91,10 @@ def test_baseline_detector_comparison(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = (
-        "BASELINE COMPARISON — false positives from slow members\n"
-        f"({N} members, {SLOW} slow, cyclic 6s stalls, "
-        f"{TEST_TIME:.0f}s virtual, {len(SEEDS)} seeds)\n"
-        + "\n".join(f"  {name:18s} FP={fp}" for name, fp in rows.items())
+    params = dict(
+        members=N, slow=SLOW, stall_s=STALL, test_time=TEST_TIME, seeds=SEEDS
     )
-    publish("baseline_comparison", rendered, raw=rows)
+    publish("baseline_comparison", {**rows, "params": params})
 
     # The related-work detectors accuse healthy members when the
     # *monitor* is slow; local health (either transplanted onto Chen, or

@@ -97,16 +97,8 @@ def test_buddy_time_to_refutation(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = (
-        "BUDDY SYSTEM — time from recovery to group-wide refutation\n"
-        f"({N} members, victim unresponsive {BLOCK:.0f}s, {len(SEEDS)} trials)\n"
-        + "\n".join(
-            f"  {label:14s} median={row['median']:.2f}s max={row['max']:.2f}s "
-            f"wrongly-declared-failed={row['wrongly_failed']}/{len(SEEDS)}"
-            for label, row in rows.items()
-        )
-    )
-    publish("buddy_refutation", rendered, raw=rows)
+    params = dict(members=N, block_s=BLOCK, trials=len(SEEDS))
+    publish("buddy_refutation", {**rows, "params": params})
 
     swim = rows["SWIM"]
     buddy = rows["Buddy System"]

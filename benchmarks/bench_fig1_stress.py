@@ -9,7 +9,6 @@ stressed and stays 1-2 orders of magnitude below SWIM throughout.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_figure_1
 from repro.metrics.analysis import FalsePositiveStats
 
 
@@ -40,8 +39,7 @@ def build_rows(stress_data):
 @pytest.mark.benchmark(group="fig1")
 def test_fig1_cpu_exhaustion_false_positives(benchmark, stress_data):
     rows = benchmark.pedantic(build_rows, args=(stress_data,), rounds=1, iterations=1)
-    rendered = render_figure_1(rows)
-    publish("fig1_stress", rendered, raw=rows)
+    publish("fig1_stress", rows)
 
     counts = sorted(rows)
     total_swim = sum(rows[c]["swim_fp"] for c in counts)

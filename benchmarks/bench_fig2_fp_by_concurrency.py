@@ -8,7 +8,6 @@ concurrency level (log-scale plot).
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_fp_by_concurrency
 from repro.harness.sweep import fp_by_concurrency
 
 
@@ -22,11 +21,9 @@ def test_fig2_total_fp_by_concurrency(benchmark, interval_data):
         rounds=1,
         iterations=1,
     )
-    rendered = render_fp_by_concurrency(series)
     publish(
         "fig2_fp_by_concurrency",
-        rendered,
-        raw={
+        {
             name: {c: stats.fp_events for c, stats in per.items()}
             for name, per in series.items()
         },

@@ -9,7 +9,6 @@ zero at some concurrency levels.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_fp_by_concurrency
 from repro.harness.sweep import fp_by_concurrency
 
 
@@ -23,11 +22,9 @@ def test_fig3_fp_at_healthy_by_concurrency(benchmark, interval_data):
         rounds=1,
         iterations=1,
     )
-    rendered = render_fp_by_concurrency(series, healthy_only=True)
     publish(
         "fig3_fp_healthy_by_concurrency",
-        rendered,
-        raw={
+        {
             name: {c: stats.fp_healthy_events for c, stats in per.items()}
             for name, per in series.items()
         },

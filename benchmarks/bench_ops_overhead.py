@@ -36,6 +36,7 @@ SCRAPE_EVERY = 1.0
 MAX_HOOK_OVERHEAD = 0.05
 SCRAPE_SIZES = (24, 256)
 SCRAPE_REPS = 20
+WARMUP = 10.0
 
 
 def _build(n_members: int = N_MEMBERS) -> SimCluster:
@@ -73,7 +74,7 @@ def _one_scrape(n_members: int) -> dict:
     cluster = _build(n_members)
     registry = cluster.install_ops_registry()
     cluster.start()
-    cluster.run_for(10.0)
+    cluster.run_for(WARMUP)
     text = render_text(registry)
     series = sum(1 for line in text.splitlines() if not line.startswith("#"))
     best = float("inf")
@@ -96,37 +97,8 @@ class TestOpsOverhead:
         scraped = _best("scraped")
 
         overhead = hooks / baseline - 1.0
-        scrape_overhead = scraped / baseline - 1.0
-        rows = [
-            ("baseline (no registry)", baseline, ""),
-            ("registry installed", hooks, f"{overhead:+.1%}"),
-            (f"scraped every {SCRAPE_EVERY:g}s", scraped,
-             f"{scrape_overhead:+.1%}"),
-        ]
-        lines = [
-            f"Ops-plane overhead: n={N_MEMBERS}, {VIRTUAL_SECONDS:g} virtual "
-            f"seconds, min of {REPS} runs",
-            f"{'mode':26s} {'wall-clock':>11s} {'vs baseline':>12s}",
-        ]
-        for label, seconds, delta in rows:
-            lines.append(f"{label:26s} {seconds:10.3f}s {delta:>12s}")
-        scrapes = [_one_scrape(n) for n in SCRAPE_SIZES]
-        lines.append("")
-        lines.append(
-            f"One scrape (sample + render), best of {SCRAPE_REPS}, after 10 "
-            "virtual seconds"
-        )
-        lines.append(
-            f"{'members':>7s} {'series':>8s} {'ms/scrape':>10s} {'us/series':>10s}"
-        )
-        for row in scrapes:
-            lines.append(
-                f"{row['n_members']:7d} {row['series']:8d} "
-                f"{row['ms_per_scrape']:10.2f} {row['us_per_series']:10.2f}"
-            )
         publish(
             "ops_overhead",
-            "\n".join(lines),
             {
                 "n_members": N_MEMBERS,
                 "virtual_seconds": VIRTUAL_SECONDS,
@@ -135,8 +107,11 @@ class TestOpsOverhead:
                 "hooks_s": hooks,
                 "scraped_s": scraped,
                 "hook_overhead": overhead,
-                "scrape_overhead": scrape_overhead,
-                "scrapes": scrapes,
+                "scrape_overhead": scraped / baseline - 1.0,
+                "scrapes": [_one_scrape(n) for n in SCRAPE_SIZES],
+                "scrape_every": SCRAPE_EVERY,
+                "scrape_reps": SCRAPE_REPS,
+                "warmup_s": WARMUP,
             },
         )
         assert overhead < MAX_HOOK_OVERHEAD, (

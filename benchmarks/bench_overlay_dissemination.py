@@ -69,16 +69,8 @@ def test_overlay_dissemination_tails(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rendered = (
-        "OVERLAY DISSEMINATION — full-dissemination latency of a true "
-        f"failure ({N} members, {len(SEEDS)} trials)\n"
-        + "\n".join(
-            f"  {label:16s} median={row['median']:.2f}s p99={row['p99']:.2f}s "
-            f"spread={row['spread']:.2f}s (n={row['samples']})"
-            for label, row in rows.items()
-        )
-    )
-    publish("overlay_dissemination", rendered, raw=rows)
+    params = dict(members=N, trials=len(SEEDS))
+    publish("overlay_dissemination", {**rows, "params": params})
 
     uniform = rows["uniform"]
     overlay = rows[f"overlay(k={OVERLAY_DEGREE})"]

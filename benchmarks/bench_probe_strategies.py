@@ -32,32 +32,10 @@ def comparison(scale):
     )
 
 
-def render(result) -> str:
-    params = result.params
-    lines = [
-        "PROBE STRATEGIES — detection latency / false positives "
-        f"({params.configuration}, n={params.n_members}, "
-        f"C={params.concurrent}, reps={params.reps})",
-        f"{'strategy':14s} {'med 1st':>8s} {'99% 1st':>8s} "
-        f"{'undet':>6s} {'FP':>4s} {'FP-':>4s} {'msgs':>9s}",
-    ]
-    for outcome in result.outcomes:
-        summary = outcome.detection_summary
-        p50, p99 = summary.get(50.0), summary.get(99.0)
-        lines.append(
-            f"{outcome.strategy:14s} "
-            f"{p50 if p50 is not None else float('nan'):8.2f} "
-            f"{p99 if p99 is not None else float('nan'):8.2f} "
-            f"{outcome.undetected:6d} {outcome.fp_events:4d} "
-            f"{outcome.fp_healthy_events:4d} {outcome.msgs_sent:9d}"
-        )
-    return "\n".join(lines)
-
-
 @pytest.mark.benchmark(group="probe_strategies")
 def test_probe_strategy_comparison(benchmark, comparison):
     result = benchmark.pedantic(lambda: comparison, rounds=1, iterations=1)
-    publish("probe_strategies", render(result), raw=result.as_dict())
+    publish("probe_strategies", result.as_dict())
 
     round_robin = result.outcome("round-robin")
     assert round_robin.detection_p50 is not None

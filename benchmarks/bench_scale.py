@@ -125,29 +125,6 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def render(payload: Dict[str, Any]) -> str:
-    """The published ``scale_throughput`` table, as a pure function of
-    the published JSON (a tier-1 test holds the committed
-    ``scale_throughput.txt`` to it)."""
-    lines = [
-        f"Simulator throughput (min of {payload['reps']} identical runs, "
-        f"seed {payload['seed']})",
-        f"{'n':>6s} {'zones':>5s} {'virtual':>8s} {'events':>9s} "
-        f"{'setup':>9s} {'wall':>9s} {'events/sec':>11s} {'vs/ws':>7s} "
-        f"{'rss':>8s}",
-    ]
-    for row in payload["rows"]:
-        lines.append(
-            f"{int(row['n_members']):6d} {int(row['zones']):5d} "
-            f"{row['virtual_seconds']:7.1f}s "
-            f"{int(row['events']):9d} {row['setup_s']:8.3f}s "
-            f"{row['wall_s']:8.3f}s "
-            f"{row['events_per_sec']:11,.0f} {row['virtual_per_wall']:7.2f} "
-            f"{int(row['peak_rss_kb']) // 1024:6d}MB"
-        )
-    return "\n".join(lines)
-
-
 def _run_once(
     n_members: int, virtual_seconds: float, zones: int
 ) -> Tuple[int, float, float]:
@@ -214,7 +191,7 @@ class TestScaleThroughput:
             )
 
         payload = {"seed": SEED, "reps": reps, "rows": rows}
-        publish("scale_throughput", render(payload), payload)
+        publish("scale_throughput", payload)
 
         by_size = {int(row["n_members"]): row for row in rows}
         if 1024 in by_size:
@@ -320,31 +297,8 @@ def sweep_shards(
         "digest_equal": True,
         "rows": rows,
     }
-    publish("scale_sharded", render_sharded(data), data)
+    publish("scale_sharded", data)
     return data
-
-
-def render_sharded(data: Dict[str, Any]) -> str:
-    """The published ``scale_sharded`` table, as a pure function of the
-    published JSON (a tier-1 test holds the committed
-    ``scale_sharded.txt`` to it)."""
-    lines = [
-        f"Sharded driver at n={data['n_members']} ({data['zones']} zones, "
-        f"{data['duration']:.1f} virtual s, {data['cpu_count']} cores): "
-        f"single {data['single_wall_s']:.2f}s "
-        f"(setup {data['single_setup_s']:.2f}s), "
-        f"{data['barriers']} barrier(s), {data['barrier_msgs']} msgs / "
-        f"{data['barrier_bytes']} bytes exchanged",
-        f"{'shards':>6s} {'setup':>9s} {'wall':>9s} {'speedup':>8s} "
-        f"{'exchange':>9s} {'overflow':>8s}",
-    ]
-    for row in data["rows"]:
-        lines.append(
-            f"{int(row['shards']):6d} {row['setup_s']:8.2f}s {row['wall_s']:8.2f}s "
-            f"{row['speedup']:7.2f}x {row['exchange_s']:8.4f}s "
-            f"{int(row['overflows']):8d}"
-        )
-    return "\n".join(lines)
 
 
 def main(argv: "List[str] | None" = None) -> int:

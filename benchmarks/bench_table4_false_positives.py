@@ -8,7 +8,6 @@ contributor; Buddy System barely moves total FP.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_table_iv
 from repro.harness.sweep import IntervalAggregate
 
 
@@ -24,11 +23,9 @@ def test_table4_false_positives(benchmark, interval_data):
     aggregates = benchmark.pedantic(
         aggregate, args=(interval_data,), rounds=1, iterations=1
     )
-    rendered = render_table_iv(aggregates)
     publish(
         "table4_false_positives",
-        rendered,
-        raw={
+        {
             a.configuration: {
                 "fp": a.fp_events,
                 "fp_healthy": a.fp_healthy_events,

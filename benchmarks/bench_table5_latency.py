@@ -8,7 +8,6 @@ every configuration — Lifeguard leaves the median essentially unchanged
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_table_v
 from repro.harness.sweep import ThresholdAggregate
 
 
@@ -22,14 +21,12 @@ def test_table5_detection_dissemination_latency(benchmark, threshold_data):
         rounds=1,
         iterations=1,
     )
-    rendered = render_table_v(aggregates)
     publish(
         "table5_latency",
-        rendered,
-        raw={
+        {
             a.configuration: {
-                "first": {str(k): v for k, v in a.first_detection.items()},
-                "full": {str(k): v for k, v in a.full_dissemination.items()},
+                "first": a.first_detection,
+                "full": a.full_dissemination,
                 "samples": a.samples,
                 "undetected": a.undetected,
             }

@@ -8,7 +8,6 @@ removes load (probe back-off).
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_table_vi
 from repro.harness.sweep import IntervalAggregate
 
 
@@ -22,11 +21,9 @@ def test_table6_message_load(benchmark, interval_data):
         rounds=1,
         iterations=1,
     )
-    rendered = render_table_vi(aggregates)
     publish(
         "table6_message_load",
-        rendered,
-        raw={
+        {
             a.configuration: {
                 "msgs": a.msgs_sent,
                 "bytes": a.bytes_sent,

@@ -9,9 +9,18 @@ versus SWIM.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.harness.report import render_table_vii
 from repro.harness.sweep import IntervalAggregate, ThresholdAggregate
 from repro.metrics.analysis import ratio_pct
+
+#: Latency columns of Table VII: (key, ThresholdAggregate series, percentile).
+LATENCY_COLUMNS = (
+    ("med_first", "first_detection", 50.0),
+    ("med_full", "full_dissemination", 50.0),
+    ("p99_first", "first_detection", 99.0),
+    ("p99_full", "full_dissemination", 99.0),
+    ("p999_first", "first_detection", 99.9),
+    ("p999_full", "full_dissemination", 99.9),
+)
 
 
 def build_rows(tuning_data):
@@ -25,42 +34,18 @@ def build_rows(tuning_data):
     for combo, entry in tuning_data["tunings"].items():
         interval = IntervalAggregate.from_results("Lifeguard", entry["interval"])
         threshold = ThresholdAggregate.from_results("Lifeguard", entry["threshold"])
-
-        def pct_latency(measured, base):
-            if measured is None or base is None or base == 0:
-                return None
-            return 100.0 * measured / base
-
-        rows[(int(combo[0]), int(combo[1]))] = {
-            "med_first": pct_latency(
-                threshold.first_detection[50.0],
-                baseline_threshold.first_detection[50.0],
-            ),
-            "med_full": pct_latency(
-                threshold.full_dissemination[50.0],
-                baseline_threshold.full_dissemination[50.0],
-            ),
-            "p99_first": pct_latency(
-                threshold.first_detection[99.0],
-                baseline_threshold.first_detection[99.0],
-            ),
-            "p99_full": pct_latency(
-                threshold.full_dissemination[99.0],
-                baseline_threshold.full_dissemination[99.0],
-            ),
-            "p999_first": pct_latency(
-                threshold.first_detection[99.9],
-                baseline_threshold.first_detection[99.9],
-            ),
-            "p999_full": pct_latency(
-                threshold.full_dissemination[99.9],
-                baseline_threshold.full_dissemination[99.9],
-            ),
-            "fp": ratio_pct(interval.fp_events, baseline_interval.fp_events),
-            "fp_healthy": ratio_pct(
-                interval.fp_healthy_events, baseline_interval.fp_healthy_events
-            ),
+        row = {
+            key: ratio_pct(
+                getattr(threshold, series)[percentile],
+                getattr(baseline_threshold, series)[percentile],
+            )
+            for key, series, percentile in LATENCY_COLUMNS
         }
+        row["fp"] = ratio_pct(interval.fp_events, baseline_interval.fp_events)
+        row["fp_healthy"] = ratio_pct(
+            interval.fp_healthy_events, baseline_interval.fp_healthy_events
+        )
+        rows[(int(combo[0]), int(combo[1]))] = row
     return rows
 
 
@@ -69,12 +54,7 @@ def test_table7_suspicion_timeout_tuning(benchmark, tuning_data):
     rows = benchmark.pedantic(
         build_rows, args=(tuning_data,), rounds=1, iterations=1
     )
-    rendered = render_table_vii(rows)
-    publish(
-        "table7_tuning",
-        rendered,
-        raw={f"a{a}b{b}": row for (a, b), row in rows.items()},
-    )
+    publish("table7_tuning", {f"a{a}b{b}": row for (a, b), row in rows.items()})
 
     low = rows[(2, 2)]
     high = rows[(5, 6)]

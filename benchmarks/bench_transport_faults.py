@@ -103,23 +103,4 @@ def test_reliable_channel_under_faults(benchmark):
     assert churn["delivered"] >= churn["sent"] * 0.5, "churn recovery too lossy"
     assert churn["conns_opened"] > 1, "churn must force reconnects"
 
-    rendered = (
-        "RELIABLE CHANNEL UNDER FAULT INJECTION — "
-        f"{N_MESSAGES} msgs per regime, loopback proxy\n"
-        + "\n".join(
-            "  {label:6s} delivered={d}/{s} mean={mean} max={mx} "
-            "conns={c} reused={r} retries={rt} failures={f}".format(
-                label=label,
-                d=row["delivered"],
-                s=row["sent"],
-                mean=("%.1fms" % row["mean_ms"]) if row["mean_ms"] is not None else "-",
-                mx=("%.1fms" % row["max_ms"]) if row["max_ms"] is not None else "-",
-                c=row["conns_opened"],
-                r=row["conns_reused"],
-                rt=row["retries"],
-                f=row["send_failures"],
-            )
-            for label, row in rows.items()
-        )
-    )
-    publish("transport_faults", rendered, raw=rows)
+    publish("transport_faults", rows)

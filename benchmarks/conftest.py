@@ -1,15 +1,17 @@
 """Shared infrastructure for the reproduction benchmarks.
 
 Heavy experiment sweeps run once per session in scoped fixtures; each
-benchmark aggregates/renders from that shared data and asserts the
-paper's directional claims. Every rendered table/figure is
+benchmark aggregates that shared data into a JSON payload, publishes
+it and asserts the paper's directional claims. Every published result is
 
-* printed (visible with ``pytest -s``),
-* written to ``benchmarks/results/<name>.txt`` (plus a ``.json`` with the
-  raw numbers) — under ``REPRO_FULL=1`` to ``benchmarks/results/full/``
-  instead, with the scale in each file's header, so a full-grid run
-  never overwrites the reduced results — and
-* echoed in the terminal summary at the end of the run, so plain
+* written to ``benchmarks/results/<name>.json`` and, rendered by
+  :func:`repro.harness.report.render`, to ``<name>.txt`` — under
+  ``REPRO_FULL=1`` to ``benchmarks/results/full/`` instead, with the
+  scale in each file's header, so a full-grid run never overwrites the
+  reduced results;
+* copied into its marked block in EXPERIMENTS.md, if it has one;
+* printed (visible with ``pytest -s``) and echoed in the terminal
+  summary at the end of the run, so plain
   ``pytest benchmarks/ --benchmark-only`` output contains the tables.
 
 Scale control (see ``repro.harness.sweep.env_scale``): ``REPRO_FULL=1``
@@ -27,6 +29,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.harness import report
 from repro.harness.configurations import CONFIGURATION_NAMES
 from repro.harness.interval import run_interval
 from repro.harness.stress import run_stress
@@ -41,9 +44,11 @@ from repro.harness.sweep import (
 )
 from repro.harness.threshold import run_threshold
 
-RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
+EXPERIMENTS = REPO_ROOT / "EXPERIMENTS.md"
 
-#: Rendered tables accumulated for the terminal summary.
+#: Rendered results accumulated for the terminal summary.
 _RENDERED: List[str] = []
 
 
@@ -55,21 +60,27 @@ def scale_header(scale: Scale) -> str:
     )
 
 
-def publish(name: str, rendered: str, raw: object = None) -> None:
-    """Print, persist and queue a rendered table for the summary."""
-    print("\n" + rendered + "\n")
+def publish(name: str, payload: object) -> None:
+    """Write ``name``'s payload and its rendered text, refresh its block
+    in EXPERIMENTS.md and queue the text for the summary.
+
+    The payload is rendered as read back from JSON, so the text file is
+    what the JSON file renders to."""
     scale = env_scale()
-    directory, text = RESULTS_DIR, rendered
+    directory = RESULTS_DIR
     if scale.full:
-        header = scale_header(scale)
-        directory, text = RESULTS_DIR / "full", f"# {header}\n{rendered}"
-        if raw is not None:
-            raw = {"scale": header, "results": raw}
+        directory = RESULTS_DIR / "full"
+        payload = {"scale": scale_header(scale), "results": payload}
+    encoded = json.dumps(payload, indent=2)
+    text = report.render(name, json.loads(encoded))
+    print("\n" + text)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{name}.txt").write_text(text + "\n")
-    if raw is not None:
-        (directory / f"{name}.json").write_text(json.dumps(raw, indent=2))
-    _RENDERED.append(rendered)
+    (directory / f"{name}.json").write_text(encoded)
+    path = directory / f"{name}.txt"
+    path.write_text(text)
+    block = path.relative_to(REPO_ROOT).as_posix()
+    EXPERIMENTS.write_text(report.embed(EXPERIMENTS.read_text(), block, text))
+    _RENDERED.append(text)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

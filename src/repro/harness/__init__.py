@@ -15,8 +15,10 @@
 * :mod:`repro.harness.sweep` — parameter-sweep driver with optional
   multiprocess fan-out, plus the reduced/full grids.
 * :mod:`repro.harness.paper_data` — the numbers printed in the paper,
-  for side-by-side comparison.
-* :mod:`repro.harness.report` — text renderers for every table/figure.
+  for side-by-side comparison; the only copy of them in the repository.
+* :mod:`repro.harness.report` — one renderer per results file: each
+  ``benchmarks/results/<name>.txt`` is ``render(name, payload)`` of its
+  ``.json``, and EXPERIMENTS.md embeds those texts verbatim.
 """
 
 from repro.harness.configurations import CONFIGURATION_NAMES, make_config

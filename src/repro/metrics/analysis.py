@@ -186,8 +186,11 @@ def percentile_summary(
     return out
 
 
-def ratio_pct(value: float, baseline: float) -> Optional[float]:
-    """``value`` as a percentage of ``baseline`` (``None`` if undefined)."""
-    if baseline == 0:
+def ratio_pct(
+    value: Optional[float], baseline: Optional[float]
+) -> Optional[float]:
+    """``value`` as a percentage of ``baseline`` (``None`` if either is
+    missing or ``baseline`` is 0)."""
+    if value is None or not baseline:
         return None
     return 100.0 * value / baseline

@@ -1,121 +1,27 @@
-"""Tests for the table/figure renderers."""
+"""Edge inputs of the results renderers that no committed results file
+exercises (``tests/test_bench_results.py`` pins every committed one)."""
 
-from repro.harness.report import (
-    render_figure_1,
-    render_fp_by_concurrency,
-    render_table_iv,
-    render_table_v,
-    render_table_vi,
-    render_table_vii,
-)
-from repro.harness.sweep import IntervalAggregate, ThresholdAggregate
-from repro.metrics.analysis import FalsePositiveStats
-
-
-def interval_aggregates():
-    rows = []
-    for name, fp, fp_healthy in [
-        ("SWIM", 1000, 40),
-        ("LHA-Probe", 700, 15),
-        ("LHA-Suspicion", 40, 3),
-        ("Buddy System", 950, 18),
-        ("Lifeguard", 15, 1),
-    ]:
-        rows.append(
-            IntervalAggregate(
-                configuration=name,
-                fp_events=fp,
-                fp_healthy_events=fp_healthy,
-                msgs_sent=fp * 100,
-                bytes_sent=fp * 5000,
-                runs=10,
-            )
-        )
-    return rows
-
-
-def threshold_aggregates():
-    rows = []
-    for name in ("SWIM", "Lifeguard"):
-        rows.append(
-            ThresholdAggregate(
-                configuration=name,
-                first_detection={50.0: 12.4, 99.0: 17.0, 99.9: 19.4},
-                full_dissemination={50.0: 12.9, 99.0: 17.0, 99.9: 20.2},
-                samples=500,
-                undetected=0,
-            )
-        )
-    return rows
+from repro.harness.report import render
 
 
 class TestTableRenderers:
-    def test_table_iv_contains_percentages(self):
-        text = render_table_iv(interval_aggregates())
-        assert "TABLE IV" in text
-        assert "SWIM" in text and "Lifeguard" in text
-        assert "100.00" in text  # SWIM baseline is 100%
-        assert "1.50" in text  # Lifeguard 15/1000
-
-    def test_table_v_formats_latencies(self):
-        text = render_table_v(threshold_aggregates())
-        assert "TABLE V" in text
-        assert "12.40" in text
-        assert "12.44" in text  # paper value shown alongside
-
     def test_table_v_handles_missing_config(self):
-        text = render_table_v(threshold_aggregates()[:1])
-        assert "Lifeguard" not in text.splitlines()[2:][-1]
-
-    def test_table_vi_message_load(self):
-        text = render_table_vi(interval_aggregates())
-        assert "TABLE VI" in text
-        assert "Msgs %SWIM" in text
-
-    def test_table_vii_grid(self):
-        rows = {
-            (2, 2): {"med_first": 53.0, "med_full": 55.0, "p99_first": 70.0,
-                     "p99_full": 73.0, "p999_first": 76.0, "p999_full": 76.0,
-                     "fp": 98.0, "fp_healthy": 31.0},
-        }
-        text = render_table_vii(rows)
-        assert "TABLE VII" in text
-        assert "a=2,b=2" in text
-        assert "53.0" in text
-        assert "53.1" in text  # paper value line
+        row = {"first": {"50.0": 12.4}, "full": {"50.0": 12.9}}
+        lines = render("table5_latency", {"SWIM": row}).splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["SWIM"]
+        assert lines[2].split()[1:4] == ["12.40", "n/a", "n/a"]
 
     def test_table_vii_missing_combo_shows_na(self):
-        text = render_table_vii({})
-        assert "n/a" in text
+        lines = render("table7_tuning", {"a2b2": {"fp": 50.0}}).splitlines()
+        fp = next(line for line in lines if line.startswith("FP "))
+        assert fp.split()[1:] == ["50.0"] + ["n/a"] * 8
 
 
 class TestFigureRenderers:
     def test_figure_2_series(self):
-        series = {
-            "SWIM": {4: FalsePositiveStats(fp_events=100, fp_healthy_events=5)},
-            "Lifeguard": {4: FalsePositiveStats(fp_events=2, fp_healthy_events=0)},
-        }
-        text = render_fp_by_concurrency(series)
-        assert "FIGURE 2" in text
-        assert "C=4" in text
-        assert "100" in text
-
-    def test_figure_3_uses_healthy_counts(self):
-        series = {
-            "SWIM": {4: FalsePositiveStats(fp_events=100, fp_healthy_events=5)},
-        }
-        text = render_fp_by_concurrency(series, healthy_only=True)
-        assert "FIGURE 3" in text
-        assert "      5" in text
-
-    def test_figure_1(self):
-        rows = {
-            4: dict(swim_fp=500, swim_fp_healthy=100, lifeguard_fp=0,
-                    lifeguard_fp_healthy=0),
-            32: dict(swim_fp=5000, swim_fp_healthy=900, lifeguard_fp=40,
-                     lifeguard_fp_healthy=4),
-        }
-        text = render_figure_1(rows)
-        assert "FIGURE 1" in text
-        assert "500" in text
-        assert "paper" in text
+        """Concurrency columns come out in numeric, not string, order."""
+        payload = {"SWIM": {"16": 7, "8": 3}, "Lifeguard": {"8": 0}}
+        lines = render("fig2_fp_by_concurrency", payload).splitlines()
+        assert lines[1].split() == ["Configuration", "C=8", "C=16"]
+        assert lines[2].split() == ["SWIM", "3", "7"]
+        assert lines[3].split() == ["Lifeguard", "0", "n/a"]

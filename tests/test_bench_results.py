@@ -1,30 +1,32 @@
-"""Committed benchmark result files must be what the committed code
-renders (ROADMAP aim 3: results match code)."""
+"""Every committed results file is what its JSON renders to, and every
+results block in EXPERIMENTS.md is its file (ROADMAP aim 3: results
+match code)."""
 
 import json
 from pathlib import Path
 
-from benchmarks import bench_packet_path, bench_scale
+import pytest
 
-RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
+from repro.harness import report
 
-
-def test_packet_path_text_is_rendered_from_its_json():
-    rows = json.loads((RESULTS / "packet_path.json").read_text())
-    assert (RESULTS / "packet_path.txt").read_text() == (
-        bench_packet_path.render(rows) + "\n"
-    )
-
-
-def test_scale_throughput_text_is_rendered_from_its_json():
-    payload = json.loads((RESULTS / "scale_throughput.json").read_text())
-    assert (RESULTS / "scale_throughput.txt").read_text() == (
-        bench_scale.render(payload) + "\n"
-    )
+ROOT = Path(__file__).parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
+#: Every result, by its path without suffix: a ``.txt`` or ``.json``
+#: without its other half fails.
+RESULT_NAMES = sorted(
+    {p.relative_to(RESULTS).with_suffix("").as_posix() for p in RESULTS.glob("**/*.*")}
+)
 
 
-def test_scale_sharded_text_is_rendered_from_its_json():
-    data = json.loads((RESULTS / "scale_sharded.json").read_text())
-    assert (RESULTS / "scale_sharded.txt").read_text() == (
-        bench_scale.render_sharded(data) + "\n"
-    )
+@pytest.mark.parametrize("name", RESULT_NAMES)
+def test_text_is_rendered_from_its_json(name):
+    payload = json.loads((RESULTS / f"{name}.json").read_text())
+    expected = report.render(Path(name).name, payload)
+    assert (RESULTS / f"{name}.txt").read_text() == expected
+
+
+def test_experiments_blocks_are_their_files():
+    blocks = report.BLOCK.findall((ROOT / "EXPERIMENTS.md").read_text())
+    assert blocks
+    for path, text in blocks:
+        assert text == (ROOT / path).read_text(), path
