@@ -13,6 +13,8 @@ from repro.metrics.analysis import FalsePositiveStats
 
 
 def build_rows(stress_data):
+    """FP counts per stressed-member count, under ``"stressed"``, and
+    the cluster size they were measured at, under ``"members"``."""
     rows = {}
     by_count = {"SWIM": {}, "Lifeguard": {}}
     for configuration, results in stress_data.items():
@@ -33,13 +35,17 @@ def build_rows(stress_data):
             "lifeguard_fp": lifeguard.fp_events,
             "lifeguard_fp_healthy": lifeguard.fp_healthy_events,
         }
-    return rows
+    (members,) = {r.params.n_members for rs in stress_data.values() for r in rs}
+    return {"members": members, "stressed": rows}
 
 
 @pytest.mark.benchmark(group="fig1")
 def test_fig1_cpu_exhaustion_false_positives(benchmark, stress_data):
-    rows = benchmark.pedantic(build_rows, args=(stress_data,), rounds=1, iterations=1)
-    publish("fig1_stress", rows)
+    payload = benchmark.pedantic(
+        build_rows, args=(stress_data,), rounds=1, iterations=1
+    )
+    publish("fig1_stress", payload)
+    rows = payload["stressed"]
 
     counts = sorted(rows)
     total_swim = sum(rows[c]["swim_fp"] for c in counts)

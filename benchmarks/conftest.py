@@ -6,9 +6,11 @@ it and asserts the paper's directional claims. Every published result is
 
 * written to ``benchmarks/results/<name>.json`` and, rendered by
   :func:`repro.harness.report.render`, to ``<name>.txt`` — under
-  ``REPRO_FULL=1`` to ``benchmarks/results/full/`` instead, with the
-  scale in each file's header, so a full-grid run never overwrites the
-  reduced results;
+  ``REPRO_FULL=1`` to ``benchmarks/results/full/`` instead, so a
+  full-grid run never overwrites the reduced results. Whenever any
+  ``REPRO_*`` scale variable is off its default (``REPRO_FULL=1``
+  included) the scale goes in each file's header, so a result measured
+  at another scale never passes for a default-scale one;
 * copied into its marked block in EXPERIMENTS.md, if it has one;
 * printed (visible with ``pytest -s``) and echoed in the terminal
   summary at the end of the run, so plain
@@ -22,6 +24,7 @@ width, ``REPRO_N`` / ``REPRO_REPS`` / ``REPRO_TEST_TIME`` /
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -31,33 +34,50 @@ import pytest
 
 from repro.harness import report
 from repro.harness.configurations import CONFIGURATION_NAMES
-from repro.harness.interval import run_interval
+from repro.harness.ledger import Ledger
 from repro.harness.stress import run_stress
 from repro.harness.sweep import (
     TUNING_COMBINATIONS,
     Scale,
     env_scale,
     interval_grid,
+    is_default_scale,
     run_many,
     stress_grid,
     threshold_grid,
 )
-from repro.harness.threshold import run_threshold
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 EXPERIMENTS = REPO_ROOT / "EXPERIMENTS.md"
+#: The golden trace digests: the code fingerprint of a ledger row is
+#: their hash, so it moves whenever any golden digest does.
+GOLDEN_FILES = (
+    REPO_ROOT / "tests" / "sim" / "golden_traces.json",
+    REPO_ROOT / "tests" / "zones" / "golden_traces.json",
+)
 
 #: Rendered results accumulated for the terminal summary.
 _RENDERED: List[str] = []
 
 
 def scale_header(scale: Scale) -> str:
-    """One line naming the grid a result was measured on."""
-    return (
+    """One line naming the grid a result was measured on (the stress
+    sweep's settings only where they are off their defaults)."""
+    header = (
         f"scale: REPRO_FULL={int(scale.full)} reps={scale.reps} "
         f"n={scale.n_members} test_time={scale.min_test_time:g}s"
     )
+    default = env_scale({"REPRO_FULL": "1"} if scale.full else {})
+    if (scale.stress_members, scale.stress_duration) != (
+        default.stress_members,
+        default.stress_duration,
+    ):
+        header += (
+            f" stress_n={scale.stress_members} "
+            f"stress_time={scale.stress_duration:g}s"
+        )
+    return header
 
 
 def publish(name: str, payload: object) -> None:
@@ -67,9 +87,8 @@ def publish(name: str, payload: object) -> None:
     The payload is rendered as read back from JSON, so the text file is
     what the JSON file renders to."""
     scale = env_scale()
-    directory = RESULTS_DIR
-    if scale.full:
-        directory = RESULTS_DIR / "full"
+    directory = RESULTS_DIR / "full" if scale.full else RESULTS_DIR
+    if not is_default_scale(scale):
         payload = {"scale": scale_header(scale), "results": payload}
     encoded = json.dumps(payload, indent=2)
     text = report.render(name, json.loads(encoded))
@@ -101,24 +120,42 @@ def scale():
     return env_scale()
 
 
+def code_fingerprint() -> str:
+    """sha256 over the golden trace files, in order."""
+    digest = hashlib.sha256()
+    for path in GOLDEN_FILES:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="session")
-def interval_data(scale) -> Dict[str, list]:
+def ledger(scale) -> Ledger:
+    """Per-run rows of every Interval and Threshold run below
+    (``results/ledger/``, ``results/full/ledger/`` under ``REPRO_FULL=1``):
+    a run already on record under this code fingerprint is not run
+    again (see :mod:`repro.harness.ledger`)."""
+    directory = RESULTS_DIR / "full" if scale.full else RESULTS_DIR
+    return Ledger(directory / "ledger", code_fingerprint())
+
+
+@pytest.fixture(scope="session")
+def interval_data(scale, ledger) -> Dict[str, list]:
     """Interval-experiment sweep for all five configurations
     (drives Table IV, Figures 2-3 and Table VI)."""
     results = {}
     for configuration in CONFIGURATION_NAMES:
         grid = interval_grid(configuration, scale)
-        results[configuration] = run_many(run_interval, grid, scale.workers)
+        results[configuration] = ledger.run("interval", grid, scale.workers)
     return results
 
 
 @pytest.fixture(scope="session")
-def threshold_data(scale) -> Dict[str, list]:
+def threshold_data(scale, ledger) -> Dict[str, list]:
     """Threshold-experiment sweep for all five configurations (Table V)."""
     results = {}
     for configuration in CONFIGURATION_NAMES:
         grid = threshold_grid(configuration, scale)
-        results[configuration] = run_many(run_threshold, grid, scale.workers)
+        results[configuration] = ledger.run("threshold", grid, scale.workers)
     return results
 
 
@@ -141,7 +178,7 @@ def _tuning_interval_grid(configuration, scale, alpha, beta):
 
 
 @pytest.fixture(scope="session")
-def tuning_data(scale, interval_data, threshold_data):
+def tuning_data(scale, ledger, interval_data, threshold_data):
     """Lifeguard under every (alpha, beta) of Table VII, plus the SWIM
     baseline on the matching slices of the shared sweeps.
 
@@ -168,13 +205,13 @@ def tuning_data(scale, interval_data, threshold_data):
             }
         else:
             entry = {
-                "interval": run_many(
-                    run_interval,
+                "interval": ledger.run(
+                    "interval",
                     _tuning_interval_grid("Lifeguard", scale, alpha, beta),
                     scale.workers,
                 ),
-                "threshold": run_many(
-                    run_threshold,
+                "threshold": ledger.run(
+                    "threshold",
                     threshold_grid("Lifeguard", scale, alpha=alpha, beta=beta),
                     scale.workers,
                 ),

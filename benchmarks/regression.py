@@ -93,7 +93,11 @@ def _load_result(name: str, results_dir: Path) -> Optional[dict]:
     path = results_dir / f"{name}.json"
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    payload = json.loads(path.read_text())
+    # A result published off the default scale carries its scale header.
+    if isinstance(payload, dict) and set(payload) == {"scale", "results"}:
+        return payload["results"]
+    return payload
 
 
 def collect_metrics(results_dir: Path = RESULTS_DIR) -> dict:

@@ -60,6 +60,11 @@ class LhmEvent(enum.Enum):
     #: :meth:`repro.swim.node.SwimNode.note_reliable_send_failure`).
     RELIABLE_SEND_FAILED = "reliable_send_failed"
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality; Enum's own __hash__ is a Python frame, and
+    # every probe outcome looks an event up twice (LocalHealthMultiplier.note).
+    __hash__ = object.__hash__
+
 
 #: Score applied to the counter for each event (paper, Section IV-A;
 #: ``RELIABLE_SEND_FAILED`` is a transport-fed extension).
@@ -165,7 +170,7 @@ class LocalHealthMultiplier:
 
     def scale(self, base: float) -> float:
         """Scale a base duration by the current multiplier."""
-        return base * self.multiplier
+        return base * (self._score + 1)
 
     def reset(self) -> None:
         """Reset the score to zero (event counts are preserved)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.harness.configurations import make_config
 from repro.metrics.analysis import FalsePositiveStats, classify_false_positives
@@ -62,6 +62,10 @@ class IntervalResult:
     bytes_sent: int = 0
     #: Virtual duration of the measured window (for rate computations).
     test_time: float = 0.0
+    #: ``msgs_sent`` and ``bytes_sent`` by primary message kind (kept in
+    #: the per-run ledger rows; not part of :meth:`as_dict`).
+    msgs_by_kind: Dict[str, int] = field(default_factory=dict)
+    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
 
     @property
     def fp_events(self) -> int:
@@ -111,7 +115,6 @@ def run_interval(params: IntervalParams) -> IntervalResult:
     )
 
     before = cluster.telemetry()
-    msgs_before, bytes_before = before.msgs_sent, before.bytes_sent
     cluster.run_until(end)
     after = cluster.telemetry()
 
@@ -122,7 +125,9 @@ def run_interval(params: IntervalParams) -> IntervalResult:
         params=params,
         anomalous=list(anomalous),
         false_positives=stats,
-        msgs_sent=after.msgs_sent - msgs_before,
-        bytes_sent=after.bytes_sent - bytes_before,
+        msgs_sent=after.msgs_sent - before.msgs_sent,
+        bytes_sent=after.bytes_sent - before.bytes_sent,
         test_time=end - start,
+        msgs_by_kind=dict(sorted((after.msgs_by_kind - before.msgs_by_kind).items())),
+        bytes_by_kind=dict(sorted((after.bytes_by_kind - before.bytes_by_kind).items())),
     )

@@ -134,15 +134,17 @@ def table_vii(payload: Payload) -> str:
 
 
 def figure_1(payload: Payload) -> str:
-    """Figure 1: CPU-exhaustion false positives, keyed by stressed count."""
+    """Figure 1: CPU-exhaustion false positives at ``members`` members,
+    keyed by stressed count."""
+    rows = payload["stressed"]
     lines = [
         "FIGURE 1 — False positives from CPU exhaustion "
-        "(100 members, stress on N)",
+        f"({payload['members']} members, stress on N)",
         f"{'N':>4s} {'SWIM FP':>9s} {'SWIM FP-':>9s} {'LG FP':>7s} "
         f"{'LG FP-':>7s} | paper(approx): SWIM FP / FP-, LG FP / FP-",
     ]
-    for n in sorted(map(int, payload)):
-        row = payload[str(n)]
+    for n in sorted(map(int, rows)):
+        row = rows[str(n)]
         paper = paper_data.FIGURE_1_APPROX.get(n)
         paper_txt = (
             f"{paper[0]} / {paper[1]}, {paper[2]} / {paper[3]}" if paper else "-"

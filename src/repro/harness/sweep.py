@@ -17,10 +17,20 @@ Environment knobs honoured by :func:`env_scale`:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.harness.interval import IntervalParams, IntervalResult, run_interval
 from repro.harness.stress import StressParams, StressResult, run_stress
@@ -83,17 +93,17 @@ class Scale:
         return FULL_CONCURRENCY if self.full else REDUCED_THRESHOLD_CONCURRENCY
 
 
-def env_scale() -> Scale:
-    """Resolve sweep scale from the environment (see module docstring)."""
-    full = os.environ.get("REPRO_FULL", "0") == "1"
-    reps = int(os.environ.get("REPRO_REPS", "10" if full else "1"))
-    workers = int(os.environ.get("REPRO_WORKERS", str(os.cpu_count() or 1)))
-    n_members = int(os.environ.get("REPRO_N", "128"))
-    stress_members = int(os.environ.get("REPRO_STRESS_N", "100"))
-    min_test_time = float(os.environ.get("REPRO_TEST_TIME", "120" if full else "60"))
-    stress_duration = float(
-        os.environ.get("REPRO_STRESS_TIME", "300" if full else "120")
-    )
+def env_scale(environ: Optional[Mapping[str, str]] = None) -> Scale:
+    """Resolve sweep scale from the environment (see module docstring),
+    or from ``environ`` in its place."""
+    env = os.environ if environ is None else environ
+    full = env.get("REPRO_FULL", "0") == "1"
+    reps = int(env.get("REPRO_REPS", "10" if full else "1"))
+    workers = int(env.get("REPRO_WORKERS", str(os.cpu_count() or 1)))
+    n_members = int(env.get("REPRO_N", "128"))
+    stress_members = int(env.get("REPRO_STRESS_N", "100"))
+    min_test_time = float(env.get("REPRO_TEST_TIME", "120" if full else "60"))
+    stress_duration = float(env.get("REPRO_STRESS_TIME", "300" if full else "120"))
     return Scale(
         full=full,
         reps=max(1, reps),
@@ -102,6 +112,15 @@ def env_scale() -> Scale:
         stress_members=stress_members,
         min_test_time=min_test_time,
         stress_duration=stress_duration,
+    )
+
+
+def is_default_scale(scale: Scale) -> bool:
+    """Whether ``scale`` measures what no ``REPRO_*`` variable would:
+    the reduced grids at their default sizes. The worker count is not
+    part of a result."""
+    return dataclasses.replace(scale, workers=1) == dataclasses.replace(
+        env_scale({}), workers=1
     )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 
 class VirtualClock:
     """A monotonically advancing virtual clock.
@@ -11,6 +14,7 @@ class VirtualClock:
     loop, which runs once per simulated event, reads and writes ``_now``
     itself (with :meth:`advance_to`'s check) rather than call in here,
     and :class:`~repro.sim.network.SimNetwork` reads it once per packet.
+    The nodes a simulated cluster hosts read it through :meth:`reader`.
     """
 
     __slots__ = ("_now",)
@@ -20,6 +24,14 @@ class VirtualClock:
 
     def __call__(self) -> float:
         return self._now
+
+    def reader(self) -> Callable[[], float]:
+        """Another :data:`repro.runtime.Clock` for the same time, that
+        runs no Python frame per read: ``getattr(clock, "_now")`` bound
+        up in a ``partial``. A node reads the clock about once per
+        event; build one reader per cluster, not one per node.
+        """
+        return partial(getattr, self, "_now")
 
     @property
     def now(self) -> float:

@@ -87,6 +87,8 @@ class SimCluster:
         self.seed = seed
         self.scheduler = EventScheduler()
         self.clock = self.scheduler.clock
+        #: What every node of the cluster reads the time through.
+        self._read_clock = self.clock.reader()
         self._net_rng = random.Random((seed << 1) ^ 0x5EED)
         self.network = SimNetwork(
             self.scheduler, self._net_rng, latency=latency, loss_rate=loss_rate
@@ -136,7 +138,7 @@ class SimCluster:
         node = SwimNode(
             name,
             config,
-            clock=self.clock,
+            clock=self._read_clock,
             scheduler=self.scheduler,
             transport=transport,
             rng=random.Random(self.seed * 1_000_003 + index * 7919 + 17),

@@ -555,11 +555,11 @@ def _decode_small(raw: bytes) -> Message:
             _DECODE_CACHE.clear()
         _DECODE_CACHE[raw] = message
         if tag == T_SUSPECT:
-            # The claim a node re-gossips as it came. Frozen to its
+            # The claim a node re-gossips as it came. Immutable to its
             # readers; the codec alone notes the bytes it was decoded
-            # from, in attribute room every instance already has (it
-            # costs no memory), for ``encode_claim`` to return: a suspect
-            # claim encodes canonically, so they are its encoding.
+            # from, in the private ``_wire`` slot, for ``encode_claim``
+            # to return: a suspect claim encodes canonically, so they
+            # are its encoding.
             object.__setattr__(message, "_wire", raw)
     return message
 

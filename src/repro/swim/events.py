@@ -11,8 +11,9 @@ subject was in fact healthy (Section V-F1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
+
+from repro.swim.record import Record
 
 
 class EventKind(enum.Enum):
@@ -39,9 +40,9 @@ class EventKind(enum.Enum):
 SerializedEvent = Tuple[float, str, str, str, int]
 
 
-@dataclass(frozen=True)
-class MemberEvent:
-    """One membership state transition at one observer."""
+class MemberEvent(Record):
+    """One membership state transition at one observer (an immutable
+    record, like the protocol messages)."""
 
     time: float
     observer: str

@@ -101,6 +101,7 @@ _STATE_OF: Tuple[Optional[MemberState], ...] = (*MemberState, None)
 _ALIVE = int(MemberState.ALIVE)
 _SUSPECT = int(MemberState.SUSPECT)
 _DEAD = int(MemberState.DEAD)
+_LEFT = int(MemberState.LEFT)
 
 
 def _age(now: float, changed: float) -> bytes:
@@ -487,9 +488,6 @@ class MemberMap:
                 ],
             )
         return actives
-
-    def _view(self, sid: int) -> Member:
-        return Member(self, sid, self._roster.names[sid])
 
     def _views(self, sids: Iterable[int]) -> List[Member]:
         names = self._roster.names
@@ -947,7 +945,8 @@ class MemberMap:
         that makes a member DEAD or LEFT, or backdates one, forgets it;
         a member that leaves DEAD only makes the memo early, never late).
         """
-        if self._num_dead() == 0:
+        counts = self._state_counts
+        if counts[_DEAD] + counts[_LEFT] == 0:
             return []
         since = self._dead_since
         if since is not None and now - since < retention:
@@ -997,17 +996,19 @@ class MemberMap:
         """Non-local ALIVE/SUSPECT members, in table-insertion order."""
         return self._views(self._active_index())
 
-    def next_probe_target(self, now: float = 0.0) -> Optional[Member]:
-        """Next member to probe, per the configured scheduling strategy.
+    def next_probe_target(self, now: float = 0.0) -> Optional[str]:
+        """The name of the next member to probe, per the configured
+        scheduling strategy (a name, not a view: the prober reads the
+        one column it needs, the address).
 
         Skips dead and left members (suspect members *are* probed, which
         is how a suspicion can be refuted by the prober). Returns ``None``
         when there is nobody probeable.
         """
-        member = self._scheduler.next_target(now)
-        if member is not None:
+        name = self._scheduler.next_target(now)
+        if name is not None:
             self._scheduler.selections += 1
-        return member
+        return name
 
     def random_members(
         self,

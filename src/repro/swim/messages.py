@@ -7,16 +7,17 @@ memberlist renames SWIM's ``confirm`` to ``dead``), plus Lifeguard's
 and a ``compound`` wrapper used for piggybacking gossip onto failure
 detector traffic.
 
-Messages are plain frozen dataclasses; the wire encoding lives in
-:mod:`repro.swim.codec` so that byte sizes (Table VI) are measured on a
-realistic compact binary format rather than on Python object overhead.
+Messages are immutable slotted records (:mod:`repro.swim.record`); the
+wire encoding lives in :mod:`repro.swim.codec` so that byte sizes
+(Table VI) are measured on a realistic compact binary format rather
+than on Python object overhead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Tuple, Union, get_args
 
+from repro.swim.record import Record
 from repro.swim.state import MemberState
 
 if TYPE_CHECKING:  # the codec imports this module
@@ -27,8 +28,7 @@ if TYPE_CHECKING:  # the codec imports this module
 _STATE_BY_VALUE = {int(state): state for state in MemberState}
 
 
-@dataclass(frozen=True)
-class Ping:
+class Ping(Record):
     """Direct liveness probe. ``seq_no`` correlates the eventual ack."""
 
     seq_no: int
@@ -36,8 +36,7 @@ class Ping:
     source: str
 
 
-@dataclass(frozen=True)
-class PingReq:
+class PingReq(Record):
     """Indirect probe request: asks the recipient to ping ``target``.
 
     ``want_nack`` is Lifeguard's extension: when set, the helper replies
@@ -51,16 +50,14 @@ class PingReq:
     want_nack: bool = False
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(Record):
     """Acknowledges a ping (or is forwarded by a ping-req helper)."""
 
     seq_no: int
     source: str
 
 
-@dataclass(frozen=True)
-class Nack:
+class Nack(Record):
     """Negative ack from a ping-req helper: 'the target has not answered
     me yet, but I am alive and processing' (Lifeguard, Section IV-A)."""
 
@@ -68,8 +65,7 @@ class Nack:
     source: str
 
 
-@dataclass(frozen=True)
-class Suspect:
+class Suspect(Record):
     """Gossip claim that ``member`` (at ``incarnation``) may have failed.
 
     ``sender`` identifies the member that *originated* the suspicion; it is
@@ -81,9 +77,12 @@ class Suspect:
     member: str
     sender: str
 
+    # The bytes a decoded claim arrived as (set by the codec alone, for
+    # ``encode_claim`` to return; not a field).
+    __slots__ = ("_wire",)
 
-@dataclass(frozen=True)
-class Alive:
+
+class Alive(Record):
     """Gossip claim that ``member`` is alive at ``incarnation``.
 
     Carries the member's transport address so joins propagate through
@@ -103,8 +102,7 @@ class Alive:
     zone: str = ""
 
 
-@dataclass(frozen=True)
-class Dead:
+class Dead(Record):
     """Gossip claim that ``member`` (at ``incarnation``) has been confirmed
     failed (SWIM's ``confirm``). ``sender`` is the declaring member."""
 
@@ -113,8 +111,7 @@ class Dead:
     sender: str
 
 
-@dataclass(frozen=True)
-class UserEvent:
+class UserEvent(Record):
     """Application-level gossip (the memberlist/Serf user broadcast).
 
     Disseminated with the same transmit-limited epidemic machinery as
@@ -139,8 +136,7 @@ class UserEvent:
 StateEntry = Tuple[str, str, int, int, bytes, int]
 
 
-@dataclass(frozen=True)
-class PushPull:
+class PushPull(Record):
     """Anti-entropy full state sync (memberlist extension).
 
     The initiator sends its full member table with ``is_reply=False``; the
@@ -191,8 +187,7 @@ class PushPull:
             )
 
 
-@dataclass(frozen=True)
-class ZoneDigest:
+class ZoneDigest(Record):
     """Compact cross-zone summary gossiped between bridge members
     (:mod:`repro.zones`): the sending zone's member counts by state, its
     highest incarnation and a hash of its full membership view. Remote
@@ -210,8 +205,7 @@ class ZoneDigest:
     view_hash: int
 
 
-@dataclass(frozen=True)
-class ZoneClaim:
+class ZoneClaim(Record):
     """A terminal-or-refuting membership claim forwarded across zones by
     a bridge member: DEAD/LEFT verdicts reached inside the origin zone,
     and the ALIVE refutations/rejoins that supersede them. Receiving
@@ -230,12 +224,11 @@ class ZoneClaim:
         return _STATE_BY_VALUE[self.state_value]
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(Record):
     """Several messages in one packet: a primary failure-detector message
     (or dedicated gossip) plus piggybacked gossip payloads."""
 
-    parts: Tuple["Message", ...] = field(default_factory=tuple)
+    parts: Tuple["Message", ...] = ()
 
     def __post_init__(self) -> None:
         if not self.parts:

@@ -38,7 +38,6 @@ from repro.swim.member_map import (
     MERGE_APPLIED,
     MERGE_LOCAL,
     MERGE_SUSPECT,
-    Member,
     MemberMap,
     MergeDecision,
 )
@@ -62,6 +61,7 @@ from repro.swim.state import MemberState
 from repro.sync import SyncEngine
 
 _SEQ_MODULUS = 2**32
+_SUSPECT = int(MemberState.SUSPECT)
 
 #: Fraction of the (LHM-scaled) probe timeout a timed-out probe waits
 #: for an ack to its reliable-channel fallback ping before enlisting
@@ -76,12 +76,21 @@ _NO_USER_EVENTS = BroadcastQueue(1, int)
 
 
 class _Probe:
-    """Book-keeping for one in-flight probe the local member initiated."""
+    """Book-keeping for one in-flight probe the local member initiated.
+
+    A probe arms one timer at a time: its timeout, and only when that
+    fires with the probe unacked, the end of its protocol period
+    (``deadline``). An acked probe -- nearly every probe of a quiet
+    member -- so costs the scheduler one push and one cancel. When the
+    timeout is not shorter than the period, both are armed at the start,
+    in that order, so they fire in the order they always have.
+    """
 
     __slots__ = (
         "seq_no",
         "target",
         "started_at",
+        "deadline",
         "acked",
         "expected_nacks",
         "nacks_received",
@@ -91,10 +100,13 @@ class _Probe:
         "deadline_timer",
     )
 
-    def __init__(self, seq_no: int, target: str, started_at: float) -> None:
+    def __init__(
+        self, seq_no: int, target: str, started_at: float, deadline: float
+    ) -> None:
         self.seq_no = seq_no
         self.target = target
         self.started_at = started_at
+        self.deadline = deadline
         self.acked = False
         self.expected_nacks = 0
         self.nacks_received = 0
@@ -787,37 +799,47 @@ class SwimNode:
     # ------------------------------------------------------------------ #
 
     def _probe_tick(self) -> None:
-        if not self._running or self._defer_if_paused("probe"):
+        if not self._running:
+            return
+        if self._paused:
+            self._deferred_ticks["probe"] = None
             return
         now = self._clock()
-        interval = self.current_probe_interval()
+        interval = self._lhm.scale(self.config.probe_interval)
         self._probe_timer = self._scheduler.call_at(now + interval, self._probe_tick)
-        self._members.reclaim_dead(now, self.config.dead_member_reclaim)
-        target = self._members.next_probe_target(now)
+        members = self._members
+        members.reclaim_dead(now, self.config.dead_member_reclaim)
+        target = members.next_probe_target(now)
         if target is not None:
-            self._begin_probe(target, interval)
+            self._begin_probe(target, now, interval)
 
-    def _begin_probe(self, target: Member, interval: float) -> None:
-        now = self._clock()
+    def _begin_probe(self, target: str, now: float, interval: float) -> None:
         seq_no = self._next_seq()
-        probe = _Probe(seq_no, target.name, now)
+        probe = _Probe(seq_no, target, now, now + interval)
         self._probes[seq_no] = probe
-        timeout = self.current_probe_timeout()
+        timeout = self._lhm.scale(self.config.probe_timeout)
         probe.timeout_timer = self._scheduler.call_at(
             now + timeout, lambda: self._probe_timeout(probe)
         )
-        probe.deadline_timer = self._scheduler.call_at(
-            now + interval, lambda: self._probe_deadline(probe)
-        )
-        self._send_ping(target, seq_no)
+        if timeout >= interval:
+            probe.deadline_timer = self._scheduler.call_at(
+                probe.deadline, lambda: self._probe_deadline(probe)
+            )
+        members = self._members
+        address = members._records[members._ids[target]].address
+        self._send_ping(target, address, seq_no)
 
     def _send_ping(
-        self, target: Member, seq_no: int, reliable: bool = False
+        self, target: str, address: str, seq_no: int, reliable: bool = False
     ) -> None:
-        ping = Ping(seq_no, target.name, self.name)
-        mandatory = self._buddy.payloads_for_ping(target.name)
+        ping = Ping(seq_no, target, self.name)
+        # Only a suspected target gets a Buddy payload: a node that
+        # suspects nobody need not ask.
+        mandatory: Sequence[bytes] = ()
+        if self._members._state_counts[_SUSPECT]:
+            mandatory = self._buddy.payloads_for_ping(target)
         self._send_to_address(
-            target.address, ping, reliable=reliable, mandatory_piggyback=mandatory
+            address, ping, reliable=reliable, mandatory_piggyback=mandatory
         )
 
     def _probe_timeout(self, probe: _Probe) -> None:
@@ -838,6 +860,10 @@ class SwimNode:
         probe.timeout_timer = None
         if probe.acked or probe.seq_no not in self._probes:
             return
+        if probe.deadline_timer is None:
+            probe.deadline_timer = self._scheduler.call_at(
+                probe.deadline, lambda: self._probe_deadline(probe)
+            )
         target = self._members.get(probe.target)
         if target is None or target.is_dead:
             return
@@ -846,7 +872,7 @@ class SwimNode:
             return
         probe.fallback_sent = True
         self.telemetry.fallback_probes_sent += 1
-        self._send_ping(target, probe.seq_no, reliable=True)
+        self._send_ping(target.name, target.address, probe.seq_no, reliable=True)
         probe.indirect_timer = self._scheduler.call_at(
             self._clock() + FALLBACK_PROBE_WAIT * self.current_probe_timeout(),
             lambda: self._launch_indirect_probe(probe),
@@ -927,7 +953,7 @@ class SwimNode:
             now + 2 * self.config.probe_interval,
             lambda: self._expire_relay(local_seq),
         )
-        self._send_ping(target, local_seq)
+        self._send_ping(target.name, target.address, local_seq)
 
     def _relay_nack(self, local_seq: int) -> None:
         relay = self._relays.get(local_seq)
@@ -943,38 +969,43 @@ class SwimNode:
             relay.nack_timer.cancel()
 
     def _handle_ack(self, ack: Ack, reliable: bool = False) -> None:
-        probe = self._probes.get(ack.seq_no)
+        # An acked probe leaves the table in the same step, so a probe
+        # found here is still waiting for its ack.
+        probe = self._probes.pop(ack.seq_no, None)
         if probe is not None:
-            if not probe.acked:
+            scheduler = self._probe_scheduler
+            hears_acks = scheduler.hears_acks
+            timeout_timer = probe.timeout_timer
+            # A still-pending timeout timer means the ack beat the probe
+            # timeout: it came over the direct path (indirect helpers and
+            # the reliable fallback only launch when the timeout fires),
+            # so it is a clean peer-RTT observation. The transport
+            # channel must agree: an ack that arrived over the reliable
+            # (TCP) channel measures the fallback detour, never the UDP
+            # round trip, no matter how the delivery raced the timeout
+            # timer.
+            if timeout_timer is not None and not reliable:
                 now = self._clock()
-                # A still-pending timeout timer means the ack beat the
-                # probe timeout: it came over the direct path (indirect
-                # helpers and the reliable fallback only launch when the
-                # timeout fires), so it is a clean peer-RTT observation.
-                # The transport channel must agree: an ack that arrived
-                # over the reliable (TCP) channel measures the fallback
-                # detour, never the UDP round trip, no matter how the
-                # delivery raced the timeout timer.
-                if probe.timeout_timer is not None and not reliable:
-                    rtt = now - probe.started_at
-                    self._probe_scheduler.note_ack(probe.target, rtt, now)
-                    if self.on_probe_rtt is not None:
-                        self.on_probe_rtt(probe.target, rtt)
-                self._probe_scheduler.note_confirmation(probe.target, now)
-                if reliable and probe.fallback_sent:
-                    self.telemetry.fallback_probe_acks += 1
-                probe.acked = True
-                self._lhm.note(LhmEvent.PROBE_SUCCESS)
-                if probe.timeout_timer is not None:
-                    probe.timeout_timer.cancel()
-                    probe.timeout_timer = None
-                if probe.indirect_timer is not None:
-                    probe.indirect_timer.cancel()
-                    probe.indirect_timer = None
-                if probe.deadline_timer is not None:
-                    probe.deadline_timer.cancel()
-                    probe.deadline_timer = None
-                self._probes.pop(ack.seq_no, None)
+                rtt = now - probe.started_at
+                if hears_acks:
+                    scheduler.note_ack(probe.target, rtt, now)
+                if self.on_probe_rtt is not None:
+                    self.on_probe_rtt(probe.target, rtt)
+            if hears_acks:
+                scheduler.note_confirmation(probe.target, self._clock())
+            if reliable and probe.fallback_sent:
+                self.telemetry.fallback_probe_acks += 1
+            probe.acked = True
+            self._lhm.note(LhmEvent.PROBE_SUCCESS)
+            if timeout_timer is not None:
+                timeout_timer.cancel()
+                probe.timeout_timer = None
+            if probe.indirect_timer is not None:
+                probe.indirect_timer.cancel()
+                probe.indirect_timer = None
+            if probe.deadline_timer is not None:
+                probe.deadline_timer.cancel()
+                probe.deadline_timer = None
             return
         relay = self._relays.pop(ack.seq_no, None)
         if relay is not None:
@@ -996,8 +1027,11 @@ class SwimNode:
     # ------------------------------------------------------------------ #
 
     def _is_suspected(self, name: str) -> bool:
-        member = self._members.get(name)
-        return member is not None and member.is_suspect
+        # The state column, read by id: no view for a one-byte test.
+        members = self._members
+        sid = members._ids.get(name)
+        states = members._states
+        return sid is not None and sid < len(states) and states[sid] == _SUSPECT
 
     def _encode_local_suspicion(self, name: str) -> Optional[bytes]:
         member = self._members.get(name)
@@ -1292,8 +1326,10 @@ class SwimNode:
         self._gossip_timer = self._scheduler.call_at(
             now + config.gossip_interval, self._gossip_tick
         )
-        # Most ticks of a quiet cluster end here.
-        if not self._gossip_pending():
+        # Most ticks of a quiet cluster end here. Whether either queue
+        # holds anything is read off the queues' own dicts, here and on
+        # every send: this is the most frequent event of all.
+        if not (self._broadcasts._queue or self._user_broadcasts._queue):
             return
         targets = self._gossip_targets(now)
         if not targets:
@@ -1309,12 +1345,6 @@ class SwimNode:
                 packed, packet = payloads, self._pack_gossip_only(payloads)
             self.telemetry.record_send("gossip", len(packet))
             self._transport.send(target, packet)
-
-    def _gossip_pending(self) -> bool:
-        """Whether either broadcast queue holds anything to send (asked
-        on every gossip tick and every send: the queues' own dicts, not
-        two ``pending`` property calls)."""
-        return bool(self._broadcasts._queue or self._user_broadcasts._queue)
 
     def _select_gossip(self, budget: int, rounds: int = 1) -> List[List[bytes]]:
         """Up to ``budget`` framed bytes of queued gossip for each of
@@ -1414,7 +1444,10 @@ class SwimNode:
         most packets of a quiet cluster — the packet is the encoded
         primary itself."""
         gossip = piggyback and self.config.gossip_enabled
-        if not (mandatory_piggyback or (gossip and self._gossip_pending())):
+        if not (
+            mandatory_piggyback
+            or (gossip and (self._broadcasts._queue or self._user_broadcasts._queue))
+        ):
             packet = codec.encode(primary)
         else:
             payloads: List[bytes] = list(mandatory_piggyback)

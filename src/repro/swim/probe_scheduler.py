@@ -61,6 +61,9 @@ class ProbeScheduler:
 
     #: Registry key; also the ``strategy`` label on the ops counter.
     name = "abstract"
+    #: Whether :meth:`note_ack` / :meth:`note_confirmation` do anything:
+    #: the node skips both calls on every ack when they do not.
+    hears_acks = True
 
     __slots__ = ("_members", "_rng", "selections")
 
@@ -117,8 +120,9 @@ class ProbeScheduler:
 
     # -- selection ------------------------------------------------------ #
 
-    def next_target(self, now: float = 0.0) -> Optional["Member"]:
-        """The member to probe this protocol period, or ``None``.
+    def next_target(self, now: float = 0.0) -> Optional[str]:
+        """The name of the member to probe this protocol period, or
+        ``None``.
 
         Must skip dead/left members and the local member; SUSPECT members
         are probeable (probing them is how a suspicion gets refuted).
@@ -139,6 +143,7 @@ class RoundRobinScheduler(ProbeScheduler):
     """
 
     name = "round-robin"
+    hears_acks = False
 
     __slots__ = ("_order", "_index", "_last")
 
@@ -184,7 +189,7 @@ class RoundRobinScheduler(ProbeScheduler):
         self._order = array("I", [sid for sid in order if sid not in gone])
         self._index = max(0, self._index - removed_before)
 
-    def next_target(self, now: float = 0.0) -> Optional["Member"]:
+    def next_target(self, now: float = 0.0) -> Optional[str]:
         members = self._members
         assert members is not None
         # The map's columns, read by id: a slot past the end, absent,
@@ -214,7 +219,7 @@ class RoundRobinScheduler(ProbeScheduler):
                 deferred = sid
                 continue
             self._last = sid
-            return members._view(sid)
+            return members._roster.names[sid]
         if deferred is not None:
             # The check budget ran out on retained-dead entries (a
             # mid-scan reshuffle can revisit them) before reaching the
@@ -228,8 +233,8 @@ class RoundRobinScheduler(ProbeScheduler):
                 if sid >= len(states) or states[sid] >= _DEAD:
                     continue
                 self._last = sid
-                return members._view(sid)
-            return members._view(deferred)
+                return members._roster.names[sid]
+            return members._roster.names[deferred]
         return None
 
 
@@ -281,7 +286,7 @@ class LikelihoodWeightedScheduler(ProbeScheduler):
         staleness = min(max(0.0, now - confirmed), self.staleness_cap)
         return staleness + self.weight_floor
 
-    def next_target(self, now: float = 0.0) -> Optional["Member"]:
+    def next_target(self, now: float = 0.0) -> Optional[str]:
         members = self._members
         assert members is not None
         candidates = members.probeable_members()
@@ -302,7 +307,7 @@ class LikelihoodWeightedScheduler(ProbeScheduler):
                 chosen = member
                 break
         self._last = chosen.name
-        return chosen
+        return chosen.name
 
 
 class LhmRttScheduler(LikelihoodWeightedScheduler):

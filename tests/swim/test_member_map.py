@@ -77,7 +77,7 @@ class TestBasics:
             "addr0", 2, b"meta", "z1",
         )
         assert member.state_changed_at == 4.0
-        assert mm.next_probe_target().name == "m0"
+        assert mm.next_probe_target() == "m0"
 
     def test_columns_cover_the_roster_and_no_more(self):
         """A preseeded table holds one slot per roster id (it used to
@@ -217,26 +217,26 @@ class TestClaims:
 class TestProbeSchedule:
     def test_round_robin_covers_everyone(self):
         mm = make_map(5)
-        seen = {mm.next_probe_target().name for _ in range(5)}
+        seen = {mm.next_probe_target() for _ in range(5)}
         assert seen == {f"m{i}" for i in range(5)}
 
     def test_never_probes_self(self):
         mm = make_map(3)
         for _ in range(30):
             target = mm.next_probe_target()
-            assert target.name != "self"
+            assert target != "self"
 
     def test_skips_dead_members(self):
         mm = make_map(3)
         mm.apply_claim("m1", MemberState.DEAD, 1, 0.0)
         for _ in range(20):
-            assert mm.next_probe_target().name != "m1"
+            assert mm.next_probe_target() != "m1"
 
     def test_probes_suspect_members(self):
         """Suspects must keep being probed — that is one refutation path."""
         mm = make_map(3)
         mm.apply_claim("m1", MemberState.SUSPECT, 1, 0.0)
-        seen = {mm.next_probe_target().name for _ in range(9)}
+        seen = {mm.next_probe_target() for _ in range(9)}
         assert "m1" in seen
 
     def test_empty_group_returns_none(self):
@@ -252,13 +252,13 @@ class TestProbeSchedule:
     def test_each_round_is_a_permutation(self):
         mm = make_map(6)
         for _round in range(4):
-            targets = [mm.next_probe_target().name for _ in range(6)]
+            targets = [mm.next_probe_target() for _ in range(6)]
             assert sorted(targets) == sorted(f"m{i}" for i in range(6))
 
     def test_new_member_joins_schedule(self):
         mm = make_map(2)
         mm.add("late", "addr", 1, MemberState.ALIVE, 0.0)
-        seen = {mm.next_probe_target().name for _ in range(6)}
+        seen = {mm.next_probe_target() for _ in range(6)}
         assert "late" in seen
 
 
@@ -287,7 +287,7 @@ class TestReclaim:
         mm.apply_claim("m2", MemberState.DEAD, 1, 0.0)
         mm.next_probe_target()
         mm.reclaim_dead(now=100.0, retention=1.0)
-        seen = {mm.next_probe_target().name for _ in range(10)}
+        seen = {mm.next_probe_target() for _ in range(10)}
         assert "m2" not in seen
         assert seen == {f"m{i}" for i in range(5) if i != 2}
 

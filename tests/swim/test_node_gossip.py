@@ -95,7 +95,7 @@ class TestPiggybacking:
             node.broadcasts.enqueue(Alive(5, f"f-{i:02d}", f"fa-{i:02d}"))
         # Force a direct ping at n1 via the probe path.
         target = node.members.get("n1")
-        node._send_ping(target, 999)
+        node._send_ping(target.name, target.address, 999)
         sent = packets_from(cluster, "n0")
         to_n1 = [msg for dst, msg, _rel in sent if dst == "n1"]
         assert to_n1

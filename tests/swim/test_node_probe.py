@@ -305,3 +305,64 @@ class TestTcpFallback:
         cluster.nodes["a"].start(first_probe_delay=0.1)
         cluster.run_for(5.0)
         assert not any(reliable for _s, _d, _p, reliable in cluster.fabric.log)
+
+
+class TestOneTimerPerProbe:
+    def test_an_acked_probe_costs_one_push_and_one_cancel(self, monkeypatch):
+        """In a quiet, lossless cluster every probe is acked inside its
+        timeout: the probe arms its timeout alone (the end of its period
+        only if the timeout fires) and the ack cancels that one timer."""
+        from repro.sim.runtime import SimCluster
+        from repro.sim.scheduler import EventScheduler, _Event
+        from repro.swim.node import SwimNode
+
+        cluster = SimCluster(n_members=32, config=SwimConfig.lifeguard(), seed=5)
+        cluster.start()
+        cluster.run_until(3.0)
+        deliveries = cluster.network._deliver_batch
+        counts = {"probes": 0, "acked": 0, "pushes": 0, "cancels": 0}
+        inside = []
+
+        call_at = EventScheduler.call_at
+        cancel = _Event.cancel
+        begin_probe = SwimNode._begin_probe
+        handle_ack = SwimNode._handle_ack
+
+        def counting_call_at(self, when, callback):
+            # The probe's own timers; the ping's delivery is the fabric's.
+            if inside and callback != deliveries:
+                counts["pushes"] += 1
+            return call_at(self, when, callback)
+
+        def counting_cancel(self):
+            if inside and not self.cancelled:
+                counts["cancels"] += 1
+            cancel(self)
+
+        def counting_begin_probe(self, *args):
+            counts["probes"] += 1
+            inside.append(True)
+            try:
+                begin_probe(self, *args)
+            finally:
+                inside.pop()
+
+        def counting_handle_ack(self, ack, reliable=False):
+            counts["acked"] += ack.seq_no in self._probes
+            inside.append(True)
+            try:
+                handle_ack(self, ack, reliable)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(EventScheduler, "call_at", counting_call_at)
+        monkeypatch.setattr(_Event, "cancel", counting_cancel)
+        monkeypatch.setattr(SwimNode, "_begin_probe", counting_begin_probe)
+        monkeypatch.setattr(SwimNode, "_handle_ack", counting_handle_ack)
+        cluster.run_until(13.0)
+
+        assert counts["probes"] >= 300
+        # Probes still in flight at the end were begun but not acked.
+        assert counts["probes"] - 32 <= counts["acked"] <= counts["probes"]
+        assert counts["pushes"] == counts["probes"]
+        assert counts["cancels"] == counts["acked"]

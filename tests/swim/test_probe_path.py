@@ -270,12 +270,12 @@ class TestBareSendPath:
         node, transport = _node(gossip_enabled=False)
         assert node.config.flags.buddy_system
         node.members.apply_claim("b", MemberState.SUSPECT, 1, 0.0)
-        node._send_ping(node.members.get("b"), 9)
+        node._send_ping("b", node.members.get("b").address, 9)
         assert transport.sent[0][1] == _framed(
             codec.encode(Ping(9, "b", "a")), codec.encode(Suspect(1, "b", "a"))
         )
         # ... and with nothing mandatory the same ping goes bare.
-        node._send_ping(node.members.get("c"), 10)
+        node._send_ping("c", node.members.get("c").address, 10)
         assert transport.sent[1][1] == codec.encode(Ping(10, "c", "a"))
 
     def test_a_piggyback_free_send_ignores_the_queues(self, payload_selects):

@@ -85,7 +85,7 @@ class TestRoundRobinNoImmediateRepeat:
         # 50% chance of an immediate repeat, so 60 selections repeat with
         # probability 1 - 2^-30 per seed under the old code.
         mm = make_map(2, seed=seed)
-        picks = [mm.next_probe_target().name for _ in range(60)]
+        picks = [mm.next_probe_target() for _ in range(60)]
         for previous, current in zip(picks, picks[1:]):
             assert previous != current
 
@@ -112,20 +112,20 @@ class TestRoundRobinNoImmediateRepeat:
                 previous = None
                 continue
             if mm.num_probeable() >= 2:
-                assert target.name != previous
-            previous = target.name
+                assert target != previous
+            previous = target
 
     def test_single_member_repeat_is_allowed(self):
         # With one probeable member a repeat beats an idle period.
         mm = make_map(1)
-        picks = {mm.next_probe_target().name for _ in range(5)}
+        picks = {mm.next_probe_target() for _ in range(5)}
         assert picks == {"m0"}
 
     def test_round_coverage_is_preserved(self):
         # The deferral must not starve anyone: every member still appears
         # within any window of 2n selections.
         mm = make_map(6)
-        picks = [mm.next_probe_target().name for _ in range(12)]
+        picks = [mm.next_probe_target() for _ in range(12)]
         assert set(picks) == {f"m{i}" for i in range(6)}
 
 
@@ -153,7 +153,7 @@ class TestLikelihoodWeighted:
             scheduler.note_confirmation(name, now - 0.5)
         counts = {f"m{i}": 0 for i in range(4)}
         for _ in range(400):
-            counts[mm.next_probe_target(now).name] += 1
+            counts[mm.next_probe_target(now)] += 1
         # m0 carries ~60s of (capped) staleness vs 0.5s + floor for the
         # rest. The previous-target exclusion caps any member at every
         # other selection, so domination shows as m0 taking ~half the
@@ -164,7 +164,7 @@ class TestLikelihoodWeighted:
     def test_no_immediate_repeat_with_two_candidates(self):
         scheduler = LikelihoodWeightedScheduler()
         mm = make_map(2, seed=5, scheduler=scheduler)
-        picks = [mm.next_probe_target(10.0).name for _ in range(40)]
+        picks = [mm.next_probe_target(10.0) for _ in range(40)]
         for previous, current in zip(picks, picks[1:]):
             assert previous != current
 
@@ -174,7 +174,7 @@ class TestLikelihoodWeighted:
         mm = make_map(3, seed=9, scheduler=scheduler)
         for name in ("m0", "m1", "m2"):
             scheduler.note_confirmation(name, 50.0)
-        picks = {mm.next_probe_target(50.0).name for _ in range(60)}
+        picks = {mm.next_probe_target(50.0) for _ in range(60)}
         assert picks == {"m0", "m1", "m2"}
 
     def test_removal_drops_confirmation_state(self):
@@ -185,7 +185,7 @@ class TestLikelihoodWeighted:
         mm.apply_claim("m1", MemberState.DEAD, member.incarnation, 10.0)
         mm.reclaim_dead(100.0, 1.0)
         assert "m1" not in scheduler._confirmed_at
-        assert all(mm.next_probe_target(100.0).name != "m1" for _ in range(10))
+        assert all(mm.next_probe_target(100.0) != "m1" for _ in range(10))
 
 
 class TestLhmRtt:
@@ -202,7 +202,7 @@ class TestLhmRtt:
             scheduler.note_ack("m2", 0.5, now)
         counts = {f"m{i}": 0 for i in range(4)}
         for _ in range(400):
-            counts[mm.next_probe_target(now).name] += 1
+            counts[mm.next_probe_target(now)] += 1
         assert counts["m2"] > max(counts["m0"], counts["m1"], counts["m3"])
 
     def test_suspect_member_boosted(self):
@@ -215,7 +215,7 @@ class TestLhmRtt:
         mm.apply_claim("m2", MemberState.SUSPECT, member.incarnation, now)
         counts = {f"m{i}": 0 for i in range(4)}
         for _ in range(400):
-            counts[mm.next_probe_target(now).name] += 1
+            counts[mm.next_probe_target(now)] += 1
         assert counts["m2"] > max(counts["m0"], counts["m1"], counts["m3"])
 
     def test_removal_drops_rtt_state(self):
@@ -235,7 +235,7 @@ class TestDeterminism:
             mm = make_map(6, seed=seed, scheduler=make_probe_scheduler(name))
             mm.probe_scheduler.note_ack("m1", 0.2, 0.5)
             mm.probe_scheduler.note_confirmation("m3", 1.0)
-            return [mm.next_probe_target(float(i)).name for i in range(50)]
+            return [mm.next_probe_target(float(i)) for i in range(50)]
 
         assert run(42) == run(42)
         assert run(42) != run(43)  # and the seed actually matters

@@ -380,7 +380,7 @@ def test_round_robin_schedule_matches_reference(ops, seed):
         else:
             actual = mm.next_probe_target(now)
             expected = ref.next(reference_rng, mm)
-            assert (actual.name if actual is not None else None) == expected
+            assert actual == expected
 
         # Exact schedule-state equivalence after every operation: any
         # index drift shows up here long before it skews a selection.
@@ -435,7 +435,7 @@ def test_bulk_insert_draws_match_per_name_reference(seed, batches):
         for _ in range(probes):
             actual = mm.next_probe_target(now)
             expected = ref.next(reference_rng, mm)
-            assert (actual.name if actual is not None else None) == expected
+            assert actual == expected
         victims = [m.name for m in mm.alive_members()][:kills]
         for name in victims:
             mm.apply_claim(name, MemberState.DEAD, 1, now)

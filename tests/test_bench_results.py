@@ -3,18 +3,25 @@ results block in EXPERIMENTS.md is its file (ROADMAP aim 3: results
 match code)."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from benchmarks import conftest
 from repro.harness import report
 
 ROOT = Path(__file__).parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
 #: Every result, by its path without suffix: a ``.txt`` or ``.json``
-#: without its other half fails.
+#: without its other half fails. (The per-run ledger's ``.jsonl`` rows
+#: are inputs, not results.)
 RESULT_NAMES = sorted(
-    {p.relative_to(RESULTS).with_suffix("").as_posix() for p in RESULTS.glob("**/*.*")}
+    {
+        p.relative_to(RESULTS).with_suffix("").as_posix()
+        for p in RESULTS.glob("**/*.*")
+        if p.suffix in (".json", ".txt")
+    }
 )
 
 
@@ -30,3 +37,33 @@ def test_experiments_blocks_are_their_files():
     assert blocks
     for path, text in blocks:
         assert text == (ROOT / path).read_text(), path
+
+
+def test_a_result_off_the_default_scale_carries_its_scale(tmp_path, monkeypatch):
+    results = tmp_path / "benchmarks" / "results"
+    (tmp_path / "EXPERIMENTS.md").write_text("")
+    monkeypatch.setattr(conftest, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(conftest, "RESULTS_DIR", results)
+    monkeypatch.setattr(conftest, "EXPERIMENTS", tmp_path / "EXPERIMENTS.md")
+    for key in os.environ:
+        if key.startswith("REPRO_"):
+            monkeypatch.delenv(key)
+    payload = json.loads((RESULTS / "table5_latency.json").read_text())
+    text = (RESULTS / "table5_latency.txt").read_text()
+
+    conftest.publish("table5_latency", payload)
+    assert json.loads((results / "table5_latency.json").read_text()) == payload
+    assert (results / "table5_latency.txt").read_text() == text
+
+    monkeypatch.setenv("REPRO_WORKERS", "7")  # not a scale
+    conftest.publish("table5_latency", payload)
+    assert json.loads((results / "table5_latency.json").read_text()) == payload
+
+    monkeypatch.setenv("REPRO_TEST_TIME", "30")
+    conftest.publish("table5_latency", payload)
+    header = "scale: REPRO_FULL=0 reps=1 n=128 test_time=30s"
+    assert json.loads((results / "table5_latency.json").read_text()) == {
+        "scale": header,
+        "results": payload,
+    }
+    assert (results / "table5_latency.txt").read_text() == f"# {header}\n{text}"
