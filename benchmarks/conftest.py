@@ -50,8 +50,10 @@ from repro.harness.sweep import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 EXPERIMENTS = REPO_ROOT / "EXPERIMENTS.md"
-#: The golden trace digests: the code fingerprint of a ledger row is
-#: their hash, so it moves whenever any golden digest does.
+#: What a ledger row's numbers depend on, and so what its code
+#: fingerprint hashes: every module of the package (protocol, simulator,
+#: harness, metrics) and the golden trace digests.
+SOURCE_DIR = REPO_ROOT / "src" / "repro"
 GOLDEN_FILES = (
     REPO_ROOT / "tests" / "sim" / "golden_traces.json",
     REPO_ROOT / "tests" / "zones" / "golden_traces.json",
@@ -120,11 +122,20 @@ def scale():
     return env_scale()
 
 
+def fingerprinted_files() -> List[Path]:
+    """The files :func:`code_fingerprint` hashes, in hashing order."""
+    return sorted(SOURCE_DIR.rglob("*.py")) + list(GOLDEN_FILES)
+
+
 def code_fingerprint() -> str:
-    """sha256 over the golden trace files, in order."""
+    """sha256 over each fingerprinted file's repo-relative path, length
+    and bytes: any edit to the package or a golden digest moves it."""
     digest = hashlib.sha256()
-    for path in GOLDEN_FILES:
-        digest.update(path.read_bytes())
+    for path in fingerprinted_files():
+        data = path.read_bytes()
+        name = path.relative_to(REPO_ROOT).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
     return digest.hexdigest()
 
 

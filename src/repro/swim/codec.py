@@ -557,7 +557,7 @@ def _decode_small(raw: bytes) -> Message:
         if tag == T_SUSPECT:
             # The claim a node re-gossips as it came. Immutable to its
             # readers; the codec alone notes the bytes it was decoded
-            # from, in the private ``_wire`` slot, for ``encode_claim``
+            # from, in the private ``_wire`` field, for ``encode_claim``
             # to return: a suspect claim encodes canonically, so they
             # are its encoding.
             object.__setattr__(message, "_wire", raw)

@@ -11,9 +11,10 @@ subject was in fact healthy (Section V-F1).
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from repro.swim.record import Record
+from repro.swim.messages import SLOTTED
 
 
 class EventKind(enum.Enum):
@@ -40,9 +41,10 @@ class EventKind(enum.Enum):
 SerializedEvent = Tuple[float, str, str, str, int]
 
 
-class MemberEvent(Record):
-    """One membership state transition at one observer (an immutable
-    record, like the protocol messages)."""
+@dataclass(frozen=True, **SLOTTED)
+class MemberEvent:
+    """One membership state transition at one observer (immutable and
+    slotted, like the protocol messages)."""
 
     time: float
     observer: str

@@ -7,28 +7,36 @@ memberlist renames SWIM's ``confirm`` to ``dead``), plus Lifeguard's
 and a ``compound`` wrapper used for piggybacking gossip onto failure
 detector traffic.
 
-Messages are immutable slotted records (:mod:`repro.swim.record`); the
-wire encoding lives in :mod:`repro.swim.codec` so that byte sizes
+Messages are frozen dataclasses, with ``__slots__`` (no instance
+``__dict__``) on Python 3.10 and later; the wire encoding lives in
+:mod:`repro.swim.codec` so that byte sizes
 (Table VI) are measured on a realistic compact binary format rather
 than on Python object overhead.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Tuple, Union, get_args
+import sys
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union, get_args
 
-from repro.swim.record import Record
 from repro.swim.state import MemberState
 
 if TYPE_CHECKING:  # the codec imports this module
     from repro.swim.codec import PackedStates
+
+#: ``dataclass`` options that slot a message class (and
+#: :class:`repro.swim.events.MemberEvent`) where the interpreter can:
+#: ``slots`` came with Python 3.10.
+SLOTTED: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 #: Wire value -> member state, bypassing the enum constructor on the
 #: push-pull decode path (see :meth:`PushPull.iter_entries`).
 _STATE_BY_VALUE = {int(state): state for state in MemberState}
 
 
-class Ping(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Ping:
     """Direct liveness probe. ``seq_no`` correlates the eventual ack."""
 
     seq_no: int
@@ -36,7 +44,8 @@ class Ping(Record):
     source: str
 
 
-class PingReq(Record):
+@dataclass(frozen=True, **SLOTTED)
+class PingReq:
     """Indirect probe request: asks the recipient to ping ``target``.
 
     ``want_nack`` is Lifeguard's extension: when set, the helper replies
@@ -50,14 +59,16 @@ class PingReq(Record):
     want_nack: bool = False
 
 
-class Ack(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Ack:
     """Acknowledges a ping (or is forwarded by a ping-req helper)."""
 
     seq_no: int
     source: str
 
 
-class Nack(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Nack:
     """Negative ack from a ping-req helper: 'the target has not answered
     me yet, but I am alive and processing' (Lifeguard, Section IV-A)."""
 
@@ -65,7 +76,8 @@ class Nack(Record):
     source: str
 
 
-class Suspect(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Suspect:
     """Gossip claim that ``member`` (at ``incarnation``) may have failed.
 
     ``sender`` identifies the member that *originated* the suspicion; it is
@@ -78,11 +90,14 @@ class Suspect(Record):
     sender: str
 
     # The bytes a decoded claim arrived as (set by the codec alone, for
-    # ``encode_claim`` to return; not a field).
-    __slots__ = ("_wire",)
+    # ``encode_claim`` to return), outside equality, hashing and repr.
+    _wire: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
-class Alive(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Alive:
     """Gossip claim that ``member`` is alive at ``incarnation``.
 
     Carries the member's transport address so joins propagate through
@@ -102,7 +117,8 @@ class Alive(Record):
     zone: str = ""
 
 
-class Dead(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Dead:
     """Gossip claim that ``member`` (at ``incarnation``) has been confirmed
     failed (SWIM's ``confirm``). ``sender`` is the declaring member."""
 
@@ -111,7 +127,8 @@ class Dead(Record):
     sender: str
 
 
-class UserEvent(Record):
+@dataclass(frozen=True, **SLOTTED)
+class UserEvent:
     """Application-level gossip (the memberlist/Serf user broadcast).
 
     Disseminated with the same transmit-limited epidemic machinery as
@@ -136,7 +153,8 @@ class UserEvent(Record):
 StateEntry = Tuple[str, str, int, int, bytes, int]
 
 
-class PushPull(Record):
+@dataclass(frozen=True, **SLOTTED)
+class PushPull:
     """Anti-entropy full state sync (memberlist extension).
 
     The initiator sends its full member table with ``is_reply=False``; the
@@ -187,7 +205,8 @@ class PushPull(Record):
             )
 
 
-class ZoneDigest(Record):
+@dataclass(frozen=True, **SLOTTED)
+class ZoneDigest:
     """Compact cross-zone summary gossiped between bridge members
     (:mod:`repro.zones`): the sending zone's member counts by state, its
     highest incarnation and a hash of its full membership view. Remote
@@ -205,7 +224,8 @@ class ZoneDigest(Record):
     view_hash: int
 
 
-class ZoneClaim(Record):
+@dataclass(frozen=True, **SLOTTED)
+class ZoneClaim:
     """A terminal-or-refuting membership claim forwarded across zones by
     a bridge member: DEAD/LEFT verdicts reached inside the origin zone,
     and the ALIVE refutations/rejoins that supersede them. Receiving
@@ -224,7 +244,8 @@ class ZoneClaim(Record):
         return _STATE_BY_VALUE[self.state_value]
 
 
-class Compound(Record):
+@dataclass(frozen=True, **SLOTTED)
+class Compound:
     """Several messages in one packet: a primary failure-detector message
     (or dedicated gossip) plus piggybacked gossip payloads."""
 

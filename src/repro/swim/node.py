@@ -81,9 +81,7 @@ class _Probe:
     A probe arms one timer at a time: its timeout, and only when that
     fires with the probe unacked, the end of its protocol period
     (``deadline``). An acked probe -- nearly every probe of a quiet
-    member -- so costs the scheduler one push and one cancel. When the
-    timeout is not shorter than the period, both are armed at the start,
-    in that order, so they fire in the order they always have.
+    member -- so costs the scheduler one push and one cancel.
     """
 
     __slots__ = (
@@ -821,10 +819,6 @@ class SwimNode:
         probe.timeout_timer = self._scheduler.call_at(
             now + timeout, lambda: self._probe_timeout(probe)
         )
-        if timeout >= interval:
-            probe.deadline_timer = self._scheduler.call_at(
-                probe.deadline, lambda: self._probe_deadline(probe)
-            )
         members = self._members
         address = members._records[members._ids[target]].address
         self._send_ping(target, address, seq_no)

@@ -61,11 +61,19 @@ class ProbeScheduler:
 
     #: Registry key; also the ``strategy`` label on the ops counter.
     name = "abstract"
-    #: Whether :meth:`note_ack` / :meth:`note_confirmation` do anything:
-    #: the node skips both calls on every ack when they do not.
-    hears_acks = True
+    #: Whether the class overrides :meth:`note_ack` or
+    #: :meth:`note_confirmation` (set by ``__init_subclass__``): the node
+    #: skips both calls on every ack when it does not.
+    hears_acks = False
 
     __slots__ = ("_members", "_rng", "selections")
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.hears_acks = (
+            cls.note_ack is not ProbeScheduler.note_ack
+            or cls.note_confirmation is not ProbeScheduler.note_confirmation
+        )
 
     def __init__(self) -> None:
         self._members: Optional["MemberMap"] = None
@@ -143,7 +151,6 @@ class RoundRobinScheduler(ProbeScheduler):
     """
 
     name = "round-robin"
-    hears_acks = False
 
     __slots__ = ("_order", "_index", "_last")
 

@@ -264,3 +264,23 @@ class TestBaseInterface:
         scheduler.bind(make_map(1), random.Random(0))
         with pytest.raises(NotImplementedError):
             scheduler.next_target()
+
+    def test_hears_acks_follows_the_hook_overrides(self):
+        """The node skips ``note_ack`` / ``note_confirmation`` for a
+        scheduler that does not hear acks, so whether it does is read
+        off the class, never declared by hand."""
+        assert not ProbeScheduler.hears_acks
+        assert not RoundRobinScheduler.hears_acks
+        assert LikelihoodWeightedScheduler.hears_acks
+        assert LhmRttScheduler.hears_acks
+
+        class Confirms(RoundRobinScheduler):
+            hears_acks = False  # overridden by the class's hooks
+
+            def note_confirmation(self, name, now):
+                pass
+
+        class Inherits(Confirms):
+            pass
+
+        assert Confirms.hears_acks and Inherits.hears_acks

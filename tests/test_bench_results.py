@@ -67,3 +67,42 @@ def test_a_result_off_the_default_scale_carries_its_scale(tmp_path, monkeypatch)
         "results": payload,
     }
     assert (results / "table5_latency.txt").read_text() == f"# {header}\n{text}"
+
+
+def test_the_ledger_fingerprint_covers_the_code_behind_its_rows():
+    files = set(conftest.fingerprinted_files())
+    package = ROOT / "src" / "repro"
+    for module in (
+        "harness/interval.py",
+        "harness/threshold.py",
+        "harness/configurations.py",
+        "metrics/analysis.py",
+        "sim/anomaly.py",
+        "swim/node.py",
+        "core/lhm.py",
+    ):
+        assert package / module in files, module
+    assert set(conftest.GOLDEN_FILES) <= files
+
+
+def test_the_ledger_fingerprint_moves_with_any_module_or_golden(
+    tmp_path, monkeypatch
+):
+    package = tmp_path / "src" / "repro"
+    (package / "metrics").mkdir(parents=True)
+    module = package / "metrics" / "analysis.py"
+    module.write_text("SCALE = 1\n")
+    golden = tmp_path / "golden_traces.json"
+    golden.write_text("{}\n")
+    monkeypatch.setattr(conftest, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(conftest, "SOURCE_DIR", package)
+    monkeypatch.setattr(conftest, "GOLDEN_FILES", (golden,))
+
+    seen = {conftest.code_fingerprint()}
+    module.write_text("SCALE = 2\n")
+    seen.add(conftest.code_fingerprint())
+    golden.write_text('{"a": 1}\n')
+    seen.add(conftest.code_fingerprint())
+    (package / "sweep.py").write_text("")
+    seen.add(conftest.code_fingerprint())
+    assert len(seen) == 4
