@@ -16,9 +16,11 @@ A row holds:
 
 A sweep reuses the row of a key already present under its own
 fingerprint instead of simulating it again, and never reads a row
-stamped with another fingerprint. Results are always rebuilt from rows,
-freshly simulated or not, so a resumed sweep returns exactly what an
-uninterrupted one would.
+stamped with another fingerprint: before it appends, it rewrites the
+file with its own fingerprint's rows only, so regenerating after a code
+edit replaces the stale rows rather than adding to them. Results are
+always rebuilt from rows, freshly simulated or not, so a resumed sweep
+returns exactly what an uninterrupted one would.
 """
 
 from __future__ import annotations
@@ -168,10 +170,27 @@ class Ledger:
                         rows[row_key(experiment, row["params"], row["rep"])] = row
         return rows
 
+    def _drop_stale_rows(self, experiment: str) -> None:
+        """Rewrite ``experiment``'s file with this fingerprint's rows
+        only, in their order."""
+        path = self.path(experiment)
+        if not path.exists():
+            return
+        lines = path.read_text().splitlines()
+        kept = [
+            line for line in lines
+            if json.loads(line).get("fingerprint") == self.fingerprint
+        ]
+        if len(kept) < len(lines):
+            rewritten = path.with_name(path.name + ".tmp")
+            rewritten.write_text("".join(line + "\n" for line in kept))
+            rewritten.replace(path)
+
     def run(self, experiment: str, grid: Sequence[Params], workers: int) -> List[Result]:
         """Every run of ``grid``, in order: from its row where this
         fingerprint has one, else simulated (``workers`` wide) and
-        appended."""
+        appended, after the rows under any other fingerprint are dropped
+        from the file."""
         rows = self.rows(experiment)
         reps = repetitions(grid)
         keys = [
@@ -185,6 +204,7 @@ class Ledger:
         ]
         if missing:
             self.directory.mkdir(parents=True, exist_ok=True)
+            self._drop_stale_rows(experiment)
             results = ordered_map(
                 _runner(experiment), [params for _, params, _ in missing], workers
             )

@@ -32,9 +32,9 @@ from typing import (
     TypeVar,
 )
 
-from repro.harness.interval import IntervalParams, IntervalResult, run_interval
-from repro.harness.stress import StressParams, StressResult, run_stress
-from repro.harness.threshold import ThresholdParams, ThresholdResult, run_threshold
+from repro.harness.interval import IntervalParams, IntervalResult
+from repro.harness.stress import StressParams
+from repro.harness.threshold import ThresholdParams, ThresholdResult
 from repro.metrics.analysis import FalsePositiveStats, percentile_summary
 
 TParams = TypeVar("TParams")

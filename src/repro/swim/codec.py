@@ -51,9 +51,11 @@ The four sequence-numbered probe kinds (``Ping``, ``PingReq``, ``Ack``,
 touching the decode cache — a lookup could only miss, and an insert
 would push out the gossip parts that do repeat. Whole gossip-only
 compounds repeat as well (a gossip round sends one packet to all its
-targets) and have a small cache of their own; a ``Suspect`` decoded
-into the part cache keeps the bytes it arrived as, and :func:`encode`
-returns those instead of encoding it again.
+targets) and have a small cache of their own, and so does the gossip a
+probe carries: the bytes after a compound's leading probe are looked up
+whole (:func:`_decode_probe_led`). A ``Suspect`` decoded into the part
+cache keeps the bytes it arrived as, and :func:`encode` returns those
+instead of encoding it again.
 """
 
 from __future__ import annotations
@@ -494,6 +496,16 @@ _CACHEABLE_MAX_LEN = 96
 _PACKET_CACHE: dict = {}
 _PACKET_CACHE_LIMIT = 256
 
+# The gossip a probe carries recurs the same way: a member piggybacks
+# its queue on every ping and ack until the queue moves on. Keyed by the
+# bytes after a compound's leading probe message up to the end of the
+# packet, values the tuple of parts they decoded to; filled only after
+# they decoded cleanly and only with gossip parts (no probe message
+# among them), emptied when full, with the packet cache's bound.
+_TAIL_CACHE: dict = {}
+_TAIL_CACHE_LIMIT = 256
+_PROBE_KINDS = frozenset((Ping, PingReq, Ack, Nack))
+
 #: How deep compounds may nest on the way in, the outermost counting as
 #: one. No sender here nests at all (a packet is one compound of plain
 #: parts); the bound keeps a hostile datagram of compounds within
@@ -516,23 +528,25 @@ def decode(buf: Buffer) -> Message:
     whose first part is gossip (its tag, at offset 5, above ``T_NACK``)
     is gossip only — a probe leads whatever rides with it — and is
     looked up whole in the packet cache first, and stored there once it
-    decoded. ``bytes`` and buffer input produce identical messages and
-    identical :class:`CodecError` behavior.
+    decoded; any other compound is probe-led (:func:`_decode_probe_led`).
+    ``bytes`` and buffer input produce identical messages and identical
+    :class:`CodecError` behavior.
     """
     if buf.__class__ is not bytes:
         buf = bytes(buf)
     size = len(buf)
     if size and buf[0] == T_COMPOUND:
-        gossip = size > 5 and buf[5] > T_NACK
-        if gossip:
+        if size > 5 and buf[5] > T_NACK:
             cached = _PACKET_CACHE.get(buf)
             if cached is not None:
                 return cached
-        message, offset = _decode_compound(buf, 1, 1)
-        if gossip and offset == size:
-            if len(_PACKET_CACHE) >= _PACKET_CACHE_LIMIT:
-                _PACKET_CACHE.clear()
-            _PACKET_CACHE[buf] = message
+            message, offset = _decode_compound(buf, 1, 1)
+            if offset == size:
+                if len(_PACKET_CACHE) >= _PACKET_CACHE_LIMIT:
+                    _PACKET_CACHE.clear()
+                _PACKET_CACHE[buf] = message
+        else:
+            message, offset = _decode_probe_led(buf)
     elif 0 < size <= _CACHEABLE_MAX_LEN and buf[0] > T_NACK:
         cached = _DECODE_CACHE.get(buf)
         return cached if cached is not None else _decode_small(buf)
@@ -564,9 +578,63 @@ def _decode_small(raw: bytes) -> Message:
     return message
 
 
+def _decode_probe_led(buf: bytes) -> Tuple[Message, int]:
+    """Decode a compound whose first part is not gossip: a probe message
+    and the gossip piggybacked on it.
+
+    The probe is decoded where it lies and must end exactly where its
+    framing says. The bytes after it, the gossip tail, are looked up
+    whole in the tail cache; a miss walks them in place
+    (:func:`_decode_parts`), and a tail that decoded cleanly to the end
+    of the packet is stored. A tail decodes cleanly under one part count
+    only (fewer parts leave trailing bytes, more run off the end), so a
+    hit must hold as many parts as this packet announces after its
+    probe. A packet whose probe does not decode, or does not fill its
+    frame, or whose part count is under two, is the general walk's
+    (:func:`_decode_compound`) to decode or refuse. Past the probe the
+    walk would decode the same probe and then run the same loop over the
+    tail, so every result and every :class:`CodecError` is the walk's.
+    """
+    try:
+        count = _unpack_u16_from(buf, 1)[0]
+        start = 5 + _unpack_u16_from(buf, 3)[0]
+        probe, end = _decode_at(buf, 5)
+    except (CodecError, struct.error):
+        return _decode_compound(buf, 1, 1)
+    if end != start or count < 2:
+        return _decode_compound(buf, 1, 1)
+    tail = buf[start:]
+    parts = _TAIL_CACHE.get(tail)
+    if parts is not None and len(parts) == count - 1:
+        return Compound((probe, *parts)), len(buf)
+    message, offset = _decode_parts(buf, start, count - 1, 1, [probe])
+    if offset == len(buf):
+        parts = message.parts[1:]
+        if _PROBE_KINDS.isdisjoint(map(type, parts)):
+            if len(_TAIL_CACHE) >= _TAIL_CACHE_LIMIT:
+                _TAIL_CACHE.clear()
+            _TAIL_CACHE[tail] = parts
+    return message, offset
+
+
 def _decode_compound(buf: bytes, offset: int, depth: int) -> Tuple[Message, int]:
     """Decode the compound whose part count starts at ``offset``; it is
-    the ``depth``-th compound around its parts.
+    the ``depth``-th compound around its parts."""
+    if depth > MAX_COMPOUND_DEPTH:
+        raise CodecError(f"compound nested deeper than {MAX_COMPOUND_DEPTH}")
+    if offset + 2 > len(buf):
+        raise CodecError("truncated u16")
+    count = _unpack_u16_from(buf, offset)[0]
+    if count == 0:
+        raise CodecError("empty compound")
+    return _decode_parts(buf, offset + 2, count, depth, [])
+
+
+def _decode_parts(
+    buf: bytes, offset: int, count: int, depth: int, parts: List[Message]
+) -> Tuple[Message, int]:
+    """Decode ``count`` framed parts starting at ``offset`` of the
+    ``depth``-th compound, after the ``parts`` already decoded.
 
     The per-packet hot loop: gossip rides as several small parts per
     packet and the same parts arrive again and again, so a part costs
@@ -574,17 +642,8 @@ def _decode_compound(buf: bytes, offset: int, depth: int) -> Tuple[Message, int]
     reaches the field decoders, and a part too large to cache (a
     push-pull snapshot) is decoded where it lies, without copying it.
     """
-    if depth > MAX_COMPOUND_DEPTH:
-        raise CodecError(f"compound nested deeper than {MAX_COMPOUND_DEPTH}")
     buf_len = len(buf)
-    if offset + 2 > buf_len:
-        raise CodecError("truncated u16")
     unpack_u16 = _unpack_u16_from
-    count = unpack_u16(buf, offset)[0]
-    offset += 2
-    if count == 0:
-        raise CodecError("empty compound")
-    parts = []
     append = parts.append
     cached = _DECODE_CACHE.get
     for _ in range(count):

@@ -101,13 +101,20 @@ def test_a_row_under_another_fingerprint_is_never_used(direct, tmp_path):
     (result,) = fresh.run("interval", grid, workers=1)
     assert fresh.simulated == 1
     assert _measured(result) == _measured(direct["interval"][0])
+    # The stale row is dropped, not kept beside the fresh one ...
     lines = path.read_text().splitlines()
     fingerprints = [json.loads(line)["fingerprint"] for line in lines]
-    assert fingerprints == ["code-a", "code-b"]
+    assert fingerprints == ["code-b"]
 
-    # ... and the tampered row is what "code-a" now reads back.
-    (tampered,) = ledger.Ledger(tmp_path, "code-a").run("interval", grid, workers=1)
-    assert tampered.fp_events == 10_000
+    # ... so "code-a" finds nothing to read back and simulates again,
+    # and the tampered row never reaches a result.
+    again = ledger.Ledger(tmp_path, "code-a")
+    (result,) = again.run("interval", grid, workers=1)
+    assert again.simulated == 1
+    assert result.fp_events != 10_000
+    assert _measured(result) == _measured(direct["interval"][0])
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["fingerprint"] for line in lines] == ["code-a"]
 
 
 def test_a_run_at_another_scale_is_another_key(tmp_path):

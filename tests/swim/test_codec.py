@@ -1,5 +1,7 @@
 """Tests for the binary wire codec, including round-trip fuzzing."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -406,3 +408,103 @@ class TestProbeDecodeAsAtTheParent:
             assert _outcome(codec.decode, framed) == expected, framed.hex()
             checked += 1
         assert checked > 255
+
+    # A probe-led compound: the probe decoded where it lies, the gossip
+    # tail after it looked up whole in the tail cache. Each must return
+    # or raise exactly what the general walk does, cache cold or warm.
+
+    _LEADS = [
+        Ping(0xDEADBEEF, "m007", "m012"),
+        Ack(41, "m007"),
+        PingReq(9, "m007", "m012", True),
+    ]
+    _GOSSIP = [
+        Alive(5, "m003", "127.0.0.1:20003"),
+        _RIDER,
+        Dead(2, "m009", "m001"),
+        Alive(7, "m004", "127.0.0.1:20004", b"meta" * 30),
+        UserEvent("m002", 11, b"payload"),
+    ]
+
+    @staticmethod
+    def _walk(buf):
+        message, offset = codec._decode_compound(buf, 1, 1)
+        if offset != len(buf):
+            raise codec.CodecError(
+                f"{len(buf) - offset} trailing bytes after message"
+            )
+        return message
+
+    def _packet(self, lead, riders):
+        return _frame([codec.encode(lead), *map(codec.encode, riders)])
+
+    @pytest.mark.parametrize("lead", _LEADS, ids=repr)
+    @pytest.mark.parametrize("riders", [1, 2, 3, 4, 5])
+    def test_a_probe_led_compound_decodes_as_the_walk(self, lead, riders):
+        # The Buddy System's Suspect rides in every one of them.
+        gossip = self._GOSSIP[:riders] if riders > 1 else [self._RIDER]
+        packet = self._packet(lead, gossip)
+        expected = Compound((lead, *gossip))
+        codec._TAIL_CACHE.clear()
+        assert self._walk(packet) == expected
+        cold = codec.decode(packet)
+        assert packet[len(codec.encode(lead)) + 5 :] in codec._TAIL_CACHE
+        warm = codec.decode(memoryview(bytearray(packet)))
+        assert cold == warm == expected
+        assert list(map(type, warm.parts)) == list(map(type, expected.parts))
+        # Another probe with the same gossip is served from the cache.
+        other = dataclasses.replace(lead, seq_no=lead.seq_no ^ 1)
+        assert codec.decode(self._packet(other, gossip)) == Compound((other, *gossip))
+
+    @pytest.mark.parametrize("lead", _LEADS, ids=repr)
+    def test_every_prefix_and_corruption_of_a_probe_led_compound(self, lead):
+        packet = self._packet(lead, self._GOSSIP[:3])
+        checked = 0
+        for warm in (False, True):
+            codec._TAIL_CACHE.clear()
+            if warm:
+                codec.decode(packet)
+            for buf in _variants(packet):
+                if not buf or buf[0] != codec.T_COMPOUND:
+                    continue
+                expected = _outcome(self._walk, buf)
+                assert _outcome(codec.decode, buf) == expected, buf.hex()
+                checked += 1
+        assert checked > 2 * 255 * (len(packet) - 1)
+
+    def test_a_tail_is_never_served_under_another_part_count(self):
+        lead, gossip = self._LEADS[0], self._GOSSIP[:3]
+        parts = [codec.encode(lead), *map(codec.encode, gossip)]
+        codec._TAIL_CACHE.clear()
+        assert codec.decode(_frame(parts)) == Compound((lead, *gossip))
+        assert len(codec._TAIL_CACHE) == 1
+        for count in range(8):
+            if count == len(parts):
+                continue
+            buf = _frame(parts, count=count)
+            for _ in range(2):
+                outcome = _outcome(codec.decode, buf)
+                assert outcome == _outcome(self._walk, buf)
+                assert isinstance(outcome, str), count
+        assert len(codec._TAIL_CACHE) == 1
+        assert codec.decode(_frame(parts)) == Compound((lead, *gossip))
+
+    def test_only_clean_gossip_tails_are_stored(self):
+        lead = codec.encode(self._LEADS[1])
+        rider = codec.encode(self._RIDER)
+        codec._TAIL_CACHE.clear()
+        for parts in (
+            [lead, rider, b"\xff"],  # a corrupt part
+            [lead, rider, rider[:-1]],  # a truncated one
+            [lead, rider, codec.encode(Ack(3, "m001"))],  # a probe among the gossip
+        ):
+            _outcome(codec.decode, _frame(parts))
+        # A part count one short leaves the last part as trailing bytes.
+        _outcome(codec.decode, _frame([lead, rider, rider], count=2))
+        assert not codec._TAIL_CACHE
+
+    def test_the_tail_cache_never_exceeds_its_bound(self):
+        codec._TAIL_CACHE.clear()
+        for i in range(2 * codec._TAIL_CACHE_LIMIT + 10):
+            codec.decode(self._packet(Ping(i, "m007", "m012"), [Suspect(i, "m", "s")]))
+            assert 0 < len(codec._TAIL_CACHE) <= codec._TAIL_CACHE_LIMIT
