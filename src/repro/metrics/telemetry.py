@@ -29,7 +29,10 @@ class TransportStats:
     ``frames_truncated``, ``frames_oversized``,
     ``datagrams_buffered_early``, ``datagrams_dropped_early``,
     ``reliable_failure_signals``, ``udp_send_syscalls``,
-    ``udp_recv_syscalls``.
+    ``udp_recv_syscalls``; the batched backend adds
+    ``datagrams_truncated``, ``udp_recv_error`` and ``udp_gso_refused``
+    (a run of same-size datagrams the kernel would not send as one
+    ``UDP_SEGMENT`` header, sent again one datagram per header).
 
     Beyond plain event counts, transports record the number of datagrams
     moved per send/receive syscall via :meth:`record_batch`; the

@@ -18,10 +18,12 @@ During a blocked window a member:
   instrumentation): has its periodic protocol loops suspended, the way a
   goroutine blocked on its first send stalls the whole loop — the member
   initiates no new probes or gossip rounds while blocked. One-shot
-  timers (probe timeouts, suspicion deadlines) keep firing, as
-  memberlist's ``time.AfterFunc`` timers do, so a suspicion raised just
-  before or during the window can still mature into a (false) failure
-  declaration that escapes at unblock.
+  timers (probe timeouts, suspicion deadlines) keep firing, so a
+  suspicion raised just before or during the window can still mature
+  into a (false) failure declaration that escapes at unblock. In
+  memberlist only the suspicion deadline is a ``time.AfterFunc``
+  callback; DESIGN.md ("The rules, loop by loop") says what that
+  implies for the probe's own timers.
 
 Setting ``stall_loops=False`` gives the harsher io-only model in which
 the member keeps probing into the void for the whole window; the

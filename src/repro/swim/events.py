@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from repro.swim.messages import SLOTTED
-
 
 class EventKind(enum.Enum):
     """What happened to the subject member, as seen by the observer."""
@@ -41,7 +39,7 @@ class EventKind(enum.Enum):
 SerializedEvent = Tuple[float, str, str, str, int]
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class MemberEvent:
     """One membership state transition at one observer (immutable and
     slotted, like the protocol messages)."""

@@ -7,8 +7,8 @@ memberlist renames SWIM's ``confirm`` to ``dead``), plus Lifeguard's
 and a ``compound`` wrapper used for piggybacking gossip onto failure
 detector traffic.
 
-Messages are frozen dataclasses, with ``__slots__`` (no instance
-``__dict__``) on Python 3.10 and later; the wire encoding lives in
+Messages are frozen, slotted dataclasses (no instance ``__dict__``);
+the wire encoding lives in
 :mod:`repro.swim.codec` so that byte sizes
 (Table VI) are measured on a realistic compact binary format rather
 than on Python object overhead.
@@ -16,26 +16,20 @@ than on Python object overhead.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union, get_args
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union, get_args
 
 from repro.swim.state import MemberState
 
 if TYPE_CHECKING:  # the codec imports this module
     from repro.swim.codec import PackedStates
 
-#: ``dataclass`` options that slot a message class (and
-#: :class:`repro.swim.events.MemberEvent`) where the interpreter can:
-#: ``slots`` came with Python 3.10.
-SLOTTED: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
-
 #: Wire value -> member state, bypassing the enum constructor on the
 #: push-pull decode path (see :meth:`PushPull.iter_entries`).
 _STATE_BY_VALUE = {int(state): state for state in MemberState}
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Ping:
     """Direct liveness probe. ``seq_no`` correlates the eventual ack."""
 
@@ -44,7 +38,7 @@ class Ping:
     source: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PingReq:
     """Indirect probe request: asks the recipient to ping ``target``.
 
@@ -59,7 +53,7 @@ class PingReq:
     want_nack: bool = False
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Ack:
     """Acknowledges a ping (or is forwarded by a ping-req helper)."""
 
@@ -67,7 +61,7 @@ class Ack:
     source: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Nack:
     """Negative ack from a ping-req helper: 'the target has not answered
     me yet, but I am alive and processing' (Lifeguard, Section IV-A)."""
@@ -76,7 +70,7 @@ class Nack:
     source: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Suspect:
     """Gossip claim that ``member`` (at ``incarnation``) may have failed.
 
@@ -96,7 +90,7 @@ class Suspect:
     )
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Alive:
     """Gossip claim that ``member`` is alive at ``incarnation``.
 
@@ -117,7 +111,7 @@ class Alive:
     zone: str = ""
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Dead:
     """Gossip claim that ``member`` (at ``incarnation``) has been confirmed
     failed (SWIM's ``confirm``). ``sender`` is the declaring member."""
@@ -127,7 +121,7 @@ class Dead:
     sender: str
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class UserEvent:
     """Application-level gossip (the memberlist/Serf user broadcast).
 
@@ -153,7 +147,7 @@ class UserEvent:
 StateEntry = Tuple[str, str, int, int, bytes, int]
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PushPull:
     """Anti-entropy full state sync (memberlist extension).
 
@@ -205,7 +199,7 @@ class PushPull:
             )
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ZoneDigest:
     """Compact cross-zone summary gossiped between bridge members
     (:mod:`repro.zones`): the sending zone's member counts by state, its
@@ -224,7 +218,7 @@ class ZoneDigest:
     view_hash: int
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ZoneClaim:
     """A terminal-or-refuting membership claim forwarded across zones by
     a bridge member: DEAD/LEFT verdicts reached inside the origin zone,
@@ -244,7 +238,7 @@ class ZoneClaim:
         return _STATE_BY_VALUE[self.state_value]
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Compound:
     """Several messages in one packet: a primary failure-detector message
     (or dedicated gossip) plus piggybacked gossip payloads."""

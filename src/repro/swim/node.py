@@ -573,10 +573,13 @@ class SwimNode:
         first I/O operation (the paper's anomaly instrumentation, Section
         V-D): while paused, the probe, gossip, push-pull and reconnect
         ticks do not run — a blocked member initiates no new probes and
-        transmits no gossip. One-shot timers (probe timeouts/deadlines
-        and suspicion timeouts) keep firing, exactly as memberlist's
-        ``time.AfterFunc`` timers do in separate goroutines; their state
-        changes only become visible to peers once sending resumes.
+        transmits no gossip. One-shot timers (a probe's timeout and
+        period end, the suspicion timeout) keep firing; their state
+        changes only become visible to peers once sending resumes. Of
+        these only the suspicion timeout is a ``time.AfterFunc``
+        callback in memberlist: a probe's timeout and period end belong
+        to its probe loop, which a block stops before the ping-reqs
+        (DESIGN.md, "The rules, loop by loop").
 
         Deferred ticks run immediately on resume.
         """

@@ -11,9 +11,16 @@ is protocol fidelity, not just throughput. This module provides:
   ``loop.add_reader``/``add_writer`` that moves up to *batch_size*
   datagrams per syscall with Linux ``recvmmsg``/``sendmmsg`` (bound via
   :mod:`ctypes`; no extra packages). Where those syscalls are
-  unavailable the pump degrades to a portable drain loop — one
+  unavailable (or the host's ABI is not the flat 64-bit one the pump
+  pokes) the pump degrades to a portable drain loop — one
   ``recvfrom_into``/``sendto`` per datagram, but still amortising the
-  event-loop wakeup across every queued packet.
+  event-loop wakeup across every queued packet. Where the kernel takes
+  ``UDP_SEGMENT`` (probed once per pump), the flush packs each run of
+  consecutive datagrams of one length to one destination into a single
+  ``mmsghdr`` and the kernel cuts it back into the same datagrams: the
+  receiver sees the bytes, boundaries and order it would have seen.
+  A run the kernel refuses (``EINVAL``/``EIO``) is sent again one
+  datagram per header and counted as ``udp_gso_refused``.
 * :class:`BatchedUdpTransport` — a :class:`UdpTransport` subclass that
   swaps only the datagram path for a :class:`PacketPump`; the pooled
   TCP reliable channel, fault handling, and stats plumbing are
@@ -43,7 +50,7 @@ import errno
 import socket
 import sys
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.config import SwimConfig
 from repro.metrics.telemetry import TransportStats
@@ -95,9 +102,31 @@ class _Mmsghdr(ctypes.Structure):
     _fields_ = [("msg_hdr", _Msghdr), ("msg_len", ctypes.c_uint)]
 
 
+class _SegmentCmsg(ctypes.Structure):
+    # One cmsghdr carrying a u16 segment size, padded to CMSG_SPACE(2).
+    _fields_ = [
+        ("cmsg_len", ctypes.c_size_t),
+        ("cmsg_level", ctypes.c_int),
+        ("cmsg_type", ctypes.c_int),
+        ("segment_size", ctypes.c_uint16),
+        ("pad", ctypes.c_uint8 * 6),
+    ]
+
+
+#: The drain and flush poke header and iovec fields through flat 64-bit
+#: integer views, which needs 8-byte pointers and lengths and 8-byte
+#: aligned structs; any other host takes the portable fallback.
+_FLAT = (
+    ctypes.sizeof(ctypes.c_void_p) == 8
+    and ctypes.sizeof(ctypes.c_size_t) == 8
+    and ctypes.sizeof(_Mmsghdr) % 8 == 0
+    and ctypes.sizeof(_Iovec) % 8 == 0
+)
+
+
 def _load_mmsg():
     """Bind libc's recvmmsg/sendmmsg; ``(None, None)`` where absent."""
-    if not sys.platform.startswith("linux"):
+    if not (sys.platform.startswith("linux") and _FLAT):
         return None, None
     try:
         libc = ctypes.CDLL(None, use_errno=True)
@@ -140,6 +169,36 @@ def mmsg_available() -> bool:
     return HAVE_MMSG
 
 
+#: ``SOL_UDP`` / ``UDP_SEGMENT`` (Linux 4.18): a send's control message
+#: that makes the kernel cut its payload into datagrams of that size.
+SOL_UDP = 17
+UDP_SEGMENT = 103
+#: Segments a ``UDP_SEGMENT`` send may carry on the oldest kernels.
+MAX_SEGMENTS = 64
+#: ``CMSG_LEN(2)`` and ``CMSG_SPACE(2)``: a ``cmsghdr`` plus the u16
+#: segment size, unpadded and padded.
+_CMSG_LEN = _SegmentCmsg.segment_size.offset + 2
+_SEGMENT_CMSG_SPACE = ctypes.sizeof(_SegmentCmsg)
+#: What a kernel answers for a ``UDP_SEGMENT`` send it will not cut:
+#: ``EINVAL`` (a segment above the route MTU, too many segments) or
+#: ``EIO`` (a device without checksum offload).
+_REFUSED = (errno.EINVAL, errno.EIO)
+
+
+def udp_segment_available(sock: socket.socket) -> bool:
+    """Whether the kernel takes ``UDP_SEGMENT`` on ``sock``.
+
+    A kernel without it ignores the control message and would send a
+    whole run as one datagram, so a pump groups runs only where this
+    holds.
+    """
+    try:
+        sock.getsockopt(SOL_UDP, UDP_SEGMENT)
+    except OSError:
+        return False
+    return True
+
+
 _Payload = Union[bytes, bytearray, memoryview]
 
 
@@ -157,15 +216,20 @@ class PacketPump:
     is being handled leave when that drain ends; anything else (a probe
     fan-out, gossip to k targets) schedules one flush per event-loop
     tick via ``call_soon`` — either way every datagram queued together
-    leaves in as few ``sendmmsg`` calls as possible. Non-``bytes``
+    leaves in as few ``sendmmsg`` calls as possible, and each run of
+    same-size datagrams to one destination (up to ``MAX_SEGMENTS``, and
+    no more than one slot of bytes) in one ``UDP_SEGMENT`` header where
+    the kernel has it. Non-``bytes``
     payloads are copied at enqueue time — callers may reuse their
     buffer immediately. When the socket's buffer fills the remainder
     stays queued behind ``loop.add_writer``.
 
     Syscall accounting goes to ``stats``: ``udp_recv_syscalls`` /
     ``udp_send_syscalls`` events plus a ``record_batch`` per syscall
-    with the real datagram count (the portable fallback records size-1
-    batches, which is the truth of what it does).
+    with the real datagram count, however many headers carried them
+    (the portable fallback records size-1 batches, which is the truth
+    of what it does); ``batch_size`` caps datagrams per syscall, not
+    headers.
     """
 
     #: Per-slot buffer size; larger datagrams are truncated by the
@@ -196,6 +260,9 @@ class PacketPump:
         self.stats = stats if stats is not None else TransportStats()
         self._closed = False
         self.uses_mmsg = HAVE_MMSG
+        #: Whether the flush sends a run of same-size datagrams to one
+        #: destination as one ``UDP_SEGMENT`` header.
+        self.groups_runs = HAVE_MMSG and udp_segment_available(sock)
 
         # -- send state ------------------------------------------------
         # Entries are (data, addr) where addr is a (_SockaddrIn, its
@@ -219,15 +286,27 @@ class PacketPump:
 
     def _init_mmsg_arrays(self) -> None:
         batch, size = self._batch, self.DATAGRAM_SIZE
-        # Receive side: everything preallocated once; the per-item
-        # ctypes wrappers and memoryviews are also cached because array
-        # indexing constructs a fresh wrapper object on every access.
+        # Everything is preallocated once. The hot loops poke msg_name /
+        # iov_len / msg_controllen and read msg_len / msg_flags through
+        # flat integer views of the header and iovec arrays instead of
+        # the ctypes attribute protocol, which constructs a fresh
+        # wrapper object per access; the offsets come from ctypes.
+        self._hdr_stride_i = ctypes.sizeof(_Mmsghdr) // 4
+        self._hdr_stride_q = ctypes.sizeof(_Mmsghdr) // 8
+        self._iov_stride_q = ctypes.sizeof(_Iovec) // 8
+        self._cmsg_stride_h = ctypes.sizeof(_SegmentCmsg) // 2
+        self._flags_idx = _Msghdr.msg_flags.offset // 4
+        self._len_idx = _Mmsghdr.msg_len.offset // 4
+        self._name_idx = _Msghdr.msg_name.offset // 8
+        self._ctllen_idx = _Msghdr.msg_controllen.offset // 8
+        self._iovlen_idx = _Iovec.iov_len.offset // 8
+        self._segsize_idx = _SegmentCmsg.segment_size.offset // 2
+
+        # Receive side.
         self._rbufs = [(ctypes.c_char * size)() for _ in range(batch)]
         self._raddrs = (_SockaddrIn * batch)()
         self._riovs = (_Iovec * batch)()
         self._rhdrs = (_Mmsghdr * batch)()
-        self._rhdr_objs = [self._rhdrs[i] for i in range(batch)]
-        self._raddr_objs = [self._raddrs[i] for i in range(batch)]
         self._rviews = [memoryview(b).cast("B") for b in self._rbufs]
         self._raddr_views = [
             memoryview(self._raddrs[i]).cast("B") for i in range(batch)
@@ -242,50 +321,37 @@ class PacketPump:
             hdr.msg_namelen = ctypes.sizeof(_SockaddrIn)
             hdr.msg_iov = ctypes.pointer(self._riovs[i])
             hdr.msg_iovlen = 1
+        self._rhdr_i = memoryview(self._rhdrs).cast("B").cast("I")
         self._recv_strs: Dict[bytes, str] = {}
 
         # Send side: slot buffers the flush copies payloads into, so
-        # iov_base pointers are stable across the syscall.
+        # iov_base pointers are stable across the syscall, and one
+        # UDP_SEGMENT control message per slot, attached (a non-zero
+        # msg_controllen) only while the slot holds a run of several.
         self._sbufs = [(ctypes.c_char * size)() for _ in range(batch)]
         self._sviews = [memoryview(b).cast("B") for b in self._sbufs]
         self._siovs = (_Iovec * batch)()
         self._shdrs = (_Mmsghdr * batch)()
-        self._shdr_objs = [self._shdrs[i] for i in range(batch)]
-        self._siov_objs = [self._siovs[i] for i in range(batch)]
+        self._scmsgs = (_SegmentCmsg * batch)()
         for i in range(batch):
             self._siovs[i].iov_base = ctypes.cast(
                 self._sbufs[i], ctypes.c_void_p
             )
+            cmsg = self._scmsgs[i]
+            cmsg.cmsg_len = _CMSG_LEN
+            cmsg.cmsg_level = SOL_UDP
+            cmsg.cmsg_type = UDP_SEGMENT
             hdr = self._shdrs[i].msg_hdr
             hdr.msg_iov = ctypes.pointer(self._siovs[i])
             hdr.msg_iovlen = 1
             hdr.msg_namelen = ctypes.sizeof(_SockaddrIn)
-
-        # Flat integer views over the header/iovec arrays. The hot
-        # loops poke msg_name/iov_len and read msg_len/msg_flags
-        # through these instead of the ctypes attribute protocol,
-        # which constructs a fresh wrapper object per access and
-        # dominates the per-datagram cost otherwise. Offsets come
-        # from ctypes itself, so any platform where the fields are
-        # not 8-byte/4-byte aligned words simply keeps the (slower,
-        # always-correct) attribute path.
-        self._flat = (
-            ctypes.sizeof(ctypes.c_void_p) == 8
-            and ctypes.sizeof(ctypes.c_size_t) == 8
-            and ctypes.sizeof(_Mmsghdr) % 8 == 0
-            and ctypes.sizeof(_Iovec) % 8 == 0
-        )
-        if self._flat:
-            self._hdr_stride_i = ctypes.sizeof(_Mmsghdr) // 4
-            self._hdr_stride_q = ctypes.sizeof(_Mmsghdr) // 8
-            self._iov_stride_q = ctypes.sizeof(_Iovec) // 8
-            self._flags_idx = _Msghdr.msg_flags.offset // 4
-            self._len_idx = _Mmsghdr.msg_len.offset // 4
-            self._name_idx = _Msghdr.msg_name.offset // 8
-            self._iovlen_idx = _Iovec.iov_len.offset // 8
-            self._rhdr_i = memoryview(self._rhdrs).cast("B").cast("I")
-            self._shdr_q = memoryview(self._shdrs).cast("B").cast("Q")
-            self._siov_q = memoryview(self._siovs).cast("B").cast("Q")
+            hdr.msg_control = ctypes.addressof(cmsg)
+        self._shdr_q = memoryview(self._shdrs).cast("B").cast("Q")
+        self._siov_q = memoryview(self._siovs).cast("B").cast("Q")
+        self._scmsg_h = memoryview(self._scmsgs).cast("B").cast("H")
+        #: Slots whose control message is attached, in slot order.
+        self._run_slots: List[int] = []
+        self._max_segments = MAX_SEGMENTS if self.groups_runs else 1
 
     # -- introspection --------------------------------------------------
 
@@ -333,29 +399,19 @@ class PacketPump:
             stats.incr("udp_recv_syscalls")
             stats.record_batch("recv", n)
             handler = self._handler
-            if self._flat:
-                hdr_i = self._rhdr_i
-                stride = self._hdr_stride_i
-                flags_idx = self._flags_idx
-                len_idx = self._len_idx
-                for i in range(n):
-                    base = stride * i
-                    if hdr_i[base + flags_idx] & MSG_TRUNC:
-                        stats.incr("datagrams_truncated")
-                        continue
-                    handler(
-                        self._rviews[i][: hdr_i[base + len_idx]],
-                        self._source_str(i),
-                    )
-            else:
-                for i in range(n):
-                    hdr = self._rhdr_objs[i]
-                    if hdr.msg_hdr.msg_flags & MSG_TRUNC:
-                        stats.incr("datagrams_truncated")
-                        continue
-                    handler(
-                        self._rviews[i][: hdr.msg_len], self._source_str(i)
-                    )
+            hdr_i = self._rhdr_i
+            stride = self._hdr_stride_i
+            flags_idx = self._flags_idx
+            len_idx = self._len_idx
+            for i in range(n):
+                base = stride * i
+                if hdr_i[base + flags_idx] & MSG_TRUNC:
+                    stats.incr("datagrams_truncated")
+                    continue
+                handler(
+                    self._rviews[i][: hdr_i[base + len_idx]],
+                    self._source_str(i),
+                )
             if n < batch:
                 break
 
@@ -366,9 +422,8 @@ class PacketPump:
         key = bytes(self._raddr_views[i][2:8])
         addr = self._recv_strs.get(key)
         if addr is None:
-            sa = self._raddr_objs[i]
-            ip = socket.inet_ntoa(bytes(sa.sin_addr))
-            addr = f"{ip}:{socket.ntohs(sa.sin_port)}"
+            port = int.from_bytes(key[:2], "big")
+            addr = f"{socket.inet_ntoa(key[2:])}:{port}"
             if len(self._recv_strs) >= self._ADDR_CACHE_MAX:
                 self._recv_strs.clear()
             self._recv_strs[key] = addr
@@ -463,27 +518,49 @@ class PacketPump:
         batch = self._batch
         size = self.DATAGRAM_SIZE
         sviews = self._sviews
-        flat = self._flat
-        if flat:
-            shdr_q, siov_q = self._shdr_q, self._siov_q
-            hdr_stride, iov_stride = self._hdr_stride_q, self._iov_stride_q
-            name_idx, iovlen_idx = self._name_idx, self._iovlen_idx
+        shdr_q, siov_q = self._shdr_q, self._siov_q
+        hdr_stride, iov_stride = self._hdr_stride_q, self._iov_stride_q
+        name_idx, iovlen_idx = self._name_idx, self._iovlen_idx
+        run_slots = self._run_slots
+        max_segments = segments_cap = self._max_segments
         while outbox:
-            k = 0
+            if run_slots:
+                self._detach_runs()
+            # Each slot carries one datagram, or a run of consecutive
+            # datagrams of one length to one destination back to back,
+            # which the kernel cuts apart again (UDP_SEGMENT).
+            k = d = 0  # slots filled, datagrams taken
+            last = None
+            width = off = segments = 0  # the open slot's run
             for data, sa in outbox:
-                if k >= batch:
+                if d == batch:
                     break
                 n = len(data)
+                if (
+                    sa is last
+                    and n == width
+                    and segments < segments_cap
+                    and off + n <= size
+                ):
+                    end = off + n
+                    view[off:end] = data
+                    siov_q[iov_at] = off = end
+                    if segments == 1:
+                        self._attach_run(k - 1, n)
+                    segments += 1
+                    d += 1
+                    continue
                 if n > size:
                     break  # oversized head handled below
-                sviews[k][:n] = data
-                if flat:
-                    siov_q[iov_stride * k + iovlen_idx] = n
-                    shdr_q[hdr_stride * k + name_idx] = sa[1]
-                else:
-                    self._siov_objs[k].iov_len = n
-                    self._shdr_objs[k].msg_hdr.msg_name = sa[1]
+                view = sviews[k]
+                view[:n] = data
+                iov_at = iov_stride * k + iovlen_idx
+                siov_q[iov_at] = width = off = n
+                shdr_q[hdr_stride * k + name_idx] = sa[1]
+                last = sa
+                segments = 1
                 k += 1
+                d += 1
             if k == 0:
                 # Oversized datagram at the head: one plain sendto.
                 self._send_oversized(*outbox.popleft())
@@ -496,18 +573,54 @@ class PacketPump:
                 if err in (errno.EAGAIN, errno.EWOULDBLOCK):
                     self._arm_writer()
                     return
+                if run_slots and run_slots[0] == 0 and err in _REFUSED:
+                    # The kernel refused the run at the head (say, a
+                    # segment above the route MTU): send this batch
+                    # one datagram per header.
+                    stats.incr("udp_gso_refused")
+                    segments_cap = 1
+                    continue
                 # Destination-level error (ECONNREFUSED, EPERM, ...):
                 # drop the head so the queue cannot spin, keep going.
                 stats.incr("udp_send_error")
                 outbox.popleft()
                 continue
+            segments_cap = max_segments
+            if sent < k:
+                d = self._datagrams_in(sent)
             stats.incr("udp_send_syscalls")
-            stats.record_batch("send", sent)
-            for _ in range(sent):
+            stats.record_batch("send", d)
+            for _ in range(d):
                 outbox.popleft()
             if sent < k:
                 self._arm_writer()
                 return
+
+    def _attach_run(self, k: int, width: int) -> None:
+        """Send slot ``k`` as a run of ``width``-byte datagrams."""
+        self._shdr_q[self._hdr_stride_q * k + self._ctllen_idx] = (
+            _SEGMENT_CMSG_SPACE
+        )
+        self._scmsg_h[self._cmsg_stride_h * k + self._segsize_idx] = width
+        self._run_slots.append(k)
+
+    def _detach_runs(self) -> None:
+        for k in self._run_slots:
+            self._shdr_q[self._hdr_stride_q * k + self._ctllen_idx] = 0
+        self._run_slots.clear()
+
+    def _datagrams_in(self, slots: int) -> int:
+        """Datagrams the first ``slots`` send slots carry: one each, plus
+        the further segments of the runs among them."""
+        total = slots
+        for k in self._run_slots:
+            if k < slots:
+                total += (
+                    self._siov_q[self._iov_stride_q * k + self._iovlen_idx]
+                    // self._scmsg_h[self._cmsg_stride_h * k + self._segsize_idx]
+                    - 1
+                )
+        return total
 
     def _send_oversized(self, data: bytes, sa: object) -> None:
         try:

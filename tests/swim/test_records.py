@@ -1,12 +1,10 @@
-"""Every protocol message and ``MemberEvent`` is a frozen dataclass,
-slotted on Python 3.10 and later: what the frozen dataclass promised
-before it was slotted, checked against a plain frozen dataclass of the
-same fields."""
+"""Every protocol message and ``MemberEvent`` is a frozen, slotted
+dataclass: what the frozen dataclass promised before it was slotted,
+checked against a plain frozen dataclass of the same fields."""
 
 import copy
 import dataclasses
 import pickle
-import sys
 import typing
 
 import pytest
@@ -88,9 +86,6 @@ class TestRecord:
             record.extra = 1
         assert getattr(record, name) is before
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 10), reason="dataclass slots need Python 3.10"
-    )
     def test_no_instance_dict(self, record):
         assert not hasattr(record, "__dict__")
         assert list(type(record).__slots__[: len(_fields(record))]) == _fields(

@@ -4,12 +4,17 @@ The parity matrix in test_udp.py / test_udp_faults.py proves the
 batched backend behaves like the asyncio one; these tests cover what
 is *specific* to the fast path: actual multi-datagram syscall batches
 (skipped with a reason where recvmmsg/sendmmsg are unavailable), the
-portable fallback, replies leaving with the drain that caused them,
-``send_encoded``, and backend selection.
+portable fallback, runs of same-size datagrams sent as one
+``UDP_SEGMENT`` header (skipped where the kernel lacks it), replies
+leaving with the drain that caused them, ``send_encoded``, and backend
+selection.
 """
 
 import asyncio
+import ctypes
+import errno
 import math
+import socket
 
 import pytest
 
@@ -35,6 +40,62 @@ def batched_config(**overrides):
     params = dict(transport_backend="batched")
     params.update(overrides)
     return SwimConfig(**params)
+
+
+def _gso_available():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        return fastudp.udp_segment_available(sock)
+
+
+requires_gso = pytest.mark.skipif(
+    not _gso_available(),
+    reason="UDP_SEGMENT not available on this kernel; the pump sends "
+    "one datagram per mmsghdr here",
+)
+
+
+@pytest.fixture
+def sendmmsg_calls(monkeypatch):
+    """Every ``sendmmsg`` the pumps make, as a list per call of
+    ``(segments, segment_size, iov_len)`` per mmsghdr (a header without
+    a control message is one segment of its whole length)."""
+    calls = []
+    real = fastudp._sendmmsg
+
+    def recording(fd, hdrs, vlen, flags):
+        headers = []
+        for i in range(vlen):
+            hdr = hdrs[i].msg_hdr
+            length = hdr.msg_iov[0].iov_len
+            if hdr.msg_controllen:
+                cmsg = ctypes.cast(
+                    hdr.msg_control, ctypes.POINTER(fastudp._SegmentCmsg)
+                )[0]
+                assert (cmsg.cmsg_level, cmsg.cmsg_type) == (17, 103)
+                size = cmsg.segment_size
+                headers.append((length // size, size, length))
+            else:
+                headers.append((1, length, length))
+        calls.append(headers)
+        return real(fd, hdrs, vlen, flags)
+
+    monkeypatch.setattr(fastudp, "_sendmmsg", recording)
+    return calls
+
+
+def _receiver(transport, count):
+    """Bind ``transport`` to collect payloads; the future resolves once
+    ``count`` have arrived."""
+    got = []
+    done = asyncio.get_running_loop().create_future()
+
+    def on_packet(p, s, r):
+        got.append(bytes(p))
+        if len(got) == count and not done.done():
+            done.set_result(None)
+
+    transport.bind(on_packet)
+    return got, done
 
 
 class TestBackendSelection:
@@ -143,6 +204,146 @@ class TestSyscallBatching:
                     break
             assert b.stats.get("datagrams_truncated") == 1
             assert delivered == []  # dropped, not delivered mangled
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
+    # -- runs of same-size datagrams to one peer (UDP_SEGMENT) ---------
+
+    @requires_gso
+    def test_a_same_size_burst_leaves_as_one_header(self, sendmmsg_calls):
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            assert a.pump.groups_runs
+            sent = [b"r%03d" % i for i in range(20)]
+            got, done = _receiver(b, len(sent))
+            for payload in sent:
+                a.send(b.local_address, payload)
+            await asyncio.wait_for(done, 5)
+            assert sendmmsg_calls == [[(20, 4, 80)]]
+            # The receiver sees the datagrams, not the run: byte-equal,
+            # one per payload, in order.
+            assert got == sent
+            assert a.stats.batches == {("send", 20): 1}
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
+    @requires_gso
+    def test_interleaved_peers_and_sizes_keep_order_and_boundaries(
+        self, sendmmsg_calls
+    ):
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            c = await create_udp_transport(config=batched_config())
+            # Runs of 1 to 4, switching peer or size between them.
+            plan = []
+            for i in range(30):
+                peer = (b, c)[i % 3 == 2]
+                size = 5 + i % 4
+                for j in range(1 + i % 4):
+                    plan.append((peer, bytes([65 + j]) * size + b"%03d" % i))
+            for_b = [p for peer, p in plan if peer is b]
+            for_c = [p for peer, p in plan if peer is c]
+            got_b, done_b = _receiver(b, len(for_b))
+            got_c, done_c = _receiver(c, len(for_c))
+            for peer, payload in plan:
+                a.send(peer.local_address, payload)
+            await asyncio.wait_for(asyncio.gather(done_b, done_c), 5)
+            assert got_b == for_b and got_c == for_c
+            headers = [h for call in sendmmsg_calls for h in call]
+            assert sum(n for n, _, _ in headers) == len(plan)
+            assert max(n for n, _, _ in headers) == 4
+            await a.close()
+            await b.close()
+            await c.close()
+
+        asyncio.run(scenario())
+
+    @requires_gso
+    @pytest.mark.parametrize("size, count", [(1, 140), (1000, 40)])
+    def test_a_run_stays_within_the_segment_cap_slot_and_batch(
+        self, sendmmsg_calls, size, count
+    ):
+        async def scenario():
+            a = await create_udp_transport(
+                config=batched_config(transport_batch_size=128)
+            )
+            b = await create_udp_transport(config=batched_config())
+            sent = [(b"%04d" % i * size)[:size] for i in range(count)]
+            got, done = _receiver(b, count)
+            for payload in sent:
+                a.send(b.local_address, payload)
+            await asyncio.wait_for(done, 5)
+            assert sorted(got) == sorted(sent)
+            slot = fastudp.PacketPump.DATAGRAM_SIZE
+            for call in sendmmsg_calls:
+                assert sum(n for n, _, _ in call) <= 128
+                for segments, _, length in call:
+                    assert segments <= fastudp.MAX_SEGMENTS
+                    assert length <= slot
+            # Both limits are reached, not just respected.
+            longest = max(n for call in sendmmsg_calls for n, _, _ in call)
+            assert longest == min(fastudp.MAX_SEGMENTS, slot // size)
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
+    def test_without_udp_segment_every_datagram_has_its_own_header(
+        self, monkeypatch, sendmmsg_calls
+    ):
+        monkeypatch.setattr(fastudp, "udp_segment_available", lambda sock: False)
+
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            assert not a.pump.groups_runs
+            sent = [b"s%03d" % i for i in range(20)]
+            got, done = _receiver(b, len(sent))
+            for payload in sent:
+                a.send(b.local_address, payload)
+            await asyncio.wait_for(done, 5)
+            assert sendmmsg_calls == [[(1, 4, 4)] * 20]
+            assert got == sent
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
+    @requires_gso
+    def test_a_refused_run_is_resent_as_single_datagrams(self, monkeypatch):
+        refused = []
+        real = fastudp._sendmmsg
+
+        def refusing(fd, hdrs, vlen, flags):
+            # A kernel that will not cut this run (say, a segment above
+            # the route MTU) refuses the first header with EINVAL.
+            if hdrs[0].msg_hdr.msg_controllen:
+                refused.append(vlen)
+                ctypes.set_errno(errno.EINVAL)
+                return -1
+            return real(fd, hdrs, vlen, flags)
+
+        monkeypatch.setattr(fastudp, "_sendmmsg", refusing)
+
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            sent = [b"t%03d" % i for i in range(12)] + [b"tail", b"u" * 9]
+            got, done = _receiver(b, len(sent))
+            for payload in sent:
+                a.send(b.local_address, payload)
+            await asyncio.wait_for(done, 5)
+            assert got == sent  # nothing lost, nothing reordered
+            assert refused == [2]  # the 13-run and the single after it
+            assert a.stats.get("udp_gso_refused") == 1
+            assert a.stats.get("udp_send_error") == 0
+            assert a.stats.batches == {("send", 14): 1}
             await a.close()
             await b.close()
 
