@@ -20,7 +20,9 @@ is protocol fidelity, not just throughput. This module provides:
   ``mmsghdr`` and the kernel cuts it back into the same datagrams: the
   receiver sees the bytes, boundaries and order it would have seen.
   A run the kernel refuses (``EINVAL``/``EIO``) is sent again one
-  datagram per header and counted as ``udp_gso_refused``.
+  datagram per header and counted as ``udp_gso_refused``, and from
+  then on the pump groups only runs of narrower datagrams. Empty
+  datagrams never form a run.
 * :class:`BatchedUdpTransport` — a :class:`UdpTransport` subclass that
   swaps only the datagram path for a :class:`PacketPump`; the pooled
   TCP reliable channel, fault handling, and stats plumbing are
@@ -351,7 +353,11 @@ class PacketPump:
         self._scmsg_h = memoryview(self._scmsgs).cast("B").cast("H")
         #: Slots whose control message is attached, in slot order.
         self._run_slots: List[int] = []
-        self._max_segments = MAX_SEGMENTS if self.groups_runs else 1
+        #: Runs are grouped only while their datagrams are narrower than
+        #: this: the smallest width the kernel has refused to cut, and 0
+        #: where it lacks UDP_SEGMENT. Empty datagrams are never grouped
+        #: (a segment size of 0 is no UDP_SEGMENT at all).
+        self._refused_width = size + 1 if self.groups_runs else 0
 
     # -- introspection --------------------------------------------------
 
@@ -522,45 +528,49 @@ class PacketPump:
         hdr_stride, iov_stride = self._hdr_stride_q, self._iov_stride_q
         name_idx, iovlen_idx = self._name_idx, self._iovlen_idx
         run_slots = self._run_slots
-        max_segments = segments_cap = self._max_segments
+        max_segments = MAX_SEGMENTS
         while outbox:
+            refused = self._refused_width
             if run_slots:
                 self._detach_runs()
             # Each slot carries one datagram, or a run of consecutive
             # datagrams of one length to one destination back to back,
-            # which the kernel cuts apart again (UDP_SEGMENT).
-            k = d = 0  # slots filled, datagrams taken
+            # which the kernel cuts apart again (UDP_SEGMENT). A single
+            # datagram pays for the run test alone; a run looks its slot
+            # up on its second datagram, and each further segment takes
+            # one header off ``cap`` so datagrams stay within the batch.
+            k = 0  # slots filled
+            cap = batch
             last = None
-            width = off = segments = 0  # the open slot's run
+            width = 0
+            run_k = -1  # the slot count when the open run started
             for data, sa in outbox:
-                if d == batch:
+                if k >= cap:
                     break
                 n = len(data)
-                if (
-                    sa is last
-                    and n == width
-                    and segments < segments_cap
-                    and off + n <= size
-                ):
+                if sa is last and n == width and 0 < n < refused:
+                    if run_k != k:  # a run starts on the last slot
+                        run_k = k
+                        view = sviews[k - 1]
+                        iov_at = iov_stride * (k - 1) + iovlen_idx
+                        off = n
+                        limit = min(size, n * max_segments)
                     end = off + n
-                    view[off:end] = data
-                    siov_q[iov_at] = off = end
-                    if segments == 1:
-                        self._attach_run(k - 1, n)
-                    segments += 1
-                    d += 1
-                    continue
+                    if end <= limit:
+                        view[off:end] = data
+                        siov_q[iov_at] = end
+                        if off == n:
+                            self._attach_run(k - 1, n)
+                        off = end
+                        cap -= 1
+                        continue
                 if n > size:
                     break  # oversized head handled below
-                view = sviews[k]
-                view[:n] = data
-                iov_at = iov_stride * k + iovlen_idx
-                siov_q[iov_at] = width = off = n
+                sviews[k][:n] = data
+                siov_q[iov_stride * k + iovlen_idx] = width = n
                 shdr_q[hdr_stride * k + name_idx] = sa[1]
                 last = sa
-                segments = 1
                 k += 1
-                d += 1
             if k == 0:
                 # Oversized datagram at the head: one plain sendto.
                 self._send_oversized(*outbox.popleft())
@@ -575,19 +585,18 @@ class PacketPump:
                     return
                 if run_slots and run_slots[0] == 0 and err in _REFUSED:
                     # The kernel refused the run at the head (say, a
-                    # segment above the route MTU): send this batch
-                    # one datagram per header.
+                    # segment above the route MTU): from now on this
+                    # pump sends datagrams that wide or wider one per
+                    # header, this batch included.
                     stats.incr("udp_gso_refused")
-                    segments_cap = 1
+                    self._refused_width = self._scmsg_h[self._segsize_idx]
                     continue
                 # Destination-level error (ECONNREFUSED, EPERM, ...):
                 # drop the head so the queue cannot spin, keep going.
                 stats.incr("udp_send_error")
                 outbox.popleft()
                 continue
-            segments_cap = max_segments
-            if sent < k:
-                d = self._datagrams_in(sent)
+            d = k + batch - cap if sent == k else self._datagrams_in(sent)
             stats.incr("udp_send_syscalls")
             stats.record_batch("send", d)
             for _ in range(d):

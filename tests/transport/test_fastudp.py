@@ -349,6 +349,81 @@ class TestSyscallBatching:
 
         asyncio.run(scenario())
 
+    @requires_gso
+    def test_a_refused_width_is_refused_once_per_pump(self, monkeypatch):
+        calls = []
+        real = fastudp._sendmmsg
+
+        def mtu_of_seven(fd, hdrs, vlen, flags):
+            # Like a route whose MTU leaves room for 7-byte segments:
+            # a run of wider ones fails, and sendmmsg reports the
+            # headers it sent before it.
+            headers = []
+            for i in range(vlen):
+                hdr = hdrs[i].msg_hdr
+                length = hdr.msg_iov[0].iov_len
+                if hdr.msg_controllen:
+                    size = ctypes.cast(
+                        hdr.msg_control, ctypes.POINTER(fastudp._SegmentCmsg)
+                    )[0].segment_size
+                    if size > 7:
+                        if i == 0:
+                            calls.append("refused")
+                            ctypes.set_errno(errno.EINVAL)
+                            return -1
+                        vlen = i
+                        break
+                    headers.append((length // size, size, length))
+                else:
+                    headers.append((1, length, length))
+            calls.append(headers)
+            return real(fd, hdrs, vlen, flags)
+
+        monkeypatch.setattr(fastudp, "_sendmmsg", mtu_of_seven)
+
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            for round_ in range(3):
+                sent = [b"w%d%06d" % (round_, i) for i in range(10)]
+                sent += [b"n%03d" % i for i in range(10)]
+                got, done = _receiver(b, len(sent))
+                for payload in sent:
+                    a.send(b.local_address, payload)
+                await asyncio.wait_for(done, 5)
+                assert got == sent
+            # One failed call in the pump's life, not one per flush; the
+            # narrower runs are still grouped.
+            flush = [[(1, 8, 8)] * 10 + [(10, 4, 40)]]
+            assert calls == ["refused"] + flush * 3
+            assert a.stats.get("udp_gso_refused") == 1
+            assert a.stats.get("udp_send_error") == 0
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
+    def test_empty_datagrams_each_have_their_own_header(self, sendmmsg_calls):
+        # A segment size of 0 would be no UDP_SEGMENT at all: the kernel
+        # would send one empty datagram for the whole run.
+        async def scenario():
+            a = await create_udp_transport(config=batched_config())
+            b = await create_udp_transport(config=batched_config())
+            sent = [b""] * 5 + [b"x"] + [b""] * 3
+            got, done = _receiver(b, len(sent))
+            for payload in sent:
+                a.send(b.local_address, payload)
+            await asyncio.wait_for(done, 5)
+            assert got == sent
+            assert sendmmsg_calls == [
+                [(1, 0, 0)] * 5 + [(1, 1, 1)] + [(1, 0, 0)] * 3
+            ]
+            assert a.stats.batches == {("send", 9): 1}
+            await a.close()
+            await b.close()
+
+        asyncio.run(scenario())
+
 
 class TestPortableFallback:
     def test_round_trip_without_mmsg(self, monkeypatch):
